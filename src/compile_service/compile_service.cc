@@ -63,7 +63,7 @@ const CompileJobOutcome* CompileJobHandle::TryGet() const {
   return state_->done ? &state_->outcome : nullptr;
 }
 
-const CompileJobOutcome& CompileJobHandle::Wait() const {
+const CompileJobOutcome& CompileJobHandle::Wait() const& {
   DISC_CHECK(state_ != nullptr) << "Wait on an invalid CompileJobHandle";
   std::unique_lock<std::mutex> lock(state_->mu);
   state_->done_cv.wait(lock, [this] { return state_->done; });

@@ -98,8 +98,11 @@ class CompileJobHandle {
   bool done() const;
   /// \brief Non-blocking: the outcome once done, nullptr before.
   const CompileJobOutcome* TryGet() const;
-  /// \brief Blocks until the job completes (ok or not).
-  const CompileJobOutcome& Wait() const;
+  /// \brief Blocks until the job completes (ok or not). The outcome lives
+  /// in the job state the handle shares, so Wait on a temporary handle is
+  /// deleted: the reference would dangle at the end of the expression.
+  const CompileJobOutcome& Wait() const&;
+  const CompileJobOutcome& Wait() const&& = delete;
   /// \brief Requests cancellation. Queued jobs complete with
   /// FailedPrecondition at dequeue; a job already running (or done) is
   /// unaffected. Affects every handle deduplicated onto this job.

@@ -45,9 +45,9 @@ struct ShadowValidateOptions {
   /// long observed-shape history cannot crowd out the bindings most likely
   /// to expose a wrong guard.
   int max_probes = 12;
-  /// Comparison vs the reference evaluator (fused kernels keep
-  /// intermediates in double; the unfused evaluator materializes f32
-  /// between ops, so bitwise equality is not expected there).
+  /// Comparison vs the reference evaluator. It runs the original graph,
+  /// which opt passes may have reassociated, so bitwise equality is not
+  /// expected there.
   double rtol = 1e-4;
   double atol = 1e-5;
   /// Candidate vs incumbent executables run the same kernels-on-CPU mode,

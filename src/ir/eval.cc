@@ -174,12 +174,81 @@ Result<Tensor> EvalReduce(const Node& node, const Tensor& in) {
   return out;
 }
 
+// Batched GEMM in i-k-j order. Per batch and output row i, a double row
+// accumulates A[i, kk] * B[kk, :] for kk = 0..K-1, reading B and writing C
+// with unit stride; with transpose_b, B^T is packed once per distinct batch
+// slice so that read stays contiguous. Every output still sums its K
+// products in increasing kk starting from 0.0, so the result is exactly
+// that of a per-element dot-product loop. `store` rounds to the out dtype.
+template <typename T, typename Store>
+void MatMulBatches(const Tensor& a, const Tensor& b, const T* a_data,
+                   const T* b_data, T* out, bool ta, bool tb, int64_t m,
+                   int64_t n, int64_t k, const std::vector<int64_t>& batch,
+                   Store store) {
+  const int64_t lda = a.dims()[a.rank() - 1];
+  const int64_t ldb = b.dims()[b.rank() - 1];
+  const std::vector<int64_t> a_strides = a.Strides();
+  const std::vector<int64_t> b_strides = b.Strides();
+  // Base offset of one batch slice, broadcasting size-1 batch dims.
+  auto batch_offset = [](const Tensor& t, const std::vector<int64_t>& strides,
+                         const std::vector<int64_t>& batch_idx) {
+    int64_t batch_rank = t.rank() - 2;
+    int64_t align = static_cast<int64_t>(batch_idx.size()) - batch_rank;
+    int64_t offset = 0;
+    for (int64_t i = 0; i < batch_rank; ++i) {
+      int64_t id = t.dims()[i] == 1 ? 0 : batch_idx[align + i];
+      offset += id * strides[i];
+    }
+    return offset;
+  };
+
+  std::vector<double> acc(n);
+  std::vector<T> packed;  // B^T of one batch slice, as [k, n]
+  int64_t packed_offset = -1;
+  std::vector<int64_t> batch_idx(batch.size(), 0);
+  const int64_t batch_count = Product(batch);
+  for (int64_t bi = 0; bi < batch_count; ++bi) {
+    const T* pa = a_data + batch_offset(a, a_strides, batch_idx);
+    const int64_t ob = batch_offset(b, b_strides, batch_idx);
+    const T* pb = b_data + ob;
+    int64_t b_row_stride = ldb;
+    if (tb) {
+      if (ob != packed_offset) {
+        packed.resize(k * n);
+        for (int64_t j = 0; j < n; ++j) {
+          for (int64_t kk = 0; kk < k; ++kk) {
+            packed[kk * n + j] = pb[j * ldb + kk];
+          }
+        }
+        packed_offset = ob;
+      }
+      pb = packed.data();
+      b_row_stride = n;
+    }
+    T* po = out + bi * m * n;
+    for (int64_t i = 0; i < m; ++i) {
+      std::fill(acc.begin(), acc.end(), 0.0);
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const double aik =
+            static_cast<double>(ta ? pa[kk * lda + i] : pa[i * lda + kk]);
+        const T* brow = pb + kk * b_row_stride;
+        for (int64_t j = 0; j < n; ++j) {
+          acc[j] += aik * static_cast<double>(brow[j]);
+        }
+      }
+      for (int64_t j = 0; j < n; ++j) po[i * n + j] = store(acc[j]);
+    }
+    NextIndex(batch, &batch_idx);
+  }
+}
+
 Result<Tensor> EvalMatMul(const Node& node, const Tensor& a, const Tensor& b) {
   bool ta = node.GetIntAttr("transpose_a", 0) != 0;
   bool tb = node.GetIntAttr("transpose_b", 0) != 0;
   int64_t ra = a.rank();
   int64_t rb = b.rank();
   if (ra < 2 || rb < 2) return InvalidOp(node, "rank < 2");
+  if (a.dtype() != b.dtype()) return InvalidOp(node, "dtype mismatch");
   int64_t m = a.dims()[ra - (ta ? 1 : 2)];
   int64_t k = a.dims()[ra - (ta ? 2 : 1)];
   int64_t kb = b.dims()[rb - (tb ? 1 : 2)];
@@ -194,58 +263,33 @@ Result<Tensor> EvalMatMul(const Node& node, const Tensor& a, const Tensor& b) {
   out_dims.push_back(m);
   out_dims.push_back(n);
   Tensor out(a.dtype(), out_dims);
+  if (out.num_elements() == 0) return out;
 
-  int64_t batch_count = Product(batch);
-  // Per-batch base offsets with broadcast over batch dims.
-  auto batch_offset = [&](const Tensor& t,
-                          const std::vector<int64_t>& batch_idx) {
-    int64_t batch_rank = t.rank() - 2;
-    int64_t align = static_cast<int64_t>(batch_idx.size()) - batch_rank;
-    auto full_strides = t.Strides();
-    int64_t offset = 0;
-    for (int64_t i = 0; i < batch_rank; ++i) {
-      int64_t id = t.dims()[i] == 1 ? 0 : batch_idx[align + i];
-      offset += id * full_strides[i];
-    }
-    return offset;
-  };
-
-  const float* fa = a.dtype() == DType::kF32 ? a.f32_data() : nullptr;
-  const float* fb = b.dtype() == DType::kF32 ? b.f32_data() : nullptr;
-  float* fo = out.dtype() == DType::kF32 ? out.f32_data() : nullptr;
-
-  std::vector<int64_t> batch_idx(batch.size(), 0);
-  for (int64_t bi = 0; bi < batch_count; ++bi) {
-    int64_t oa = batch_offset(a, batch_idx);
-    int64_t ob = batch_offset(b, batch_idx);
-    int64_t oo = bi * m * n;
-    int64_t lda = a.dims()[ra - 1];
-    int64_t ldb = b.dims()[rb - 1];
-    for (int64_t i = 0; i < m; ++i) {
-      for (int64_t j = 0; j < n; ++j) {
-        double sum = 0.0;
-        for (int64_t kk = 0; kk < k; ++kk) {
-          int64_t ia = ta ? (kk * lda + i) : (i * lda + kk);
-          int64_t ib = tb ? (j * ldb + kk) : (kk * ldb + j);
-          if (fa != nullptr) {
-            sum += static_cast<double>(fa[oa + ia]) *
-                   static_cast<double>(fb[ob + ib]);
-          } else {
-            sum += a.ElementAsDouble(oa + ia) * b.ElementAsDouble(ob + ib);
-          }
-        }
-        if (fo != nullptr) {
-          fo[oo + i * n + j] = static_cast<float>(sum);
-        } else {
-          out.SetElementFromDouble(oo + i * n + j, sum);
-        }
-      }
-    }
-    NextIndex(batch, &batch_idx);
+  switch (out.dtype()) {
+    case DType::kF32:
+      MatMulBatches(a, b, a.f32_data(), b.f32_data(), out.f32_data(), ta, tb,
+                    m, n, k, batch,
+                    [](double v) { return static_cast<float>(v); });
+      break;
+    case DType::kI64:
+      MatMulBatches(a, b, a.i64_data(), b.i64_data(), out.i64_data(), ta, tb,
+                    m, n, k, batch,
+                    [](double v) { return static_cast<int64_t>(v); });
+      break;
+    case DType::kI1:
+      MatMulBatches(a, b, a.i64_data(), b.i64_data(), out.i64_data(), ta, tb,
+                    m, n, k, batch,
+                    [](double v) -> int64_t { return v != 0.0 ? 1 : 0; });
+      break;
   }
   return out;
 }
 
+// NHWC convolution. Per output pixel, a double row over the output
+// channels accumulates input(ky, kx, ci) * filter[ky, kx, ci, :], reading
+// the filter with unit stride. Each output channel still sums its in-bounds
+// taps in (ky, kx, ci) order starting from 0.0, exactly as a per-channel
+// loop would.
 Result<Tensor> EvalConv2D(const Node& node, const Tensor& in,
                           const Tensor& filter) {
   const auto& strides = node.GetIntListAttr("strides");
@@ -263,26 +307,31 @@ Result<Tensor> EvalConv2D(const Node& node, const Tensor& in,
   const float* src = in.f32_data();
   const float* flt = filter.f32_data();
   float* dst = out.f32_data();
+  std::vector<double> acc(oc);
   for (int64_t ni = 0; ni < n; ++ni) {
     for (int64_t yo = 0; yo < oh; ++yo) {
       for (int64_t xo = 0; xo < ow; ++xo) {
-        for (int64_t co = 0; co < oc; ++co) {
-          double sum = 0.0;
-          for (int64_t ky = 0; ky < kh; ++ky) {
-            int64_t yi = yo * sh - ph + ky;
-            if (yi < 0 || yi >= h) continue;
-            for (int64_t kx = 0; kx < kw; ++kx) {
-              int64_t xi = xo * sw - pw + kx;
-              if (xi < 0 || xi >= w) continue;
-              for (int64_t ci = 0; ci < c; ++ci) {
-                sum += static_cast<double>(
-                           src[((ni * h + yi) * w + xi) * c + ci]) *
-                       static_cast<double>(
-                           flt[((ky * kw + kx) * c + ci) * oc + co]);
+        std::fill(acc.begin(), acc.end(), 0.0);
+        for (int64_t ky = 0; ky < kh; ++ky) {
+          int64_t yi = yo * sh - ph + ky;
+          if (yi < 0 || yi >= h) continue;
+          for (int64_t kx = 0; kx < kw; ++kx) {
+            int64_t xi = xo * sw - pw + kx;
+            if (xi < 0 || xi >= w) continue;
+            const float* pixel = src + ((ni * h + yi) * w + xi) * c;
+            const float* taps = flt + (ky * kw + kx) * c * oc;
+            for (int64_t ci = 0; ci < c; ++ci) {
+              const double v = static_cast<double>(pixel[ci]);
+              const float* row = taps + ci * oc;
+              for (int64_t co = 0; co < oc; ++co) {
+                acc[co] += v * static_cast<double>(row[co]);
               }
             }
           }
-          dst[((ni * oh + yo) * ow + xo) * oc + co] = static_cast<float>(sum);
+        }
+        float* px = dst + ((ni * oh + yo) * ow + xo) * oc;
+        for (int64_t co = 0; co < oc; ++co) {
+          px[co] = static_cast<float>(acc[co]);
         }
       }
     }
@@ -291,95 +340,6 @@ Result<Tensor> EvalConv2D(const Node& node, const Tensor& in,
 }
 
 }  // namespace
-
-double ApplyUnaryScalar(OpKind kind, double x) {
-  switch (kind) {
-    case OpKind::kAbs:
-      return std::abs(x);
-    case OpKind::kNeg:
-      return -x;
-    case OpKind::kExp:
-      return std::exp(x);
-    case OpKind::kLog:
-      return std::log(x);
-    case OpKind::kSqrt:
-      return std::sqrt(x);
-    case OpKind::kRsqrt:
-      return 1.0 / std::sqrt(x);
-    case OpKind::kTanh:
-      return std::tanh(x);
-    case OpKind::kErf:
-      return std::erf(x);
-    case OpKind::kSigmoid:
-      return 1.0 / (1.0 + std::exp(-x));
-    case OpKind::kRelu:
-      return x > 0.0 ? x : 0.0;
-    case OpKind::kFloor:
-      return std::floor(x);
-    case OpKind::kCeil:
-      return std::ceil(x);
-    case OpKind::kSign:
-      return x > 0.0 ? 1.0 : (x < 0.0 ? -1.0 : 0.0);
-    case OpKind::kReciprocal:
-      return 1.0 / x;
-    case OpKind::kLogicalNot:
-      return x == 0.0 ? 1.0 : 0.0;
-    case OpKind::kCast:
-      return x;  // dtype conversion handled by SetElementFromDouble
-    default:
-      DISC_UNREACHABLE(OpName(kind));
-      return 0.0;
-  }
-}
-
-double ApplyBinaryScalar(OpKind kind, double a, double b, DType dtype) {
-  bool integral = IsIntegral(dtype);
-  switch (kind) {
-    case OpKind::kAdd:
-      return a + b;
-    case OpKind::kSub:
-      return a - b;
-    case OpKind::kMul:
-      return a * b;
-    case OpKind::kDiv:
-      if (integral) {
-        return static_cast<double>(static_cast<int64_t>(a) /
-                                   static_cast<int64_t>(b));
-      }
-      return a / b;
-    case OpKind::kPow:
-      return std::pow(a, b);
-    case OpKind::kMaximum:
-      return std::max(a, b);
-    case OpKind::kMinimum:
-      return std::min(a, b);
-    case OpKind::kMod:
-      if (integral) {
-        return static_cast<double>(static_cast<int64_t>(a) %
-                                   static_cast<int64_t>(b));
-      }
-      return std::fmod(a, b);
-    case OpKind::kLess:
-      return a < b ? 1.0 : 0.0;
-    case OpKind::kLessEqual:
-      return a <= b ? 1.0 : 0.0;
-    case OpKind::kGreater:
-      return a > b ? 1.0 : 0.0;
-    case OpKind::kGreaterEqual:
-      return a >= b ? 1.0 : 0.0;
-    case OpKind::kEqual:
-      return a == b ? 1.0 : 0.0;
-    case OpKind::kNotEqual:
-      return a != b ? 1.0 : 0.0;
-    case OpKind::kAnd:
-      return (a != 0.0 && b != 0.0) ? 1.0 : 0.0;
-    case OpKind::kOr:
-      return (a != 0.0 || b != 0.0) ? 1.0 : 0.0;
-    default:
-      DISC_UNREACHABLE(OpName(kind));
-      return 0.0;
-  }
-}
 
 Result<std::vector<Tensor>> EvaluateNode(const Node& node,
                                          const std::vector<Tensor>& inputs) {

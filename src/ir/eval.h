@@ -3,17 +3,26 @@
 //
 // This is the semantic ground truth of the repo. It is used by
 //   * constant folding (disc::opt),
-//   * the eager-interpreter baselines (PyTorch-style engines), and
+//   * the eager-interpreter baselines (PyTorch-style engines),
+//   * the runtime's library steps (GEMM / Conv2D run through EvaluateNode),
+//     and
 //   * every correctness test that compares compiled kernels against a
 //     reference.
-// It favours clarity over speed.
+// Elementwise ops compute on a double carrier and round to the node's dtype
+// on store; reductions and contractions accumulate in double in a fixed
+// order. The fused-kernel executor (kernel/execute.cc) reproduces these
+// semantics bit for bit and shares the scalar functions below.
 #ifndef DISC_IR_EVAL_H_
 #define DISC_IR_EVAL_H_
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "ir/graph.h"
 #include "ir/tensor.h"
+#include "support/logging.h"
 #include "support/status.h"
 
 namespace disc {
@@ -29,12 +38,100 @@ Result<std::vector<Tensor>> EvaluateGraph(const Graph& graph,
                                           const std::vector<Tensor>& inputs);
 
 /// \brief Scalar semantics of a unary elementwise op (dtype-aware via
-/// double carrier; exact for the integral range used in shapes).
-double ApplyUnaryScalar(OpKind kind, double x);
+/// double carrier; exact for the integral range used in shapes). Inline so
+/// a loop that passes a constant `kind` compiles to the bare expression.
+inline double ApplyUnaryScalar(OpKind kind, double x) {
+  switch (kind) {
+    case OpKind::kAbs:
+      return std::abs(x);
+    case OpKind::kNeg:
+      return -x;
+    case OpKind::kExp:
+      return std::exp(x);
+    case OpKind::kLog:
+      return std::log(x);
+    case OpKind::kSqrt:
+      return std::sqrt(x);
+    case OpKind::kRsqrt:
+      return 1.0 / std::sqrt(x);
+    case OpKind::kTanh:
+      return std::tanh(x);
+    case OpKind::kErf:
+      return std::erf(x);
+    case OpKind::kSigmoid:
+      return 1.0 / (1.0 + std::exp(-x));
+    case OpKind::kRelu:
+      return x > 0.0 ? x : 0.0;
+    case OpKind::kFloor:
+      return std::floor(x);
+    case OpKind::kCeil:
+      return std::ceil(x);
+    case OpKind::kSign:
+      return x > 0.0 ? 1.0 : (x < 0.0 ? -1.0 : 0.0);
+    case OpKind::kReciprocal:
+      return 1.0 / x;
+    case OpKind::kLogicalNot:
+      return x == 0.0 ? 1.0 : 0.0;
+    case OpKind::kCast:
+      return x;  // the dtype conversion happens on store
+    default:
+      DISC_UNREACHABLE(OpName(kind));
+      return 0.0;
+  }
+}
 
 /// \brief Scalar semantics of a binary elementwise op. Integral ops
-/// (div/mod on i64) truncate like C++.
-double ApplyBinaryScalar(OpKind kind, double a, double b, DType dtype);
+/// (div/mod on i64) truncate like C++. Inline for the same reason as
+/// ApplyUnaryScalar.
+inline double ApplyBinaryScalar(OpKind kind, double a, double b,
+                                DType dtype) {
+  bool integral = IsIntegral(dtype);
+  switch (kind) {
+    case OpKind::kAdd:
+      return a + b;
+    case OpKind::kSub:
+      return a - b;
+    case OpKind::kMul:
+      return a * b;
+    case OpKind::kDiv:
+      if (integral) {
+        return static_cast<double>(static_cast<int64_t>(a) /
+                                   static_cast<int64_t>(b));
+      }
+      return a / b;
+    case OpKind::kPow:
+      return std::pow(a, b);
+    case OpKind::kMaximum:
+      return std::max(a, b);
+    case OpKind::kMinimum:
+      return std::min(a, b);
+    case OpKind::kMod:
+      if (integral) {
+        return static_cast<double>(static_cast<int64_t>(a) %
+                                   static_cast<int64_t>(b));
+      }
+      return std::fmod(a, b);
+    case OpKind::kLess:
+      return a < b ? 1.0 : 0.0;
+    case OpKind::kLessEqual:
+      return a <= b ? 1.0 : 0.0;
+    case OpKind::kGreater:
+      return a > b ? 1.0 : 0.0;
+    case OpKind::kGreaterEqual:
+      return a >= b ? 1.0 : 0.0;
+    case OpKind::kEqual:
+      return a == b ? 1.0 : 0.0;
+    case OpKind::kNotEqual:
+      return a != b ? 1.0 : 0.0;
+    case OpKind::kAnd:
+      return (a != 0.0 && b != 0.0) ? 1.0 : 0.0;
+    case OpKind::kOr:
+      return (a != 0.0 || b != 0.0) ? 1.0 : 0.0;
+    default:
+      DISC_UNREACHABLE(OpName(kind));
+      return 0.0;
+  }
+}
 
 }  // namespace disc
 

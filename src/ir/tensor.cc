@@ -1,6 +1,7 @@
 #include "ir/tensor.h"
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 namespace disc {
@@ -123,6 +124,18 @@ bool Tensor::AllClose(const Tensor& a, const Tensor& b, double rtol,
     if (std::abs(av - bv) > atol + rtol * std::abs(bv)) return false;
   }
   return true;
+}
+
+bool Tensor::BitEqual(const Tensor& a, const Tensor& b) {
+  if (a.dtype() != b.dtype() || a.dims() != b.dims()) return false;
+  const size_t n = static_cast<size_t>(a.num_elements());
+  if (n == 0) return true;
+  if (a.dtype() == DType::kF32) {
+    return std::memcmp(a.fdata_->data(), b.fdata_->data(),
+                       n * sizeof(float)) == 0;
+  }
+  return std::memcmp(a.idata_->data(), b.idata_->data(),
+                     n * sizeof(int64_t)) == 0;
 }
 
 }  // namespace disc

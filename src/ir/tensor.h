@@ -83,6 +83,8 @@ class Tensor {
   /// \brief True when shapes/dtypes match and values agree within atol+rtol.
   static bool AllClose(const Tensor& a, const Tensor& b, double rtol = 1e-4,
                        double atol = 1e-5);
+  /// \brief True when dtypes, dims and the bits of every element match.
+  static bool BitEqual(const Tensor& a, const Tensor& b);
 
  private:
   DType dtype_;

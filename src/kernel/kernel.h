@@ -5,12 +5,13 @@
 //     until the runtime binds them — "codegen supporting arbitrary shapes"),
 //   * several specialization variants with runtime guards
 //     (see specialize.cc), and
-//   * a CPU execution path used for correctness: a per-element expression
-//     evaluator over the fused subgraph. Reduction results are memoized per
-//     row during execution — the in-memory analog of the shared-memory
-//     staging a kStitch kernel performs on a real GPU.
+//   * a typed CPU executor (execute.cc): strided loops whose extents and
+//     index maps are bound per call from the symbol bindings. It
+//     materializes each member once at its IR dtype, exactly as
+//     EvaluateNode would, so every output is bit-identical to the reference
+//     evaluator's value for that node, independent of the variant.
 //
-// Performance is measured by the device model (disc::sim) from the
+// Modeled GPU performance comes from the device model (disc::sim) and the
 // KernelStats this class computes per (bindings, variant): global-memory
 // traffic touches only group inputs/outputs (fusion's raison d'être),
 // arithmetic is counted per member op, and the launch geometry follows the
@@ -115,7 +116,10 @@ class FusedKernel {
   Result<int> SelectVariantIndex(const SymbolBindings& bindings) const;
 
   /// \brief Executes the kernel on the CPU: reads group inputs from `env`,
-  /// inserts the group outputs. Variant choice never changes numerics.
+  /// inserts the group outputs, each bit-identical to EvaluateNode on its
+  /// member whatever variant was selected. Inputs whose dims or dtype
+  /// disagree with the shape analysis are an error, never read. Keeps no
+  /// state, so concurrent calls are safe.
   Status Execute(const SymbolBindings& bindings,
                  std::unordered_map<const Value*, Tensor>* env) const;
 

@@ -407,7 +407,8 @@ TEST(CompileServiceTest, CorruptedEntryIsQuarantinedAndRecompiled) {
 
   {
     CompileService first_life(options);
-    EXPECT_TRUE(first_life.Submit(MakeRequest(g.get())).Wait().status.ok());
+    auto first = first_life.Submit(MakeRequest(g.get()));
+    EXPECT_TRUE(first.Wait().status.ok());
   }
 
   // Truncate every entry file to garbage.
@@ -421,8 +422,8 @@ TEST(CompileServiceTest, CorruptedEntryIsQuarantinedAndRecompiled) {
   ASSERT_EQ(corrupted, 1);
 
   CompileService second_life(options);
-  const CompileJobOutcome& outcome =
-      second_life.Submit(MakeRequest(g.get())).Wait();
+  auto second = second_life.Submit(MakeRequest(g.get()));
+  const CompileJobOutcome& outcome = second.Wait();
   ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
   EXPECT_FALSE(outcome.from_disk_cache);
   EXPECT_EQ(second_life.stats().compiled, 1);
@@ -440,8 +441,8 @@ TEST(CompileServiceTest, CorruptedEntryIsQuarantinedAndRecompiled) {
   // store sticks.
   {
     CompileService third_life(options);
-    const CompileJobOutcome& third =
-        third_life.Submit(MakeRequest(g.get())).Wait();
+    auto third_job = third_life.Submit(MakeRequest(g.get()));
+    const CompileJobOutcome& third = third_job.Wait();
     ASSERT_TRUE(third.status.ok()) << third.status.ToString();
     EXPECT_FALSE(third.from_disk_cache);
     EXPECT_EQ(third_life.cache().stats().stores, 1);
@@ -449,7 +450,8 @@ TEST(CompileServiceTest, CorruptedEntryIsQuarantinedAndRecompiled) {
 
   // Fourth lifetime: the re-stored entry hits clean.
   CompileService fourth_life(options);
-  EXPECT_TRUE(fourth_life.Submit(MakeRequest(g.get())).Wait().from_disk_cache);
+  auto fourth = fourth_life.Submit(MakeRequest(g.get()));
+  EXPECT_TRUE(fourth.Wait().from_disk_cache);
 }
 
 // ---------------------------------------------------------------------------
@@ -566,8 +568,8 @@ TEST(CompileServiceTest, CacheStoreFaultDegradesNotCrashes) {
   FailpointSpec spec;
   spec.trigger = FailpointSpec::Trigger::kAlways;
   FailpointRegistry::Global().Arm("compile_service.cache.store", spec);
-  const CompileJobOutcome& outcome =
-      service.Submit(MakeRequest(g.get())).Wait();
+  auto job = service.Submit(MakeRequest(g.get()));
+  const CompileJobOutcome& outcome = job.Wait();
   FailpointRegistry::Global().Disarm("compile_service.cache.store");
 
   // The compile itself succeeded; only persistence was lost.
@@ -594,9 +596,12 @@ TEST(CompileServiceTest, WorkerFaultFailsJobAndFallbackKeepsServing) {
   EXPECT_GE(engine.stats().fallback_queries, 3);
   FailpointRegistry::Global().Disarm("compile_service.worker");
 
-  // Healed: the resubmitted foreground-miss job lands and gets adopted.
+  // Healed: the next query adopts the pending job if it compiled, or else
+  // resubmits it. Draining after that query makes the second one adopt
+  // deterministically instead of racing the worker.
   service.Drain();
   EXPECT_TRUE(engine.Query({{4, 8}}, DeviceSpec::T4()).ok());
+  service.Drain();
   EXPECT_TRUE(engine.Query({{4, 8}}, DeviceSpec::T4()).ok());
   EXPECT_EQ(engine.swaps(), 1);
 }
@@ -614,7 +619,8 @@ TEST(CompileServiceTest, EvictsLeastRecentlyUsedPastByteBudget) {
   options.cache.dir = dir.path();
   CompileService service(options);
   // Learn a single entry's size, then budget for ~2.
-  EXPECT_TRUE(service.Submit(MakeRequest(graphs[0].get())).Wait().status.ok());
+  auto first = service.Submit(MakeRequest(graphs[0].get()));
+  EXPECT_TRUE(first.Wait().status.ok());
   int64_t entry_bytes = service.cache().stats().total_bytes;
   ASSERT_GT(entry_bytes, 0);
 

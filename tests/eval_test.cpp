@@ -154,6 +154,168 @@ TEST(EvalTest, BatchedMatMulBroadcastsBatchDims) {
   }
 }
 
+// The per-output dot-product loops EvaluateNode ran before GEMM and Conv2D
+// were reordered, kept as the bitwise reference for the reordered loops.
+Tensor NaiveMatMul(const Tensor& a, const Tensor& b, bool ta, bool tb,
+                   const std::vector<int64_t>& batch) {
+  const int64_t ra = a.rank(), rb = b.rank();
+  const int64_t m = a.dims()[ra - (ta ? 1 : 2)];
+  const int64_t k = a.dims()[ra - (ta ? 2 : 1)];
+  const int64_t n = b.dims()[rb - (tb ? 2 : 1)];
+  const int64_t lda = a.dims()[ra - 1], ldb = b.dims()[rb - 1];
+  auto batch_offset = [](const Tensor& t, const std::vector<int64_t>& idx) {
+    const int64_t batch_rank = t.rank() - 2;
+    const int64_t align = static_cast<int64_t>(idx.size()) - batch_rank;
+    const std::vector<int64_t> strides = t.Strides();
+    int64_t offset = 0;
+    for (int64_t i = 0; i < batch_rank; ++i) {
+      offset += (t.dims()[i] == 1 ? 0 : idx[align + i]) * strides[i];
+    }
+    return offset;
+  };
+  std::vector<int64_t> out_dims = batch;
+  out_dims.push_back(m);
+  out_dims.push_back(n);
+  Tensor out(a.dtype(), out_dims);
+  std::vector<int64_t> idx(batch.size(), 0);
+  for (int64_t bi = 0; bi < Product(batch); ++bi) {
+    const int64_t oa = batch_offset(a, idx), ob = batch_offset(b, idx);
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t j = 0; j < n; ++j) {
+        double sum = 0.0;
+        for (int64_t kk = 0; kk < k; ++kk) {
+          const int64_t ia = ta ? kk * lda + i : i * lda + kk;
+          const int64_t ib = tb ? j * ldb + kk : kk * ldb + j;
+          sum += a.ElementAsDouble(oa + ia) * b.ElementAsDouble(ob + ib);
+        }
+        out.SetElementFromDouble(bi * m * n + i * n + j, sum);
+      }
+    }
+    for (int64_t d = static_cast<int64_t>(batch.size()) - 1; d >= 0; --d) {
+      if (++idx[d] < batch[d]) break;
+      idx[d] = 0;
+    }
+  }
+  return out;
+}
+
+Tensor NaiveConv2D(const Tensor& in, const Tensor& filter, int64_t sh,
+                   int64_t sw, int64_t ph, int64_t pw) {
+  const int64_t n = in.dims()[0], h = in.dims()[1], w = in.dims()[2],
+                c = in.dims()[3];
+  const int64_t kh = filter.dims()[0], kw = filter.dims()[1],
+                oc = filter.dims()[3];
+  const int64_t oh = (h + 2 * ph - kh) / sh + 1;
+  const int64_t ow = (w + 2 * pw - kw) / sw + 1;
+  Tensor out(DType::kF32, {n, oh, ow, oc});
+  const float* src = in.f32_data();
+  const float* flt = filter.f32_data();
+  for (int64_t ni = 0; ni < n; ++ni) {
+    for (int64_t yo = 0; yo < oh; ++yo) {
+      for (int64_t xo = 0; xo < ow; ++xo) {
+        for (int64_t co = 0; co < oc; ++co) {
+          double sum = 0.0;
+          for (int64_t ky = 0; ky < kh; ++ky) {
+            const int64_t yi = yo * sh - ph + ky;
+            if (yi < 0 || yi >= h) continue;
+            for (int64_t kx = 0; kx < kw; ++kx) {
+              const int64_t xi = xo * sw - pw + kx;
+              if (xi < 0 || xi >= w) continue;
+              for (int64_t ci = 0; ci < c; ++ci) {
+                sum += static_cast<double>(
+                           src[((ni * h + yi) * w + xi) * c + ci]) *
+                       static_cast<double>(
+                           flt[((ky * kw + kx) * c + ci) * oc + co]);
+              }
+            }
+          }
+          out.f32_data()[((ni * oh + yo) * ow + xo) * oc + co] =
+              static_cast<float>(sum);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+Tensor RandomI64(Rng* rng, std::vector<int64_t> dims) {
+  Tensor t(DType::kI64, std::move(dims));
+  for (int64_t i = 0; i < t.num_elements(); ++i) {
+    t.i64_data()[i] = rng->UniformInt(-9, 9);
+  }
+  return t;
+}
+
+TEST(EvalTest, MatMulLoopOrderIsBitIdenticalToDotProducts) {
+  struct Case {
+    std::vector<int64_t> a, b, batch;
+    bool ta, tb;
+    DType dtype;
+  };
+  const std::vector<Case> cases = {
+      {{5, 7}, {7, 3}, {}, false, false, DType::kF32},
+      {{7, 5}, {7, 3}, {}, true, false, DType::kF32},
+      {{5, 7}, {3, 7}, {}, false, true, DType::kF32},
+      {{7, 5}, {3, 7}, {}, true, true, DType::kF32},
+      {{1, 4, 6}, {3, 6, 5}, {3}, false, false, DType::kF32},
+      {{3, 4, 6}, {1, 5, 6}, {3}, false, true, DType::kF32},
+      {{2, 3, 4, 5}, {2, 3, 5, 6}, {2, 3}, false, false, DType::kF32},
+      {{2, 3, 4, 5}, {3, 6, 5}, {2, 3}, false, true, DType::kF32},
+      {{4, 1}, {1, 6}, {}, false, false, DType::kF32},
+      {{0, 5}, {5, 3}, {}, false, false, DType::kF32},
+      {{4, 5}, {5, 0}, {}, false, false, DType::kF32},
+      {{4, 6}, {6, 3}, {}, false, false, DType::kI64},
+      {{2, 6, 4}, {2, 3, 6}, {2}, true, true, DType::kI64},
+  };
+  Rng rng(17);
+  for (const Case& tc : cases) {
+    Graph g;
+    GraphBuilder b(&g);
+    Value* av = b.Input("a", tc.dtype, tc.a);
+    Value* bv = b.Input("b", tc.dtype, tc.b);
+    Value* y = b.MatMul(av, bv, tc.ta, tc.tb);
+    Tensor a = tc.dtype == DType::kF32 ? RandomF32(&rng, tc.a)
+                                       : RandomI64(&rng, tc.a);
+    Tensor w = tc.dtype == DType::kF32 ? RandomF32(&rng, tc.b)
+                                       : RandomI64(&rng, tc.b);
+    auto got = EvaluateNode(*y->producer(), {a, w});
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(
+        Tensor::BitEqual((*got)[0], NaiveMatMul(a, w, tc.ta, tc.tb, tc.batch)))
+        << a.TypeString() << " x " << w.TypeString() << " ta=" << tc.ta
+        << " tb=" << tc.tb;
+  }
+}
+
+TEST(EvalTest, Conv2DLoopOrderIsBitIdenticalToPerChannelSums) {
+  struct Case {
+    std::vector<int64_t> in, filter;
+    int64_t sh, sw, ph, pw;
+  };
+  const std::vector<Case> cases = {
+      {{1, 6, 7, 3}, {3, 3, 3, 4}, 1, 1, 0, 0},
+      {{2, 6, 7, 3}, {3, 3, 3, 4}, 1, 1, 1, 1},
+      {{1, 9, 8, 2}, {3, 2, 2, 5}, 2, 1, 1, 0},
+      {{1, 8, 9, 2}, {2, 3, 2, 3}, 2, 3, 0, 2},
+      {{1, 5, 5, 1}, {1, 1, 1, 6}, 1, 2, 0, 0},
+  };
+  Rng rng(23);
+  for (const Case& tc : cases) {
+    Graph g;
+    GraphBuilder b(&g);
+    Value* x = b.Input("x", DType::kF32, tc.in);
+    Value* w = b.Input("w", DType::kF32, tc.filter);
+    Value* y = b.Conv2D(x, w, {tc.sh, tc.sw}, {tc.ph, tc.pw});
+    Tensor in = RandomF32(&rng, tc.in);
+    Tensor filter = RandomF32(&rng, tc.filter);
+    auto got = EvaluateNode(*y->producer(), {in, filter});
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(Tensor::BitEqual(
+        (*got)[0], NaiveConv2D(in, filter, tc.sh, tc.sw, tc.ph, tc.pw)))
+        << in.TypeString() << " * " << filter.TypeString();
+  }
+}
+
 TEST(EvalTest, Conv2DIdentityKernel) {
   Graph g;
   GraphBuilder b(&g);

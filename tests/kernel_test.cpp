@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "ir/builder.h"
+#include "ir/eval.h"
 #include "kernel/library.h"
+#include "support/rng.h"
 
 namespace disc {
 namespace {
@@ -34,6 +36,61 @@ std::unique_ptr<Compiled> CompileKernels(
         std::make_unique<FusedKernel>(group, c->analysis.get(), options));
   }
   return c;
+}
+
+// Runs the single kernel of `c` through FusedKernel::Execute, with graph
+// inputs and constants bound the way the runtime binds them, and returns
+// the graph outputs.
+Result<std::vector<Tensor>> ExecuteSingleKernel(
+    const Compiled& c, const std::vector<Tensor>& inputs) {
+  if (c.kernels.size() != 1) {
+    return Status::Internal(c.plan.ToString() + "is not one kernel");
+  }
+  std::vector<std::vector<int64_t>> dims;
+  for (const Tensor& t : inputs) dims.push_back(t.dims());
+  DISC_ASSIGN_OR_RETURN(SymbolBindings bindings, c.analysis->BindInputs(dims));
+  std::unordered_map<const Value*, Tensor> env;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    env.emplace(c.graph.inputs()[i], inputs[i]);
+  }
+  for (const Value* v : c.kernels[0]->group().inputs) {
+    const Node* producer = v->producer();
+    if (producer != nullptr && producer->kind() == OpKind::kConstant) {
+      env.emplace(v, producer->GetTensorAttr("value"));
+    }
+  }
+  DISC_RETURN_IF_ERROR(c.kernels[0]->Execute(bindings, &env));
+  std::vector<Tensor> outputs;
+  for (const Value* out : c.graph.outputs()) {
+    auto it = env.find(out);
+    if (it == env.end()) return Status::Internal("output not produced");
+    outputs.push_back(it->second);
+  }
+  return outputs;
+}
+
+// The kernel's outputs must equal the reference evaluator's bit for bit.
+void ExpectMatchesReference(const Compiled& c,
+                            const std::vector<Tensor>& inputs) {
+  auto want = EvaluateGraph(c.graph, inputs);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  auto got = ExecuteSingleKernel(c, inputs);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->size(), want->size());
+  for (size_t i = 0; i < want->size(); ++i) {
+    EXPECT_TRUE(Tensor::BitEqual((*got)[i], (*want)[i]))
+        << "output " << i << ": " << (*got)[i].ToString() << " vs "
+        << (*want)[i].ToString();
+  }
+}
+
+Tensor RandomF32(uint64_t seed, std::vector<int64_t> dims) {
+  Rng rng(seed);
+  Tensor t(DType::kF32, std::move(dims));
+  for (int64_t i = 0; i < t.num_elements(); ++i) {
+    t.f32_data()[i] = rng.Normal();
+  }
+  return t;
 }
 
 TEST(GuardTest, PredicateKinds) {
@@ -361,6 +418,188 @@ TEST(KernelTest, MultiOutputKernelWritesBothOutputs) {
       *bindings, *c->kernels[0]->SelectVariant(*bindings).value());
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->bytes_written, 2 * 100 * 4);
+  ExpectMatchesReference(*c, {RandomF32(1, {100})});
+}
+
+TEST(KernelExecuteTest, InGroupCastConvertsLikeTheReference) {
+  // One loop kernel: the i64 cast must truncate inside the kernel exactly
+  // as it does between unfused ops.
+  auto c = CompileKernels(
+      [](GraphBuilder* b) {
+        Value* x = b->Input("x", DType::kF32, {4});
+        Value* scaled = b->Mul(x, b->ScalarF32(2.5f));
+        Value* back = b->Cast(b->Cast(scaled, DType::kI64), DType::kF32);
+        b->Output({b->Mul(back, b->ScalarF32(3.0f))});
+      },
+      {{""}});
+  ASSERT_EQ(c->kernels.size(), 1u);
+  EXPECT_EQ(c->kernels[0]->kind(), FusionKind::kLoop);
+  Tensor x = Tensor::F32({4}, {0.7f, 1.3f, -0.9f, 2.2f});
+  auto got = ExecuteSingleKernel(*c, {x});
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(Tensor::BitEqual((*got)[0], Tensor::F32({4}, {3, 9, -6, 15})))
+      << (*got)[0].ToString();
+  ExpectMatchesReference(*c, {x});
+}
+
+TEST(KernelExecuteTest, IotaMatchesReference) {
+  auto c = CompileKernels(
+      [](GraphBuilder* b) {
+        Value* x = b->Input("x", DType::kF32, {3, 4});
+        b->Output({b->Add(x, b->Iota({3, 4}, 1, DType::kF32))});
+      },
+      {{"", ""}});
+  ExpectMatchesReference(*c, {RandomF32(1, {3, 4})});
+}
+
+TEST(KernelExecuteTest, TransposeMatchesReference) {
+  auto c = CompileKernels(
+      [](GraphBuilder* b) {
+        Value* x = b->Input("x", DType::kF32, {2, 3, 4});
+        b->Output({b->Exp(b->Transpose(x, {2, 0, 1}))});
+      },
+      {{"", "", ""}});
+  ExpectMatchesReference(*c, {RandomF32(2, {2, 3, 4})});
+}
+
+TEST(KernelExecuteTest, StridedSliceMatchesReference) {
+  auto c = CompileKernels(
+      [](GraphBuilder* b) {
+        Value* x = b->Input("x", DType::kF32, {7, 6});
+        b->Output({b->Neg(b->Slice(x, {1, 0}, {7, -1}, {3, 2}))});
+      },
+      {{"", ""}});
+  ExpectMatchesReference(*c, {RandomF32(3, {7, 6})});
+}
+
+TEST(KernelExecuteTest, PadMatchesReference) {
+  auto c = CompileKernels(
+      [](GraphBuilder* b) {
+        Value* x = b->Input("x", DType::kF32, {3, 2});
+        b->Output({b->Abs(b->Pad(x, {1, 0}, {0, 2}, -1.5))});
+      },
+      {{"", ""}});
+  ExpectMatchesReference(*c, {RandomF32(4, {3, 2})});
+}
+
+TEST(KernelExecuteTest, ConcatMatchesReference) {
+  auto c = CompileKernels(
+      [](GraphBuilder* b) {
+        Value* x = b->Input("x", DType::kF32, {2, 3});
+        Value* y = b->Input("y", DType::kF32, {2, 2});
+        b->Output({b->Relu(b->Concat({b->Exp(x), y}, 1))});
+      },
+      {{"", ""}, {"", ""}});
+  ExpectMatchesReference(*c, {RandomF32(5, {2, 3}), RandomF32(6, {2, 2})});
+}
+
+TEST(KernelExecuteTest, BroadcastToMatchesReference) {
+  auto c = CompileKernels(
+      [](GraphBuilder* b) {
+        Value* x = b->Input("x", DType::kF32, {1, 3});
+        Value* y = b->Input("y", DType::kF32, {4, 3});
+        b->Output({b->Add(b->BroadcastTo(x, {4, 3}), y)});
+      },
+      {{"", ""}, {"", ""}});
+  ExpectMatchesReference(*c, {RandomF32(7, {1, 3}), RandomF32(8, {4, 3})});
+}
+
+TEST(KernelExecuteTest, GatherMatchesReferenceAndRejectsBadIndices) {
+  auto c = CompileKernels(
+      [](GraphBuilder* b) {
+        Value* table = b->Input("t", DType::kF32, {5, 3});
+        Value* ids = b->Input("ids", DType::kI64, {4});
+        b->Output({b->Relu(b->Gather(table, ids, 0))});
+      },
+      {{"", ""}, {""}});
+  Tensor table = RandomF32(9, {5, 3});
+  ExpectMatchesReference(*c, {table, Tensor::I64({4}, {4, 0, 2, 2})});
+  auto bad = ExecuteSingleKernel(*c, {table, Tensor::I64({4}, {0, 5, 1, 2})});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(KernelExecuteTest, SelectWithBroadcastPredicateMatchesReference) {
+  auto c = CompileKernels(
+      [](GraphBuilder* b) {
+        Value* x = b->Input("x", DType::kF32, {3, 4});
+        Value* y = b->Input("y", DType::kF32, {4});
+        Value* pred = b->Greater(y, b->ScalarF32(0.0f));  // [4]
+        b->Output({b->Select(pred, x, b->Neg(x))});
+      },
+      {{"", ""}, {""}});
+  ExpectMatchesReference(*c, {RandomF32(10, {3, 4}), RandomF32(11, {4})});
+}
+
+TEST(KernelExecuteTest, NonTrailingReduceMatchesReference) {
+  for (bool keep : {false, true}) {
+    auto c = CompileKernels(
+        [keep](GraphBuilder* b) {
+          Value* x = b->Input("x", DType::kF32, {3, 4, 5});
+          b->Output({b->ReduceSum(b->Exp(x), {1}, keep)});
+        },
+        {{"", "", ""}});
+    ExpectMatchesReference(*c, {RandomF32(12, {3, 4, 5})});
+    auto m = CompileKernels(
+        [keep](GraphBuilder* b) {
+          Value* x = b->Input("x", DType::kF32, {3, 4, 5});
+          b->Output({b->ReduceMean(x, {0}, keep)});
+        },
+        {{"", "", ""}});
+    ExpectMatchesReference(*m, {RandomF32(13, {3, 4, 5})});
+  }
+}
+
+TEST(KernelExecuteTest, IntegerDivModTruncate) {
+  auto c = CompileKernels(
+      [](GraphBuilder* b) {
+        Value* x = b->Input("x", DType::kI64, {1, 5});
+        Value* y = b->Input("y", DType::kI64, {1, 5});
+        Value* q = b->Mul(b->Div(x, y), b->ScalarI64(10));
+        b->Output({b->Add(q, b->Binary(OpKind::kMod, x, y))});
+      },
+      {{"", ""}, {"", ""}});
+  Tensor x = Tensor::I64({1, 5}, {7, -7, 9, -9, 100});
+  Tensor y = Tensor::I64({1, 5}, {2, 2, -4, -4, 7});
+  auto got = ExecuteSingleKernel(*c, {x, y});
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(Tensor::BitEqual(
+      (*got)[0], Tensor::I64({1, 5}, {31, -31, -19, 19, 142})))
+      << (*got)[0].ToString();
+  ExpectMatchesReference(*c, {x, y});
+}
+
+TEST(KernelExecuteTest, ZeroSizedDimMatchesReference) {
+  auto loop = CompileKernels(
+      [](GraphBuilder* b) {
+        Value* x = b->Input("x", DType::kF32, {kDynamicDim, 3});
+        b->Output({b->Relu(b->Add(x, x))});
+      },
+      {{"N", ""}});
+  ExpectMatchesReference(*loop, {Tensor(DType::kF32, {0, 3})});
+  auto reduce = CompileKernels(
+      [](GraphBuilder* b) {
+        Value* x = b->Input("x", DType::kF32, {kDynamicDim, 3});
+        b->Output({b->ReduceMax(b->Exp(x), {0})});
+      },
+      {{"N", ""}});
+  ExpectMatchesReference(*reduce, {Tensor(DType::kF32, {0, 3})});
+}
+
+TEST(KernelExecuteTest, InputDimsDisagreeingWithTheAnalysisAreAnError) {
+  auto c = CompileKernels(
+      [](GraphBuilder* b) {
+        Value* x = b->Input("x", DType::kF32, {kDynamicDim, kDynamicDim});
+        b->Output({b->Relu(b->Add(x, x))});
+      },
+      {{"B", "S"}});
+  ASSERT_EQ(c->kernels.size(), 1u);
+  auto bindings = c->analysis->BindInputs({{4, 8}});
+  ASSERT_TRUE(bindings.ok());
+  std::unordered_map<const Value*, Tensor> env;
+  env.emplace(c->graph.inputs()[0], Tensor(DType::kF32, {4, 9}));
+  EXPECT_FALSE(c->kernels[0]->Execute(*bindings, &env).ok());
+  EXPECT_EQ(env.size(), 1u);
 }
 
 TEST(KernelTest, OpFlopCosts) {

@@ -165,6 +165,67 @@ INSTANTIATE_TEST_SUITE_P(Extras, ExtraModelTest,
                            return name;
                          });
 
+// Every data-mode Run equals the reference evaluator on the compiled graph
+// bit for bit: at small and trace shapes, on a launch-plan miss and the
+// following hit, under every memory mode.
+class ModelBitIdentityTest : public ::testing::TestWithParam<std::string> {};
+
+Model BuildNamedModel(const std::string& name, const ModelConfig& config) {
+  if (name == "bert-masked") return BuildBertWithMask(config);
+  if (name == "gpt-step") return BuildGptStep(config);
+  if (name == "gpt-step-batch") return BuildGptStepBatch(config);
+  for (Model& model : BuildModelSuite(config)) {
+    if (model.name == name) return std::move(model);
+  }
+  return {};
+}
+
+TEST_P(ModelBitIdentityTest, RunsMatchTheCompiledGraphBitwise) {
+  ModelConfig config;
+  config.trace_length = 1;
+  Model model = BuildNamedModel(GetParam(), config);
+  ASSERT_NE(model.graph, nullptr) << GetParam();
+  ASSERT_FALSE(model.trace.empty());
+  auto exe = DiscCompiler::Compile(*model.graph, model.input_dim_labels);
+  ASSERT_TRUE(exe.ok()) << exe.status().ToString();
+  for (const ShapeSet& shapes : {model.small_shapes, model.trace[0]}) {
+    std::vector<Tensor> inputs = model.make_inputs(shapes, 13);
+    auto want = EvaluateGraph((*exe)->graph(), inputs);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    for (MemoryMode mode : {MemoryMode::kCachingAllocator,
+                            MemoryMode::kPerSlot, MemoryMode::kArena}) {
+      RunOptions options;
+      options.memory_mode = mode;
+      (*exe)->ClearPlanCache();
+      for (bool hit : {false, true}) {
+        auto got = (*exe)->Run(inputs, options);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(got->profile.launch_plan_hit, hit);
+        ASSERT_EQ(got->outputs.size(), want->size());
+        for (size_t i = 0; i < want->size(); ++i) {
+          EXPECT_TRUE(Tensor::BitEqual(got->outputs[i], (*want)[i]))
+              << model.name << " output " << i << " mode "
+              << static_cast<int>(mode) << " hit " << hit << " max|d|="
+              << Tensor::MaxAbsDiff(got->outputs[i], (*want)[i]);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, ModelBitIdentityTest,
+                         ::testing::Values("bert", "seq2seq-step", "crnn",
+                                           "fastspeech2", "dlrm", "mlp",
+                                           "bert-masked", "gpt-step",
+                                           "gpt-step-batch"),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
+
 TEST(ExtraModelTest2, MaskActuallyMasks) {
   // Fully-masked tail positions must not influence attended outputs:
   // changing embedding values at masked positions must not change row 0.

@@ -276,6 +276,24 @@ class GraphGenerator {
 
 class PropertyCompileTest : public ::testing::TestWithParam<int> {};
 
+// A data-mode Run must equal the reference evaluator on the graph the
+// executable compiled, bit for bit. The tolerance checks above compare with
+// the original graph instead, which opt passes may have reassociated.
+void ExpectBitIdenticalToCompiledGraph(const Executable& exe,
+                                       const std::vector<Tensor>& inputs,
+                                       const std::vector<Tensor>& got,
+                                       uint64_t seed) {
+  auto exact = EvaluateGraph(exe.graph(), inputs);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  ASSERT_EQ(got.size(), exact->size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(Tensor::BitEqual(got[i], (*exact)[i]))
+        << "seed " << seed << " output " << i << " max|d|="
+        << Tensor::MaxAbsDiff(got[i], (*exact)[i]) << "\n"
+        << exe.graph().ToString();
+  }
+}
+
 TEST_P(PropertyCompileTest, CompiledMatchesReferenceOnTwoInstantiations) {
   uint64_t seed = static_cast<uint64_t>(GetParam());
   Graph graph("prop_" + std::to_string(seed));
@@ -302,6 +320,7 @@ TEST_P(PropertyCompileTest, CompiledMatchesReferenceOnTwoInstantiations) {
           << "seed " << seed << " output " << i << "\n"
           << graph.ToString();
     }
+    ExpectBitIdenticalToCompiledGraph(**exe, inputs, got->outputs, seed);
   }
 }
 
@@ -327,6 +346,7 @@ TEST_P(PropertyCompileTest, AblationsNeverChangeNumerics) {
       EXPECT_TRUE(Tensor::AllClose(got->outputs[i], (*want)[i], 1e-3, 1e-4))
           << "seed " << seed << "\n" << graph.ToString();
     }
+    ExpectBitIdenticalToCompiledGraph(**exe, inputs, got->outputs, seed);
   }
 }
 
