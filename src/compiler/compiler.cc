@@ -75,12 +75,18 @@ Result<std::unique_ptr<Executable>> DiscCompiler::Compile(
   exe->report_.num_nodes_before = graph.num_nodes();
 
   ArtifactDumper dumper(options.dump);
+  // Renders an artifact only when it will be written. Dumping is off in
+  // almost every compile, and the renderings (IR text, JSON) would be a
+  // large share of the compile's time.
+  auto dump = [&dumper](const std::string& name, const auto& render) {
+    if (dumper.Matches(name)) (void)dumper.Write(name, render());
+  };
 
   // 1. Clone and optimize.
   {
     PhaseScope phase(&exe->report_, "graph-passes");
     exe->graph_ = graph.Clone();
-    (void)dumper.Write("module_input.ir", exe->graph_->ToString());
+    dump("module_input.ir", [&] { return exe->graph_->ToString(); });
     if (options.run_graph_passes) {
       PassManager pm;
       AddStandardPasses(&pm);
@@ -88,11 +94,11 @@ Result<std::unique_ptr<Executable>> DiscCompiler::Compile(
       ctx.input_dim_labels = input_dim_labels;
       ctx.dump = options.dump;
       DISC_RETURN_IF_ERROR(pm.RunToFixpoint(exe->graph_.get(), ctx));
-      (void)dumper.Write("pipeline_summary.json", pm.PipelineSummaryJson());
+      dump("pipeline_summary.json", [&] { return pm.PipelineSummaryJson(); });
     }
     DISC_RETURN_IF_ERROR(exe->graph_->Verify());
     exe->report_.num_nodes_after = exe->graph_->num_nodes();
-    (void)dumper.Write("module_optimized.ir", exe->graph_->ToString());
+    dump("module_optimized.ir", [&] { return exe->graph_->ToString(); });
   }
 
   // 2. Symbolic shape analysis over the optimized graph.
@@ -159,8 +165,8 @@ Result<std::unique_ptr<Executable>> DiscCompiler::Compile(
         }
       }
     }
-    (void)dumper.Write("shape_constraints.json",
-                       exe->analysis_->ConstraintsJson());
+    dump("shape_constraints.json",
+         [&] { return exe->analysis_->ConstraintsJson(); });
   }
 
   // 3. Fusion planning.
@@ -170,8 +176,8 @@ Result<std::unique_ptr<Executable>> DiscCompiler::Compile(
                           options.fusion);
     DISC_ASSIGN_OR_RETURN(exe->plan_, planner.Plan());
     exe->report_.fusion = exe->plan_.GetStats();
-    (void)dumper.Write("fusion_decisions.json", exe->plan_.DecisionsJson());
-    (void)dumper.Write("fusion_plan.txt", exe->plan_.ToString());
+    dump("fusion_decisions.json", [&] { return exe->plan_.DecisionsJson(); });
+    dump("fusion_plan.txt", [&] { return exe->plan_.ToString(); });
   }
 
   // 4. Kernel compilation + specialization.
@@ -367,7 +373,7 @@ Result<std::unique_ptr<Executable>> DiscCompiler::Compile(
         exe->memory_plan_.num_cross_size_reuses;
     exe->report_.arena_fallbacks =
         static_cast<int64_t>(exe->memory_plan_.fallbacks.size());
-    (void)dumper.Write("memory_plan.json", exe->memory_plan_.ToJson());
+    dump("memory_plan.json", [&] { return exe->memory_plan_.ToJson(); });
   }
 
   exe->report_.shapes = exe->analysis_->manager().GetStats();

@@ -178,24 +178,41 @@ Result<std::vector<TensorType>> InferOutputTypes(
       if (in.rank() != 4 || filter.rank() != 4) {
         return Invalid(kind, "conv2d expects rank-4 input and filter");
       }
-      std::vector<int64_t> strides = attrs.count("strides")
-                                         ? attrs.at("strides").AsIntList()
-                                         : std::vector<int64_t>{1, 1};
-      std::vector<int64_t> padding = attrs.count("padding")
-                                         ? attrs.at("padding").AsIntList()
-                                         : std::vector<int64_t>{0, 0};
+      if (in.dtype != DType::kF32 || filter.dtype != DType::kF32) {
+        return Invalid(kind, "input and filter must be f32");
+      }
+      auto strides_it = attrs.find("strides");
+      auto padding_it = attrs.find("padding");
+      if (strides_it == attrs.end() || padding_it == attrs.end()) {
+        return Invalid(kind, "missing 'strides' or 'padding' attr");
+      }
+      const std::vector<int64_t>& strides = strides_it->second.AsIntList();
+      const std::vector<int64_t>& padding = padding_it->second.AsIntList();
       if (strides.size() != 2 || padding.size() != 2) {
         return Invalid(kind, "strides/padding must have 2 entries");
       }
-      auto conv_out = [&](int64_t in_d, int64_t k, int64_t s,
-                          int64_t p) -> int64_t {
-        if (in_d == kDynamicDim || k == kDynamicDim) return kDynamicDim;
-        return (in_d + 2 * p - k) / s + 1;
-      };
-      int64_t oh = conv_out(in.dims[1], filter.dims[0], strides[0], padding[0]);
-      int64_t ow = conv_out(in.dims[2], filter.dims[1], strides[1], padding[1]);
-      return types(
-          TensorType(in.dtype, {in.dims[0], oh, ow, filter.dims[3]}));
+      if (in.dims[3] != kDynamicDim && filter.dims[2] != kDynamicDim &&
+          in.dims[3] != filter.dims[2]) {
+        return Invalid(kind, StrFormat("channel mismatch: %lld vs %lld",
+                                       static_cast<long long>(in.dims[3]),
+                                       static_cast<long long>(filter.dims[2])));
+      }
+      std::vector<int64_t> dims = {in.dims[0], 0, 0, filter.dims[3]};
+      for (int i = 0; i < 2; ++i) {
+        const int64_t in_d = in.dims[1 + i], k = filter.dims[i];
+        const int64_t s = strides[i], p = padding[i];
+        if (s < 1 || p < 0) {
+          return Invalid(kind, "strides must be >= 1 and padding >= 0");
+        }
+        if (in_d == kDynamicDim || k == kDynamicDim) {
+          dims[1 + i] = kDynamicDim;
+        } else if (in_d + 2 * p < k) {
+          return Invalid(kind, "window larger than the padded input");
+        } else {
+          dims[1 + i] = (in_d + 2 * p - k) / s + 1;
+        }
+      }
+      return types(TensorType(in.dtype, std::move(dims)));
     }
 
     case OpKind::kTranspose: {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "ir/builder.h"
 #include "support/rng.h"
@@ -154,8 +155,10 @@ TEST(EvalTest, BatchedMatMulBroadcastsBatchDims) {
   }
 }
 
-// The per-output dot-product loops EvaluateNode ran before GEMM and Conv2D
-// were reordered, kept as the bitwise reference for the reordered loops.
+// Per-output dot-product loops: the bitwise reference for EvaluateNode's
+// register-tiled GEMM and Conv2D. The runtime's library steps, EvaluateGraph
+// and perfbench's correctness check all run those kernels, so these loops
+// are the only independent oracle.
 Tensor NaiveMatMul(const Tensor& a, const Tensor& b, bool ta, bool tb,
                    const std::vector<int64_t>& batch) {
   const int64_t ra = a.rank(), rb = b.rank();
@@ -238,52 +241,144 @@ Tensor NaiveConv2D(const Tensor& in, const Tensor& filter, int64_t sh,
   return out;
 }
 
-Tensor RandomI64(Rng* rng, std::vector<int64_t> dims) {
+Tensor RandomI64(Rng* rng, std::vector<int64_t> dims, int64_t bound = 9) {
   Tensor t(DType::kI64, std::move(dims));
   for (int64_t i = 0; i < t.num_elements(); ++i) {
-    t.i64_data()[i] = rng->UniformInt(-9, 9);
+    t.i64_data()[i] = rng->UniformInt(-bound, bound);
   }
   return t;
 }
 
+Tensor RandomOperand(Rng* rng, DType dtype, std::vector<int64_t> dims) {
+  switch (dtype) {
+    case DType::kF32:
+      return RandomF32(rng, std::move(dims));
+    case DType::kI64:
+      return RandomI64(rng, std::move(dims));
+    case DType::kI1: {
+      Tensor t(DType::kI1, std::move(dims));
+      for (int64_t i = 0; i < t.num_elements(); ++i) {
+        t.i64_data()[i] = rng->UniformInt(0, 1);
+      }
+      return t;
+    }
+  }
+  return Tensor();
+}
+
+// Operand dims of an [rows, cols] matrix stored transposed or not, behind
+// `batch` dims.
+std::vector<int64_t> MatrixDims(std::vector<int64_t> batch, int64_t rows,
+                                int64_t cols, bool transposed) {
+  batch.push_back(transposed ? cols : rows);
+  batch.push_back(transposed ? rows : cols);
+  return batch;
+}
+
+// Evaluates one MatMul on `a` and `w` and compares it bit for bit with
+// NaiveMatMul.
+void ExpectMatMulMatchesNaive(const Tensor& a, const Tensor& w, bool ta,
+                              bool tb) {
+  Graph g;
+  GraphBuilder b(&g);
+  Value* y = b.MatMul(b.Input("a", a.dtype(), a.dims()),
+                      b.Input("b", w.dtype(), w.dims()), ta, tb);
+  auto got = EvaluateNode(*y->producer(), {a, w});
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  const std::vector<int64_t>& out_dims = (*got)[0].dims();
+  const std::vector<int64_t> batch(out_dims.begin(), out_dims.end() - 2);
+  EXPECT_TRUE(Tensor::BitEqual((*got)[0], NaiveMatMul(a, w, ta, tb, batch)))
+      << a.TypeString() << " x " << w.TypeString() << " ta=" << ta
+      << " tb=" << tb;
+}
+
+// The same on random operands of [m, k] x [k, n] behind the given batch
+// dims.
+void ExpectMatMulMatchesNaive(Rng* rng, DType dtype,
+                              const std::vector<int64_t>& a_batch,
+                              const std::vector<int64_t>& b_batch, int64_t m,
+                              int64_t n, int64_t k, bool ta, bool tb) {
+  Tensor a = RandomOperand(rng, dtype, MatrixDims(a_batch, m, k, ta));
+  Tensor w = RandomOperand(rng, dtype, MatrixDims(b_batch, k, n, tb));
+  ExpectMatMulMatchesNaive(a, w, ta, tb);
+}
+
+// Evaluates one Conv2D on `in` and `filter` and compares it bit for bit
+// with NaiveConv2D; returns the result.
+Tensor ExpectConv2DMatchesNaive(const Tensor& in, const Tensor& filter,
+                                int64_t sh, int64_t sw, int64_t ph,
+                                int64_t pw) {
+  Graph g;
+  GraphBuilder b(&g);
+  Value* y = b.Conv2D(b.Input("x", DType::kF32, in.dims()),
+                      b.Input("w", DType::kF32, filter.dims()), {sh, sw},
+                      {ph, pw});
+  auto got = EvaluateNode(*y->producer(), {in, filter});
+  EXPECT_TRUE(got.ok()) << got.status().ToString();
+  if (!got.ok()) return Tensor();
+  EXPECT_TRUE(
+      Tensor::BitEqual((*got)[0], NaiveConv2D(in, filter, sh, sw, ph, pw)))
+      << in.TypeString() << " * " << filter.TypeString() << " strides " << sh
+      << "," << sw << " padding " << ph << "," << pw;
+  return (*got)[0];
+}
+
 TEST(EvalTest, MatMulLoopOrderIsBitIdenticalToDotProducts) {
-  struct Case {
-    std::vector<int64_t> a, b, batch;
-    bool ta, tb;
-    DType dtype;
-  };
-  const std::vector<Case> cases = {
-      {{5, 7}, {7, 3}, {}, false, false, DType::kF32},
-      {{7, 5}, {7, 3}, {}, true, false, DType::kF32},
-      {{5, 7}, {3, 7}, {}, false, true, DType::kF32},
-      {{7, 5}, {3, 7}, {}, true, true, DType::kF32},
-      {{1, 4, 6}, {3, 6, 5}, {3}, false, false, DType::kF32},
-      {{3, 4, 6}, {1, 5, 6}, {3}, false, true, DType::kF32},
-      {{2, 3, 4, 5}, {2, 3, 5, 6}, {2, 3}, false, false, DType::kF32},
-      {{2, 3, 4, 5}, {3, 6, 5}, {2, 3}, false, true, DType::kF32},
-      {{4, 1}, {1, 6}, {}, false, false, DType::kF32},
-      {{0, 5}, {5, 3}, {}, false, false, DType::kF32},
-      {{4, 5}, {5, 0}, {}, false, false, DType::kF32},
-      {{4, 6}, {6, 3}, {}, false, false, DType::kI64},
-      {{2, 6, 4}, {2, 3, 6}, {2}, true, true, DType::kI64},
-  };
   Rng rng(17);
-  for (const Case& tc : cases) {
-    Graph g;
-    GraphBuilder b(&g);
-    Value* av = b.Input("a", tc.dtype, tc.a);
-    Value* bv = b.Input("b", tc.dtype, tc.b);
-    Value* y = b.MatMul(av, bv, tc.ta, tc.tb);
-    Tensor a = tc.dtype == DType::kF32 ? RandomF32(&rng, tc.a)
-                                       : RandomI64(&rng, tc.a);
-    Tensor w = tc.dtype == DType::kF32 ? RandomF32(&rng, tc.b)
-                                       : RandomI64(&rng, tc.b);
-    auto got = EvaluateNode(*y->producer(), {a, w});
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_TRUE(
-        Tensor::BitEqual((*got)[0], NaiveMatMul(a, w, tc.ta, tc.tb, tc.batch)))
-        << a.TypeString() << " x " << w.TypeString() << " ta=" << tc.ta
-        << " tb=" << tc.tb;
+  for (bool ta : {false, true}) {
+    for (bool tb : {false, true}) {
+      // Row and column counts on both sides of the 4 x 4 register tile.
+      for (int64_t m : {1, 2, 3, 4, 5, 8, 13}) {
+        for (int64_t n : {1, 3, 4, 5, 8, 37}) {
+          for (int64_t k : {1, 64}) {
+            ExpectMatMulMatchesNaive(&rng, DType::kF32, {}, {}, m, n, k, ta,
+                                     tb);
+          }
+        }
+      }
+      ExpectMatMulMatchesNaive(&rng, DType::kF32, {}, {}, 5, 7, 0, ta, tb);
+      ExpectMatMulMatchesNaive(&rng, DType::kF32, {}, {}, 0, 7, 5, ta, tb);
+      ExpectMatMulMatchesNaive(&rng, DType::kF32, {}, {}, 5, 0, 7, ta, tb);
+      ExpectMatMulMatchesNaive(&rng, DType::kF32, {}, {}, 13, 37, 288, ta,
+                               tb);
+      // Batch dims, equal or broadcast from either side.
+      ExpectMatMulMatchesNaive(&rng, DType::kF32, {2, 3}, {2, 3}, 4, 5, 6, ta,
+                               tb);
+      ExpectMatMulMatchesNaive(&rng, DType::kF32, {1}, {3}, 5, 6, 7, ta, tb);
+      ExpectMatMulMatchesNaive(&rng, DType::kF32, {3}, {1}, 6, 5, 7, ta, tb);
+      ExpectMatMulMatchesNaive(&rng, DType::kF32, {2, 3}, {3}, 4, 6, 5, ta,
+                               tb);
+      ExpectMatMulMatchesNaive(&rng, DType::kF32, {}, {2, 1}, 9, 3, 4, ta,
+                               tb);
+      ExpectMatMulMatchesNaive(&rng, DType::kF32, {2, 1}, {1, 3}, 5, 5, 6, ta,
+                               tb);
+      for (DType dtype : {DType::kI64, DType::kI1}) {
+        ExpectMatMulMatchesNaive(&rng, dtype, {}, {}, 5, 7, 6, ta, tb);
+        ExpectMatMulMatchesNaive(&rng, dtype, {2}, {1}, 4, 9, 3, ta, tb);
+        ExpectMatMulMatchesNaive(&rng, dtype, {1}, {3}, 1, 4, 5, ta, tb);
+      }
+    }
+  }
+}
+
+TEST(EvalTest, MatMulRandomShapesAreBitIdenticalToDotProducts) {
+  Rng rng(29);
+  const std::vector<std::vector<int64_t>> batches = {{}, {2}, {1}, {3}};
+  for (int i = 0; i < 240; ++i) {
+    const int64_t m = rng.UniformInt(1, 13);
+    const int64_t n = rng.UniformInt(1, 37);
+    const int64_t k = rng.UniformInt(0, 64);
+    const bool ta = rng.UniformInt(0, 1) != 0;
+    const bool tb = rng.UniformInt(0, 1) != 0;
+    const DType dtype =
+        std::vector<DType>{DType::kF32, DType::kF32, DType::kI64,
+                           DType::kI1}[rng.UniformInt(0, 3)];
+    // {2} and {3} never meet, so broadcasting stays valid.
+    const auto& a_batch = batches[rng.UniformInt(0, 2)];
+    const auto& b_batch = a_batch == batches[1]
+                              ? batches[rng.UniformInt(0, 2)]
+                              : batches[rng.UniformInt(0, 3)];
+    ExpectMatMulMatchesNaive(&rng, dtype, a_batch, b_batch, m, n, k, ta, tb);
   }
 }
 
@@ -292,28 +387,173 @@ TEST(EvalTest, Conv2DLoopOrderIsBitIdenticalToPerChannelSums) {
     std::vector<int64_t> in, filter;
     int64_t sh, sw, ph, pw;
   };
-  const std::vector<Case> cases = {
+  std::vector<Case> cases = {
       {{1, 6, 7, 3}, {3, 3, 3, 4}, 1, 1, 0, 0},
       {{2, 6, 7, 3}, {3, 3, 3, 4}, 1, 1, 1, 1},
       {{1, 9, 8, 2}, {3, 2, 2, 5}, 2, 1, 1, 0},
       {{1, 8, 9, 2}, {2, 3, 2, 3}, 2, 3, 0, 2},
       {{1, 5, 5, 1}, {1, 1, 1, 6}, 1, 2, 0, 0},
+      // Stride 2 with pad 1: interior blocks of strided pixels.
+      {{2, 7, 17, 3}, {3, 3, 3, 5}, 2, 2, 1, 1},
+      // Padding beyond the kernel's reach: the outer output rows and
+      // columns have no in-bounds tap at all.
+      {{1, 2, 2, 2}, {2, 2, 2, 5}, 1, 1, 3, 3},
+      {{2, 3, 4, 1}, {3, 2, 1, 4}, 1, 1, 2, 3},
   };
+  // Output widths 1..17 give interior blocks of 4 pixels plus remainders,
+  // across output-channel counts below, at, and above one register tile.
+  for (int64_t ow : {1, 3, 4, 5, 9, 17}) {
+    for (int64_t oc : {1, 5, 32}) {
+      cases.push_back({{2, 4, ow, 3}, {3, 3, 3, oc}, 1, 1, 1, 1});
+      cases.push_back({{1, 3, ow + 2, 1}, {3, 3, 1, oc}, 1, 1, 0, 0});
+    }
+  }
   Rng rng(23);
   for (const Case& tc : cases) {
-    Graph g;
-    GraphBuilder b(&g);
-    Value* x = b.Input("x", DType::kF32, tc.in);
-    Value* w = b.Input("w", DType::kF32, tc.filter);
-    Value* y = b.Conv2D(x, w, {tc.sh, tc.sw}, {tc.ph, tc.pw});
-    Tensor in = RandomF32(&rng, tc.in);
-    Tensor filter = RandomF32(&rng, tc.filter);
-    auto got = EvaluateNode(*y->producer(), {in, filter});
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_TRUE(Tensor::BitEqual(
-        (*got)[0], NaiveConv2D(in, filter, tc.sh, tc.sw, tc.ph, tc.pw)))
-        << in.TypeString() << " * " << filter.TypeString();
+    ExpectConv2DMatchesNaive(RandomF32(&rng, tc.in), RandomF32(&rng, tc.filter),
+                             tc.sh, tc.sw, tc.ph, tc.pw);
   }
+}
+
+TEST(EvalTest, Conv2DRandomShapesAreBitIdenticalToPerChannelSums) {
+  Rng rng(31);
+  for (int i = 0; i < 120; ++i) {
+    const int64_t sh = rng.UniformInt(1, 2), sw = rng.UniformInt(1, 2);
+    const int64_t ph = rng.UniformInt(0, 3), pw = rng.UniformInt(0, 3);
+    const int64_t h = rng.UniformInt(1, 8), w = rng.UniformInt(1, 17);
+    // The window must fit the padded input.
+    const int64_t kh = rng.UniformInt(1, std::min<int64_t>(3, h + 2 * ph));
+    const int64_t kw = rng.UniformInt(1, std::min<int64_t>(3, w + 2 * pw));
+    const int64_t c = rng.UniformInt(1, 4);
+    const int64_t oc = std::vector<int64_t>{1, 3, 4, 5, 8, 32}[rng.UniformInt(
+        0, 5)];
+    const int64_t batch = rng.UniformInt(1, 2);
+    ExpectConv2DMatchesNaive(RandomF32(&rng, {batch, h, w, c}),
+                             RandomF32(&rng, {kh, kw, c, oc}), sh, sw, ph, pw);
+  }
+}
+
+// Taps that fall in the padding must be skipped, not multiplied by zero:
+// with +inf on the filter's (0, 0) tap, which is padding for every pixel of
+// the top output row and the left output column, those outputs stay finite
+// (a zero-padding kernel would produce 0 * inf = NaN there). Everywhere else
+// the tap is in bounds and, with positive inputs, gives +inf.
+TEST(EvalTest, Conv2DSkipsPaddedTaps) {
+  Rng rng(37);
+  Tensor in(DType::kF32, {1, 5, 9, 2});
+  for (int64_t i = 0; i < in.num_elements(); ++i) {
+    in.f32_data()[i] = rng.Uniform(0.5f, 1.5f);
+  }
+  Tensor filter = RandomF32(&rng, {3, 3, 2, 5});
+  for (int64_t i = 0; i < 2 * 5; ++i) {
+    filter.f32_data()[i] = std::numeric_limits<float>::infinity();
+  }
+  Tensor out = ExpectConv2DMatchesNaive(in, filter, 1, 1, 1, 1);
+  ASSERT_EQ(out.dims(), (std::vector<int64_t>{1, 5, 9, 5}));
+  for (int64_t yo = 0; yo < 5; ++yo) {
+    for (int64_t xo = 0; xo < 9; ++xo) {
+      for (int64_t co = 0; co < 5; ++co) {
+        const float v = out.f32_data()[(yo * 9 + xo) * 5 + co];
+        if (yo == 0 || xo == 0) {
+          EXPECT_TRUE(std::isfinite(v)) << yo << "," << xo << "," << co;
+        } else {
+          EXPECT_EQ(v, std::numeric_limits<float>::infinity());
+        }
+      }
+    }
+  }
+}
+
+// Sums start from +0.0: products that are all -0.0 (zeros times negatives)
+// must sum to +0.0, as the naive loops give.
+TEST(EvalTest, ContractionSumsStartAtPositiveZero) {
+  Tensor zeros = Tensor::F32({5, 6}, std::vector<float>(30, 0.0f));
+  Tensor negatives = Tensor::F32({6, 7}, std::vector<float>(42, -2.0f));
+  Graph g;
+  GraphBuilder b(&g);
+  Value* y = b.MatMul(b.Input("a", DType::kF32, {5, 6}),
+                      b.Input("b", DType::kF32, {6, 7}));
+  auto got = EvaluateNode(*y->producer(), {zeros, negatives});
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(Tensor::BitEqual(
+      (*got)[0], Tensor::F32({5, 7}, std::vector<float>(35, 0.0f))));
+
+  Tensor image = Tensor::F32({1, 3, 6, 1}, std::vector<float>(18, 0.0f));
+  Tensor filter = Tensor::F32({3, 3, 1, 5}, std::vector<float>(45, -1.0f));
+  Tensor out = ExpectConv2DMatchesNaive(image, filter, 1, 1, 1, 1);
+  EXPECT_TRUE(Tensor::BitEqual(
+      out, Tensor::F32({1, 3, 6, 5}, std::vector<float>(90, 0.0f))));
+}
+
+// Sums run in increasing contraction order. With ordinary operands the
+// double sum is exact or its rounding vanishes in the output, so a kernel
+// that summed in another order would still match; these operands make the
+// running sum round at almost every step and keep that rounding visible.
+TEST(EvalTest, ContractionSumsRunInIncreasingOrder) {
+  Rng rng(41);
+  // Products of up to 54 bits round in double, and the i64 output shows
+  // every bit of the sum.
+  for (bool ta : {false, true}) {
+    for (bool tb : {false, true}) {
+      const int64_t bound = int64_t{1} << 27;
+      Tensor a = RandomI64(&rng, MatrixDims({}, 5, 64, ta), bound);
+      Tensor w = RandomI64(&rng, MatrixDims({}, 64, 7, tb), bound);
+      ExpectMatMulMatchesNaive(a, w, ta, tb);
+    }
+  }
+  // Each Conv2D tap adds +-2^53, a small product, then the opposite of the
+  // first (channels 0, 1, 2): the small products round against 2^53 and the
+  // large ones cancel, so the f32 output holds the rounded small sum.
+  // Padding 1 sends the border pixels through the one-pixel path.
+  Tensor in(DType::kF32, {1, 4, 9, 3});
+  for (int64_t i = 0; i < in.num_elements(); i += 3) {
+    in.f32_data()[i] = 0x1p27f;
+    in.f32_data()[i + 1] = static_cast<float>(rng.UniformInt(-100, 100));
+    in.f32_data()[i + 2] = 0x1p27f;
+  }
+  const int64_t oc = 5;
+  Tensor filter(DType::kF32, {3, 3, 3, oc});
+  for (int64_t tap = 0; tap < 3 * 3; ++tap) {
+    for (int64_t co = 0; co < oc; ++co) {
+      float* f = filter.f32_data() + tap * 3 * oc + co;
+      f[0] = rng.UniformInt(0, 1) != 0 ? 0x1p26f : -0x1p26f;
+      f[oc] = static_cast<float>(rng.UniformInt(-100, 100));
+      f[2 * oc] = -f[0];
+    }
+  }
+  ExpectConv2DMatchesNaive(in, filter, 1, 1, 1, 1);
+}
+
+// Operands whose dims or dtypes the graph left open are checked when the
+// op runs.
+TEST(EvalTest, Conv2DRejectsInvalidOperandsAtRunTime) {
+  Graph g;
+  GraphBuilder b(&g);
+  Value* x = b.Input("x", DType::kF32,
+                     {1, kDynamicDim, kDynamicDim, kDynamicDim});
+  Value* w = b.Input("w", DType::kF32, {4, 4, kDynamicDim, 1});
+  Value* y = b.Conv2D(x, w, {1, 1}, {0, 0});
+  b.Output({y});
+  const Node& conv = *y->producer();
+  // A 4x4 window on a 1x1 input.
+  auto small = EvaluateGraph(g, {Tensor(DType::kF32, {1, 1, 1, 1}),
+                                 Tensor(DType::kF32, {4, 4, 1, 1})});
+  EXPECT_EQ(small.status().code(), StatusCode::kInvalidArgument);
+  // Input and filter channels disagree.
+  auto channels = EvaluateGraph(g, {Tensor(DType::kF32, {1, 4, 4, 2}),
+                                    Tensor(DType::kF32, {4, 4, 3, 1})});
+  EXPECT_EQ(channels.status().code(), StatusCode::kInvalidArgument);
+  // Integer operands.
+  auto ints = EvaluateNode(conv, {Tensor(DType::kI64, {1, 4, 4, 1}),
+                                  Tensor(DType::kI64, {4, 4, 1, 1})});
+  EXPECT_EQ(ints.status().code(), StatusCode::kInvalidArgument);
+  auto mixed = EvaluateNode(conv, {Tensor(DType::kF32, {1, 4, 4, 1}),
+                                   Tensor(DType::kI64, {4, 4, 1, 1})});
+  EXPECT_EQ(mixed.status().code(), StatusCode::kInvalidArgument);
+  // The same operands at a valid size run.
+  EXPECT_TRUE(EvaluateGraph(g, {Tensor(DType::kF32, {1, 4, 5, 1}),
+                                Tensor(DType::kF32, {4, 4, 1, 1})})
+                  .ok());
 }
 
 TEST(EvalTest, Conv2DIdentityKernel) {

@@ -85,6 +85,41 @@ TEST(ParserTest, RejectsTrailingGarbage) {
   EXPECT_FALSE(g.ok());
 }
 
+// Verification runs the type rules on parsed text, so a bad conv2d is an
+// error status, not a crash of the tool that loads the file.
+TEST(ParserTest, RejectsInvalidConv2D) {
+  const char* kBadConvs[] = {
+      // Zero stride (used to raise SIGFPE during type inference).
+      R"(graph b (%0: f32[1x8x8x1], %1: f32[3x3x1x2]) {
+        %2 = conv2d(%0, %1) {strides = [0, 1], padding = [0, 0]} : f32[1x6x6x2]
+        return %2
+      })",
+      // Integer operands.
+      R"(graph b (%0: i64[1x8x8x1], %1: i64[3x3x1x2]) {
+        %2 = conv2d(%0, %1) {strides = [1, 1], padding = [0, 0]} : i64[1x6x6x2]
+        return %2
+      })",
+      // A window larger than the padded input.
+      R"(graph b (%0: f32[1x1x1x1], %1: f32[4x4x1x1]) {
+        %2 = conv2d(%0, %1) {strides = [1, 1], padding = [0, 0]} : f32[1x-2x-2x1]
+        return %2
+      })",
+  };
+  for (const char* text : kBadConvs) {
+    auto g = ParseGraph(text);
+    EXPECT_FALSE(g.ok()) << text;
+    if (!g.ok()) {
+      EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument)
+          << g.status().ToString();
+    }
+  }
+  auto good = ParseGraph(R"(graph g (%0: f32[1x8x8x1], %1: f32[3x3x1x2]) {
+    %2 = conv2d(%0, %1) {strides = [2, 1], padding = [1, 0]} : f32[1x4x6x2]
+    return %2
+  })");
+  EXPECT_TRUE(good.ok()) << good.status().ToString();
+}
+
 TEST(ParserTest, RoundTripPreservesStructureAndSemantics) {
   Graph g("roundtrip");
   GraphBuilder b(&g);

@@ -142,6 +142,43 @@ TEST(TypeInferenceTest, Conv2DDynamicWidth) {
   EXPECT_EQ(r->ToString(), "f32[1x16x?x16]");
 }
 
+TEST(TypeInferenceTest, Conv2DRejectsInvalidOperandsAndAttrs) {
+  auto conv = [](TensorType in, TensorType filter,
+                 std::vector<int64_t> strides, std::vector<int64_t> padding) {
+    return Infer(OpKind::kConv2D, {std::move(in), std::move(filter)},
+                 {{"strides", std::move(strides)},
+                  {"padding", std::move(padding)}});
+  };
+  // Zero or negative strides (a zero stride used to divide by zero).
+  EXPECT_FALSE(conv(F32({1, 8, 8, 3}), F32({3, 3, 3, 4}), {0, 1}, {0, 0}).ok());
+  EXPECT_FALSE(
+      conv(F32({1, 8, 8, 3}), F32({3, 3, 3, 4}), {1, -2}, {0, 0}).ok());
+  EXPECT_FALSE(conv(F32({1, kDynamicDim, 8, 3}), F32({3, 3, 3, 4}), {0, 1},
+                    {0, 0})
+                   .ok());
+  // Negative padding.
+  EXPECT_FALSE(
+      conv(F32({1, 8, 8, 3}), F32({3, 3, 3, 4}), {1, 1}, {-1, 0}).ok());
+  // Non-f32 or mismatched dtypes.
+  EXPECT_FALSE(conv(I64({1, 8, 8, 3}), I64({3, 3, 3, 4}), {1, 1}, {0, 0}).ok());
+  EXPECT_FALSE(conv(F32({1, 8, 8, 3}), I64({3, 3, 3, 4}), {1, 1}, {0, 0}).ok());
+  // Static channel mismatch.
+  EXPECT_FALSE(conv(F32({1, 8, 8, 3}), F32({3, 3, 2, 4}), {1, 1}, {0, 0}).ok());
+  // A 4x4 window on a 1x1 input used to infer f32[1x-2x-2x1].
+  EXPECT_FALSE(conv(F32({1, 1, 1, 1}), F32({4, 4, 1, 1}), {1, 1}, {0, 0}).ok());
+  // The same window fits once padded, and dynamic dims defer the check.
+  auto padded = conv(F32({1, 1, 1, 1}), F32({4, 4, 1, 1}), {1, 1}, {2, 2});
+  ASSERT_TRUE(padded.ok()) << padded.status().ToString();
+  EXPECT_EQ(padded->ToString(), "f32[1x2x2x1]");
+  EXPECT_TRUE(conv(F32({1, kDynamicDim, kDynamicDim, kDynamicDim}),
+                   F32({4, 4, 1, 1}), {1, 1}, {0, 0})
+                  .ok());
+  // Missing strides or padding.
+  EXPECT_FALSE(Infer(OpKind::kConv2D, {F32({1, 8, 8, 3}), F32({3, 3, 3, 4})},
+                     {{"padding", std::vector<int64_t>{0, 0}}})
+                   .ok());
+}
+
 TEST(TypeInferenceTest, TransposePermutes) {
   auto r = Infer(OpKind::kTranspose, {F32({2, kDynamicDim, 8})},
                  {{"perm", std::vector<int64_t>{2, 0, 1}}});
