@@ -275,6 +275,7 @@ Result<std::unique_ptr<Executable>> DiscCompiler::Compile(
       step.node = node;
       if (node->kind() == OpKind::kConstant) {
         step.kind = Executable::Step::Kind::kConstant;
+        step.constant = &node->GetTensorAttr("value");
       } else if (node->op_class() == OpClass::kShape ||
                  (IsIntegral(node->output(0)->dtype()) &&
                   exe->analysis_->GetContent(node->output(0)) != nullptr)) {

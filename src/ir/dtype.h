@@ -36,7 +36,7 @@ inline int64_t DTypeSize(DType dtype) {
 const char* DTypeName(DType dtype);
 
 /// \brief True for i64/i1.
-inline bool IsIntegral(DType dtype) { return dtype != DType::kF32; }
+constexpr bool IsIntegral(DType dtype) { return dtype != DType::kF32; }
 
 }  // namespace disc
 

@@ -69,6 +69,9 @@ Result<Tensor> EvalElementwise(const Node& node,
   }
   Tensor out(out_dtype, out_dims);
   if (out.num_elements() == 0) return out;
+  const bool checked_division =
+      (node.kind() == OpKind::kDiv || node.kind() == OpKind::kMod) &&
+      IsIntegral(inputs[0].dtype());
 
   std::vector<int64_t> idx(out_dims.size(), 0);
   auto out_strides = out.Strides();
@@ -89,6 +92,10 @@ Result<Tensor> EvalElementwise(const Node& node,
           inputs[0].ElementAsDouble(BroadcastOperandIndex(idx, inputs[0]));
       double b =
           inputs[1].ElementAsDouble(BroadcastOperandIndex(idx, inputs[1]));
+      if (checked_division && IntegralDivisionUndefined(a, b)) {
+        return InvalidOp(node, "integer divisor is zero or the quotient "
+                               "overflows");
+      }
       out.SetElementFromDouble(
           out_linear, ApplyBinaryScalar(node.kind(), a, b, inputs[0].dtype()));
     }

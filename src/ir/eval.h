@@ -11,13 +11,17 @@
 // Elementwise ops compute on a double carrier and round to the node's dtype
 // on store; reductions and contractions accumulate in double in a fixed
 // order. The fused-kernel executor (kernel/execute.cc) reproduces these
-// semantics bit for bit and shares the scalar functions below.
+// semantics bit for bit and shares the scalar functions below. They are
+// force-inlined: the fused loops instantiate them with a constant op kind
+// and dtype, so each loop body compiles to the bare expression (one
+// multiply, say) instead of an out-of-line call that switches per element.
 #ifndef DISC_IR_EVAL_H_
 #define DISC_IR_EVAL_H_
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "ir/graph.h"
@@ -38,9 +42,11 @@ Result<std::vector<Tensor>> EvaluateGraph(const Graph& graph,
                                           const std::vector<Tensor>& inputs);
 
 /// \brief Scalar semantics of a unary elementwise op (dtype-aware via
-/// double carrier; exact for the integral range used in shapes). Inline so
-/// a loop that passes a constant `kind` compiles to the bare expression.
-inline double ApplyUnaryScalar(OpKind kind, double x) {
+/// double carrier; exact for the integral range used in shapes). Always
+/// inlined, so a loop that passes a constant `kind` compiles to the bare
+/// expression.
+[[gnu::always_inline]] inline double ApplyUnaryScalar(OpKind kind,
+                                                      double x) {
   switch (kind) {
     case OpKind::kAbs:
       return std::abs(x);
@@ -80,11 +86,22 @@ inline double ApplyUnaryScalar(OpKind kind, double x) {
   }
 }
 
+/// \brief True when the integral div/mod of `a` by `b` has no value: the
+/// divisor is zero, or the quotient of INT64_MIN / -1 overflows. Callers
+/// report InvalidArgument for such operands; the division would trap.
+inline bool IntegralDivisionUndefined(double a, double b) {
+  const int64_t divisor = static_cast<int64_t>(b);
+  return divisor == 0 ||
+         (divisor == -1 &&
+          static_cast<int64_t>(a) == std::numeric_limits<int64_t>::min());
+}
+
 /// \brief Scalar semantics of a binary elementwise op. Integral ops
-/// (div/mod on i64) truncate like C++. Inline for the same reason as
+/// (div/mod on i64) truncate like C++; their operands must pass
+/// IntegralDivisionUndefined first. Always inlined for the same reason as
 /// ApplyUnaryScalar.
-inline double ApplyBinaryScalar(OpKind kind, double a, double b,
-                                DType dtype) {
+[[gnu::always_inline]] inline double ApplyBinaryScalar(OpKind kind, double a,
+                                                       double b, DType dtype) {
   bool integral = IsIntegral(dtype);
   switch (kind) {
     case OpKind::kAdd:

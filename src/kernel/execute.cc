@@ -1,4 +1,5 @@
-// CPU execution of fused kernels: a typed, shape-generic executor.
+// CPU execution of fused kernels: a typed, shape-generic executor, bound
+// once per shape signature.
 //
 // Numeric contract. Every member node is materialized once, in the group's
 // topological order and at its IR dtype, computing exactly what
@@ -13,20 +14,36 @@
 //     gather) and iota store through the same conversion.
 // Each group output is therefore bit-identical to the reference evaluator's
 // value for its node, whichever variant the runtime selected: variants
-// shape the modeled GPU schedule, not these loops.
+// shape the modeled GPU schedule, not these loops. The scalar functions are
+// force-inlined (ir/eval.h), and every loop below is instantiated for one
+// op kind and dtype pair, so a loop body is the bare scalar expression.
 //
-// Loops. Extents are bound per call: member dims come from the shape
-// analysis under the call's bindings, and each operand is read through an
-// affine view (an offset plus one stride per loop dim; broadcast dims get
-// stride 0, transposes permute strides, strided slices scale them) built
-// once per member. A Walk merges dims that are contiguous in every view and
-// runs the innermost one as a tight loop, so a same-shape elementwise
-// member is one flat loop. Before reading, each member checks its operands'
-// dims against the analysis and its index maps against the operand extents;
-// a disagreement is an error Status, never an out-of-bounds read.
+// Bind. FusedKernel::Bind does all the work that depends only on the
+// symbol bindings. It solves each input's and member's dims through the
+// shape analysis and checks every member's operands and attributes against
+// them. It reads each operand through an affine view (an offset plus one
+// stride per loop dim; broadcast dims get stride 0, transposes permute
+// strides, strided slices scale them) and merges the views of a member into
+// a Walk, which drops size-1 dims and merges dims that are contiguous in
+// every view, so a same-shape elementwise member is one flat loop. It lays
+// out one scratch block for the members that are not group outputs and for
+// reduction accumulators. Each member becomes a MemberLoop whose op kind
+// and dtypes were fixed at bind time. The resulting BoundKernel is
+// immutable: the runtime keeps it in the launch plan, and concurrent
+// Executes share it.
+//
+// Execute. The hot path checks each group input's dtype and dims against
+// the bound ones (a disagreement is an error Status, never an out-of-bounds
+// read), allocates the group outputs and one block for the slot table and
+// scratch, runs the member loops in order, and only then inserts the
+// outputs into env. Execute(bindings, env) is Bind followed by this same
+// Execute.
 #include <algorithm>
 #include <array>
+#include <cstddef>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <type_traits>
 
 #include "ir/eval.h"
@@ -35,9 +52,40 @@
 #include "support/string_util.h"
 
 namespace disc {
-namespace {
 
 using Dims = std::vector<int64_t>;
+
+/// A fused kernel bound to one shape signature (see the header comment).
+struct BoundKernel {
+  /// The buffers of one Execute call. `slots` holds the data of each group
+  /// input, then of each member (parallel to the group's nodes); `scratch`
+  /// is the call's scratch block.
+  struct Frame {
+    void* const* slots;
+    std::byte* scratch;
+  };
+  /// One member's loops over the buffers of a Frame.
+  using MemberLoop = std::function<Status(const Frame&)>;
+
+  struct Member {
+    MemberLoop loop;
+    Dims dims;
+    /// Byte offset of the member's buffer in the scratch block; -1 for a
+    /// group output, which Execute allocates as a Tensor.
+    int64_t scratch_offset = -1;
+  };
+
+  const FusedKernel* kernel = nullptr;
+  std::vector<Dims> input_dims;  // parallel to group.inputs
+  std::vector<Member> members;   // parallel to group.nodes
+  std::vector<int> outputs;      // member index of each group output
+  int64_t scratch_bytes = 0;
+};
+
+namespace {
+
+using Frame = BoundKernel::Frame;
+using MemberLoop = BoundKernel::MemberLoop;
 
 // ---------------------------------------------------------------------------
 // Typed element access. Storage follows Tensor: float for f32, int64_t for
@@ -64,27 +112,24 @@ Storage<D> FromDouble(double v) {
   }
 }
 
-template <DType D>
-const Storage<D>* DataOf(const Tensor& t) {
-  if constexpr (D == DType::kF32) {
-    return t.f32_data();
-  } else {
-    return t.i64_data();
-  }
+int64_t StorageSize(DType dtype) {
+  return dtype == DType::kF32 ? sizeof(float) : sizeof(int64_t);
 }
 
-template <DType D>
-Storage<D>* MutableDataOf(Tensor* t) {
-  if constexpr (D == DType::kF32) {
-    return t->f32_data();
-  } else {
-    return t->i64_data();
-  }
+void* DataOf(Tensor* t) {
+  if (t->dtype() == DType::kF32) return t->f32_data();
+  return t->i64_data();
 }
 
-/// Calls fn(DTypeTag<dtype>{}).
+/// The typed buffer of slot `slot` in `frame`.
+template <DType D>
+Storage<D>* Slot(const Frame& frame, int slot) {
+  return static_cast<Storage<D>*>(frame.slots[slot]);
+}
+
+/// Calls fn(DTypeTag<dtype>{}) and returns its result.
 template <typename Fn>
-Status WithDType(DType dtype, Fn&& fn) {
+auto WithDType(DType dtype, Fn&& fn) -> decltype(fn(DTypeTag<DType::kF32>{})) {
   switch (dtype) {
     case DType::kF32:
       return fn(DTypeTag<DType::kF32>{});
@@ -98,7 +143,8 @@ Status WithDType(DType dtype, Fn&& fn) {
 
 /// Calls fn(OpTag<kind>{}) for a unary elementwise kind.
 template <typename Fn>
-Status WithUnaryOp(OpKind kind, Fn&& fn) {
+auto WithUnaryOp(OpKind kind, Fn&& fn)
+    -> decltype(fn(OpTag<OpKind::kAbs>{})) {
   switch (kind) {
     case OpKind::kAbs:
       return fn(OpTag<OpKind::kAbs>{});
@@ -140,7 +186,8 @@ Status WithUnaryOp(OpKind kind, Fn&& fn) {
 
 /// Calls fn(OpTag<kind>{}) for a binary elementwise kind.
 template <typename Fn>
-Status WithBinaryOp(OpKind kind, Fn&& fn) {
+auto WithBinaryOp(OpKind kind, Fn&& fn)
+    -> decltype(fn(OpTag<OpKind::kAdd>{})) {
   switch (kind) {
     case OpKind::kAdd:
       return fn(OpTag<OpKind::kAdd>{});
@@ -242,141 +289,127 @@ class Walk {
   template <typename Fn>
   void ForEachRow(Fn&& fn) const {
     if (empty_) return;
-    std::array<int64_t, K> offsets = base_;
-    if (extents_.empty()) {
-      const std::array<int64_t, K> steps{};
-      fn(offsets.data(), int64_t{1}, steps.data());
+    if (extents_.size() <= 1) {
+      static constexpr std::array<int64_t, K> kNoSteps{};
+      fn(base_.data(), extents_.empty() ? int64_t{1} : extents_[0],
+         extents_.empty() ? kNoSteps.data() : strides_.data());
       return;
     }
-    const size_t outer = extents_.size() - 1;
-    const int64_t n = extents_[outer];
-    const int64_t* steps = &strides_[outer * K];
-    Dims idx(outer, 0);
-    while (true) {
-      fn(offsets.data(), n, steps);
-      size_t d = outer;
-      for (; d > 0; --d) {
-        const int64_t* s = &strides_[(d - 1) * K];
-        for (int k = 0; k < K; ++k) offsets[k] += s[k];
-        if (++idx[d - 1] < extents_[d - 1]) break;
-        for (int k = 0; k < K; ++k) offsets[k] -= s[k] * extents_[d - 1];
-        idx[d - 1] = 0;
-      }
-      if (d == 0) return;
-    }
+    Rows(0, base_, fn);
   }
 
  private:
+  /// Visits every row under outer dim `d`, starting at `offsets`.
+  template <typename Fn>
+  void Rows(size_t d, std::array<int64_t, K> offsets, Fn& fn) const {
+    const size_t inner = extents_.size() - 1;
+    const int64_t* step = &strides_[d * K];
+    for (int64_t i = 0; i < extents_[d]; ++i) {
+      if (d + 1 == inner) {
+        fn(static_cast<const int64_t*>(offsets.data()), extents_[inner],
+           &strides_[inner * K]);
+      } else {
+        Rows(d + 1, offsets, fn);
+      }
+      for (int k = 0; k < K; ++k) offsets[k] += step[k];
+    }
+  }
+
   std::array<int64_t, K> base_{};
   Dims extents_;
   Dims strides_;  // [dim][view]
   bool empty_ = false;
 };
 
-/// out[i] = fn(x[xv(i)]) over the dense output `out` of dims `dims`.
+/// out[i] = fn(x[i]) over a walk of (dense out, x).
 template <typename O, typename X, typename Fn>
-void Map1(const Dims& dims, O* out, const X* x, const View& xv, Fn fn) {
-  const View ov = DenseView(dims);
-  Walk<2>(dims, {&ov, &xv})
-      .ForEachRow([&](const int64_t* off, int64_t n, const int64_t* step) {
-        O* o = out + off[0];
-        const X* a = x + off[1];
-        if (step[1] == 1) {
-          for (int64_t i = 0; i < n; ++i) o[i] = fn(a[i]);
-        } else if (step[1] == 0) {
-          std::fill(o, o + n, fn(*a));
-        } else {
-          for (int64_t i = 0; i < n; ++i) o[i] = fn(a[i * step[1]]);
-        }
-      });
+void Map1(const Walk<2>& walk, O* out, const X* x, Fn fn) {
+  walk.ForEachRow([&](const int64_t* off, int64_t n, const int64_t* step) {
+    O* o = out + off[0];
+    const X* a = x + off[1];
+    if (step[1] == 1) {
+      for (int64_t i = 0; i < n; ++i) o[i] = fn(a[i]);
+    } else if (step[1] == 0) {
+      std::fill(o, o + n, fn(*a));
+    } else {
+      for (int64_t i = 0; i < n; ++i) o[i] = fn(a[i * step[1]]);
+    }
+  });
 }
 
-/// out[i] = fn(a[av(i)], b[bv(i)]) over the dense output `out`.
+/// out[i] = fn(a[i], b[i]) over a walk of (dense out, a, b).
 template <typename O, typename A, typename B, typename Fn>
-void Map2(const Dims& dims, O* out, const A* a, const View& av, const B* b,
-          const View& bv, Fn fn) {
-  const View ov = DenseView(dims);
-  Walk<3>(dims, {&ov, &av, &bv})
-      .ForEachRow([&](const int64_t* off, int64_t n, const int64_t* step) {
-        O* o = out + off[0];
-        const A* x = a + off[1];
-        const B* y = b + off[2];
-        if (step[1] == 1 && step[2] == 1) {
-          for (int64_t i = 0; i < n; ++i) o[i] = fn(x[i], y[i]);
-        } else if (step[1] == 1 && step[2] == 0) {
-          const B yv = *y;
-          for (int64_t i = 0; i < n; ++i) o[i] = fn(x[i], yv);
-        } else if (step[1] == 0 && step[2] == 1) {
-          const A xv = *x;
-          for (int64_t i = 0; i < n; ++i) o[i] = fn(xv, y[i]);
-        } else {
-          for (int64_t i = 0; i < n; ++i) {
-            o[i] = fn(x[i * step[1]], y[i * step[2]]);
-          }
-        }
-      });
+void Map2(const Walk<3>& walk, O* out, const A* a, const B* b, Fn fn) {
+  walk.ForEachRow([&](const int64_t* off, int64_t n, const int64_t* step) {
+    O* o = out + off[0];
+    const A* x = a + off[1];
+    const B* y = b + off[2];
+    if (step[1] == 1 && step[2] == 1) {
+      for (int64_t i = 0; i < n; ++i) o[i] = fn(x[i], y[i]);
+    } else if (step[1] == 1 && step[2] == 0) {
+      const B yv = *y;
+      for (int64_t i = 0; i < n; ++i) o[i] = fn(x[i], yv);
+    } else if (step[1] == 0 && step[2] == 1) {
+      const A xv = *x;
+      for (int64_t i = 0; i < n; ++i) o[i] = fn(xv, y[i]);
+    } else {
+      for (int64_t i = 0; i < n; ++i) {
+        o[i] = fn(x[i * step[1]], y[i * step[2]]);
+      }
+    }
+  });
 }
 
-/// out[i] = fn(p[pv(i)], a[av(i)], b[bv(i)]) over the dense output `out`.
+/// out[i] = fn(p[i], a[i], b[i]) over a walk of (dense out, p, a, b).
 template <typename O, typename P, typename A, typename Fn>
-void Map3(const Dims& dims, O* out, const P* p, const View& pv, const A* a,
-          const View& av, const A* b, const View& bv, Fn fn) {
-  const View ov = DenseView(dims);
-  Walk<4>(dims, {&ov, &pv, &av, &bv})
-      .ForEachRow([&](const int64_t* off, int64_t n, const int64_t* step) {
-        O* o = out + off[0];
-        const P* c = p + off[1];
-        const A* x = a + off[2];
-        const A* y = b + off[3];
-        for (int64_t i = 0; i < n; ++i) {
-          o[i] = fn(c[i * step[1]], x[i * step[2]], y[i * step[3]]);
-        }
-      });
+void Map3(const Walk<4>& walk, O* out, const P* p, const A* a, const A* b,
+          Fn fn) {
+  walk.ForEachRow([&](const int64_t* off, int64_t n, const int64_t* step) {
+    O* o = out + off[0];
+    const P* c = p + off[1];
+    const A* x = a + off[2];
+    const A* y = b + off[3];
+    for (int64_t i = 0; i < n; ++i) {
+      o[i] = fn(c[i * step[1]], x[i * step[2]], y[i * step[3]]);
+    }
+  });
 }
 
-/// dst[dv(i)] = src[sv(i)] over `dims`, through the store conversion.
+/// dst[i] = src[i] over a walk of (dst, src), through the store conversion.
 template <DType D>
-void Copy(const Dims& dims, Storage<D>* dst, const View& dv,
-          const Storage<D>* src, const View& sv) {
-  Walk<2>(dims, {&dv, &sv})
-      .ForEachRow([&](const int64_t* off, int64_t n, const int64_t* step) {
-        Storage<D>* o = dst + off[0];
-        const Storage<D>* x = src + off[1];
-        if (step[0] == 1 && step[1] == 1) {
-          for (int64_t i = 0; i < n; ++i) {
-            o[i] = FromDouble<D>(static_cast<double>(x[i]));
-          }
-        } else {
-          for (int64_t i = 0; i < n; ++i) {
-            o[i * step[0]] =
-                FromDouble<D>(static_cast<double>(x[i * step[1]]));
-          }
-        }
-      });
+void Copy(const Walk<2>& walk, Storage<D>* dst, const Storage<D>* src) {
+  walk.ForEachRow([&](const int64_t* off, int64_t n, const int64_t* step) {
+    Storage<D>* o = dst + off[0];
+    const Storage<D>* x = src + off[1];
+    if (step[0] == 1 && step[1] == 1) {
+      for (int64_t i = 0; i < n; ++i) {
+        o[i] = FromDouble<D>(static_cast<double>(x[i]));
+      }
+    } else {
+      for (int64_t i = 0; i < n; ++i) {
+        o[i * step[0]] = FromDouble<D>(static_cast<double>(x[i * step[1]]));
+      }
+    }
+  });
 }
 
-/// acc[av(i)] = fn(acc[av(i)], in[i]) over the dense input `in` of dims
-/// `dims`, in row-major input order.
+/// acc[i] = fn(acc[i], in[i]) over a walk of (acc, dense in), in row-major
+/// input order.
 template <typename X, typename Fn>
-void Accumulate(const Dims& dims, const X* in, double* acc, const View& av,
-                Fn fn) {
-  const View iv = DenseView(dims);
-  Walk<2>(dims, {&av, &iv})
-      .ForEachRow([&](const int64_t* off, int64_t n, const int64_t* step) {
-        double* o = acc + off[0];
-        const X* x = in + off[1];
-        if (step[0] == 0) {
-          double s = *o;
-          for (int64_t i = 0; i < n; ++i) {
-            s = fn(s, static_cast<double>(x[i]));
-          }
-          *o = s;
-        } else {
-          for (int64_t i = 0; i < n; ++i) {
-            o[i * step[0]] = fn(o[i * step[0]], static_cast<double>(x[i]));
-          }
-        }
-      });
+void Accumulate(const Walk<2>& walk, const X* in, double* acc, Fn fn) {
+  walk.ForEachRow([&](const int64_t* off, int64_t n, const int64_t* step) {
+    double* o = acc + off[0];
+    const X* x = in + off[1];
+    if (step[0] == 0) {
+      double s = *o;
+      for (int64_t i = 0; i < n; ++i) s = fn(s, static_cast<double>(x[i]));
+      *o = s;
+    } else {
+      for (int64_t i = 0; i < n; ++i) {
+        o[i * step[0]] = fn(o[i * step[0]], static_cast<double>(x[i]));
+      }
+    }
+  });
 }
 
 Status Mismatch(const Node& node, const std::string& what) {
@@ -386,7 +419,7 @@ Status Mismatch(const Node& node, const std::string& what) {
 }
 
 std::string DimsString(const Dims& dims) {
-  return "[" + Join(dims, "x") + "]";
+  return StrFormat("[%s]", Join(dims, "x").c_str());
 }
 
 /// Reads an operand of dims `in` at the positions of an output of dims
@@ -412,43 +445,55 @@ Result<View> BroadcastView(const Node& node, const Dims& in,
   return view;
 }
 
-/// dst[dv(i)] = src[sv(i)] over `dims`; both tensors share a dtype.
-Status CopyInto(const Node& node, Tensor* dst, const View& dv,
-                const Tensor& src, const View& sv, const Dims& dims) {
-  if (src.dtype() != dst->dtype()) {
-    return Mismatch(node, "operand dtype differs from the result's");
-  }
-  return WithDType(dst->dtype(), [&](auto tag) {
-    constexpr DType kD = decltype(tag)::value;
-    Copy<kD>(dims, MutableDataOf<kD>(dst), dv, DataOf<kD>(src), sv);
-    return Status::OK();
-  });
+/// A member loop that does nothing (zero-sized results).
+MemberLoop NoOp() {
+  return [](const Frame&) { return Status::OK(); };
 }
 
 // ---------------------------------------------------------------------------
-// One Execute call.
+// Binding.
 
-class GroupExecutor {
+/// Fills a BoundKernel from one set of symbol bindings.
+class Binder {
  public:
-  GroupExecutor(const FusionGroup& group, const ShapeAnalysis& analysis,
-                const SymbolBindings& bindings)
-      : group_(group), analysis_(analysis), bindings_(bindings) {}
+  Binder(const FusionGroup& group, const ShapeAnalysis& analysis,
+         const SymbolBindings& bindings, BoundKernel* bound)
+      : group_(group),
+        analysis_(analysis),
+        bindings_(bindings),
+        bound_(*bound) {}
 
-  /// Materializes every member, reading the group inputs from `env`, and
-  /// inserts the group outputs into `env`.
-  Status Run(std::unordered_map<const Value*, Tensor>* env) {
-    DISC_RETURN_IF_ERROR(BindInputs(*env));
-    values_.reserve(group_.nodes.size());
+  Status Run() {
+    bound_.input_dims.reserve(group_.inputs.size());
+    for (const Value* input : group_.inputs) {
+      DISC_ASSIGN_OR_RETURN(Dims dims,
+                            analysis_.EvaluateShape(input, bindings_));
+      bound_.input_dims.push_back(std::move(dims));
+    }
+    // Reserved up front: Operands point at earlier members' dims.
+    bound_.members.reserve(group_.nodes.size());
     for (const Node* node : group_.nodes) {
       const Value* v = node->output(0);
-      DISC_ASSIGN_OR_RETURN(Dims dims, analysis_.EvaluateShape(v, bindings_));
-      for (int64_t d : dims) {
-        if (d < 0) return Mismatch(*node, "negative dim " + DimsString(dims));
+      BoundKernel::Member member;
+      DISC_ASSIGN_OR_RETURN(member.dims, analysis_.EvaluateShape(v, bindings_));
+      for (int64_t d : member.dims) {
+        if (d < 0) {
+          return Mismatch(*node, "negative dim " + DimsString(member.dims));
+        }
       }
-      Tensor out(v->dtype(), std::move(dims));
-      DISC_RETURN_IF_ERROR(Materialize(*node, &out));
-      values_.push_back(std::move(out));
+      const bool is_output = std::find(group_.outputs.begin(),
+                                       group_.outputs.end(),
+                                       v) != group_.outputs.end();
+      if (!is_output) {
+        member.scratch_offset =
+            Reserve(Product(member.dims) * StorageSize(v->dtype()));
+      }
+      bound_.members.push_back(std::move(member));
+      const Operand out{MemberSlot(bound_.members.size() - 1), v->dtype(),
+                        &bound_.members.back().dims};
+      DISC_ASSIGN_OR_RETURN(bound_.members.back().loop, Bind(*node, out));
     }
+    bound_.outputs.reserve(group_.outputs.size());
     for (const Value* output : group_.outputs) {
       const int member = MemberIndex(output);
       if (member < 0) {
@@ -456,57 +501,58 @@ class GroupExecutor {
             "fused group output %%%d is not produced inside the group",
             output->id()));
       }
-      env->emplace(output, std::move(values_[member]));
+      bound_.outputs.push_back(member);
     }
     return Status::OK();
   }
 
  private:
-  /// Looks up every group input and checks it against the analysis.
-  Status BindInputs(const std::unordered_map<const Value*, Tensor>& env) {
-    inputs_.reserve(group_.inputs.size());
-    for (const Value* input : group_.inputs) {
-      auto it = env.find(input);
-      if (it == env.end()) {
-        return Status::Internal(StrFormat(
-            "fused kernel input %%%d was not computed", input->id()));
-      }
-      DISC_ASSIGN_OR_RETURN(Dims dims,
-                            analysis_.EvaluateShape(input, bindings_));
-      const Tensor& t = it->second;
-      if (t.dtype() != input->dtype() || t.dims() != dims) {
-        return Status::Internal(StrFormat(
-            "fused kernel input %%%d is %s; the shape analysis predicts %s%s",
-            input->id(), t.TypeString().c_str(), DTypeName(input->dtype()),
-            DimsString(dims).c_str()));
-      }
-      inputs_.push_back(&t);
-    }
-    return Status::OK();
+  /// A bound value: its slot in the Frame, dtype and dims.
+  struct Operand {
+    int slot;
+    DType dtype;
+    const Dims* dims;
+  };
+
+  /// The Frame slot of member `member`.
+  int MemberSlot(size_t member) const {
+    return static_cast<int>(group_.inputs.size() + member);
   }
 
-  /// Index of the already materialized member producing `v`, or -1.
+  /// Reserves `bytes` of the scratch block; returns their offset.
+  int64_t Reserve(int64_t bytes) {
+    const int64_t offset = bound_.scratch_bytes;
+    bound_.scratch_bytes += RoundUp(bytes, 16);
+    return offset;
+  }
+
+  /// Index of the already bound member producing `v`, or -1.
   int MemberIndex(const Value* v) const {
-    for (size_t i = 0; i < values_.size(); ++i) {
+    for (size_t i = 0; i < bound_.members.size(); ++i) {
       if (group_.nodes[i]->output(0) == v) return static_cast<int>(i);
     }
     return -1;
   }
 
-  /// An operand: a member materialized earlier in this call, or a checked
-  /// group input.
-  Result<const Tensor*> Lookup(const Value* v) const {
+  /// An operand: a member bound earlier, or a group input.
+  Result<Operand> Lookup(const Value* v) const {
     const int member = MemberIndex(v);
-    if (member >= 0) return &values_[member];
-    for (size_t i = 0; i < inputs_.size(); ++i) {
-      if (group_.inputs[i] == v) return inputs_[i];
+    if (member >= 0) {
+      return Operand{MemberSlot(member), v->dtype(),
+                     &bound_.members[member].dims};
+    }
+    for (size_t i = 0; i < group_.inputs.size(); ++i) {
+      if (group_.inputs[i] == v) {
+        return Operand{static_cast<int>(i), v->dtype(),
+                       &bound_.input_dims[i]};
+      }
     }
     return Status::Internal(StrFormat(
         "value %%%d is neither a group input nor an earlier member",
         v->id()));
   }
 
-  Status Materialize(const Node& node, Tensor* out) {
+  Result<MemberLoop> Bind(const Node& node, const Operand& out) {
     switch (node.kind()) {
       case OpKind::kIota:
         return Iota(node, out);
@@ -544,13 +590,14 @@ class GroupExecutor {
   // converts to anything else. The other (in, out) dtype pairs are rejected
   // without instantiating a loop for them.
 
-  Status Unary(const Node& node, Tensor* out) {
-    DISC_ASSIGN_OR_RETURN(const Tensor* x, Lookup(node.operand(0)));
-    DISC_ASSIGN_OR_RETURN(View xv,
-                          BroadcastView(node, x->dims(), out->dims()));
-    return WithDType(x->dtype(), [&](auto in) {
-      return WithDType(out->dtype(), [&](auto res) {
-        return WithUnaryOp(node.kind(), [&](auto op) {
+  Result<MemberLoop> Unary(const Node& node, const Operand& out) {
+    DISC_ASSIGN_OR_RETURN(Operand x, Lookup(node.operand(0)));
+    DISC_ASSIGN_OR_RETURN(View xv, BroadcastView(node, *x.dims, *out.dims));
+    const View ov = DenseView(*out.dims);
+    const Walk<2> walk(*out.dims, {&ov, &xv});
+    return WithDType(x.dtype, [&](auto in) {
+      return WithDType(out.dtype, [&](auto res) {
+        return WithUnaryOp(node.kind(), [&](auto op) -> Result<MemberLoop> {
           constexpr DType kIn = decltype(in)::value;
           constexpr DType kOut = decltype(res)::value;
           constexpr OpKind kOp = decltype(op)::value;
@@ -558,80 +605,106 @@ class GroupExecutor {
                         kOut != DType::kI1) {
             return Mismatch(node, "result dtype");
           } else {
-            Map1(out->dims(), MutableDataOf<kOut>(out), DataOf<kIn>(*x), xv,
-                 [](Storage<kIn> v) {
-                   return FromDouble<kOut>(
-                       ApplyUnaryScalar(kOp, static_cast<double>(v)));
-                 });
-            return Status::OK();
+            return MemberLoop([walk, src = x.slot,
+                               dst = out.slot](const Frame& f) {
+              Map1(walk, Slot<kOut>(f, dst), Slot<kIn>(f, src),
+                   [](Storage<kIn> v) {
+                     return FromDouble<kOut>(
+                         ApplyUnaryScalar(kOp, static_cast<double>(v)));
+                   });
+              return Status::OK();
+            });
           }
         });
       });
     });
   }
 
-  Status Binary(const Node& node, Tensor* out) {
-    DISC_ASSIGN_OR_RETURN(const Tensor* a, Lookup(node.operand(0)));
-    DISC_ASSIGN_OR_RETURN(const Tensor* b, Lookup(node.operand(1)));
-    if (a->dtype() != b->dtype()) {
-      return Mismatch(node, "operand dtypes differ");
-    }
-    DISC_ASSIGN_OR_RETURN(View av,
-                          BroadcastView(node, a->dims(), out->dims()));
-    DISC_ASSIGN_OR_RETURN(View bv,
-                          BroadcastView(node, b->dims(), out->dims()));
-    return WithDType(a->dtype(), [&](auto in) {
-      return WithDType(out->dtype(), [&](auto res) {
-        return WithBinaryOp(node.kind(), [&](auto op) {
+  Result<MemberLoop> Binary(const Node& node, const Operand& out) {
+    DISC_ASSIGN_OR_RETURN(Operand a, Lookup(node.operand(0)));
+    DISC_ASSIGN_OR_RETURN(Operand b, Lookup(node.operand(1)));
+    if (a.dtype != b.dtype) return Mismatch(node, "operand dtypes differ");
+    DISC_ASSIGN_OR_RETURN(View av, BroadcastView(node, *a.dims, *out.dims));
+    DISC_ASSIGN_OR_RETURN(View bv, BroadcastView(node, *b.dims, *out.dims));
+    const View ov = DenseView(*out.dims);
+    const Walk<3> walk(*out.dims, {&ov, &av, &bv});
+    const Node* n = &node;
+    return WithDType(a.dtype, [&](auto in) {
+      return WithDType(out.dtype, [&](auto res) {
+        return WithBinaryOp(node.kind(), [&](auto op) -> Result<MemberLoop> {
           constexpr DType kIn = decltype(in)::value;
           constexpr DType kOut = decltype(res)::value;
+          constexpr OpKind kOp = decltype(op)::value;
+          // Integral div/mod checks each element: an undefined quotient is
+          // an error, and the trapping division is never executed.
+          constexpr bool kChecked =
+              IsIntegral(kIn) && (kOp == OpKind::kDiv || kOp == OpKind::kMod);
           if constexpr (kOut != kIn && kOut != DType::kI1) {
             return Mismatch(node, "result dtype");
           } else {
-            constexpr OpKind kOp = decltype(op)::value;
-            Map2(out->dims(), MutableDataOf<kOut>(out), DataOf<kIn>(*a), av,
-                 DataOf<kIn>(*b), bv, [](Storage<kIn> x, Storage<kIn> y) {
-                   return FromDouble<kOut>(
-                       ApplyBinaryScalar(kOp, static_cast<double>(x),
-                                         static_cast<double>(y), kIn));
-                 });
-            return Status::OK();
+            return MemberLoop([walk, n, lhs = a.slot, rhs = b.slot,
+                               dst = out.slot](const Frame& f) -> Status {
+              bool undefined = false;
+              Map2(walk, Slot<kOut>(f, dst), Slot<kIn>(f, lhs),
+                   Slot<kIn>(f, rhs),
+                   [&undefined](Storage<kIn> p, Storage<kIn> q) {
+                     const double dp = static_cast<double>(p);
+                     const double dq = static_cast<double>(q);
+                     if constexpr (kChecked) {
+                       if (IntegralDivisionUndefined(dp, dq)) {
+                         undefined = true;
+                         return Storage<kOut>{0};
+                       }
+                     }
+                     return FromDouble<kOut>(
+                         ApplyBinaryScalar(kOp, dp, dq, kIn));
+                   });
+              if (undefined) {
+                return Status::InvalidArgument(StrFormat(
+                    "%s %%%d: integer divisor is zero or the quotient "
+                    "overflows",
+                    OpName(kOp), n->output(0)->id()));
+              }
+              return Status::OK();
+            });
           }
         });
       });
     });
   }
 
-  Status Select(const Node& node, Tensor* out) {
-    DISC_ASSIGN_OR_RETURN(const Tensor* pred, Lookup(node.operand(0)));
-    DISC_ASSIGN_OR_RETURN(const Tensor* a, Lookup(node.operand(1)));
-    DISC_ASSIGN_OR_RETURN(const Tensor* b, Lookup(node.operand(2)));
-    if (pred->dtype() != DType::kI1 || a->dtype() != b->dtype() ||
-        out->dtype() != a->dtype()) {
+  Result<MemberLoop> Select(const Node& node, const Operand& out) {
+    DISC_ASSIGN_OR_RETURN(Operand pred, Lookup(node.operand(0)));
+    DISC_ASSIGN_OR_RETURN(Operand a, Lookup(node.operand(1)));
+    DISC_ASSIGN_OR_RETURN(Operand b, Lookup(node.operand(2)));
+    if (pred.dtype != DType::kI1 || a.dtype != b.dtype ||
+        out.dtype != a.dtype) {
       return Mismatch(node, "operand dtypes");
     }
-    DISC_ASSIGN_OR_RETURN(View pv,
-                          BroadcastView(node, pred->dims(), out->dims()));
-    DISC_ASSIGN_OR_RETURN(View av,
-                          BroadcastView(node, a->dims(), out->dims()));
-    DISC_ASSIGN_OR_RETURN(View bv,
-                          BroadcastView(node, b->dims(), out->dims()));
-    return WithDType(out->dtype(), [&](auto tag) {
+    DISC_ASSIGN_OR_RETURN(View pv, BroadcastView(node, *pred.dims, *out.dims));
+    DISC_ASSIGN_OR_RETURN(View av, BroadcastView(node, *a.dims, *out.dims));
+    DISC_ASSIGN_OR_RETURN(View bv, BroadcastView(node, *b.dims, *out.dims));
+    const View ov = DenseView(*out.dims);
+    const Walk<4> walk(*out.dims, {&ov, &pv, &av, &bv});
+    return WithDType(out.dtype, [&](auto tag) -> Result<MemberLoop> {
       constexpr DType kD = decltype(tag)::value;
-      Map3(out->dims(), MutableDataOf<kD>(out), DataOf<DType::kI1>(*pred), pv,
-           DataOf<kD>(*a), av, DataOf<kD>(*b), bv,
-           [](int64_t p, Storage<kD> x, Storage<kD> y) {
-             return FromDouble<kD>(static_cast<double>(p != 0 ? x : y));
-           });
-      return Status::OK();
+      return MemberLoop([walk, cond = pred.slot, lhs = a.slot, rhs = b.slot,
+                         dst = out.slot](const Frame& f) {
+        Map3(walk, Slot<kD>(f, dst), Slot<DType::kI1>(f, cond),
+             Slot<kD>(f, lhs), Slot<kD>(f, rhs),
+             [](int64_t c, Storage<kD> u, Storage<kD> v) {
+               return FromDouble<kD>(static_cast<double>(c != 0 ? u : v));
+             });
+        return Status::OK();
+      });
     });
   }
 
-  Status Reduce(const Node& node, Tensor* out) {
-    DISC_ASSIGN_OR_RETURN(const Tensor* x, Lookup(node.operand(0)));
-    const Dims& in = x->dims();
-    const Dims& dims = out->dims();
-    if (out->dtype() != x->dtype()) return Mismatch(node, "result dtype");
+  Result<MemberLoop> Reduce(const Node& node, const Operand& out) {
+    DISC_ASSIGN_OR_RETURN(Operand x, Lookup(node.operand(0)));
+    const Dims& in = *x.dims;
+    const Dims& dims = *out.dims;
+    if (out.dtype != x.dtype) return Mismatch(node, "result dtype");
     std::vector<bool> reduced(in.size(), false);
     for (int64_t d : node.GetIntListAttr("dims")) {
       if (d < 0 || d >= static_cast<int64_t>(in.size())) {
@@ -666,60 +739,86 @@ class GroupExecutor {
     } else if (node.kind() == OpKind::kReduceMin) {
       init = std::numeric_limits<double>::infinity();
     }
-    std::vector<double> acc(out->num_elements(), init);
+    const int64_t cells = Product(dims);
+    const int64_t acc_offset = Reserve(cells * sizeof(double));
     const bool mean = node.kind() == OpKind::kReduceMean && count > 0;
-    return WithDType(x->dtype(), [&](auto tag) {
+    const View iv = DenseView(in);
+    const Walk<2> walk(in, {&av, &iv});
+    return WithDType(x.dtype, [&](auto tag) -> Result<MemberLoop> {
       constexpr DType kD = decltype(tag)::value;
-      const Storage<kD>* data = DataOf<kD>(*x);
+      auto loop = [&, src = x.slot, dst = out.slot](auto combine) {
+        return MemberLoop([walk, src, dst, acc_offset, cells, init, mean,
+                           count, combine](const Frame& f) {
+          double* acc = reinterpret_cast<double*>(f.scratch + acc_offset);
+          std::fill_n(acc, cells, init);
+          Accumulate(walk, Slot<kD>(f, src), acc, combine);
+          Storage<kD>* out = Slot<kD>(f, dst);
+          for (int64_t i = 0; i < cells; ++i) {
+            out[i] = FromDouble<kD>(
+                mean ? acc[i] / static_cast<double>(count) : acc[i]);
+          }
+          return Status::OK();
+        });
+      };
       switch (node.kind()) {
         case OpKind::kReduceMax:
-          Accumulate(in, data, acc.data(), av,
-                     [](double a, double v) { return std::max(a, v); });
-          break;
+          return loop([](double a, double v) { return std::max(a, v); });
         case OpKind::kReduceMin:
-          Accumulate(in, data, acc.data(), av,
-                     [](double a, double v) { return std::min(a, v); });
-          break;
+          return loop([](double a, double v) { return std::min(a, v); });
         default:
-          Accumulate(in, data, acc.data(), av,
-                     [](double a, double v) { return a + v; });
-          break;
+          return loop([](double a, double v) { return a + v; });
       }
-      Storage<kD>* dst = MutableDataOf<kD>(out);
-      for (size_t i = 0; i < acc.size(); ++i) {
-        dst[i] = FromDouble<kD>(mean ? acc[i] / static_cast<double>(count)
-                                     : acc[i]);
-      }
-      return Status::OK();
     });
   }
 
-  Status Iota(const Node& node, Tensor* out) {
-    if (out->num_elements() == 0) return Status::OK();
-    const Dims& dims = out->dims();
+  Result<MemberLoop> Iota(const Node& node, const Operand& out) {
+    const Dims& dims = *out.dims;
+    if (Product(dims) == 0) return NoOp();
     const int64_t axis = node.GetIntAttr("axis", 0);
     if (axis < 0 || axis >= static_cast<int64_t>(dims.size())) {
       return Mismatch(node, "axis out of range");
     }
     const int64_t outer = ProductOf(dims, 0, axis);
+    const int64_t extent = dims[axis];
     const int64_t inner = ProductOf(dims, axis + 1, dims.size());
-    return WithDType(out->dtype(), [&](auto tag) {
+    return WithDType(out.dtype, [&](auto tag) -> Result<MemberLoop> {
       constexpr DType kD = decltype(tag)::value;
-      Storage<kD>* dst = MutableDataOf<kD>(out);
-      for (int64_t o = 0; o < outer; ++o) {
-        for (int64_t i = 0; i < dims[axis]; ++i) {
-          dst = std::fill_n(dst, inner,
-                            FromDouble<kD>(static_cast<double>(i)));
+      return MemberLoop([outer, extent, inner,
+                         dst_slot = out.slot](const Frame& f) {
+        Storage<kD>* dst = Slot<kD>(f, dst_slot);
+        for (int64_t r = 0; r < outer; ++r) {
+          for (int64_t i = 0; i < extent; ++i) {
+            dst = std::fill_n(dst, inner,
+                              FromDouble<kD>(static_cast<double>(i)));
+          }
         }
-      }
-      return Status::OK();
+        return Status::OK();
+      });
     });
   }
 
-  Status Transpose(const Node& node, Tensor* out) {
-    DISC_ASSIGN_OR_RETURN(const Tensor* x, Lookup(node.operand(0)));
-    const Dims& in = x->dims();
-    const Dims& dims = out->dims();
+  /// A loop that copies src[sv(i)] to dst[dv(i)] over `dims`; both share a
+  /// dtype.
+  Result<MemberLoop> CopyLoop(const Node& node, const Operand& dst,
+                              const View& dv, const Operand& src,
+                              const View& sv, const Dims& dims) {
+    if (src.dtype != dst.dtype) {
+      return Mismatch(node, "operand dtype differs from the result's");
+    }
+    const Walk<2> walk(dims, {&dv, &sv});
+    return WithDType(dst.dtype, [&](auto tag) -> Result<MemberLoop> {
+      constexpr DType kD = decltype(tag)::value;
+      return MemberLoop([walk, d = dst.slot, s = src.slot](const Frame& f) {
+        Copy<kD>(walk, Slot<kD>(f, d), Slot<kD>(f, s));
+        return Status::OK();
+      });
+    });
+  }
+
+  Result<MemberLoop> Transpose(const Node& node, const Operand& out) {
+    DISC_ASSIGN_OR_RETURN(Operand x, Lookup(node.operand(0)));
+    const Dims& in = *x.dims;
+    const Dims& dims = *out.dims;
     const auto& perm = node.GetIntListAttr("perm");
     if (perm.size() != in.size() || dims.size() != in.size()) {
       return Mismatch(node, "perm rank");
@@ -736,31 +835,30 @@ class GroupExecutor {
       }
       xv.strides[i] = in_strides[p];
     }
-    return CopyInto(node, out, DenseView(dims), *x, xv, dims);
+    return CopyLoop(node, out, DenseView(dims), x, xv, dims);
   }
 
-  Status Reshape(const Node& node, Tensor* out) {
-    DISC_ASSIGN_OR_RETURN(const Tensor* x, Lookup(node.operand(0)));
-    if (x->num_elements() != out->num_elements()) {
+  Result<MemberLoop> Reshape(const Node& node, const Operand& out) {
+    DISC_ASSIGN_OR_RETURN(Operand x, Lookup(node.operand(0)));
+    if (Product(*x.dims) != Product(*out.dims)) {
       return Mismatch(node, "element count changes from " +
-                                DimsString(x->dims()) + " to " +
-                                DimsString(out->dims()));
+                                DimsString(*x.dims) + " to " +
+                                DimsString(*out.dims));
     }
-    const Dims flat = {out->num_elements()};
-    return CopyInto(node, out, DenseView(flat), *x, DenseView(flat), flat);
+    const Dims flat = {Product(*out.dims)};
+    return CopyLoop(node, out, DenseView(flat), x, DenseView(flat), flat);
   }
 
-  Status BroadcastTo(const Node& node, Tensor* out) {
-    DISC_ASSIGN_OR_RETURN(const Tensor* x, Lookup(node.operand(0)));
-    DISC_ASSIGN_OR_RETURN(View xv,
-                          BroadcastView(node, x->dims(), out->dims()));
-    return CopyInto(node, out, DenseView(out->dims()), *x, xv, out->dims());
+  Result<MemberLoop> BroadcastTo(const Node& node, const Operand& out) {
+    DISC_ASSIGN_OR_RETURN(Operand x, Lookup(node.operand(0)));
+    DISC_ASSIGN_OR_RETURN(View xv, BroadcastView(node, *x.dims, *out.dims));
+    return CopyLoop(node, out, DenseView(*out.dims), x, xv, *out.dims);
   }
 
-  Status Slice(const Node& node, Tensor* out) {
-    DISC_ASSIGN_OR_RETURN(const Tensor* x, Lookup(node.operand(0)));
-    const Dims& in = x->dims();
-    const Dims& dims = out->dims();
+  Result<MemberLoop> Slice(const Node& node, const Operand& out) {
+    DISC_ASSIGN_OR_RETURN(Operand x, Lookup(node.operand(0)));
+    const Dims& in = *x.dims;
+    const Dims& dims = *out.dims;
     const auto& starts = node.GetIntListAttr("starts");
     const auto& ends = node.GetIntListAttr("ends");
     const auto& steps = node.GetIntListAttr("steps");
@@ -783,13 +881,13 @@ class GroupExecutor {
       xv.offset += starts[d] * in_strides[d];
       xv.strides[d] = step * in_strides[d];
     }
-    return CopyInto(node, out, DenseView(dims), *x, xv, dims);
+    return CopyLoop(node, out, DenseView(dims), x, xv, dims);
   }
 
-  Status Pad(const Node& node, Tensor* out) {
-    DISC_ASSIGN_OR_RETURN(const Tensor* x, Lookup(node.operand(0)));
-    const Dims& in = x->dims();
-    const Dims& dims = out->dims();
+  Result<MemberLoop> Pad(const Node& node, const Operand& out) {
+    DISC_ASSIGN_OR_RETURN(Operand x, Lookup(node.operand(0)));
+    const Dims& in = *x.dims;
+    const Dims& dims = *out.dims;
     const auto& low = node.GetIntListAttr("pads_low");
     const auto& high = node.GetIntListAttr("pads_high");
     if (low.size() != in.size() || high.size() != in.size() ||
@@ -805,27 +903,32 @@ class GroupExecutor {
       }
       interior.offset += low[d] * interior.strides[d];
     }
+    DISC_ASSIGN_OR_RETURN(MemberLoop copy,
+                          CopyLoop(node, out, interior, x, DenseView(in), in));
     const double pad_value = node.GetFloatAttr("pad_value", 0.0);
-    DISC_RETURN_IF_ERROR(WithDType(out->dtype(), [&](auto tag) {
+    const int64_t cells = Product(dims);
+    return WithDType(out.dtype, [&](auto tag) -> Result<MemberLoop> {
       constexpr DType kD = decltype(tag)::value;
-      std::fill_n(MutableDataOf<kD>(out), out->num_elements(),
-                  FromDouble<kD>(pad_value));
-      return Status::OK();
-    }));
-    return CopyInto(node, out, interior, *x, DenseView(in), in);
+      return MemberLoop([copy = std::move(copy), cells, dst = out.slot,
+                         fill = FromDouble<kD>(pad_value)](const Frame& f) {
+        std::fill_n(Slot<kD>(f, dst), cells, fill);
+        return copy(f);
+      });
+    });
   }
 
-  Status Concat(const Node& node, Tensor* out) {
-    const Dims& dims = out->dims();
+  Result<MemberLoop> Concat(const Node& node, const Operand& out) {
+    const Dims& dims = *out.dims;
     const int64_t axis = node.GetIntAttr("axis", 0);
     if (axis < 0 || axis >= static_cast<int64_t>(dims.size())) {
       return Mismatch(node, "axis out of range");
     }
     const Dims out_strides = RowMajorStrides(dims);
+    std::vector<MemberLoop> parts;
     int64_t pos = 0;  // where the next part starts along `axis`
     for (const Value* operand : node.operands()) {
-      DISC_ASSIGN_OR_RETURN(const Tensor* part, Lookup(operand));
-      const Dims& pd = part->dims();
+      DISC_ASSIGN_OR_RETURN(Operand part, Lookup(operand));
+      const Dims& pd = *part.dims;
       bool fits = pd.size() == dims.size() && pos + pd[axis] <= dims[axis];
       for (size_t d = 0; fits && d < dims.size(); ++d) {
         fits = static_cast<int64_t>(d) == axis || pd[d] == dims[d];
@@ -835,83 +938,153 @@ class GroupExecutor {
                                   DimsString(dims));
       }
       const View at{pos * out_strides[axis], out_strides};
-      DISC_RETURN_IF_ERROR(CopyInto(node, out, at, *part, DenseView(pd), pd));
+      DISC_ASSIGN_OR_RETURN(MemberLoop copy,
+                            CopyLoop(node, out, at, part, DenseView(pd), pd));
+      parts.push_back(std::move(copy));
       pos += pd[axis];
     }
     if (pos != dims[axis]) {
       return Mismatch(node, "parts do not fill " + DimsString(dims));
     }
-    return Status::OK();
+    return MemberLoop([parts = std::move(parts)](const Frame& f) {
+      for (const MemberLoop& part : parts) DISC_RETURN_IF_ERROR(part(f));
+      return Status::OK();
+    });
   }
 
-  Status Gather(const Node& node, Tensor* out) {
-    DISC_ASSIGN_OR_RETURN(const Tensor* data, Lookup(node.operand(0)));
-    DISC_ASSIGN_OR_RETURN(const Tensor* indices, Lookup(node.operand(1)));
-    const Dims& dd = data->dims();
+  Result<MemberLoop> Gather(const Node& node, const Operand& out) {
+    DISC_ASSIGN_OR_RETURN(Operand data, Lookup(node.operand(0)));
+    DISC_ASSIGN_OR_RETURN(Operand indices, Lookup(node.operand(1)));
+    const Dims& dd = *data.dims;
     const int64_t axis = node.GetIntAttr("axis", 0);
-    if (!IsIntegral(indices->dtype()) || data->dtype() != out->dtype() ||
-        axis < 0 || axis >= static_cast<int64_t>(dd.size())) {
+    if (!IsIntegral(indices.dtype) || data.dtype != out.dtype || axis < 0 ||
+        axis >= static_cast<int64_t>(dd.size())) {
       return Mismatch(node, "operands");
     }
     Dims expected(dd.begin(), dd.begin() + axis);
-    expected.insert(expected.end(), indices->dims().begin(),
-                    indices->dims().end());
+    expected.insert(expected.end(), indices.dims->begin(),
+                    indices.dims->end());
     expected.insert(expected.end(), dd.begin() + axis + 1, dd.end());
-    if (expected != out->dims()) {
-      return Mismatch(node, "result " + DimsString(out->dims()) +
+    if (expected != *out.dims) {
+      return Mismatch(node, "result " + DimsString(*out.dims) +
                                 " should be " + DimsString(expected));
     }
-    if (out->num_elements() == 0) return Status::OK();
+    if (Product(*out.dims) == 0) return NoOp();
     const int64_t prefix = ProductOf(dd, 0, axis);
     const int64_t rows = dd[axis];
     const int64_t suffix = ProductOf(dd, axis + 1, dd.size());
-    const int64_t count = indices->num_elements();
-    const int64_t* ids = indices->i64_data();
-    return WithDType(out->dtype(), [&](auto tag) -> Status {
+    const int64_t count = Product(*indices.dims);
+    return WithDType(out.dtype, [&](auto tag) -> Result<MemberLoop> {
       constexpr DType kD = decltype(tag)::value;
-      const Storage<kD>* src = DataOf<kD>(*data);
-      Storage<kD>* dst = MutableDataOf<kD>(out);
-      for (int64_t p = 0; p < prefix; ++p) {
-        for (int64_t j = 0; j < count; ++j) {
-          const int64_t row = ids[j];
-          if (row < 0 || row >= rows) {
-            return Status::InvalidArgument("gather: index out of bounds");
-          }
-          const Storage<kD>* from = src + (p * rows + row) * suffix;
-          for (int64_t s = 0; s < suffix; ++s) {
-            *dst++ = FromDouble<kD>(static_cast<double>(from[s]));
+      return MemberLoop([prefix, rows, suffix, count, src_slot = data.slot,
+                         ids_slot = indices.slot,
+                         dst_slot = out.slot](const Frame& f) -> Status {
+        const Storage<kD>* src = Slot<kD>(f, src_slot);
+        const int64_t* ids = Slot<DType::kI64>(f, ids_slot);
+        Storage<kD>* dst = Slot<kD>(f, dst_slot);
+        for (int64_t p = 0; p < prefix; ++p) {
+          for (int64_t j = 0; j < count; ++j) {
+            const int64_t row = ids[j];
+            if (row < 0 || row >= rows) {
+              return Status::InvalidArgument("gather: index out of bounds");
+            }
+            const Storage<kD>* from = src + (p * rows + row) * suffix;
+            for (int64_t s = 0; s < suffix; ++s) {
+              *dst++ = FromDouble<kD>(static_cast<double>(from[s]));
+            }
           }
         }
-      }
-      return Status::OK();
+        return Status::OK();
+      });
     });
   }
 
   const FusionGroup& group_;
   const ShapeAnalysis& analysis_;
   const SymbolBindings& bindings_;
-  std::vector<const Tensor*> inputs_;  // parallel to group_.inputs
-  std::vector<Tensor> values_;         // parallel to group_.nodes
+  BoundKernel& bound_;
 };
 
 }  // namespace
 
+Result<KernelBinding> FusedKernel::Bind(const SymbolBindings& bindings) const {
+  auto bound = std::make_shared<BoundKernel>();
+  bound->kernel = this;
+  DISC_RETURN_IF_ERROR(
+      Binder(group_, *analysis_, bindings, bound.get()).Run());
+  return KernelBinding(std::move(bound));
+}
+
 Status FusedKernel::Execute(
     const SymbolBindings& bindings,
     std::unordered_map<const Value*, Tensor>* env) const {
-  GroupExecutor executor(group_, *analysis_, bindings);
-  DISC_RETURN_IF_ERROR(executor.Run(env));
+  DISC_ASSIGN_OR_RETURN(KernelBinding binding, Bind(bindings));
+  return Execute(binding, env);
+}
+
+Status FusedKernel::Execute(
+    const KernelBinding& binding,
+    std::unordered_map<const Value*, Tensor>* env) const {
+  if (binding == nullptr || binding->kernel != this) {
+    return Status::Internal("kernel " + name_ +
+                            " executed without its binding");
+  }
+  const BoundKernel& bound = *binding;
+  const size_t num_inputs = group_.inputs.size();
+  const size_t num_slots = num_inputs + bound.members.size();
+  // One block: the slot table, then the scratch members and accumulators.
+  const int64_t table_bytes =
+      RoundUp(static_cast<int64_t>(num_slots * sizeof(void*)), 16);
+  std::unique_ptr<std::byte[]> block(
+      new std::byte[table_bytes + bound.scratch_bytes]);
+  void** slots = reinterpret_cast<void**>(block.get());
+  std::byte* scratch = block.get() + table_bytes;
+
+  for (size_t i = 0; i < num_inputs; ++i) {
+    const Value* input = group_.inputs[i];
+    auto it = env->find(input);
+    if (it == env->end()) {
+      return Status::Internal(StrFormat(
+          "fused kernel input %%%d was not computed", input->id()));
+    }
+    Tensor& t = it->second;
+    if (t.dtype() != input->dtype() || t.dims() != bound.input_dims[i]) {
+      return Status::Internal(StrFormat(
+          "fused kernel input %%%d is %s; the shape analysis predicts %s%s",
+          input->id(), t.TypeString().c_str(), DTypeName(input->dtype()),
+          DimsString(bound.input_dims[i]).c_str()));
+    }
+    slots[i] = DataOf(&t);  // only read
+  }
+  std::vector<Tensor> outputs;
+  outputs.reserve(group_.outputs.size());
+  for (size_t o = 0; o < group_.outputs.size(); ++o) {
+    const int member = bound.outputs[o];
+    outputs.emplace_back(group_.outputs[o]->dtype(),
+                         bound.members[member].dims);
+    slots[num_inputs + member] = DataOf(&outputs.back());
+  }
+  for (size_t m = 0; m < bound.members.size(); ++m) {
+    const int64_t offset = bound.members[m].scratch_offset;
+    if (offset >= 0) slots[num_inputs + m] = scratch + offset;
+  }
+
+  const Frame frame{slots, scratch};
+  for (const BoundKernel::Member& member : bound.members) {
+    DISC_RETURN_IF_ERROR(member.loop(frame));
+  }
   if (miscompiled_) {
-    // Injected miscompile: perturb one element of the first group output.
-    // Deterministic (same wrong answer every run) so differential
+    // Injected miscompile: perturb one element of the first non-empty group
+    // output. Deterministic (same wrong answer every run) so differential
     // validation can prove exactly which artifact is bad.
-    for (const Value* output : group_.outputs) {
-      auto it = env->find(output);
-      if (it == env->end() || it->second.num_elements() == 0) continue;
-      it->second.SetElementFromDouble(0,
-                                      it->second.ElementAsDouble(0) + 1.0);
+    for (Tensor& t : outputs) {
+      if (t.num_elements() == 0) continue;
+      t.SetElementFromDouble(0, t.ElementAsDouble(0) + 1.0);
       break;
     }
+  }
+  for (size_t o = 0; o < outputs.size(); ++o) {
+    env->emplace(group_.outputs[o], std::move(outputs[o]));
   }
   return Status::OK();
 }

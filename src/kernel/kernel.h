@@ -5,11 +5,25 @@
 //     until the runtime binds them — "codegen supporting arbitrary shapes"),
 //   * several specialization variants with runtime guards
 //     (see specialize.cc), and
-//   * a typed CPU executor (execute.cc): strided loops whose extents and
-//     index maps are bound per call from the symbol bindings. It
-//     materializes each member once at its IR dtype, exactly as
-//     EvaluateNode would, so every output is bit-identical to the reference
-//     evaluator's value for that node, independent of the variant.
+//   * a typed CPU executor (execute.cc), split in two steps:
+//       - Bind, once per shape signature: solves every member's and input's
+//         dims, builds the operand views and merged loop walks, resolves the
+//         reduce/slice/pad/concat/gather/iota parameters, picks each
+//         member's loop instantiation (op kind and dtypes fixed) and lays
+//         out one scratch block. Every check on shapes and attributes
+//         happens here. The result, a KernelBinding, is immutable and
+//         shared: the runtime keeps it in the launch plan, and concurrent
+//         Runs use it without locking.
+//       - Execute, per call: checks the input tensors against the bound
+//         dtypes and dims, allocates the group outputs and one scratch
+//         block, and runs the bound loops. It does no symbolic work.
+//     Each member is materialized once at its IR dtype, exactly as
+//     EvaluateNode would, by the same scalar functions (ir/eval.h), so
+//     every output is bit-identical to the reference evaluator's value for
+//     that node, independent of the variant and of whether the binding was
+//     cached. The scalar functions are force-inlined so that each loop,
+//     instantiated for one op kind and dtype, runs the bare expression
+//     rather than an out-of-line call that switches on the op per element.
 //
 // Modeled GPU performance comes from the device model (disc::sim) and the
 // KernelStats this class computes per (bindings, variant): global-memory
@@ -19,6 +33,7 @@
 #ifndef DISC_KERNEL_KERNEL_H_
 #define DISC_KERNEL_KERNEL_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -93,6 +108,15 @@ struct SpecializeOptions {
   int64_t warp_min_rows = 1024;
 };
 
+/// The executor state of one kernel under one shape signature; defined in
+/// execute.cc and opaque everywhere else.
+struct BoundKernel;
+
+/// \brief A kernel bound to one shape signature (FusedKernel::Bind).
+/// Immutable, so one binding may serve concurrent Executes; null means
+/// unbound.
+using KernelBinding = std::shared_ptr<const BoundKernel>;
+
 /// \brief A fused kernel compiled from one FusionGroup. The group's Nodes
 /// and Values must outlive the kernel (the compiler owns the graph).
 class FusedKernel {
@@ -115,11 +139,21 @@ class FusedKernel {
   /// the dispatch without re-evaluating any guard.
   Result<int> SelectVariantIndex(const SymbolBindings& bindings) const;
 
-  /// \brief Executes the kernel on the CPU: reads group inputs from `env`,
-  /// inserts the group outputs, each bit-identical to EvaluateNode on its
-  /// member whatever variant was selected. Inputs whose dims or dtype
-  /// disagree with the shape analysis are an error, never read. Keeps no
-  /// state, so concurrent calls are safe.
+  /// \brief Does all the executor work that depends only on `bindings`
+  /// (see the file comment). Member shapes or attributes that disagree
+  /// with each other are an error here, never at Execute.
+  Result<KernelBinding> Bind(const SymbolBindings& bindings) const;
+
+  /// \brief Executes the kernel on the CPU from a binding of this kernel:
+  /// reads group inputs from `env` and inserts the group outputs, each
+  /// bit-identical to EvaluateNode on its member whatever variant was
+  /// selected. Inputs whose dtype or dims disagree with the binding are an
+  /// error, never read; on any error `env` is left unchanged. Keeps no
+  /// state, so concurrent calls (sharing one binding) are safe.
+  Status Execute(const KernelBinding& binding,
+                 std::unordered_map<const Value*, Tensor>* env) const;
+
+  /// \brief Bind(bindings) followed by Execute(binding, env).
   Status Execute(const SymbolBindings& bindings,
                  std::unordered_map<const Value*, Tensor>* env) const;
 

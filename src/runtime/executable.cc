@@ -98,9 +98,17 @@ Result<RunResult> Executable::RunWithShapes(
 
 void Executable::BuildReleaseSchedule() {
   release_after_step_.assign(steps_.size(), {});
-  has_host_steps_ = false;
+  // Constants and host shape-step results belong to the executable (plans
+  // record host results and replay them), so Run copies such outputs.
+  std::unordered_set<const Value*> owned;
   for (const Step& step : steps_) {
-    if (step.kind == Step::Kind::kHost) has_host_steps_ = true;
+    if (step.kind == Step::Kind::kConstant || step.kind == Step::Kind::kHost) {
+      owned.insert(step.node->outputs().begin(), step.node->outputs().end());
+    }
+  }
+  copy_output_.clear();
+  for (const Value* out : graph_->outputs()) {
+    copy_output_.push_back(owned.count(out) > 0);
   }
 
   // Liveness: the last step consuming each value. Shape-independent, so it
@@ -150,8 +158,17 @@ void Executable::BuildReleaseSchedule() {
   }
 }
 
+Status Executable::BindKernels(LaunchPlan* plan) const {
+  for (size_t s = 0; s < steps_.size(); ++s) {
+    if (steps_[s].kind != Step::Kind::kKernel) continue;
+    DISC_ASSIGN_OR_RETURN(plan->steps[s].binding,
+                          steps_[s].kernel->Bind(plan->bindings));
+  }
+  return Status::OK();
+}
+
 Result<LaunchPlan> Executable::BuildLaunchPlan(
-    const std::vector<std::vector<int64_t>>& input_dims) const {
+    const std::vector<std::vector<int64_t>>& input_dims, bool bind) const {
   DISC_TRACE_SCOPE("plan-build", "runtime");
   LaunchPlan plan;
   // Host-side shape computation: solve every symbolic dim once per
@@ -230,6 +247,7 @@ Result<LaunchPlan> Executable::BuildLaunchPlan(
                           analysis_->EvaluateDim(bytes, plan.bindings));
     plan.slot_bytes.push_back(concrete);
   }
+  if (bind) DISC_RETURN_IF_ERROR(BindKernels(&plan));
   return plan;
 }
 
@@ -263,18 +281,21 @@ Result<RunResult> Executable::RunInternal(
   }
   const bool hit = cached != nullptr;
 
+  // Only plans that serve data-mode runs bind their kernels: a timing-only
+  // run never executes them.
   LaunchPlan fresh;
   const LaunchPlan* plan = cached.get();
   LaunchPlan* record_host = nullptr;
   if (!hit) {
-    DISC_ASSIGN_OR_RETURN(fresh, BuildLaunchPlan(input_dims));
+    DISC_ASSIGN_OR_RETURN(fresh, BuildLaunchPlan(input_dims, execute_data));
     plan = &fresh;
     if (execute_data && options.use_launch_plan_cache) record_host = &fresh;
-  } else if (execute_data && !cached->host_results_recorded &&
-             has_host_steps_) {
-    // The cached plan was built by a timing-only run; upgrade it once with
-    // the host shape-step results this data-mode run is about to compute.
+  } else if (execute_data && !cached->bound) {
+    // The cached plan was built by a timing-only run; upgrade it once: bind
+    // its kernels and record the host shape-step results this run is about
+    // to compute.
     fresh = *cached;
+    DISC_RETURN_IF_ERROR(BindKernels(&fresh));
     plan = &fresh;
     record_host = &fresh;
   }
@@ -396,17 +417,15 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
       case Step::Kind::kConstant: {
         // Weights are resident on device for the module's lifetime.
         DISC_RETURN_IF_ERROR(allocate_value(step.node->output(0)));
-        if (execute_data) {
-          env.emplace(step.node->output(0),
-                      step.node->GetTensorAttr("value"));
-        }
+        if (execute_data) env.emplace(step.node->output(0), *step.constant);
         break;
       }
       case Step::Kind::kHost: {
         // Shape computation runs on the host CPU alongside kernel
         // launches; it contributes no device time. Results are a pure
         // function of the shape signature, so a plan that recorded them
-        // replays deep copies instead of re-evaluating the node.
+        // shares them instead of re-evaluating the node (nothing writes to
+        // a Run's values, and outputs that are host results get copied).
         if (!execute_data) break;
         TraceScope step_scope("host-shape-op", "runtime.step");
         step_scope.AddArg("op", OpName(step.node->kind()));
@@ -414,7 +433,7 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
         if (ps.has_host_results) {
           for (size_t i = 0; i < ps.host_results.size(); ++i) {
             env.emplace(step.node->output(static_cast<int>(i)),
-                        ps.host_results[i].Clone());
+                        ps.host_results[i]);
           }
           break;
         }
@@ -426,10 +445,7 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
                               EvaluateNode(*step.node, operand_values));
         if (record_host != nullptr) {
           PlannedStep& recorded = record_host->steps[s];
-          recorded.host_results.clear();
-          for (const Tensor& value : values) {
-            recorded.host_results.push_back(value.Clone());
-          }
+          recorded.host_results = values;
           recorded.has_host_results = true;
         }
         for (size_t i = 0; i < values.size(); ++i) {
@@ -514,7 +530,7 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
           DISC_RETURN_IF_ERROR(allocate_value(out));
         }
         if (execute_data) {
-          DISC_RETURN_IF_ERROR(kernel.Execute(bindings, &env));
+          DISC_RETURN_IF_ERROR(kernel.Execute(ps.binding, &env));
         }
         break;
       }
@@ -528,9 +544,7 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
     }
   }
 
-  if (record_host != nullptr && execute_data) {
-    record_host->host_results_recorded = true;
-  }
+  if (record_host != nullptr) record_host->bound = true;
 
   if (options.batch_launches) {
     // One driver submission for the whole captured graph.
@@ -558,13 +572,17 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
   }
 
   if (execute_data) {
-    for (const Value* out : graph_->outputs()) {
-      auto it = env.find(out);
+    const std::vector<Value*>& outputs = graph_->outputs();
+    result.outputs.reserve(outputs.size());
+    for (size_t i = 0; i < outputs.size(); ++i) {
+      auto it = env.find(outputs[i]);
       if (it == env.end()) {
-        return Status::Internal("graph output %" + std::to_string(out->id()) +
+        return Status::Internal("graph output %" +
+                                std::to_string(outputs[i]->id()) +
                                 " was not produced");
       }
-      result.outputs.push_back(it->second);
+      result.outputs.push_back(copy_output_[i] ? it->second.Clone()
+                                               : it->second);
     }
   }
   return result;

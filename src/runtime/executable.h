@@ -15,8 +15,14 @@
 //     (in data mode) numeric execution from a finished plan.
 // Plans are memoized per signature in a bounded thread-safe LRU, so
 // repeated-shape Runs (decode loops, hot serving signatures) skip the
-// symbolic phase entirely. Cached runs are strictly observational: same
-// outputs bit-for-bit, same simulated device time — less host work.
+// symbolic phase entirely. A plan that serves data-mode Runs also holds
+// each fused kernel's binding (FusedKernel::Bind), so a hit executes
+// pre-bound loops. Cached runs are strictly observational: same outputs
+// bit-for-bit, same simulated device time — less host work.
+//
+// Run outputs never alias tensors the executable owns: an output whose
+// value is a constant or a host shape-step result (which plans record and
+// replay) is returned as a copy; every other output is fresh per Run.
 //
 // Two run modes:
 //   * data mode      — executes numerics on the CPU and simulates timing;
@@ -220,19 +226,25 @@ class Executable {
     Kind kind;
     const Node* node = nullptr;        // kConstant/kHost/kLibrary
     const FusedKernel* kernel = nullptr;  // kKernel
+    const Tensor* constant = nullptr;  // kConstant: the node's value
   };
 
   Result<RunResult> RunInternal(
       const std::vector<std::vector<int64_t>>& input_dims,
       const std::vector<Tensor>* inputs, const RunOptions& options) const;
 
-  /// Phase 1: all host-side symbolic work for one signature.
+  /// Phase 1: all host-side symbolic work for one signature. `bind` also
+  /// binds every kernel step (plans that serve data-mode runs).
   Result<LaunchPlan> BuildLaunchPlan(
-      const std::vector<std::vector<int64_t>>& input_dims) const;
+      const std::vector<std::vector<int64_t>>& input_dims, bool bind) const;
+
+  /// Binds every kernel step of `plan` to the plan's symbol bindings.
+  Status BindKernels(LaunchPlan* plan) const;
 
   /// Phase 2: charge the cost model and (optionally) execute numerics from
-  /// a finished plan. `record_host` (nullable) receives deep copies of the
-  /// host shape-step results so the plan can replay them on later hits.
+  /// a finished plan. `record_host` (nullable, data mode, its kernels
+  /// bound) receives the host shape-step results so the plan can replay
+  /// them on later hits, and is then marked bound.
   /// `signature` keys the kernel-observatory flush (empty when the ledger
   /// is disabled — RunInternal only computes it on demand).
   Result<RunResult> ExecutePlan(const LaunchPlan& plan,
@@ -241,8 +253,9 @@ class Executable {
                                 const std::string& signature,
                                 LaunchPlan* record_host) const;
 
-  /// Shape-independent buffer liveness: values to free after each step.
-  /// Computed once at compile time; both run phases consume it.
+  /// Shape-independent buffer liveness: values to free after each step,
+  /// and which graph outputs Run must copy. Computed once at compile time;
+  /// both run phases consume it.
   void BuildReleaseSchedule();
 
   std::unique_ptr<Graph> graph_;
@@ -251,7 +264,9 @@ class Executable {
   std::vector<std::unique_ptr<FusedKernel>> kernels_;
   std::vector<Step> steps_;
   std::vector<std::vector<const Value*>> release_after_step_;
-  bool has_host_steps_ = false;
+  /// Per graph output: true when its value belongs to the executable (a
+  /// constant or a host shape-step result), so Run returns a copy.
+  std::vector<bool> copy_output_;
   BufferAssignment buffer_plan_;
   MemoryPlan memory_plan_;
   CompileReport report_;

@@ -13,8 +13,12 @@
 //   * per step: the selected KernelVariant index, the KernelStats /
 //     LibraryCallStats (launch dims live inside KernelStats), and the
 //     concrete byte sizes of every buffer the step allocates,
-//   * optionally the host shape-step results (tiny integer tensors that
-//     are themselves pure functions of the signature).
+//   * once the plan serves a data-mode Run: each kernel's KernelBinding
+//     (its executor bound to these shapes, so a hit runs pre-bound loops)
+//     and the host shape-step results (tiny integer tensors that are
+//     themselves pure functions of the signature).
+// A plan built by a timing-only Run carries neither; the first data-mode
+// Run that hits it binds it once and republishes it.
 //
 // The plan deliberately does NOT bake in device time: costs are
 // re-estimated from the recorded stats through the DeviceModel on every
@@ -68,8 +72,11 @@ struct PlannedStep {
   /// Concrete byte size per buffer this step allocates, in the same order
   /// the step defines its outputs (the instantiated buffer plan).
   std::vector<int64_t> alloc_bytes;
+  /// The kernel's executor bound to this signature (kKernel steps of a
+  /// bound plan). Immutable and shared by concurrent Runs.
+  KernelBinding binding;
   /// Host shape-step results (kHost steps, recorded by data-mode runs).
-  /// Deep copies: they never alias a caller-visible tensor.
+  /// Runs share them read-only; Run copies a graph output that is one.
   std::vector<Tensor> host_results;
   bool has_host_results = false;
 };
@@ -86,9 +93,10 @@ struct LaunchPlan {
   int64_t arena_bytes = 0;
   /// Concrete byte size per BufferAssignment slot (per-slot memory mode).
   std::vector<int64_t> slot_bytes;
-  /// True once a data-mode run has filled every host step's results (plans
-  /// built by timing-only runs are upgraded on the first data-mode hit).
-  bool host_results_recorded = false;
+  /// True once the plan can serve data-mode runs: every kernel step holds
+  /// its binding and every host step its results. Plans built by
+  /// timing-only runs are bound on their first data-mode hit.
+  bool bound = false;
 };
 
 /// \brief Bounded thread-safe LRU: signature -> immutable LaunchPlan.

@@ -72,6 +72,27 @@ TEST(EvalTest, IntegerDivModTruncate) {
   EXPECT_EQ(out[0].i64_data()[0], 3);
   EXPECT_EQ(out[0].i64_data()[1], 2);
   EXPECT_EQ(out[1].i64_data()[2], 4);
+
+  // A zero divisor, or INT64_MIN / -1, has no integer quotient: the
+  // evaluator reports it instead of trapping.
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const std::vector<std::pair<int64_t, int64_t>> undefined = {
+      {7, 0}, {0, 0}, {kMin, -1}};
+  for (const auto& [dividend, divisor] : undefined) {
+    for (OpKind kind : {OpKind::kDiv, OpKind::kMod}) {
+      Graph bad;
+      GraphBuilder bb(&bad);
+      Value* p = bb.Input("p", DType::kI64, {2});
+      Value* q = bb.Input("q", DType::kI64, {2});
+      bb.Output({bb.Binary(kind, p, q)});
+      auto r = EvaluateGraph(bad, {Tensor::I64({2}, {8, dividend}),
+                                   Tensor::I64({2}, {3, divisor})});
+      ASSERT_FALSE(r.ok()) << OpName(kind) << " " << dividend << " / "
+                           << divisor;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+          << r.status().ToString();
+    }
+  }
 }
 
 TEST(EvalTest, ReduceOps) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ir/builder.h"
 #include "ir/eval.h"
 #include "kernel/library.h"
@@ -567,6 +569,20 @@ TEST(KernelExecuteTest, IntegerDivModTruncate) {
       (*got)[0], Tensor::I64({1, 5}, {31, -31, -19, 19, 142})))
       << (*got)[0].ToString();
   ExpectMatchesReference(*c, {x, y});
+
+  // A zero divisor, or INT64_MIN / -1, in any lane is an error for div and
+  // mod alike, never a trap.
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const std::vector<std::pair<Tensor, Tensor>> undefined = {
+      {x, Tensor::I64({1, 5}, {2, 2, 0, -4, 7})},
+      {Tensor::I64({1, 5}, {7, -7, 9, -9, kMin}),
+       Tensor::I64({1, 5}, {2, 2, -4, -4, -1})}};
+  for (const auto& [bad_x, bad_y] : undefined) {
+    auto bad = ExecuteSingleKernel(*c, {bad_x, bad_y});
+    ASSERT_FALSE(bad.ok()) << bad_y.ToString();
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument)
+        << bad.status().ToString();
+  }
 }
 
 TEST(KernelExecuteTest, ZeroSizedDimMatchesReference) {
@@ -600,6 +616,58 @@ TEST(KernelExecuteTest, InputDimsDisagreeingWithTheAnalysisAreAnError) {
   env.emplace(c->graph.inputs()[0], Tensor(DType::kF32, {4, 9}));
   EXPECT_FALSE(c->kernels[0]->Execute(*bindings, &env).ok());
   EXPECT_EQ(env.size(), 1u);
+}
+
+TEST(KernelExecuteTest, InputDimsDisagreeingWithTheBindingAreAnError) {
+  auto c = CompileKernels(
+      [](GraphBuilder* b) {
+        Value* x = b->Input("x", DType::kF32, {kDynamicDim, kDynamicDim});
+        b->Output({b->Relu(b->Add(x, x))});
+      },
+      {{"B", "S"}});
+  ASSERT_EQ(c->kernels.size(), 1u);
+  auto bindings = c->analysis->BindInputs({{4, 8}});
+  ASSERT_TRUE(bindings.ok());
+  auto binding = c->kernels[0]->Bind(*bindings);
+  ASSERT_TRUE(binding.ok()) << binding.status().ToString();
+  std::unordered_map<const Value*, Tensor> env;
+  env.emplace(c->graph.inputs()[0], Tensor(DType::kF32, {4, 9}));
+  EXPECT_FALSE(c->kernels[0]->Execute(*binding, &env).ok());
+  EXPECT_EQ(env.size(), 1u);
+  env.clear();
+  env.emplace(c->graph.inputs()[0], Tensor(DType::kI64, {4, 8}));
+  EXPECT_FALSE(c->kernels[0]->Execute(*binding, &env).ok());
+  EXPECT_EQ(env.size(), 1u);
+}
+
+TEST(KernelExecuteTest, OneBindingServesEveryInputOfItsSignature) {
+  // A stitch kernel (two reductions, broadcasts, a division) bound once
+  // and executed on two datasets must equal two unbound Executes bit for
+  // bit: nothing of one call may leak into the binding.
+  auto c = CompileKernels(
+      [](GraphBuilder* b) {
+        Value* x = b->Input("x", DType::kF32, {kDynamicDim, kDynamicDim});
+        b->Output({b->Softmax(b->Relu(x))});
+      },
+      {{"B", "S"}});
+  ASSERT_EQ(c->kernels.size(), 1u);
+  const FusedKernel& kernel = *c->kernels[0];
+  auto bindings = c->analysis->BindInputs({{4, 8}});
+  ASSERT_TRUE(bindings.ok());
+  auto binding = kernel.Bind(*bindings);
+  ASSERT_TRUE(binding.ok()) << binding.status().ToString();
+  const Value* x = c->graph.inputs()[0];
+  const Value* out = c->graph.outputs()[0];
+  for (uint64_t seed : {21, 22}) {
+    const Tensor in = RandomF32(seed, {4, 8});
+    std::unordered_map<const Value*, Tensor> bound_env = {{x, in}};
+    std::unordered_map<const Value*, Tensor> unbound_env = {{x, in}};
+    ASSERT_TRUE(kernel.Execute(*binding, &bound_env).ok());
+    ASSERT_TRUE(kernel.Execute(*bindings, &unbound_env).ok());
+    EXPECT_TRUE(Tensor::BitEqual(bound_env.at(out), unbound_env.at(out)))
+        << "seed " << seed;
+  }
+  ExpectMatchesReference(*c, {RandomF32(23, {4, 8})});
 }
 
 TEST(KernelTest, OpFlopCosts) {

@@ -8,6 +8,7 @@
 
 #include "compiler/compiler.h"
 #include "ir/builder.h"
+#include "ir/eval.h"
 #include "runtime/launch_plan.h"
 #include "support/rng.h"
 
@@ -181,9 +182,36 @@ TEST(LaunchPlanTest, HostResultsReplayCorrectlyOnHits) {
   EXPECT_EQ(third->outputs[2].i64_data()[0], 4);
 }
 
+TEST(LaunchPlanTest, OutputsNeverAliasTheExecutablesTensors) {
+  // Outputs that are a constant or a host shape result belong to the
+  // executable (plans replay host results); Run must return copies, so
+  // writing into them changes nothing a later Run returns, hit or miss.
+  Graph g;
+  GraphBuilder b(&g);
+  Value* x = b.Input("x", DType::kF32, {kDynamicDim, 2});
+  b.Output({b.Relu(x), b.ShapeOf(x),
+            b.Constant(Tensor::F32({2}, {1.5f, 2.5f}))});
+  auto exe = DiscCompiler::Compile(g, {{"B", ""}});
+  ASSERT_TRUE(exe.ok()) << exe.status().ToString();
+  Rng rng(19);
+  Tensor in = RandomF32(&rng, {3, 2});
+  for (int i = 0; i < 3; ++i) {
+    auto r = (*exe)->Run({in});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->profile.launch_plan_hit, i > 0);
+    EXPECT_TRUE(BitIdentical(r->outputs[1], Tensor::I64({2}, {3, 2})))
+        << "run " << i << ": " << r->outputs[1].ToString();
+    EXPECT_TRUE(BitIdentical(r->outputs[2], Tensor::F32({2}, {1.5f, 2.5f})))
+        << "run " << i << ": " << r->outputs[2].ToString();
+    r->outputs[1].i64_data()[0] = -1;
+    r->outputs[2].f32_data()[0] = -7.0f;
+  }
+}
+
 TEST(LaunchPlanTest, TimingOnlyPlanUpgradesForDataRuns) {
-  // A plan recorded by a timing-only run has no host results; the first
-  // data-mode hit must still produce correct outputs (and upgrade the
+  // A plan recorded by a timing-only run has no kernel bindings and no
+  // host results; the first data-mode hit must bind it and still produce
+  // outputs bit-identical to the reference evaluator (and upgrade the
   // cached plan in place rather than duplicating the entry).
   auto exe = CompileModel();
   ASSERT_TRUE(exe->RunWithShapes({{4, 32}}).ok());
@@ -192,6 +220,12 @@ TEST(LaunchPlanTest, TimingOnlyPlanUpgradesForDataRuns) {
   auto data = exe->Run({in});
   ASSERT_TRUE(data.ok());
   EXPECT_TRUE(data->profile.launch_plan_hit);
+  auto want = EvaluateGraph(exe->graph(), {in});
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_EQ(data->outputs.size(), want->size());
+  for (size_t o = 0; o < want->size(); ++o) {
+    EXPECT_TRUE(BitIdentical(data->outputs[o], (*want)[o])) << "output " << o;
+  }
   EXPECT_EQ(data->outputs[2].i64_data()[0], 4);
   EXPECT_EQ(exe->plan_cache_stats().entries, 1);
   auto again = exe->Run({in});
@@ -212,18 +246,35 @@ TEST(LaunchPlanTest, CapacityBoundRespectedThroughExecutable) {
 }
 
 TEST(LaunchPlanTest, ConcurrentRunsAreSafe) {
-  // 4 threads hammer one Executable with overlapping signatures; every run
-  // must succeed and every hit must produce the correct output shape.
+  // 4 threads hammer one Executable with overlapping signatures. Plans,
+  // and the kernel bindings inside them, are shared across threads, so
+  // every output of every run must equal bit for bit what a
+  // single-threaded Run of a separate executable returns for that input.
   auto exe = CompileModel();
+  auto reference = CompileModel();
+  std::vector<Tensor> inputs;
+  std::vector<std::vector<Tensor>> expected;
+  Rng input_rng(99);
+  for (int64_t batch : {1, 2, 3, 4}) {
+    for (int copy = 0; copy < 2; ++copy) {
+      inputs.push_back(RandomF32(&input_rng, {batch, 32}));
+      auto want = reference->Run({inputs.back()});
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      expected.push_back(want->outputs);
+    }
+  }
   std::atomic<int> failures{0};
   auto worker = [&](int seed) {
     Rng rng(seed);
-    const std::vector<int64_t> batches = {1, 2, 3, 4};
     for (int i = 0; i < 50; ++i) {
-      int64_t batch = batches[rng.Categorical({1, 1, 1, 1})];
-      Tensor in = RandomF32(&rng, {batch, 32});
-      auto r = exe->Run({in});
-      if (!r.ok() || r->outputs[2].i64_data()[0] != batch) ++failures;
+      const size_t pick = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(inputs.size()) - 1));
+      auto r = exe->Run({inputs[pick]});
+      bool same = r.ok() && r->outputs.size() == expected[pick].size();
+      for (size_t o = 0; same && o < expected[pick].size(); ++o) {
+        same = BitIdentical(r->outputs[o], expected[pick][o]);
+      }
+      if (!same) ++failures;
     }
   };
   std::vector<std::thread> threads;

@@ -193,6 +193,25 @@ TEST(ConstantFoldTest, RespectsSizeLimit) {
   EXPECT_EQ(CountOps(g, OpKind::kBroadcastTo), 1);
 }
 
+TEST(ConstantFoldTest, LeavesAnUndefinedIntegerDivisionToRuntime) {
+  // div(constant, constant) with a zero divisor has no value: folding skips
+  // it (evaluating it used to raise SIGFPE) and the error surfaces when the
+  // graph runs.
+  Graph g;
+  GraphBuilder b(&g);
+  Value* x = b.Input("x", DType::kI64, {2});
+  Value* q = b.Div(b.Constant(Tensor::I64({2}, {6, 8})),
+                   b.Constant(Tensor::I64({2}, {2, 0})));
+  b.Output({b.Add(x, q)});
+  auto changed = RunPass(CreateConstantFoldPass(), &g);
+  ASSERT_TRUE(changed.ok()) << changed.status().ToString();
+  EXPECT_FALSE(*changed);
+  EXPECT_EQ(CountOps(g, OpKind::kDiv), 1);
+  auto out = EvaluateGraph(g, {Tensor::I64({2}, {1, 1})});
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ConstantFoldTest, FoldsShapeOfStaticInput) {
   Graph g;
   GraphBuilder b(&g);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compiler/compiler.h"
 #include "ir/builder.h"
 #include "ir/eval.h"
 #include "support/rng.h"
@@ -118,6 +119,26 @@ TEST(ParserTest, RejectsInvalidConv2D) {
     return %2
   })");
   EXPECT_TRUE(good.ok()) << good.status().ToString();
+}
+
+// A loaded file whose integer division has no value compiles (constant
+// folding leaves the division alone) and fails when it runs: neither step
+// may raise SIGFPE in the tool that loads it.
+TEST(ParserTest, UndefinedIntegerDivisionCompilesAndFailsAtRun) {
+  auto g = ParseGraph(R"(graph d (%0: i64[2]) {
+  %1 = constant() {value = i64[2] {6, 8}} : i64[2]
+  %2 = constant() {value = i64[2] {2, 0}} : i64[2]
+  %3 = div(%1, %2) : i64[2]
+  %4 = add(%0, %3) : i64[2]
+  return %4
+})");
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  auto exe = DiscCompiler::Compile(**g, {{""}});
+  ASSERT_TRUE(exe.ok()) << exe.status().ToString();
+  auto run = (*exe)->Run({Tensor::I64({2}, {1, 1})});
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument)
+      << run.status().ToString();
 }
 
 TEST(ParserTest, RoundTripPreservesStructureAndSemantics) {
