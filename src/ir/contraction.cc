@@ -1,0 +1,629 @@
+#include "ir/contraction.h"
+
+#include <algorithm>
+#include <type_traits>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
+#include "ir/type_inference.h"
+#include "support/logging.h"
+#include "support/math_util.h"
+
+namespace disc {
+
+namespace {
+
+// ---------------------------------------------------------------------------
+// The tile and the drivers, shared by every variant.
+//
+// A variant is a traits struct `Isa` holding its primitives:
+//   Vec                       kLanes doubles
+//   kRows                     rows Mr of a full tile, which is Mr x 2 Vecs
+//   kPacksTransposedB         the MatMul driver packs B^T into a [k][n] panel
+//                             (else it reads B^T in place, one lane per row)
+//   Mask, EdgeMask(count)     the first `count` (1..kLanes) lanes of a Vec
+//   Load(p, v), LoadEdge(p, m, v)
+//                             v = kLanes adjacent B values (those in `m`, the
+//                             rest 0), widened to double
+//   MulAdd(acc, a, b)         acc += a * b, with the A value `a` broadcast
+//   Store(p, v, store), StoreEdge(p, v, m, store)
+//                             v (the lanes in `m`) narrowed to the out dtype;
+//                             the generic variant narrows lane by lane through
+//                             `store`, the FMA variants store f32 only.
+// The templates below are instantiated inside each variant's entry points,
+// which are [[gnu::flatten]]: everything inlines into a function compiled for
+// that variant's target. Vecs cross the primitives by reference, since the
+// templates themselves are compiled for the baseline target, whose calling
+// convention has no AVX registers.
+
+constexpr int kTileVecs = 2;  // Vecs per row of a full tile
+
+// Runs k contraction steps on an Mr x V block of accumulators: `a` is packed
+// [k][Mr] doubles, and `load_b(kk, b)` yields the tile's B vectors at step
+// kk. The unroll pragmas are load-bearing: without them GCC keeps the tile on
+// the stack and reloads it for every multiply.
+template <class Isa, int Mr, int V, class LoadB>
+inline void AccumulateTile(const double* a, int64_t k, const LoadB& load_b,
+                           typename Isa::Vec (&acc)[Mr][V]) {
+  for (int64_t kk = 0; kk < k; ++kk, a += Mr) {
+    typename Isa::Vec b[V];
+    load_b(kk, b);
+#pragma GCC unroll 8
+    for (int r = 0; r < Mr; ++r) {
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) Isa::MulAdd(acc[r][v], a[r], b[v]);
+    }
+  }
+}
+
+// Columns [j0, j0 + V * kLanes) of a column block; with Edge only the first
+// `cols` exist, and they reach into the last Vec.
+template <int V, bool Edge>
+struct ColumnTile {
+  static constexpr int kVecs = V;
+  static constexpr bool kEdge = Edge;
+  int64_t j0;
+  int cols;
+};
+
+// A tile's columns of a row-major operand whose rows are `ld` apart, `p`
+// pointing at the tile's first column in row 0. Columns past `cols` are
+// never read.
+template <class Isa, class T, class Tile>
+struct RowColumns {
+  static constexpr int V = Tile::kVecs;
+  RowColumns(const T* p, int64_t ld, Tile tile)
+      : p(p + tile.j0),
+        ld(ld),
+        last(Isa::EdgeMask(tile.cols - (V - 1) * Isa::kLanes)) {}
+  void operator()(int64_t kk, typename Isa::Vec (&b)[V]) const {
+    const T* row = p + kk * ld;
+    for (int v = 0; v + 1 < V; ++v) Isa::Load(row + v * Isa::kLanes, b[v]);
+    const T* tail = row + (V - 1) * Isa::kLanes;
+    if constexpr (Tile::kEdge) {
+      Isa::LoadEdge(tail, last, b[V - 1]);
+    } else {
+      Isa::Load(tail, b[V - 1]);
+    }
+  }
+  const T* p;
+  int64_t ld;
+  typename Isa::Mask last;
+};
+
+// Stores an Mr x V tile to rows `ldo` apart, `out` pointing at its first
+// column.
+template <class Isa, bool Edge, int Mr, int V, class T, class StoreFn>
+inline void StoreTile(const typename Isa::Vec (&acc)[Mr][V], T* out,
+                      int64_t ldo, int cols, const StoreFn& store) {
+  const typename Isa::Mask last =
+      Isa::EdgeMask(cols - (V - 1) * Isa::kLanes);
+#pragma GCC unroll 8
+  for (int r = 0; r < Mr; ++r, out += ldo) {
+    for (int v = 0; v + 1 < V; ++v) {
+      Isa::Store(out + v * Isa::kLanes, acc[r][v], store);
+    }
+    T* tail = out + (V - 1) * Isa::kLanes;
+    if constexpr (Edge) {
+      Isa::StoreEdge(tail, acc[r][V - 1], last, store);
+    } else {
+      Isa::Store(tail, acc[r][V - 1], store);
+    }
+  }
+}
+
+template <class Isa, int Mr, int V, bool Edge, class T, class Body,
+          class StoreFn>
+inline void RunTile(int64_t j0, int cols, T* out, int64_t ldo,
+                    const Body& body, const StoreFn& store) {
+  typename Isa::Vec acc[Mr][V] = {};
+  body(acc, ColumnTile<V, Edge>{j0, cols});
+  StoreTile<Isa, Edge>(acc, out + j0, ldo, cols, store);
+}
+
+// Covers output columns [0, n) of Mr rows (`ldo` apart from `out`) with
+// tiles: full ones of 2 Vecs, then one edge tile of 1 or 2 Vecs. For each,
+// body(acc, tile) accumulates into the zeroed accumulators, which are then
+// stored.
+template <class Isa, int Mr, class T, class Body, class StoreFn>
+inline void ForColumnTiles(int64_t n, T* out, int64_t ldo, const Body& body,
+                           const StoreFn& store) {
+  constexpr int kLanes = Isa::kLanes;
+  int64_t j0 = 0;
+  for (; j0 + kTileVecs * kLanes <= n; j0 += kTileVecs * kLanes) {
+    RunTile<Isa, Mr, kTileVecs, false>(j0, kTileVecs * kLanes, out, ldo,
+                                       body, store);
+  }
+  const int cols = static_cast<int>(n - j0);
+  if (cols > kLanes) {
+    RunTile<Isa, Mr, kTileVecs, true>(j0, cols, out, ldo, body, store);
+  } else if (cols > 0) {
+    RunTile<Isa, Mr, 1, true>(j0, cols, out, ldo, body, store);
+  }
+}
+
+// Calls block(std::integral_constant<int, R>(), i0) over rows [i0, m) in
+// blocks of R = Mr rows, then covers the remainder with R = Mr / 2, Mr / 4,
+// ..., 1.
+template <int Mr, class Block>
+inline void ForRowBlocks(int64_t m, const Block& block, int64_t i0 = 0) {
+  for (; i0 + Mr <= m; i0 += Mr) block(std::integral_constant<int, Mr>(), i0);
+  if constexpr (Mr > 1) ForRowBlocks<Mr / 2>(m, block, i0);
+}
+
+using Double2 = double __attribute__((vector_size(16)));
+
+// Columns [j0, j0 + 2V) of B^T read in place (generic variant only):
+// column j is row j of B, rows `ldb` apart. Lanes past the last column read
+// that column instead; they are computed and dropped.
+template <class T, class Tile>
+struct TransposedColumns {
+  static constexpr int V = Tile::kVecs;
+  TransposedColumns(const T* b, int64_t ldb, Tile tile, int64_t n) {
+    for (int l = 0; l < 2 * V; ++l) {
+      lane[l] = b + std::min<int64_t>(tile.j0 + l, n - 1) * ldb;
+    }
+  }
+  void operator()(int64_t kk, Double2 (&b)[V]) const {
+    for (int v = 0; v < V; ++v) {
+      b[v] = Double2{static_cast<double>(lane[2 * v][kk]),
+                     static_cast<double>(lane[2 * v + 1][kk])};
+    }
+  }
+  const T* lane[2 * V];
+};
+
+// Narrowing of a sum to each output dtype.
+struct ToF32 {
+  float operator()(double v) const { return static_cast<float>(v); }
+};
+struct ToI64 {
+  int64_t operator()(double v) const { return static_cast<int64_t>(v); }
+};
+struct ToI1 {
+  int64_t operator()(double v) const { return v != 0.0 ? 1 : 0; }
+};
+
+// Batched MatMul: A packed per row block as doubles (transposed or not), B
+// read in place at its own dtype, or, where the variant packs B^T, from one
+// [k][n] panel per distinct B slice.
+template <class Isa, class T, class StoreFn>
+inline void MatMulDriver(const MatMulDims& d, const T* a, const T* b, T* out,
+                         const StoreFn& store) {
+  const int64_t m = d.m, n = d.n, k = d.k;
+  const int64_t lda = d.transpose_a ? m : k;
+  const bool pack_b = Isa::kPacksTransposedB && d.transpose_b;
+  std::vector<double> packed_a(k * std::min<int64_t>(m, Isa::kRows));
+  std::vector<T> packed_b(pack_b ? k * n : 0);
+  const T* packed_from = nullptr;  // the B slice packed_b holds
+  std::vector<int64_t> idx(d.batch.size(), 0);
+  const int64_t slices = Product(d.batch);
+  for (int64_t s = 0; s < slices; ++s, out += m * n) {
+    const T* pa = a;
+    const T* pb = b;
+    for (size_t i = 0; i < idx.size(); ++i) {
+      pa += idx[i] * d.a_batch_strides[i];
+      pb += idx[i] * d.b_batch_strides[i];
+    }
+    for (size_t i = idx.size(); i-- > 0;) {
+      if (++idx[i] < d.batch[i]) break;
+      idx[i] = 0;
+    }
+    int64_t ldb = d.transpose_b ? k : n;
+    if (pack_b) {
+      if (pb != packed_from) {
+        for (int64_t j = 0; j < n; ++j) {
+          for (int64_t kk = 0; kk < k; ++kk) {
+            packed_b[kk * n + j] = pb[j * ldb + kk];
+          }
+        }
+        packed_from = pb;
+      }
+      pb = packed_b.data();
+      ldb = n;
+    }
+    ForRowBlocks<Isa::kRows>(m, [&](auto rows, int64_t i0) {
+      constexpr int R = decltype(rows)::value;
+      double* pk = packed_a.data();
+      for (int64_t kk = 0; kk < k; ++kk) {
+        for (int r = 0; r < R; ++r) {
+          pk[kk * R + r] = static_cast<double>(
+              d.transpose_a ? pa[kk * lda + i0 + r] : pa[(i0 + r) * lda + kk]);
+        }
+      }
+      ForColumnTiles<Isa, R>(
+          n, out + i0 * n, n,
+          [&](auto& acc, auto tile) {
+            if constexpr (!Isa::kPacksTransposedB) {
+              if (d.transpose_b) {
+                AccumulateTile<Isa>(pk, k, TransposedColumns(pb, ldb, tile, n),
+                                    acc);
+                return;
+              }
+            }
+            AccumulateTile<Isa>(pk, k, RowColumns<Isa, T, decltype(tile)>(
+                                           pb, ldb, tile),
+                                acc);
+          },
+          store);
+    });
+  }
+}
+
+// NHWC Conv2D with the filter as the B operand ([kh*kw*c, oc], rows oc
+// apart). Output pixels whose kx taps are all in bounds form an interior
+// run per output row; it goes in blocks of one tile height (then smaller
+// ones), each with one AccumulateTile per column tile over the in-bounds ky
+// range, whose filter rows are contiguous. Border pixels go one at a time,
+// with one AccumulateTile per in-bounds ky over the in-bounds kx range.
+template <class Isa>
+inline void Conv2DDriver(const Conv2DDims& d, const float* src,
+                         const float* flt, float* dst) {
+  const int64_t oh = (d.h + 2 * d.ph - d.kh) / d.sh + 1;
+  const int64_t ow = (d.w + 2 * d.pw - d.kw) / d.sw + 1;
+  const int64_t w = d.w, c = d.c, oc = d.oc, sw = d.sw, pw = d.pw;
+  const int64_t taps = d.kw * c;  // filter rows per ky
+  // Output columns [x_lo, x_hi) have every kx tap in bounds.
+  const int64_t x_lo = std::min(ow, (pw + sw - 1) / sw);
+  const int64_t x_hi = std::max(
+      x_lo, w + pw >= d.kw ? std::min(ow, (w + pw - d.kw) / sw + 1) : 0);
+  std::vector<double> packed(d.kh * taps * Isa::kRows);
+  for (int64_t ni = 0; ni < d.n; ++ni) {
+    for (int64_t yo = 0; yo < oh; ++yo) {
+      float* dst_row = dst + (ni * oh + yo) * ow * oc;
+      const int64_t y0 = yo * d.sh - d.ph;  // input row of ky = 0
+      const int64_t ky0 = std::max<int64_t>(0, -y0);
+      const int64_t ky1 = std::min(d.kh, d.h - y0);
+      if (ky0 >= ky1 || taps == 0) {  // empty sums
+        std::fill(dst_row, dst_row + ow * oc, 0.0f);
+        continue;
+      }
+      const int64_t src_rows = (ni * d.h + y0) * w * c;  // may be < 0
+      ForRowBlocks<Isa::kRows>(x_hi - x_lo, [&](auto rows, int64_t i0) {
+        constexpr int R = decltype(rows)::value;
+        const int64_t xo = x_lo + i0;
+        const int64_t x0 = xo * sw - pw;
+        for (int64_t ky = ky0; ky < ky1; ++ky) {
+          const float* taps_at = src + (src_rows + (ky * w + x0) * c);
+          double* pk = &packed[(ky - ky0) * taps * R];
+          for (int64_t t = 0; t < taps; ++t) {
+            for (int r = 0; r < R; ++r) {
+              pk[t * R + r] = static_cast<double>(taps_at[r * sw * c + t]);
+            }
+          }
+        }
+        ForColumnTiles<Isa, R>(
+            oc, dst_row + xo * oc, oc,
+            [&](auto& acc, auto tile) {
+              AccumulateTile<Isa>(packed.data(), (ky1 - ky0) * taps,
+                                  RowColumns<Isa, float, decltype(tile)>(
+                                      flt + ky0 * taps * oc, oc, tile),
+                                  acc);
+            },
+            ToF32());
+      });
+      auto border_pixel = [&](int64_t xo) {
+        const int64_t x0 = xo * sw - pw;
+        const int64_t kx0 = std::max<int64_t>(0, -x0);
+        const int64_t kx1 = std::min(d.kw, w - x0);
+        const int64_t len = std::max<int64_t>(0, kx1 - kx0) * c;
+        if (len > 0) {
+          for (int64_t ky = ky0; ky < ky1; ++ky) {
+            const float* taps_at =
+                src + (src_rows + (ky * w + x0 + kx0) * c);
+            std::copy(taps_at, taps_at + len, &packed[(ky - ky0) * len]);
+          }
+        }
+        ForColumnTiles<Isa, 1>(
+            oc, dst_row + xo * oc, oc,
+            [&](auto& acc, auto tile) {
+              if (len == 0) return;  // no tap in bounds: the empty sum
+              for (int64_t ky = ky0; ky < ky1; ++ky) {
+                AccumulateTile<Isa>(
+                    &packed[(ky - ky0) * len], len,
+                    RowColumns<Isa, float, decltype(tile)>(
+                        flt + (ky * taps + kx0 * c) * oc, oc, tile),
+                    acc);
+              }
+            },
+            ToF32());
+      };
+      for (int64_t xo = 0; xo < x_lo; ++xo) border_pixel(xo);
+      for (int64_t xo = x_hi; xo < ow; ++xo) border_pixel(xo);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// generic: the x86-64 baseline (SSE2), so each product rounds before it is
+// added. Loads and stores go lane by lane at the operand's own dtype; edge
+// lanes read the last column that exists.
+struct GenericIsa {
+  using Vec = Double2;
+  using Mask = int;  // the count of lanes that exist
+  static constexpr int kLanes = 2;
+  static constexpr int kRows = 4;
+  static constexpr bool kPacksTransposedB = false;
+  static Mask EdgeMask(int count) { return count; }
+  template <class T>
+  static void Load(const T* p, Vec& v) {
+    v = Vec{static_cast<double>(p[0]), static_cast<double>(p[1])};
+  }
+  template <class T>
+  static void LoadEdge(const T* p, Mask count, Vec& v) {
+    v = Vec{static_cast<double>(p[0]), static_cast<double>(p[count - 1])};
+  }
+  static void MulAdd(Vec& acc, double a, const Vec& b) {
+    acc += Vec{a, a} * b;
+  }
+  template <class T, class StoreFn>
+  static void Store(T* p, const Vec& v, const StoreFn& store) {
+    p[0] = store(v[0]);
+    p[1] = store(v[1]);
+  }
+  template <class T, class StoreFn>
+  static void StoreEdge(T* p, const Vec& v, Mask count,
+                        const StoreFn& store) {
+    p[0] = store(v[0]);
+    if (count > 1) p[1] = store(v[1]);
+  }
+};
+
+[[gnu::flatten]] void MatMulGeneric(const MatMulDims& d, const float* a,
+                                    const float* b, float* out) {
+  MatMulDriver<GenericIsa>(d, a, b, out, ToF32());
+}
+
+[[gnu::flatten]] void Conv2DGeneric(const Conv2DDims& d, const float* in,
+                                    const float* filter, float* out) {
+  Conv2DDriver<GenericIsa>(d, in, filter, out);
+}
+
+#if defined(__x86_64__)
+
+// ---------------------------------------------------------------------------
+// avx2: f32 only. B loads widen four floats at a time; edge lanes are
+// masked off, so they neither fault nor leave the operand.
+#pragma GCC push_options
+#pragma GCC target("avx2,fma")
+
+struct Avx2Isa {
+  using Vec = __m256d;
+  using Mask = __m128i;
+  static constexpr int kLanes = 4;
+  static constexpr int kRows = 6;
+  static constexpr bool kPacksTransposedB = true;
+  static Mask EdgeMask(int count) {
+    static constexpr int32_t kLaneMasks[8] = {-1, -1, -1, -1, 0, 0, 0, 0};
+    return _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(kLaneMasks + kLanes - count));
+  }
+  static void Load(const float* p, Vec& v) {
+    v = _mm256_cvtps_pd(_mm_loadu_ps(p));
+  }
+  static void LoadEdge(const float* p, Mask mask, Vec& v) {
+    v = _mm256_cvtps_pd(_mm_maskload_ps(p, mask));
+  }
+  static void MulAdd(Vec& acc, double a, const Vec& b) {
+    acc = _mm256_fmadd_pd(_mm256_set1_pd(a), b, acc);
+  }
+  template <class StoreFn>
+  static void Store(float* p, const Vec& v, const StoreFn&) {
+    _mm_storeu_ps(p, _mm256_cvtpd_ps(v));
+  }
+  template <class StoreFn>
+  static void StoreEdge(float* p, const Vec& v, Mask mask, const StoreFn&) {
+    _mm_maskstore_ps(p, mask, _mm256_cvtpd_ps(v));
+  }
+};
+
+[[gnu::flatten]] void MatMulAvx2(const MatMulDims& d, const float* a,
+                                 const float* b, float* out) {
+  MatMulDriver<Avx2Isa>(d, a, b, out, ToF32());
+  _mm256_zeroupper();
+}
+
+[[gnu::flatten]] void Conv2DAvx2(const Conv2DDims& d, const float* in,
+                                 const float* filter, float* out) {
+  Conv2DDriver<Avx2Isa>(d, in, filter, out);
+  _mm256_zeroupper();
+}
+
+#pragma GCC pop_options
+
+// ---------------------------------------------------------------------------
+// avx512: f32 only, with 256-bit masked edge loads and stores (avx512vl).
+// Widening and narrowing go through __builtin_convertvector: GCC 12's
+// _mm512_cvtps_pd and _mm512_cvtpd_ps raise -Wmaybe-uninitialized.
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx512vl")
+
+struct Avx512Isa {
+  using Vec = __m512d;
+  using Mask = __mmask8;
+  static constexpr int kLanes = 8;
+  static constexpr int kRows = 8;
+  static constexpr bool kPacksTransposedB = true;
+  static Mask EdgeMask(int count) {
+    return static_cast<Mask>((1u << count) - 1);
+  }
+  static void Load(const float* p, Vec& v) {
+    v = __builtin_convertvector(_mm256_loadu_ps(p), __m512d);
+  }
+  static void LoadEdge(const float* p, Mask mask, Vec& v) {
+    v = __builtin_convertvector(_mm256_maskz_loadu_ps(mask, p), __m512d);
+  }
+  static void MulAdd(Vec& acc, double a, const Vec& b) {
+    acc = _mm512_fmadd_pd(_mm512_set1_pd(a), b, acc);
+  }
+  template <class StoreFn>
+  static void Store(float* p, const Vec& v, const StoreFn&) {
+    _mm256_storeu_ps(p, __builtin_convertvector(v, __m256));
+  }
+  template <class StoreFn>
+  static void StoreEdge(float* p, const Vec& v, Mask mask, const StoreFn&) {
+    _mm256_mask_storeu_ps(p, mask, __builtin_convertvector(v, __m256));
+  }
+};
+
+[[gnu::flatten]] void MatMulAvx512(const MatMulDims& d, const float* a,
+                                   const float* b, float* out) {
+  MatMulDriver<Avx512Isa>(d, a, b, out, ToF32());
+  _mm256_zeroupper();
+}
+
+[[gnu::flatten]] void Conv2DAvx512(const Conv2DDims& d, const float* in,
+                                   const float* filter, float* out) {
+  Conv2DDriver<Avx512Isa>(d, in, filter, out);
+  _mm256_zeroupper();
+}
+
+#pragma GCC pop_options
+
+#endif  // defined(__x86_64__)
+
+struct HostFeatures {
+  bool avx2 = false;
+  bool avx512 = false;
+};
+
+const HostFeatures& Host() {
+  static const HostFeatures features = [] {
+    HostFeatures f;
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    f.avx2 = __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+    f.avx512 = __builtin_cpu_supports("avx512f") &&
+               __builtin_cpu_supports("avx512vl");
+#endif
+    return f;
+  }();
+  return features;
+}
+
+// Element strides between the batch slices of a row-major operand with
+// `dims`, aligned to `rank` output batch dims (0 where it broadcasts).
+std::vector<int64_t> BatchStrides(const std::vector<int64_t>& dims,
+                                  size_t rank) {
+  const size_t batch_rank = dims.size() - 2;
+  std::vector<int64_t> strides(rank, 0);
+  int64_t stride = dims[batch_rank] * dims[batch_rank + 1];
+  for (size_t i = batch_rank; i-- > 0;) {
+    if (dims[i] != 1) strides[rank - batch_rank + i] = stride;
+    stride *= dims[i];
+  }
+  return strides;
+}
+
+}  // namespace
+
+const char* ContractionIsaName(ContractionIsa isa) {
+  switch (isa) {
+    case ContractionIsa::kGeneric:
+      return "generic";
+    case ContractionIsa::kAvx2:
+      return "avx2";
+    case ContractionIsa::kAvx512:
+      return "avx512";
+  }
+  return "?";
+}
+
+bool HostSupports(ContractionIsa isa) {
+  switch (isa) {
+    case ContractionIsa::kGeneric:
+      return true;
+    case ContractionIsa::kAvx2:
+      return Host().avx2;
+    case ContractionIsa::kAvx512:
+      return Host().avx512;
+  }
+  return false;
+}
+
+ContractionIsa HostIsa() {
+  if (Host().avx512) return ContractionIsa::kAvx512;
+  if (Host().avx2) return ContractionIsa::kAvx2;
+  return ContractionIsa::kGeneric;
+}
+
+ContractionIsa SelectContraction(DType dtype, int64_t m, bool transpose_b) {
+  constexpr int64_t kMinRowsToPackTransposedB = 4;
+  if (dtype != DType::kF32) return ContractionIsa::kGeneric;
+  if (transpose_b && m < kMinRowsToPackTransposedB) {
+    return ContractionIsa::kGeneric;
+  }
+  return HostIsa();
+}
+
+Result<MatMulDims> MatMulDimsOf(const std::vector<int64_t>& a,
+                                const std::vector<int64_t>& b, bool ta,
+                                bool tb) {
+  const size_t ra = a.size(), rb = b.size();
+  if (ra < 2 || rb < 2) return Status::InvalidArgument("rank < 2");
+  MatMulDims d;
+  d.m = a[ra - (ta ? 1 : 2)];
+  d.k = a[ra - (ta ? 2 : 1)];
+  d.n = b[rb - (tb ? 2 : 1)];
+  if (b[rb - (tb ? 1 : 2)] != d.k) {
+    return Status::InvalidArgument("contraction mismatch");
+  }
+  d.transpose_a = ta;
+  d.transpose_b = tb;
+  DISC_ASSIGN_OR_RETURN(
+      d.batch, BroadcastDims(std::vector<int64_t>(a.begin(), a.end() - 2),
+                             std::vector<int64_t>(b.begin(), b.end() - 2)));
+  d.a_batch_strides = BatchStrides(a, d.batch.size());
+  d.b_batch_strides = BatchStrides(b, d.batch.size());
+  return d;
+}
+
+void MatMulF32(ContractionIsa isa, const MatMulDims& dims, const float* a,
+               const float* b, float* out) {
+  DISC_CHECK(HostSupports(isa))
+      << ContractionIsaName(isa) << " is not supported by this CPU";
+  switch (isa) {
+    case ContractionIsa::kGeneric:
+      return MatMulGeneric(dims, a, b, out);
+#if defined(__x86_64__)
+    case ContractionIsa::kAvx2:
+      return MatMulAvx2(dims, a, b, out);
+    case ContractionIsa::kAvx512:
+      return MatMulAvx512(dims, a, b, out);
+#endif
+    default:
+      DISC_UNREACHABLE(ContractionIsaName(isa));
+  }
+}
+
+[[gnu::flatten]] void MatMulI64(const MatMulDims& dims, DType dtype,
+                                const int64_t* a, const int64_t* b,
+                                int64_t* out) {
+  if (dtype == DType::kI1) {
+    MatMulDriver<GenericIsa>(dims, a, b, out, ToI1());
+  } else {
+    MatMulDriver<GenericIsa>(dims, a, b, out, ToI64());
+  }
+}
+
+void Conv2DF32(ContractionIsa isa, const Conv2DDims& dims, const float* in,
+               const float* filter, float* out) {
+  DISC_CHECK(HostSupports(isa))
+      << ContractionIsaName(isa) << " is not supported by this CPU";
+  switch (isa) {
+    case ContractionIsa::kGeneric:
+      return Conv2DGeneric(dims, in, filter, out);
+#if defined(__x86_64__)
+    case ContractionIsa::kAvx2:
+      return Conv2DAvx2(dims, in, filter, out);
+    case ContractionIsa::kAvx512:
+      return Conv2DAvx512(dims, in, filter, out);
+#endif
+    default:
+      DISC_UNREACHABLE(ContractionIsaName(isa));
+  }
+}
+
+}  // namespace disc

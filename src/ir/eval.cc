@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <type_traits>
 #include <unordered_map>
 
 #include "ir/type_inference.h"
@@ -182,212 +181,32 @@ Result<Tensor> EvalReduce(const Node& node, const Tensor& in) {
   return out;
 }
 
-// Register-tiled contraction shared by MatMul and Conv2D (as an implicit
-// GEMM over the filter viewed as [kh*kw*c, oc]).
-//
-// Numeric contract: every output is the sum, in double, of its products in
-// increasing contraction order (k for MatMul; in-bounds (ky, kx, ci) for
-// Conv2D), starting from +0.0, each product rounded before it is added (no
-// fused multiply-add on the x86-64 baseline). Conv taps that fall in the
-// padding are skipped, never multiplied by zero. Results are therefore bit
-// for bit those of a per-output dot-product loop, which eval_test keeps as
-// the oracle.
-//
-// AccumulateTile<Mr> keeps an Mr x 4 block of accumulators in SSE2-sized
-// double vectors for the whole contraction, so any run-time extent is
-// covered by 4 x 4 tiles plus Mr = 1 rows and clamped edge columns. `a` is
-// packed [k][Mr] doubles; `load_b(kk, &lo, &hi)` yields the tile's four B
-// values at step kk. The unroll pragmas are load-bearing: without them GCC
-// -O2 keeps the tile on the stack and reloads it for every multiply.
-using Double2 = double __attribute__((vector_size(16)));
-constexpr int kTileRows = 4;
-constexpr int64_t kTileCols = 4;
-
-template <int Mr, typename LoadB>
-inline void AccumulateTile(const double* a, int64_t k, const LoadB& load_b,
-                           Double2 (&acc)[Mr][2]) {
-  for (int64_t kk = 0; kk < k; ++kk, a += Mr) {
-    Double2 b01, b23;
-    load_b(kk, &b01, &b23);
-#pragma GCC unroll kTileRows
-    for (int r = 0; r < Mr; ++r) {
-      const Double2 ar = {a[r], a[r]};
-      acc[r][0] += ar * b01;
-      acc[r][1] += ar * b23;
-    }
-  }
-}
-
-// Four adjacent columns of a row-major operand whose rows are `ld` apart.
-template <typename T>
-struct AdjacentColumns {
-  const T* p;
-  int64_t ld;
-  void operator()(int64_t kk, Double2* lo, Double2* hi) const {
-    const T* row = p + kk * ld;
-    *lo = Double2{static_cast<double>(row[0]), static_cast<double>(row[1])};
-    *hi = Double2{static_cast<double>(row[2]), static_cast<double>(row[3])};
-  }
-};
-
-// Columns [j0, j0 + 4) of an operand whose column j starts at
-// p + j * col_stride and advances by `step` per contraction step, read one
-// lane at a time. Lanes past the last column (`cols - 1`) read that column
-// instead, so no read leaves the operand; those lanes are computed and
-// dropped.
-template <typename T>
-struct LaneColumns {
-  LaneColumns(const T* p, int64_t col_stride, int64_t step, int64_t j0,
-              int64_t cols)
-      : step(step) {
-    for (int64_t r = 0; r < kTileCols; ++r) {
-      lane[r] = p + std::min(j0 + r, cols - 1) * col_stride;
-    }
-  }
-  void operator()(int64_t kk, Double2* lo, Double2* hi) const {
-    const int64_t at = kk * step;
-    *lo = Double2{static_cast<double>(lane[0][at]),
-                  static_cast<double>(lane[1][at])};
-    *hi = Double2{static_cast<double>(lane[2][at]),
-                  static_cast<double>(lane[3][at])};
-  }
-  const T* lane[kTileCols];
-  int64_t step;
-};
-
-// Writes the first `cols` columns of a tile to rows `ldo` apart.
-template <int Mr, typename T, typename Store>
-inline void StoreTile(const Double2 (&acc)[Mr][2], T* out, int64_t ldo,
-                      int64_t cols, Store store) {
-#pragma GCC unroll kTileRows
-  for (int r = 0; r < Mr; ++r) {
-    const double lanes[kTileCols] = {acc[r][0][0], acc[r][0][1],
-                                     acc[r][1][0], acc[r][1][1]};
-    for (int64_t j = 0; j < cols; ++j) out[r * ldo + j] = store(lanes[j]);
-  }
-}
-
-// Batched GEMM: rows in blocks of 4 (leftovers one at a time), columns in
-// blocks of 4, A packed per row block as doubles and B read in place at its
-// own dtype (with transpose_b, four B rows at a time). `store` rounds to the
-// out dtype.
-template <typename T, typename Store>
-void MatMulBatches(const Tensor& a, const Tensor& b, const T* a_data,
-                   const T* b_data, T* out, bool ta, bool tb, int64_t m,
-                   int64_t n, int64_t k, const std::vector<int64_t>& batch,
-                   Store store) {
-  const int64_t lda = a.dims()[a.rank() - 1];
-  const int64_t ldb = b.dims()[b.rank() - 1];
-  const std::vector<int64_t> a_strides = a.Strides();
-  const std::vector<int64_t> b_strides = b.Strides();
-  // Base offset of one batch slice, broadcasting size-1 batch dims.
-  auto batch_offset = [](const Tensor& t, const std::vector<int64_t>& strides,
-                         const std::vector<int64_t>& batch_idx) {
-    int64_t batch_rank = t.rank() - 2;
-    int64_t align = static_cast<int64_t>(batch_idx.size()) - batch_rank;
-    int64_t offset = 0;
-    for (int64_t i = 0; i < batch_rank; ++i) {
-      int64_t id = t.dims()[i] == 1 ? 0 : batch_idx[align + i];
-      offset += id * strides[i];
-    }
-    return offset;
-  };
-
-  std::vector<double> packed_a(k * (m >= kTileRows ? kTileRows : 1));
-  std::vector<int64_t> batch_idx(batch.size(), 0);
-  const int64_t batch_count = Product(batch);
-  for (int64_t bi = 0; bi < batch_count; ++bi) {
-    const T* pa = a_data + batch_offset(a, a_strides, batch_idx);
-    const T* pb = b_data + batch_offset(b, b_strides, batch_idx);
-    T* po = out + bi * m * n;
-    auto row_block = [&](auto rows, int64_t i0) {
-      constexpr int Mr = decltype(rows)::value;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        for (int r = 0; r < Mr; ++r) {
-          packed_a[kk * Mr + r] = static_cast<double>(
-              ta ? pa[kk * lda + i0 + r] : pa[(i0 + r) * lda + kk]);
-        }
-      }
-      for (int64_t j0 = 0; j0 < n; j0 += kTileCols) {
-        Double2 acc[Mr][2] = {};
-        if (tb) {
-          // Column j of B^T is row j of B.
-          AccumulateTile(packed_a.data(), k,
-                         LaneColumns<T>(pb, ldb, 1, j0, n), acc);
-        } else if (j0 + kTileCols <= n) {
-          AccumulateTile(packed_a.data(), k,
-                         AdjacentColumns<T>{pb + j0, ldb}, acc);
-        } else {
-          AccumulateTile(packed_a.data(), k,
-                         LaneColumns<T>(pb, 1, ldb, j0, n), acc);
-        }
-        StoreTile(acc, po + i0 * n + j0, n, std::min(kTileCols, n - j0),
-                  store);
-      }
-    };
-    int64_t i = 0;
-    for (; i + kTileRows <= m; i += kTileRows) {
-      row_block(std::integral_constant<int, kTileRows>(), i);
-    }
-    for (; i < m; ++i) row_block(std::integral_constant<int, 1>(), i);
-    NextIndex(batch, &batch_idx);
-  }
-}
-
 Result<Tensor> EvalMatMul(const Node& node, const Tensor& a, const Tensor& b) {
-  bool ta = node.GetIntAttr("transpose_a", 0) != 0;
-  bool tb = node.GetIntAttr("transpose_b", 0) != 0;
-  int64_t ra = a.rank();
-  int64_t rb = b.rank();
-  if (ra < 2 || rb < 2) return InvalidOp(node, "rank < 2");
   if (a.dtype() != b.dtype()) return InvalidOp(node, "dtype mismatch");
-  int64_t m = a.dims()[ra - (ta ? 1 : 2)];
-  int64_t k = a.dims()[ra - (ta ? 2 : 1)];
-  int64_t kb = b.dims()[rb - (tb ? 1 : 2)];
-  int64_t n = b.dims()[rb - (tb ? 2 : 1)];
-  if (k != kb) return InvalidOp(node, "contraction mismatch");
-
-  std::vector<int64_t> batch_a(a.dims().begin(), a.dims().end() - 2);
-  std::vector<int64_t> batch_b(b.dims().begin(), b.dims().end() - 2);
-  DISC_ASSIGN_OR_RETURN(std::vector<int64_t> batch,
-                        BroadcastDims(batch_a, batch_b));
-  std::vector<int64_t> out_dims = batch;
-  out_dims.push_back(m);
-  out_dims.push_back(n);
-  Tensor out(a.dtype(), out_dims);
-  // With k == 0 every output is the empty sum, +0, as allocated.
-  if (out.num_elements() == 0 || k == 0) return out;
-
-  switch (out.dtype()) {
-    case DType::kF32:
-      MatMulBatches(a, b, a.f32_data(), b.f32_data(), out.f32_data(), ta, tb,
-                    m, n, k, batch,
-                    [](double v) { return static_cast<float>(v); });
-      break;
-    case DType::kI64:
-      MatMulBatches(a, b, a.i64_data(), b.i64_data(), out.i64_data(), ta, tb,
-                    m, n, k, batch,
-                    [](double v) { return static_cast<int64_t>(v); });
-      break;
-    case DType::kI1:
-      MatMulBatches(a, b, a.i64_data(), b.i64_data(), out.i64_data(), ta, tb,
-                    m, n, k, batch,
-                    [](double v) -> int64_t { return v != 0.0 ? 1 : 0; });
-      break;
+  const bool ta = node.GetIntAttr("transpose_a", 0) != 0;
+  const bool tb = node.GetIntAttr("transpose_b", 0) != 0;
+  Result<MatMulDims> dims = MatMulDimsOf(a.dims(), b.dims(), ta, tb);
+  if (!dims.ok()) return InvalidOp(node, dims.status().message());
+  std::vector<int64_t> out_dims = dims->batch;
+  out_dims.push_back(dims->m);
+  out_dims.push_back(dims->n);
+  Tensor out(a.dtype(), std::move(out_dims));
+  if (out.num_elements() == 0) return out;
+  if (a.dtype() == DType::kF32) {
+    MatMulF32(SelectContraction(node, a), *dims, a.f32_data(), b.f32_data(),
+              out.f32_data());
+  } else {
+    MatMulI64(*dims, a.dtype(), a.i64_data(), b.i64_data(), out.i64_data());
   }
   return out;
 }
 
-// NHWC convolution through AccumulateTile, with the filter as the B
-// operand. Four adjacent output pixels whose kx taps are all in bounds share
-// one call per 4 output channels over the in-bounds ky range, whose filter
-// rows are contiguous. Other pixels go one at a time, with one call per
-// in-bounds ky over the in-bounds kx range.
 Result<Tensor> EvalConv2D(const Node& node, const Tensor& in,
                           const Tensor& filter) {
-  // The type rule rejects what this loop cannot run (strides < 1, negative
-  // padding, non-f32 operands, a channel mismatch, a window larger than the
-  // padded input); the graph's dims may be dynamic, so check the operands.
+  // The type rule rejects what the kernels cannot run (strides < 1,
+  // negative padding, non-f32 operands, a channel mismatch, a window larger
+  // than the padded input); the graph's dims may be dynamic, so check the
+  // operands.
   DISC_ASSIGN_OR_RETURN(
       std::vector<TensorType> types,
       InferOutputTypes(OpKind::kConv2D,
@@ -395,97 +214,40 @@ Result<Tensor> EvalConv2D(const Node& node, const Tensor& in,
                         TensorType(filter.dtype(), filter.dims())},
                        node.attrs(), {}));
   Tensor out(DType::kF32, types[0].dims);
+  if (out.num_elements() == 0) return out;
   const auto& strides = node.GetIntListAttr("strides");
   const auto& padding = node.GetIntListAttr("padding");
-  const int64_t n = in.dims()[0], h = in.dims()[1], w = in.dims()[2],
-                c = in.dims()[3];
-  const int64_t kh = filter.dims()[0], kw = filter.dims()[1],
-                oc = filter.dims()[3];
-  const int64_t oh = out.dims()[1], ow = out.dims()[2];
-  const int64_t sh = strides[0], sw = strides[1], ph = padding[0],
-                pw = padding[1];
-  const int64_t taps = kw * c;  // filter rows per ky
-  // Empty sums are +0, as allocated.
-  if (out.num_elements() == 0 || kh * taps == 0) return out;
-
-  const float* src = in.f32_data();
-  const float* flt = filter.f32_data();
-  float* dst = out.f32_data();
-  // Filter rows from `row` on, output channels [j0, j0 + 4).
-  auto accumulate = [&](auto& acc, const double* a, int64_t row, int64_t j0,
-                        int64_t rows) {
-    const float* p = flt + row * oc;
-    if (j0 + kTileCols <= oc) {
-      AccumulateTile(a, rows, AdjacentColumns<float>{p + j0, oc}, acc);
-    } else {
-      AccumulateTile(a, rows, LaneColumns<float>(p, 1, oc, j0, oc), acc);
-    }
-  };
-  auto store = [](double v) { return static_cast<float>(v); };
-  // Output columns [x_lo, x_hi) have every kx tap in bounds.
-  const int64_t x_lo = (pw + sw - 1) / sw;
-  const int64_t x_hi =
-      w + pw >= kw ? std::min(ow, (w + pw - kw) / sw + 1) : 0;
-  std::vector<double> packed(kh * taps * kTileRows);
-  for (int64_t ni = 0; ni < n; ++ni) {
-    for (int64_t yo = 0; yo < oh; ++yo) {
-      const int64_t y0 = yo * sh - ph;  // input row of ky = 0
-      const int64_t ky0 = std::max<int64_t>(0, -y0);
-      const int64_t ky1 = std::min(kh, h - y0);
-      if (ky0 >= ky1) continue;
-      const int64_t src_rows = (ni * h + y0) * w * c;  // may be < 0
-      float* dst_row = dst + (ni * oh + yo) * ow * oc;
-      for (int64_t xo = 0; xo < ow;) {
-        if (xo >= x_lo && xo + kTileRows <= x_hi) {
-          const int64_t x0 = xo * sw - pw;
-          for (int64_t ky = ky0; ky < ky1; ++ky) {
-            const float* taps_at = src + (src_rows + (ky * w + x0) * c);
-            double* pk = &packed[(ky - ky0) * taps * kTileRows];
-            for (int64_t t = 0; t < taps; ++t) {
-              for (int r = 0; r < kTileRows; ++r) {
-                pk[t * kTileRows + r] =
-                    static_cast<double>(taps_at[r * sw * c + t]);
-              }
-            }
-          }
-          for (int64_t j0 = 0; j0 < oc; j0 += kTileCols) {
-            Double2 acc[kTileRows][2] = {};
-            accumulate(acc, packed.data(), ky0 * taps, j0,
-                       (ky1 - ky0) * taps);
-            StoreTile(acc, dst_row + xo * oc + j0, oc,
-                      std::min(kTileCols, oc - j0), store);
-          }
-          xo += kTileRows;
-          continue;
-        }
-        const int64_t x0 = xo * sw - pw;
-        const int64_t kx0 = std::max<int64_t>(0, -x0);
-        const int64_t kx1 = std::min(kw, w - x0);
-        if (kx0 < kx1) {
-          const int64_t len = (kx1 - kx0) * c;
-          for (int64_t ky = ky0; ky < ky1; ++ky) {
-            const float* taps_at =
-                src + (src_rows + (ky * w + x0 + kx0) * c);
-            std::copy(taps_at, taps_at + len, &packed[(ky - ky0) * len]);
-          }
-          for (int64_t j0 = 0; j0 < oc; j0 += kTileCols) {
-            Double2 acc[1][2] = {};
-            for (int64_t ky = ky0; ky < ky1; ++ky) {
-              accumulate(acc, &packed[(ky - ky0) * len], ky * taps + kx0 * c,
-                         j0, len);
-            }
-            StoreTile(acc, dst_row + xo * oc + j0, oc,
-                      std::min(kTileCols, oc - j0), store);
-          }
-        }
-        ++xo;
-      }
-    }
-  }
+  Conv2DDims dims;
+  dims.n = in.dims()[0];
+  dims.h = in.dims()[1];
+  dims.w = in.dims()[2];
+  dims.c = in.dims()[3];
+  dims.kh = filter.dims()[0];
+  dims.kw = filter.dims()[1];
+  dims.oc = filter.dims()[3];
+  dims.sh = strides[0];
+  dims.sw = strides[1];
+  dims.ph = padding[0];
+  dims.pw = padding[1];
+  Conv2DF32(SelectContraction(node, in), dims, in.f32_data(),
+            filter.f32_data(), out.f32_data());
   return out;
 }
 
 }  // namespace
+
+ContractionIsa SelectContraction(const Node& node, const Tensor& lhs) {
+  if (node.kind() != OpKind::kMatMul) {
+    // Conv2D's implicit GEMM reads its B operand, the filter, in place, so
+    // its row count does not enter the choice.
+    return SelectContraction(lhs.dtype(), /*m=*/0, /*transpose_b=*/false);
+  }
+  const bool ta = node.GetIntAttr("transpose_a", 0) != 0;
+  const bool tb = node.GetIntAttr("transpose_b", 0) != 0;
+  const int64_t m = lhs.rank() >= 2 ? lhs.dims()[lhs.rank() - (ta ? 1 : 2)]
+                                    : 0;
+  return SelectContraction(lhs.dtype(), m, tb);
+}
 
 Result<std::vector<Tensor>> EvaluateNode(const Node& node,
                                          const std::vector<Tensor>& inputs) {

@@ -15,6 +15,18 @@
 // force-inlined: the fused loops instantiate them with a constant op kind
 // and dtype, so each loop body compiles to the bare expression (one
 // multiply, say) instead of an out-of-line call that switches per element.
+//
+// MatMul and Conv2D run the register-tiled kernels of ir/contraction.h, in
+// the variant SelectContraction picks per call: the widest the host CPU
+// runs (AVX-512, AVX2, or the generic SSE2 tile), except that i64 and i1
+// operands, and transpose_b with fewer than 4 rows, take the generic one.
+// The AVX variants use fused multiply-adds, which round exactly as a
+// multiply then an add only because an f32 x f32 product is exact in
+// double; so they take f32 operands only. Each AVX entry point ends with an
+// explicit vzeroupper, which keeps the legacy-SSE code that runs after it
+// at full speed. Every variant sums each output's products in double, from
+// +0.0, in increasing contraction order, so all of them are bit-identical
+// to a per-output dot-product loop.
 #ifndef DISC_IR_EVAL_H_
 #define DISC_IR_EVAL_H_
 
@@ -24,6 +36,7 @@
 #include <limits>
 #include <vector>
 
+#include "ir/contraction.h"
 #include "ir/graph.h"
 #include "ir/tensor.h"
 #include "support/logging.h"
@@ -40,6 +53,10 @@ Result<std::vector<Tensor>> EvaluateNode(const Node& node,
 /// types. Returns tensors parallel to graph.outputs().
 Result<std::vector<Tensor>> EvaluateGraph(const Graph& graph,
                                           const std::vector<Tensor>& inputs);
+
+/// \brief The contraction variant EvaluateNode runs for a MatMul or Conv2D
+/// `node` whose first operand is `lhs`.
+ContractionIsa SelectContraction(const Node& node, const Tensor& lhs);
 
 /// \brief Scalar semantics of a unary elementwise op (dtype-aware via
 /// double carrier; exact for the integral range used in shapes). Always

@@ -475,6 +475,11 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
           for (const Value* operand : step.node->operands()) {
             operand_values.push_back(env.at(operand));
           }
+          if (step_scope.active()) {
+            step_scope.AddArg("variant",
+                              ContractionIsaName(SelectContraction(
+                                  *step.node, operand_values[0])));
+          }
           DISC_ASSIGN_OR_RETURN(std::vector<Tensor> values,
                                 EvaluateNode(*step.node, operand_values));
           for (size_t i = 0; i < values.size(); ++i) {

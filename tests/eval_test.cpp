@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "ir/builder.h"
+#include "ir/contraction.h"
 #include "support/rng.h"
 
 namespace disc {
@@ -176,10 +182,10 @@ TEST(EvalTest, BatchedMatMulBroadcastsBatchDims) {
   }
 }
 
-// Per-output dot-product loops: the bitwise reference for EvaluateNode's
-// register-tiled GEMM and Conv2D. The runtime's library steps, EvaluateGraph
-// and perfbench's correctness check all run those kernels, so these loops
-// are the only independent oracle.
+// Per-output dot-product loops: the bitwise reference for every variant of
+// the register-tiled GEMM and Conv2D (ir/contraction.h). The runtime's
+// library steps, EvaluateGraph and perfbench's correctness check all run
+// those kernels, so these loops are the only independent oracle.
 Tensor NaiveMatMul(const Tensor& a, const Tensor& b, bool ta, bool tb,
                    const std::vector<int64_t>& batch) {
   const int64_t ra = a.rank(), rb = b.rank();
@@ -296,97 +302,178 @@ std::vector<int64_t> MatrixDims(std::vector<int64_t> batch, int64_t rows,
   return batch;
 }
 
-// Evaluates one MatMul on `a` and `w` and compares it bit for bit with
-// NaiveMatMul.
-void ExpectMatMulMatchesNaive(const Tensor& a, const Tensor& w, bool ta,
-                              bool tb) {
+// Runs `a` x `w` on variant `isa` through its explicit-ISA entry point and
+// compares the result bit for bit with NaiveMatMul. Integer operands only
+// ever run the generic variant, so they are checked for that one. Where
+// `isa` is the variant EvaluateNode selects, EvaluateNode must agree too.
+void ExpectMatMulMatchesNaive(ContractionIsa isa, const Tensor& a,
+                              const Tensor& w, bool ta, bool tb) {
+  if (a.dtype() != DType::kF32 && isa != ContractionIsa::kGeneric) return;
+  auto dims = MatMulDimsOf(a.dims(), w.dims(), ta, tb);
+  ASSERT_TRUE(dims.ok()) << dims.status().ToString();
+  std::vector<int64_t> out_dims = dims->batch;
+  out_dims.push_back(dims->m);
+  out_dims.push_back(dims->n);
+  // Every output must be written: start from values no sum produces.
+  Tensor got(a.dtype(), out_dims);
+  if (a.dtype() == DType::kF32) {
+    std::fill_n(got.f32_data(), got.num_elements(),
+                std::numeric_limits<float>::signaling_NaN());
+    MatMulF32(isa, *dims, a.f32_data(), w.f32_data(), got.f32_data());
+  } else {
+    std::fill_n(got.i64_data(), got.num_elements(), int64_t{-7});
+    MatMulI64(*dims, a.dtype(), a.i64_data(), w.i64_data(), got.i64_data());
+  }
+  EXPECT_TRUE(Tensor::BitEqual(got, NaiveMatMul(a, w, ta, tb, dims->batch)))
+      << ContractionIsaName(isa) << ": " << a.TypeString() << " x "
+      << w.TypeString() << " ta=" << ta << " tb=" << tb;
+  if (isa != SelectContraction(a.dtype(), dims->m, tb)) return;
   Graph g;
   GraphBuilder b(&g);
   Value* y = b.MatMul(b.Input("a", a.dtype(), a.dims()),
                       b.Input("b", w.dtype(), w.dims()), ta, tb);
-  auto got = EvaluateNode(*y->producer(), {a, w});
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  const std::vector<int64_t>& out_dims = (*got)[0].dims();
-  const std::vector<int64_t> batch(out_dims.begin(), out_dims.end() - 2);
-  EXPECT_TRUE(Tensor::BitEqual((*got)[0], NaiveMatMul(a, w, ta, tb, batch)))
-      << a.TypeString() << " x " << w.TypeString() << " ta=" << ta
-      << " tb=" << tb;
+  auto evaluated = EvaluateNode(*y->producer(), {a, w});
+  ASSERT_TRUE(evaluated.ok()) << evaluated.status().ToString();
+  EXPECT_TRUE(Tensor::BitEqual((*evaluated)[0], got));
 }
 
 // The same on random operands of [m, k] x [k, n] behind the given batch
 // dims.
-void ExpectMatMulMatchesNaive(Rng* rng, DType dtype,
+void ExpectMatMulMatchesNaive(ContractionIsa isa, Rng* rng, DType dtype,
                               const std::vector<int64_t>& a_batch,
                               const std::vector<int64_t>& b_batch, int64_t m,
                               int64_t n, int64_t k, bool ta, bool tb) {
   Tensor a = RandomOperand(rng, dtype, MatrixDims(a_batch, m, k, ta));
   Tensor w = RandomOperand(rng, dtype, MatrixDims(b_batch, k, n, tb));
-  ExpectMatMulMatchesNaive(a, w, ta, tb);
+  ExpectMatMulMatchesNaive(isa, a, w, ta, tb);
 }
 
-// Evaluates one Conv2D on `in` and `filter` and compares it bit for bit
-// with NaiveConv2D; returns the result.
-Tensor ExpectConv2DMatchesNaive(const Tensor& in, const Tensor& filter,
-                                int64_t sh, int64_t sw, int64_t ph,
-                                int64_t pw) {
-  Graph g;
-  GraphBuilder b(&g);
-  Value* y = b.Conv2D(b.Input("x", DType::kF32, in.dims()),
-                      b.Input("w", DType::kF32, filter.dims()), {sh, sw},
-                      {ph, pw});
-  auto got = EvaluateNode(*y->producer(), {in, filter});
-  EXPECT_TRUE(got.ok()) << got.status().ToString();
-  if (!got.ok()) return Tensor();
-  EXPECT_TRUE(
-      Tensor::BitEqual((*got)[0], NaiveConv2D(in, filter, sh, sw, ph, pw)))
-      << in.TypeString() << " * " << filter.TypeString() << " strides " << sh
-      << "," << sw << " padding " << ph << "," << pw;
-  return (*got)[0];
+Conv2DDims ConvDims(const Tensor& in, const Tensor& filter, int64_t sh,
+                    int64_t sw, int64_t ph, int64_t pw) {
+  Conv2DDims d;
+  d.n = in.dims()[0];
+  d.h = in.dims()[1];
+  d.w = in.dims()[2];
+  d.c = in.dims()[3];
+  d.kh = filter.dims()[0];
+  d.kw = filter.dims()[1];
+  d.oc = filter.dims()[3];
+  d.sh = sh;
+  d.sw = sw;
+  d.ph = ph;
+  d.pw = pw;
+  return d;
 }
 
-TEST(EvalTest, MatMulLoopOrderIsBitIdenticalToDotProducts) {
+// Runs one Conv2D of `in` and `filter` on variant `isa` and compares it bit
+// for bit with NaiveConv2D (and, for the variant EvaluateNode selects, with
+// EvaluateNode); returns the result.
+Tensor ExpectConv2DMatchesNaive(ContractionIsa isa, const Tensor& in,
+                                const Tensor& filter, int64_t sh, int64_t sw,
+                                int64_t ph, int64_t pw) {
+  Tensor want = NaiveConv2D(in, filter, sh, sw, ph, pw);
+  Tensor got(DType::kF32, want.dims());
+  std::fill_n(got.f32_data(), got.num_elements(),
+              std::numeric_limits<float>::signaling_NaN());
+  Conv2DF32(isa, ConvDims(in, filter, sh, sw, ph, pw), in.f32_data(),
+            filter.f32_data(), got.f32_data());
+  EXPECT_TRUE(Tensor::BitEqual(got, want))
+      << ContractionIsaName(isa) << ": " << in.TypeString() << " * "
+      << filter.TypeString() << " strides " << sh << "," << sw
+      << " padding " << ph << "," << pw;
+  if (isa == SelectContraction(DType::kF32, 0, false)) {
+    Graph g;
+    GraphBuilder b(&g);
+    Value* y = b.Conv2D(b.Input("x", DType::kF32, in.dims()),
+                        b.Input("w", DType::kF32, filter.dims()), {sh, sw},
+                        {ph, pw});
+    auto evaluated = EvaluateNode(*y->producer(), {in, filter});
+    EXPECT_TRUE(evaluated.ok()) << evaluated.status().ToString();
+    if (evaluated.ok()) {
+      EXPECT_TRUE(Tensor::BitEqual((*evaluated)[0], got));
+    }
+  }
+  return got;
+}
+
+}  // namespace
+
+// Names a failing test's variant (found by argument-dependent lookup, so it
+// lives in the enum's namespace).
+void PrintTo(ContractionIsa isa, std::ostream* os) {
+  *os << ContractionIsaName(isa);
+}
+
+namespace {
+
+// The contraction tests run once per variant, through the explicit-ISA
+// entry points; a variant this CPU cannot run is skipped by name.
+class ContractionTest : public ::testing::TestWithParam<ContractionIsa> {
+ protected:
+  void SetUp() override {
+    if (!HostSupports(isa())) {
+      GTEST_SKIP() << ContractionIsaName(isa())
+                   << " is not supported by this CPU";
+    }
+  }
+  ContractionIsa isa() const { return GetParam(); }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Isa, ContractionTest, ::testing::ValuesIn(kContractionIsas),
+    [](const ::testing::TestParamInfo<ContractionIsa>& info) {
+      return std::string(ContractionIsaName(info.param));
+    });
+
+TEST_P(ContractionTest, MatMulLoopOrderIsBitIdenticalToDotProducts) {
   Rng rng(17);
   for (bool ta : {false, true}) {
     for (bool tb : {false, true}) {
-      // Row and column counts on both sides of the 4 x 4 register tile.
-      for (int64_t m : {1, 2, 3, 4, 5, 8, 13}) {
-        for (int64_t n : {1, 3, 4, 5, 8, 37}) {
-          for (int64_t k : {1, 64}) {
-            ExpectMatMulMatchesNaive(&rng, DType::kF32, {}, {}, m, n, k, ta,
-                                     tb);
+      // Row and column counts on both sides of every variant's tile (4 x 4,
+      // 6 x 8 and 8 x 16) and of its row and column remainders.
+      for (int64_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 17}) {
+        for (int64_t n : {1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 37}) {
+          for (int64_t k : {0, 1, 64, 288}) {
+            ExpectMatMulMatchesNaive(isa(), &rng, DType::kF32, {}, {}, m, n,
+                                     k, ta, tb);
           }
         }
       }
-      ExpectMatMulMatchesNaive(&rng, DType::kF32, {}, {}, 5, 7, 0, ta, tb);
-      ExpectMatMulMatchesNaive(&rng, DType::kF32, {}, {}, 0, 7, 5, ta, tb);
-      ExpectMatMulMatchesNaive(&rng, DType::kF32, {}, {}, 5, 0, 7, ta, tb);
-      ExpectMatMulMatchesNaive(&rng, DType::kF32, {}, {}, 13, 37, 288, ta,
+      ExpectMatMulMatchesNaive(isa(), &rng, DType::kF32, {}, {}, 0, 7, 5, ta,
+                               tb);
+      ExpectMatMulMatchesNaive(isa(), &rng, DType::kF32, {}, {}, 5, 0, 7, ta,
                                tb);
       // Batch dims, equal or broadcast from either side.
-      ExpectMatMulMatchesNaive(&rng, DType::kF32, {2, 3}, {2, 3}, 4, 5, 6, ta,
-                               tb);
-      ExpectMatMulMatchesNaive(&rng, DType::kF32, {1}, {3}, 5, 6, 7, ta, tb);
-      ExpectMatMulMatchesNaive(&rng, DType::kF32, {3}, {1}, 6, 5, 7, ta, tb);
-      ExpectMatMulMatchesNaive(&rng, DType::kF32, {2, 3}, {3}, 4, 6, 5, ta,
-                               tb);
-      ExpectMatMulMatchesNaive(&rng, DType::kF32, {}, {2, 1}, 9, 3, 4, ta,
-                               tb);
-      ExpectMatMulMatchesNaive(&rng, DType::kF32, {2, 1}, {1, 3}, 5, 5, 6, ta,
-                               tb);
+      ExpectMatMulMatchesNaive(isa(), &rng, DType::kF32, {2, 3}, {2, 3}, 4, 5,
+                               6, ta, tb);
+      ExpectMatMulMatchesNaive(isa(), &rng, DType::kF32, {1}, {3}, 5, 6, 7,
+                               ta, tb);
+      ExpectMatMulMatchesNaive(isa(), &rng, DType::kF32, {3}, {1}, 6, 5, 7,
+                               ta, tb);
+      ExpectMatMulMatchesNaive(isa(), &rng, DType::kF32, {2, 3}, {3}, 4, 6, 5,
+                               ta, tb);
+      ExpectMatMulMatchesNaive(isa(), &rng, DType::kF32, {}, {2, 1}, 9, 3, 4,
+                               ta, tb);
+      ExpectMatMulMatchesNaive(isa(), &rng, DType::kF32, {2, 1}, {1, 3}, 5,
+                               17, 6, ta, tb);
+      ExpectMatMulMatchesNaive(isa(), &rng, DType::kF32, {3}, {1}, 9, 17, 64,
+                               ta, tb);
       for (DType dtype : {DType::kI64, DType::kI1}) {
-        ExpectMatMulMatchesNaive(&rng, dtype, {}, {}, 5, 7, 6, ta, tb);
-        ExpectMatMulMatchesNaive(&rng, dtype, {2}, {1}, 4, 9, 3, ta, tb);
-        ExpectMatMulMatchesNaive(&rng, dtype, {1}, {3}, 1, 4, 5, ta, tb);
+        ExpectMatMulMatchesNaive(isa(), &rng, dtype, {}, {}, 5, 7, 6, ta, tb);
+        ExpectMatMulMatchesNaive(isa(), &rng, dtype, {2}, {1}, 4, 9, 3, ta,
+                                 tb);
+        ExpectMatMulMatchesNaive(isa(), &rng, dtype, {1}, {3}, 1, 4, 5, ta,
+                                 tb);
       }
     }
   }
 }
 
-TEST(EvalTest, MatMulRandomShapesAreBitIdenticalToDotProducts) {
+TEST_P(ContractionTest, MatMulRandomShapesAreBitIdenticalToDotProducts) {
   Rng rng(29);
   const std::vector<std::vector<int64_t>> batches = {{}, {2}, {1}, {3}};
   for (int i = 0; i < 240; ++i) {
-    const int64_t m = rng.UniformInt(1, 13);
+    const int64_t m = rng.UniformInt(1, 17);
     const int64_t n = rng.UniformInt(1, 37);
     const int64_t k = rng.UniformInt(0, 64);
     const bool ta = rng.UniformInt(0, 1) != 0;
@@ -399,11 +486,12 @@ TEST(EvalTest, MatMulRandomShapesAreBitIdenticalToDotProducts) {
     const auto& b_batch = a_batch == batches[1]
                               ? batches[rng.UniformInt(0, 2)]
                               : batches[rng.UniformInt(0, 3)];
-    ExpectMatMulMatchesNaive(&rng, dtype, a_batch, b_batch, m, n, k, ta, tb);
+    ExpectMatMulMatchesNaive(isa(), &rng, dtype, a_batch, b_batch, m, n, k,
+                             ta, tb);
   }
 }
 
-TEST(EvalTest, Conv2DLoopOrderIsBitIdenticalToPerChannelSums) {
+TEST_P(ContractionTest, Conv2DLoopOrderIsBitIdenticalToPerChannelSums) {
   struct Case {
     std::vector<int64_t> in, filter;
     int64_t sh, sw, ph, pw;
@@ -416,41 +504,48 @@ TEST(EvalTest, Conv2DLoopOrderIsBitIdenticalToPerChannelSums) {
       {{1, 5, 5, 1}, {1, 1, 1, 6}, 1, 2, 0, 0},
       // Stride 2 with pad 1: interior blocks of strided pixels.
       {{2, 7, 17, 3}, {3, 3, 3, 5}, 2, 2, 1, 1},
+      {{1, 5, 37, 2}, {3, 3, 2, 17}, 2, 2, 1, 1},
       // Padding beyond the kernel's reach: the outer output rows and
       // columns have no in-bounds tap at all.
       {{1, 2, 2, 2}, {2, 2, 2, 5}, 1, 1, 3, 3},
       {{2, 3, 4, 1}, {3, 2, 1, 4}, 1, 1, 2, 3},
+      // No input channels: every sum is empty.
+      {{1, 3, 4, 0}, {3, 3, 0, 5}, 1, 1, 1, 1},
   };
-  // Output widths 1..17 give interior blocks of 4 pixels plus remainders,
-  // across output-channel counts below, at, and above one register tile.
-  for (int64_t ow : {1, 3, 4, 5, 9, 17}) {
-    for (int64_t oc : {1, 5, 32}) {
+  // With a 3 x 3 window and padding 1, an output row of width ow has ow - 2
+  // interior pixels: every count from 0 to 23 leaves each variant's tile
+  // height (4, 6 or 8) some remainder, across output-channel counts below,
+  // at, between and above its tile widths (4, 8, 16).
+  for (int64_t ow = 1; ow <= 25; ++ow) {
+    for (int64_t oc : {1, 5, 16, 17, 32}) {
       cases.push_back({{2, 4, ow, 3}, {3, 3, 3, oc}, 1, 1, 1, 1});
-      cases.push_back({{1, 3, ow + 2, 1}, {3, 3, 1, oc}, 1, 1, 0, 0});
     }
+    cases.push_back({{1, 3, ow + 2, 1}, {3, 3, 1, 9}, 1, 1, 0, 0});
   }
   Rng rng(23);
   for (const Case& tc : cases) {
-    ExpectConv2DMatchesNaive(RandomF32(&rng, tc.in), RandomF32(&rng, tc.filter),
-                             tc.sh, tc.sw, tc.ph, tc.pw);
+    ExpectConv2DMatchesNaive(isa(), RandomF32(&rng, tc.in),
+                             RandomF32(&rng, tc.filter), tc.sh, tc.sw, tc.ph,
+                             tc.pw);
   }
 }
 
-TEST(EvalTest, Conv2DRandomShapesAreBitIdenticalToPerChannelSums) {
+TEST_P(ContractionTest, Conv2DRandomShapesAreBitIdenticalToPerChannelSums) {
   Rng rng(31);
   for (int i = 0; i < 120; ++i) {
     const int64_t sh = rng.UniformInt(1, 2), sw = rng.UniformInt(1, 2);
     const int64_t ph = rng.UniformInt(0, 3), pw = rng.UniformInt(0, 3);
-    const int64_t h = rng.UniformInt(1, 8), w = rng.UniformInt(1, 17);
+    const int64_t h = rng.UniformInt(1, 8), w = rng.UniformInt(1, 25);
     // The window must fit the padded input.
     const int64_t kh = rng.UniformInt(1, std::min<int64_t>(3, h + 2 * ph));
     const int64_t kw = rng.UniformInt(1, std::min<int64_t>(3, w + 2 * pw));
     const int64_t c = rng.UniformInt(1, 4);
-    const int64_t oc = std::vector<int64_t>{1, 3, 4, 5, 8, 32}[rng.UniformInt(
-        0, 5)];
+    const int64_t oc = std::vector<int64_t>{1, 3, 4, 5, 8, 9, 16, 17,
+                                            32}[rng.UniformInt(0, 8)];
     const int64_t batch = rng.UniformInt(1, 2);
-    ExpectConv2DMatchesNaive(RandomF32(&rng, {batch, h, w, c}),
-                             RandomF32(&rng, {kh, kw, c, oc}), sh, sw, ph, pw);
+    ExpectConv2DMatchesNaive(isa(), RandomF32(&rng, {batch, h, w, c}),
+                             RandomF32(&rng, {kh, kw, c, oc}), sh, sw, ph,
+                             pw);
   }
 }
 
@@ -459,26 +554,28 @@ TEST(EvalTest, Conv2DRandomShapesAreBitIdenticalToPerChannelSums) {
 // the top output row and the left output column, those outputs stay finite
 // (a zero-padding kernel would produce 0 * inf = NaN there). Everywhere else
 // the tap is in bounds and, with positive inputs, gives +inf.
-TEST(EvalTest, Conv2DSkipsPaddedTaps) {
+TEST_P(ContractionTest, Conv2DSkipsPaddedTaps) {
   Rng rng(37);
-  Tensor in(DType::kF32, {1, 5, 9, 2});
-  for (int64_t i = 0; i < in.num_elements(); ++i) {
-    in.f32_data()[i] = rng.Uniform(0.5f, 1.5f);
-  }
-  Tensor filter = RandomF32(&rng, {3, 3, 2, 5});
-  for (int64_t i = 0; i < 2 * 5; ++i) {
-    filter.f32_data()[i] = std::numeric_limits<float>::infinity();
-  }
-  Tensor out = ExpectConv2DMatchesNaive(in, filter, 1, 1, 1, 1);
-  ASSERT_EQ(out.dims(), (std::vector<int64_t>{1, 5, 9, 5}));
-  for (int64_t yo = 0; yo < 5; ++yo) {
-    for (int64_t xo = 0; xo < 9; ++xo) {
-      for (int64_t co = 0; co < 5; ++co) {
-        const float v = out.f32_data()[(yo * 9 + xo) * 5 + co];
-        if (yo == 0 || xo == 0) {
-          EXPECT_TRUE(std::isfinite(v)) << yo << "," << xo << "," << co;
-        } else {
-          EXPECT_EQ(v, std::numeric_limits<float>::infinity());
+  for (int64_t oc : {5, 17}) {
+    Tensor in(DType::kF32, {1, 5, 19, 2});
+    for (int64_t i = 0; i < in.num_elements(); ++i) {
+      in.f32_data()[i] = rng.Uniform(0.5f, 1.5f);
+    }
+    Tensor filter = RandomF32(&rng, {3, 3, 2, oc});
+    for (int64_t i = 0; i < 2 * oc; ++i) {
+      filter.f32_data()[i] = std::numeric_limits<float>::infinity();
+    }
+    Tensor out = ExpectConv2DMatchesNaive(isa(), in, filter, 1, 1, 1, 1);
+    ASSERT_EQ(out.dims(), (std::vector<int64_t>{1, 5, 19, oc}));
+    for (int64_t yo = 0; yo < 5; ++yo) {
+      for (int64_t xo = 0; xo < 19; ++xo) {
+        for (int64_t co = 0; co < oc; ++co) {
+          const float v = out.f32_data()[(yo * 19 + xo) * oc + co];
+          if (yo == 0 || xo == 0) {
+            EXPECT_TRUE(std::isfinite(v)) << yo << "," << xo << "," << co;
+          } else {
+            EXPECT_EQ(v, std::numeric_limits<float>::infinity());
+          }
         }
       }
     }
@@ -487,30 +584,25 @@ TEST(EvalTest, Conv2DSkipsPaddedTaps) {
 
 // Sums start from +0.0: products that are all -0.0 (zeros times negatives)
 // must sum to +0.0, as the naive loops give.
-TEST(EvalTest, ContractionSumsStartAtPositiveZero) {
-  Tensor zeros = Tensor::F32({5, 6}, std::vector<float>(30, 0.0f));
-  Tensor negatives = Tensor::F32({6, 7}, std::vector<float>(42, -2.0f));
-  Graph g;
-  GraphBuilder b(&g);
-  Value* y = b.MatMul(b.Input("a", DType::kF32, {5, 6}),
-                      b.Input("b", DType::kF32, {6, 7}));
-  auto got = EvaluateNode(*y->producer(), {zeros, negatives});
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
+TEST_P(ContractionTest, ContractionSumsStartAtPositiveZero) {
+  for (bool tb : {false, true}) {
+    Tensor zeros = Tensor::F32({9, 6}, std::vector<float>(54, 0.0f));
+    Tensor negatives = Tensor::F32(MatrixDims({}, 6, 17, tb),
+                                   std::vector<float>(102, -2.0f));
+    ExpectMatMulMatchesNaive(isa(), zeros, negatives, false, tb);
+  }
+  Tensor image = Tensor::F32({1, 3, 12, 1}, std::vector<float>(36, 0.0f));
+  Tensor filter = Tensor::F32({3, 3, 1, 17}, std::vector<float>(153, -1.0f));
+  Tensor out = ExpectConv2DMatchesNaive(isa(), image, filter, 1, 1, 1, 1);
   EXPECT_TRUE(Tensor::BitEqual(
-      (*got)[0], Tensor::F32({5, 7}, std::vector<float>(35, 0.0f))));
-
-  Tensor image = Tensor::F32({1, 3, 6, 1}, std::vector<float>(18, 0.0f));
-  Tensor filter = Tensor::F32({3, 3, 1, 5}, std::vector<float>(45, -1.0f));
-  Tensor out = ExpectConv2DMatchesNaive(image, filter, 1, 1, 1, 1);
-  EXPECT_TRUE(Tensor::BitEqual(
-      out, Tensor::F32({1, 3, 6, 5}, std::vector<float>(90, 0.0f))));
+      out, Tensor::F32({1, 3, 12, 17}, std::vector<float>(612, 0.0f))));
 }
 
 // Sums run in increasing contraction order. With ordinary operands the
 // double sum is exact or its rounding vanishes in the output, so a kernel
 // that summed in another order would still match; these operands make the
 // running sum round at almost every step and keep that rounding visible.
-TEST(EvalTest, ContractionSumsRunInIncreasingOrder) {
+TEST_P(ContractionTest, ContractionSumsRunInIncreasingOrder) {
   Rng rng(41);
   // Products of up to 54 bits round in double, and the i64 output shows
   // every bit of the sum.
@@ -519,30 +611,192 @@ TEST(EvalTest, ContractionSumsRunInIncreasingOrder) {
       const int64_t bound = int64_t{1} << 27;
       Tensor a = RandomI64(&rng, MatrixDims({}, 5, 64, ta), bound);
       Tensor w = RandomI64(&rng, MatrixDims({}, 64, 7, tb), bound);
-      ExpectMatMulMatchesNaive(a, w, ta, tb);
+      ExpectMatMulMatchesNaive(isa(), a, w, ta, tb);
     }
   }
-  // Each Conv2D tap adds +-2^53, a small product, then the opposite of the
-  // first (channels 0, 1, 2): the small products round against 2^53 and the
+  // Each f32 contraction step triple adds +-2^53, a small product, then the
+  // opposite of the first: the small products round against 2^53 and the
   // large ones cancel, so the f32 output holds the rounded small sum.
-  // Padding 1 sends the border pixels through the one-pixel path.
-  Tensor in(DType::kF32, {1, 4, 9, 3});
-  for (int64_t i = 0; i < in.num_elements(); i += 3) {
-    in.f32_data()[i] = 0x1p27f;
-    in.f32_data()[i + 1] = static_cast<float>(rng.UniformInt(-100, 100));
-    in.f32_data()[i + 2] = 0x1p27f;
+  auto big_small_big = [&](float* v, int64_t stride, float big, bool flip) {
+    const float sign = flip && rng.UniformInt(0, 1) != 0 ? -1.0f : 1.0f;
+    v[0] = sign * big;
+    v[stride] = static_cast<float>(rng.UniformInt(-100, 100));
+    v[2 * stride] = flip ? -v[0] : v[0];
+  };
+  for (bool tb : {false, true}) {
+    const int64_t m = 9, n = 17, k = 3 * 8;
+    Tensor a(DType::kF32, {m, k});
+    Tensor w(DType::kF32, MatrixDims({}, k, n, tb));
+    for (int64_t t = 0; t < k; t += 3) {
+      for (int64_t i = 0; i < m; ++i) {
+        big_small_big(a.f32_data() + i * k + t, 1, 0x1p27f, false);
+      }
+      for (int64_t j = 0; j < n; ++j) {
+        if (tb) {
+          big_small_big(w.f32_data() + j * k + t, 1, 0x1p26f, true);
+        } else {
+          big_small_big(w.f32_data() + t * n + j, n, 0x1p26f, true);
+        }
+      }
+    }
+    ExpectMatMulMatchesNaive(isa(), a, w, false, tb);
   }
-  const int64_t oc = 5;
-  Tensor filter(DType::kF32, {3, 3, 3, oc});
-  for (int64_t tap = 0; tap < 3 * 3; ++tap) {
-    for (int64_t co = 0; co < oc; ++co) {
-      float* f = filter.f32_data() + tap * 3 * oc + co;
-      f[0] = rng.UniformInt(0, 1) != 0 ? 0x1p26f : -0x1p26f;
-      f[oc] = static_cast<float>(rng.UniformInt(-100, 100));
-      f[2 * oc] = -f[0];
+  // The same along Conv2D's (ky, kx, ci) order, over channels 0, 1, 2.
+  // Padding 1 sends the border pixels through the one-pixel path.
+  for (int64_t oc : {5, 17}) {
+    Tensor in(DType::kF32, {1, 4, 13, 3});
+    for (int64_t i = 0; i < in.num_elements(); i += 3) {
+      big_small_big(in.f32_data() + i, 1, 0x1p27f, false);
+    }
+    Tensor filter(DType::kF32, {3, 3, 3, oc});
+    for (int64_t tap = 0; tap < 3 * 3; ++tap) {
+      for (int64_t co = 0; co < oc; ++co) {
+        big_small_big(filter.f32_data() + tap * 3 * oc + co, oc, 0x1p26f,
+                      true);
+      }
+    }
+    ExpectConv2DMatchesNaive(isa(), in, filter, 1, 1, 1, 1);
+  }
+}
+
+// f32 edge values, placed in one operand of each product, against random
+// values and zeros of both signs in the other: signed zeros (an all-zero
+// operand makes every product +-0, and the sum starts from +0), infinities
+// (inf x 0 gives NaN, inf - inf too), a NaN (its payload carries through),
+// subnormals (their products are exact in double), and values near FLT_MAX
+// (whose sums overflow when narrowed to f32).
+TEST_P(ContractionTest, F32EdgeOperandsMatchTheNaiveLoops) {
+  using Limits = std::numeric_limits<float>;
+  const float edges[] = {0.0f,           -0.0f,          Limits::infinity(),
+                         -Limits::infinity(), Limits::quiet_NaN(),
+                         Limits::denorm_min(), -Limits::denorm_min(),
+                         0x1.8p-130f,    Limits::max(),  -Limits::max()};
+  Rng rng(43);
+  // Every element of `t` (for zeros) or every fourth one becomes `edge`.
+  auto place = [](Tensor* t, float edge) {
+    const int64_t step = edge == 0.0f ? 1 : 4;
+    for (int64_t i = 0; i < t->num_elements(); i += step) {
+      t->f32_data()[i] = edge;
+    }
+  };
+  auto with_zeros = [](Tensor* t) {
+    for (int64_t i = 0; i < t->num_elements(); i += 3) {
+      t->f32_data()[i] = i % 2 == 0 ? 0.0f : -0.0f;
+    }
+  };
+  for (float edge : edges) {
+    for (bool in_a : {true, false}) {
+      for (bool tb : {false, true}) {
+        for (int64_t m : {1, 9}) {
+          Tensor a = RandomF32(&rng, {m, 5});
+          Tensor w = RandomF32(&rng, MatrixDims({}, 5, 17, tb));
+          place(in_a ? &a : &w, edge);
+          with_zeros(in_a ? &w : &a);
+          ExpectMatMulMatchesNaive(isa(), a, w, false, tb);
+        }
+      }
+      Tensor in = RandomF32(&rng, {1, 3, 11, 2});
+      Tensor filter = RandomF32(&rng, {3, 3, 2, 17});
+      place(in_a ? &in : &filter, edge);
+      with_zeros(in_a ? &filter : &in);
+      ExpectConv2DMatchesNaive(isa(), in, filter, 1, 1, 1, 1);
     }
   }
-  ExpectConv2DMatchesNaive(in, filter, 1, 1, 1, 1);
+}
+
+// `values` copied so that the last one ends a page followed by an
+// inaccessible page: any access past the end faults. Vector intrinsics are
+// not instrumented by ASan, so this is what catches a full-width load or
+// store at a column or pixel edge.
+class GuardedFloats {
+ public:
+  explicit GuardedFloats(const float* values, int64_t count) {
+    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    const size_t bytes = static_cast<size_t>(count) * sizeof(float);
+    const size_t data_pages = (bytes + page - 1) / page;
+    size_ = (data_pages + 1) * page;
+    void* base = mmap(nullptr, size_, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    DISC_CHECK(base != MAP_FAILED);
+    base_ = static_cast<char*>(base);
+    DISC_CHECK_EQ(mprotect(base_ + data_pages * page, page, PROT_NONE), 0);
+    data_ = reinterpret_cast<float*>(base_ + data_pages * page) - count;
+    std::copy(values, values + count, data_);
+  }
+  explicit GuardedFloats(const Tensor& t)
+      : GuardedFloats(t.f32_data(), t.num_elements()) {}
+  ~GuardedFloats() { munmap(base_, size_); }
+  GuardedFloats(const GuardedFloats&) = delete;
+  GuardedFloats& operator=(const GuardedFloats&) = delete;
+
+  float* data() const { return data_; }
+
+ private:
+  char* base_ = nullptr;
+  size_t size_ = 0;
+  float* data_ = nullptr;
+};
+
+TEST_P(ContractionTest, EdgeReadsStayInsideTheOperands) {
+  Rng rng(47);
+  for (bool tb : {false, true}) {
+    for (int64_t m : {1, 5, 13}) {
+      for (int64_t n : {1, 3, 5, 7, 9, 15, 17, 37}) {
+        for (int64_t k : {1, 7, 64}) {
+          Tensor a = RandomF32(&rng, {m, k});
+          Tensor w = RandomF32(&rng, MatrixDims({}, k, n, tb));
+          auto dims = MatMulDimsOf(a.dims(), w.dims(), false, tb);
+          ASSERT_TRUE(dims.ok());
+          GuardedFloats guarded_w(w);
+          std::vector<float> zeros(m * n, 0.0f);
+          GuardedFloats out(zeros.data(), m * n);
+          MatMulF32(isa(), *dims, a.f32_data(), guarded_w.data(), out.data());
+          Tensor want = NaiveMatMul(a, w, false, tb, {});
+          EXPECT_TRUE(std::equal(out.data(), out.data() + m * n,
+                                 want.f32_data(),
+                                 [](float x, float y) {
+                                   return std::memcmp(&x, &y, 4) == 0;
+                                 }))
+              << ContractionIsaName(isa()) << " m=" << m << " n=" << n
+              << " k=" << k << " tb=" << tb;
+        }
+      }
+    }
+  }
+  for (int64_t oc : {1, 3, 5, 7, 9, 15, 17}) {
+    for (int64_t w : {1, 4, 13}) {
+      Tensor in = RandomF32(&rng, {1, 4, w, 3});
+      Tensor filter = RandomF32(&rng, {3, 3, 3, oc});
+      GuardedFloats guarded_in(in), guarded_filter(filter);
+      Tensor want = NaiveConv2D(in, filter, 1, 1, 1, 1);
+      std::vector<float> zeros(want.num_elements(), 0.0f);
+      GuardedFloats out(zeros.data(), want.num_elements());
+      Conv2DF32(isa(), ConvDims(in, filter, 1, 1, 1, 1), guarded_in.data(),
+                guarded_filter.data(), out.data());
+      EXPECT_EQ(std::memcmp(out.data(), want.f32_data(),
+                            want.num_elements() * sizeof(float)),
+                0)
+          << ContractionIsaName(isa()) << " oc=" << oc << " w=" << w;
+    }
+  }
+}
+
+// On every host: integer operands and small transposed-B products take the
+// generic variant; everything else takes the widest the CPU runs.
+TEST(EvalTest, ContractionSelectionRules) {
+  EXPECT_TRUE(HostSupports(ContractionIsa::kGeneric));
+  EXPECT_TRUE(HostSupports(HostIsa()));
+  for (int64_t m : {1, 3, 4, 64}) {
+    for (bool tb : {false, true}) {
+      EXPECT_EQ(SelectContraction(DType::kI64, m, tb),
+                ContractionIsa::kGeneric);
+      EXPECT_EQ(SelectContraction(DType::kI1, m, tb),
+                ContractionIsa::kGeneric);
+      EXPECT_EQ(SelectContraction(DType::kF32, m, tb),
+                tb && m < 4 ? ContractionIsa::kGeneric : HostIsa())
+          << "m=" << m << " tb=" << tb;
+    }
+  }
 }
 
 // Operands whose dims or dtypes the graph left open are checked when the

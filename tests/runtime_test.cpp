@@ -2,12 +2,15 @@
 // computation, liveness-driven memory accounting, fused edge-case ops.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "compiler/compiler.h"
 #include "ir/builder.h"
 #include "ir/eval.h"
 #include "support/rng.h"
+#include "support/trace.h"
 
 namespace disc {
 namespace {
@@ -39,6 +42,44 @@ TEST(RuntimeTest, TimingOnlyAndDataModeAgreeOnProfile) {
                    timing->profile.device_time_us);
   EXPECT_TRUE(timing->outputs.empty());
   EXPECT_FALSE(data->outputs.empty());
+}
+
+// A traced data-mode Run names, on each library step, the contraction
+// variant it ran: the f32 product takes the host's widest, the i64 one the
+// generic variant.
+TEST(RuntimeTest, LibraryStepsNameTheirContractionVariantInTraces) {
+  Graph g;
+  GraphBuilder b(&g);
+  Value* x = b.Input("x", DType::kF32, {kDynamicDim, 8});
+  Value* w = b.Input("w", DType::kF32, {8, 5});
+  Value* i = b.Input("i", DType::kI64, {kDynamicDim, 3});
+  Value* j = b.Input("j", DType::kI64, {3, 2});
+  b.Output({b.MatMul(x, w), b.MatMul(i, j)});
+  auto exe = DiscCompiler::Compile(g, {{"B", ""}, {}, {"B", ""}, {}});
+  ASSERT_TRUE(exe.ok()) << exe.status().ToString();
+
+  Rng rng(3);
+  TraceSession& session = TraceSession::Global();
+  session.Clear();
+  session.Enable();
+  auto r = (*exe)->Run({RandomF32(&rng, {6, 8}), RandomF32(&rng, {8, 5}),
+                        Tensor::I64({6, 3}, std::vector<int64_t>(18, 2)),
+                        Tensor::I64({3, 2}, std::vector<int64_t>(6, -1))});
+  session.Disable();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  std::vector<std::string> variants;
+  for (const TraceEvent& event : session.Snapshot("runtime.step")) {
+    for (const TraceArg& arg : event.args) {
+      if (arg.first == "variant" && event.name == "matmul") {
+        variants.push_back(arg.second);
+      }
+    }
+  }
+  session.Clear();
+  std::sort(variants.begin(), variants.end());
+  std::vector<std::string> want = {ContractionIsaName(HostIsa()), "generic"};
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(variants, want);
 }
 
 TEST(RuntimeTest, HostStepsContributeNoDeviceTime) {
