@@ -83,9 +83,9 @@ int main() {
   std::printf("\n-- peak intermediate memory (first trace shape) --\n");
   mem_table.Print();
 
-  // Buffer planning + allocator behaviour across a changing-shape trace.
-  std::printf("\n-- buffer planning & allocator reuse over the trace --\n");
-  bench::Table buf_table({"model", "device values", "planned slots",
+  // Memory planning + allocator behaviour across a changing-shape trace.
+  std::printf("\n-- memory planning & allocator reuse over the trace --\n");
+  bench::Table buf_table({"model", "device values", "arena slots",
                           "alloc calls (8 queries)", "cache hits"});
   for (const Model& model : BuildModelSuite(config)) {
     auto exe = DiscCompiler::Compile(*model.graph, model.input_dim_labels);
@@ -99,8 +99,8 @@ int main() {
       hits += r->profile.alloc_cache_hits;
     }
     buf_table.AddRow({model.name,
-                      std::to_string((*exe)->report().buffer_values),
-                      std::to_string((*exe)->report().buffer_slots),
+                      std::to_string((*exe)->memory_plan().num_values),
+                      std::to_string((*exe)->report().arena_slots),
                       std::to_string(calls), std::to_string(hits)});
   }
   buf_table.Print();

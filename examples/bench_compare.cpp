@@ -6,7 +6,7 @@
 // committed under bench/baselines/ to turn performance regressions into
 // red builds.
 //
-//   $ bench_compare BASELINE.json CURRENT.json \
+//   $ bench_compare BASELINE.json CURRENT.json
 //         [--tolerance=0.10] [--exclude=wall.,compile.]
 //
 //   --tolerance=R   maximum allowed relative delta (default 0.10 = 10%).

@@ -1,5 +1,6 @@
 #include "compiler/compiler.h"
 
+#include <algorithm>
 #include <chrono>
 #include <unordered_map>
 #include <unordered_set>
@@ -291,56 +292,22 @@ Result<std::unique_ptr<Executable>> DiscCompiler::Compile(
       }
       exe->steps_.push_back(step);
     }
-
-    // 5b. Buffer liveness over the step schedule is shape-independent, so
-    // the release points are fixed once here; every Run (cached or not)
-    // replays them instead of re-deriving liveness.
-    exe->BuildReleaseSchedule();
+    exe->MarkOwnedOutputs();
   }
 
-  // 6. Compile-time buffer assignment over the device steps.
-  {
-    PhaseScope phase(&exe->report_, "buffer-assignment");
-    std::vector<PlanStep> plan_steps;
-    for (const Executable::Step& step : exe->steps_) {
-      PlanStep ps;
-      switch (step.kind) {
-        case Executable::Step::Kind::kKernel:
-          ps.defines.assign(step.kernel->group().outputs.begin(),
-                            step.kernel->group().outputs.end());
-          ps.uses.assign(step.kernel->group().inputs.begin(),
-                         step.kernel->group().inputs.end());
-          break;
-        case Executable::Step::Kind::kLibrary:
-          ps.defines.assign(step.node->outputs().begin(),
-                            step.node->outputs().end());
-          ps.uses.assign(step.node->operands().begin(),
-                         step.node->operands().end());
-          break;
-        default:
-          continue;  // constants/host values are not device buffers
-      }
-      plan_steps.push_back(std::move(ps));
-    }
-    std::vector<const Value*> keep_alive(exe->graph_->outputs().begin(),
-                                         exe->graph_->outputs().end());
-    exe->buffer_plan_ =
-        PlanBuffers(plan_steps, keep_alive, *exe->analysis_);
-    exe->report_.buffer_values = exe->buffer_plan_.num_values;
-    exe->report_.buffer_slots = exe->buffer_plan_.num_slots();
-  }
-
-  // 7. Symbolic arena planning: byte offsets into one arena, valid for
-  // every runtime shape (ProvablyLe discharges cross-size reuse). Unlike
-  // the per-slot plan this schedule includes constants — they become
-  // pinned arena residents — so an arena-mode Run allocates exactly once.
-  // Host steps contribute their uses: a device value a host shape-op reads
-  // must stay live until that step.
+  // 6. Symbolic arena planning: byte offsets into one arena, valid for
+  // every runtime shape (ProvablyLe discharges cross-size reuse). The
+  // schedule has one entry per step. Constants are pinned arena residents,
+  // so an arena-mode Run allocates exactly once. Host steps contribute
+  // their uses: a device value a host shape-op reads must stay live until
+  // that step. Liveness is shape-independent, so the plan's per-step
+  // release lists are fixed here, and every caching-allocator Run (cached
+  // plan or not) frees by them.
   {
     PhaseScope phase(&exe->report_, "memory-planning");
-    std::vector<PlanStep> arena_steps;
-    std::vector<const Value*> arena_keep_alive(exe->graph_->outputs().begin(),
-                                               exe->graph_->outputs().end());
+    std::vector<PlanStep> plan_steps;
+    std::vector<const Value*> keep_alive(exe->graph_->outputs().begin(),
+                                         exe->graph_->outputs().end());
     for (const Executable::Step& step : exe->steps_) {
       PlanStep ps;
       switch (step.kind) {
@@ -358,17 +325,16 @@ Result<std::unique_ptr<Executable>> DiscCompiler::Compile(
           break;
         case Executable::Step::Kind::kConstant:
           ps.defines.push_back(step.node->output(0));
-          arena_keep_alive.push_back(step.node->output(0));
+          keep_alive.push_back(step.node->output(0));
           break;
         case Executable::Step::Kind::kHost:
           ps.uses.assign(step.node->operands().begin(),
                          step.node->operands().end());
           break;
       }
-      arena_steps.push_back(std::move(ps));
+      plan_steps.push_back(std::move(ps));
     }
-    exe->memory_plan_ =
-        PlanArena(arena_steps, arena_keep_alive, *exe->analysis_);
+    exe->memory_plan_ = PlanArena(plan_steps, keep_alive, *exe->analysis_);
     exe->report_.arena_slots = exe->memory_plan_.num_slots();
     exe->report_.arena_cross_size_reuses =
         exe->memory_plan_.num_cross_size_reuses;
@@ -382,6 +348,12 @@ Result<std::unique_ptr<Executable>> DiscCompiler::Compile(
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - start)
           .count();
+  // Every phase runs inside [start, now], so the remainder is the time
+  // between and around them; clamping only absorbs rounding.
+  double named_ms = 0.0;
+  for (const auto& [name, ms] : exe->report_.phase_ms) named_ms += ms;
+  exe->report_.phase_ms.emplace_back(
+      "other", std::max(0.0, exe->report_.compile_ms - named_ms));
   return exe;
 }
 

@@ -7,6 +7,7 @@
 //     -> dynamic-shape fusion planning (kLoop / kInput / kStitch)
 //     -> kernel compilation + compile-time multi-version specialization
 //     -> step scheduling (host shape ops vs. library calls vs. kernels)
+//     -> symbolic arena memory planning (liveness, offsets, peak formula)
 //     -> Executable (compile once, run any shape)
 #ifndef DISC_COMPILER_COMPILER_H_
 #define DISC_COMPILER_COMPILER_H_

@@ -1,7 +1,6 @@
 #include "decode/decode_replay.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "ir/eval.h"
 #include "support/logging.h"
@@ -224,17 +223,6 @@ Result<std::vector<Tensor>> ReplaySingleSequence(const ModelConfig& config,
     if (t >= seq.prompt_len) decode_probs.push_back((*outs)[0].Clone());
   }
   return decode_probs;
-}
-
-bool BitIdentical(const Tensor& a, const Tensor& b) {
-  if (a.dtype() != b.dtype() || a.dims() != b.dims()) return false;
-  if (a.dtype() == DType::kF32) {
-    return std::memcmp(a.f32_data(), b.f32_data(),
-                       static_cast<size_t>(a.byte_size())) == 0;
-  }
-  return std::memcmp(a.i64_data(), b.i64_data(),
-                     static_cast<size_t>(a.num_elements()) *
-                         sizeof(int64_t)) == 0;
 }
 
 DecodeShapeFn GptStepBatchShapeFn(int64_t hidden) {

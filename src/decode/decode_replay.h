@@ -98,10 +98,6 @@ class BatchedDecodeSession {
 Result<std::vector<Tensor>> ReplaySingleSequence(const ModelConfig& config,
                                                  const ReplaySequence& seq);
 
-/// \brief Exact bitwise equality (dims, dtype, and every element's bit
-/// pattern — 0.0 vs -0.0 and NaN payloads included).
-bool BitIdentical(const Tensor& a, const Tensor& b);
-
 /// \brief The DecodeShapeFn for BuildGptStepBatch:
 /// (B, T) -> {{B,1,H},{B,T,H},{B,T,H},{B,T}}.
 DecodeShapeFn GptStepBatchShapeFn(int64_t hidden);

@@ -1,63 +1,21 @@
-// Compile-time buffer assignment ("buffer planning" in the paper's
-// runtime): device values are assigned to logical slots once, at compile
-// time, such that the assignment is valid for EVERY runtime shape.
-//
-// Two values may share a slot iff
-//   * their live ranges over the step schedule are disjoint, and
-//   * their byte sizes are *symbolically* equal (same canonical size
-//     expression) — so whatever the runtime dims turn out to be, the slot
-//     is exactly the right size for both.
-//
-// At run time the executable allocates one block per active slot instead
-// of one per value: reuses become zero-cost (no allocator call at all),
-// which is how the real runtime keeps its hot path free of allocator
-// traffic under changing shapes.
+// The step schedule the memory planner reads (see runtime/memory_plan.h):
+// one entry per executable step, naming the device values the step defines
+// and the values it reads. Liveness over this schedule is shape-independent,
+// so it is computed once per Compile.
 #ifndef DISC_RUNTIME_BUFFER_PLAN_H_
 #define DISC_RUNTIME_BUFFER_PLAN_H_
 
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/graph.h"
-#include "shape/shape_analysis.h"
 
 namespace disc {
-
-struct BufferAssignment {
-  /// Device value -> slot id.
-  std::unordered_map<const Value*, int> slot_of;
-  /// Canonical symbolic byte-size expression per slot.
-  std::vector<DimExpr> slot_bytes;
-  /// Occupant count per slot (parallel to slot_bytes). A slot recycled
-  /// twice has three occupants; chained recycling is visible here.
-  std::vector<int64_t> slot_occupants;
-  int64_t num_values = 0;
-  /// Reuse *events*: every placement into a previously-occupied slot
-  /// counts, so a slot recycled twice contributes two. Derived from
-  /// slot_occupants (sum of occupants - 1 per slot), which keeps it
-  /// consistent with the assignment by construction.
-  int64_t num_reused = 0;
-
-  int64_t num_slots() const { return static_cast<int64_t>(slot_bytes.size()); }
-  /// Slots that were recycled at least once.
-  int64_t num_recycled_slots() const;
-  /// Longest occupant chain through any single slot.
-  int64_t max_slot_occupancy() const;
-  std::string ToString() const;
-};
 
 /// One schedule entry for planning: the values a step defines and uses.
 struct PlanStep {
   std::vector<const Value*> defines;
   std::vector<const Value*> uses;
 };
-
-/// \brief Plans slots over a step schedule. `keep_alive` values (graph
-/// outputs, constants) never have their slots recycled.
-BufferAssignment PlanBuffers(const std::vector<PlanStep>& steps,
-                             const std::vector<const Value*>& keep_alive,
-                             const ShapeAnalysis& analysis);
 
 }  // namespace disc
 

@@ -96,8 +96,7 @@ Result<RunResult> Executable::RunWithShapes(
   return RunInternal(input_dims, nullptr, timing_only);
 }
 
-void Executable::BuildReleaseSchedule() {
-  release_after_step_.assign(steps_.size(), {});
+void Executable::MarkOwnedOutputs() {
   // Constants and host shape-step results belong to the executable (plans
   // record host results and replay them), so Run copies such outputs.
   std::unordered_set<const Value*> owned;
@@ -109,52 +108,6 @@ void Executable::BuildReleaseSchedule() {
   copy_output_.clear();
   for (const Value* out : graph_->outputs()) {
     copy_output_.push_back(owned.count(out) > 0);
-  }
-
-  // Liveness: the last step consuming each value. Shape-independent, so it
-  // is computed once here instead of on every Run.
-  std::unordered_map<const Value*, size_t> last_use;
-  for (size_t s = 0; s < steps_.size(); ++s) {
-    const Step& step = steps_[s];
-    if (step.kind == Step::Kind::kKernel) {
-      for (const Value* in : step.kernel->group().inputs) last_use[in] = s;
-    } else {
-      for (const Value* operand : step.node->operands()) last_use[operand] = s;
-    }
-  }
-
-  std::unordered_set<const Value*> graph_outputs(graph_->outputs().begin(),
-                                                 graph_->outputs().end());
-  auto schedule_release = [&](const Value* v, size_t def_step) {
-    if (graph_outputs.count(v)) return;  // outputs live to the end
-    if (v->producer() != nullptr &&
-        v->producer()->kind() == OpKind::kConstant) {
-      return;  // weights stay resident for the module's lifetime
-    }
-    auto lu = last_use.find(v);
-    size_t release =
-        lu == last_use.end() ? def_step : std::max(def_step, lu->second);
-    release_after_step_[release].push_back(v);
-  };
-  for (size_t s = 0; s < steps_.size(); ++s) {
-    const Step& step = steps_[s];
-    switch (step.kind) {
-      case Step::Kind::kConstant:
-        schedule_release(step.node->output(0), s);
-        break;
-      case Step::Kind::kLibrary:
-        for (const Value* out : step.node->outputs()) {
-          schedule_release(out, s);
-        }
-        break;
-      case Step::Kind::kKernel:
-        for (const Value* out : step.kernel->group().outputs) {
-          schedule_release(out, s);
-        }
-        break;
-      case Step::Kind::kHost:
-        break;  // host values are not device buffers
-    }
   }
 }
 
@@ -232,20 +185,14 @@ Result<LaunchPlan> Executable::BuildLaunchPlan(
     }
   }
 
-  // Memoize the concrete memory layout for this signature: the arena peak
-  // formula and the per-slot block sizes, evaluated once. Mode-independent
-  // and cheap, so a single cached plan serves every MemoryMode and a plan
-  // hit performs no size arithmetic at all.
+  // Memoize the arena size for this signature: the peak formula evaluated
+  // once. Mode-independent and cheap, so a single cached plan serves every
+  // MemoryMode (and admission control) and a plan hit performs no size
+  // arithmetic at all.
   if (memory_plan_.planned && memory_plan_.peak_bytes.valid()) {
     DISC_ASSIGN_OR_RETURN(
         plan.arena_bytes,
         analysis_->EvaluateDim(memory_plan_.peak_bytes, plan.bindings));
-  }
-  plan.slot_bytes.reserve(buffer_plan_.slot_bytes.size());
-  for (const DimExpr& bytes : buffer_plan_.slot_bytes) {
-    DISC_ASSIGN_OR_RETURN(int64_t concrete,
-                          analysis_->EvaluateDim(bytes, plan.bindings));
-    plan.slot_bytes.push_back(concrete);
   }
   if (bind) DISC_RETURN_IF_ERROR(BindKernels(&plan));
   return plan;
@@ -366,26 +313,17 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
   std::vector<KernelLaunchObservation> kernel_observations;
   CachingAllocator allocator(options.memory_limit_bytes);
   const bool execute_data = inputs != nullptr;
-  const MemoryMode mode = options.memory_mode;
-  const bool use_arena = mode == MemoryMode::kArena && memory_plan_.planned;
+  const bool use_arena =
+      options.memory_mode == MemoryMode::kArena && memory_plan_.planned;
 
-  // Up-front allocation for the planned modes. Arena: the whole Run's
-  // footprint in ONE call against the memoized peak formula — the limit
-  // check (and any armed runtime.alloc failpoint) fires here, before any
-  // step executes, never mid-Run. Per-slot: one block per compile-time
-  // buffer slot.
-  std::vector<int64_t> slot_block;
+  // Arena mode allocates the whole Run's footprint in ONE call against the
+  // memoized peak formula: the limit check (and any armed runtime.alloc
+  // failpoint) fires here, before any step executes, never mid-Run.
   if (use_arena) {
     if (plan.arena_bytes > 0) {
       DISC_RETURN_IF_ERROR(allocator.Allocate(plan.arena_bytes).status());
     }
     profile.arena_bytes = plan.arena_bytes;
-  } else if (mode == MemoryMode::kPerSlot) {
-    slot_block.reserve(plan.slot_bytes.size());
-    for (int64_t bytes : plan.slot_bytes) {
-      DISC_ASSIGN_OR_RETURN(int64_t id, allocator.Allocate(bytes));
-      slot_block.push_back(id);
-    }
   }
 
   std::unordered_map<const Value*, Tensor> env;
@@ -402,14 +340,10 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
     size_t next_alloc = 0;
     auto allocate_value = [&](const Value* v) -> Status {
       const int64_t bytes = ps.alloc_bytes[next_alloc++];
-      // Values covered by a compile-time plan live in pre-allocated
-      // memory: arena residents (constants included) at their offsets,
-      // slot members in their slot's block. They never enter block_of, so
-      // the release loop naturally skips them.
+      // Arena residents (constants included) live at their offsets in the
+      // pre-allocated arena. They never enter block_of, so the release
+      // loop naturally skips them.
       if (use_arena && memory_plan_.slot_of.count(v)) return Status::OK();
-      if (mode == MemoryMode::kPerSlot && buffer_plan_.slot_of.count(v)) {
-        return Status::OK();
-      }
       DISC_ASSIGN_OR_RETURN(block_of[v], allocator.Allocate(bytes));
       return Status::OK();
     };
@@ -540,7 +474,7 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
         break;
       }
     }
-    for (const Value* dead : release_after_step_[s]) {
+    for (const Value* dead : memory_plan_.release_after_step[s]) {
       auto it = block_of.find(dead);
       if (it != block_of.end()) {
         DISC_RETURN_IF_ERROR(allocator.Free(it->second));

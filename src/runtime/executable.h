@@ -9,16 +9,21 @@
 //
 // Runs are split into two phases (see runtime/launch_plan.h):
 //   * plan build  — all host-side symbolic work (symbol solve, guard
-//     evaluation, launch geometry, library footprints, buffer sizes),
-//     a pure function of the input-shape signature;
-//   * plan execute — cost-model charging, buffer lifetime simulation and
-//     (in data mode) numeric execution from a finished plan.
+//     evaluation, launch geometry, library footprints, buffer sizes and
+//     the arena size), a pure function of the input-shape signature;
+//   * plan execute — cost-model charging, allocator traffic and (in data
+//     mode) numeric execution from a finished plan.
 // Plans are memoized per signature in a bounded thread-safe LRU, so
 // repeated-shape Runs (decode loops, hot serving signatures) skip the
 // symbolic phase entirely. A plan that serves data-mode Runs also holds
 // each fused kernel's binding (FusedKernel::Bind), so a hit executes
 // pre-bound loops. Cached runs are strictly observational: same outputs
 // bit-for-bit, same simulated device time — less host work.
+//
+// Device memory follows the compile-time arena plan (runtime/memory_plan.h)
+// in both memory modes: the arena mode allocates its peak formula once, and
+// the caching-allocator mode frees each value after the last-use step the
+// plan's liveness pass found.
 //
 // Run outputs never alias tensors the executable owns: an output whose
 // value is a constant or a host shape-step result (which plans record and
@@ -41,7 +46,6 @@
 #include "ir/tensor.h"
 #include "kernel/kernel.h"
 #include "runtime/allocator.h"
-#include "runtime/buffer_plan.h"
 #include "runtime/launch_plan.h"
 #include "runtime/memory_plan.h"
 #include "sim/device.h"
@@ -51,12 +55,9 @@ namespace disc {
 /// How a Run backs device values with memory.
 enum class MemoryMode {
   /// One CachingAllocator call per live value (the baseline; reuse happens
-  /// dynamically through the allocator's size-class cache).
+  /// dynamically through the allocator's size-class cache). Values are
+  /// freed after the last-use step the arena plan's liveness found.
   kCachingAllocator,
-  /// One block per compile-time BufferAssignment slot, allocated up front;
-  /// values inside a slot share it for free. Constants still allocate
-  /// individually (they are not slot residents).
-  kPerSlot,
   /// A single allocation of the symbolic peak formula: every value —
   /// constants included — lives at a compile-time offset in one arena.
   /// With a launch-plan cache hit the Run does no size arithmetic and at
@@ -116,7 +117,7 @@ struct RunProfile {
   /// True when this Run replayed a memoized launch plan (signature hit).
   bool launch_plan_hit = false;
   /// Measured wall-clock host cost of obtaining the launch plan: symbol
-  /// solve + guard eval + launch geometry + buffer planning on a miss, a
+  /// solve + guard eval + launch geometry + buffer sizes on a miss, a
   /// hash lookup on a hit. Real time, not simulated.
   double host_plan_us = 0.0;
   std::map<std::string, int64_t> variant_counts;  // per variant name
@@ -134,7 +135,8 @@ struct CompileReport {
   double compile_ms = 0.0;
   /// Wall-clock per pipeline phase, in pipeline order (graph-passes,
   /// shape-analysis, fusion-planning, kernel-compile, step-schedule,
-  /// buffer-assignment). Sums to ~compile_ms.
+  /// memory-planning), then an `other` row holding the rest of
+  /// compile_ms, so the rows sum to compile_ms.
   std::vector<std::pair<std::string, double>> phase_ms;
   int64_t num_nodes_before = 0;
   int64_t num_nodes_after = 0;
@@ -142,9 +144,6 @@ struct CompileReport {
   SymbolicDimManager::Stats shapes;
   int64_t num_kernels = 0;
   int64_t num_variants = 0;
-  /// Compile-time buffer assignment: device values vs logical slots.
-  int64_t buffer_values = 0;
-  int64_t buffer_slots = 0;
   /// Symbolic arena plan (memory-planning phase): slot count, cross-size
   /// reuses ProvablyLe discharged, and values that fell back to a fresh
   /// slot because their size was incomparable with every free slot.
@@ -181,12 +180,9 @@ class Executable {
     return kernels_;
   }
   const CompileReport& report() const { return report_; }
-  /// Compile-time buffer assignment (shape-polymorphic slot reuse). The
-  /// CPU runtime's caching allocator realizes the same reuse dynamically;
-  /// the plan documents it statically and is validated by tests.
-  const BufferAssignment& buffer_plan() const { return buffer_plan_; }
-  /// Symbolic arena plan: per-value byte offsets into one arena plus the
-  /// symbolic peak-bytes formula (memory-planning compile phase).
+  /// Symbolic arena plan: per-value byte offsets into one arena, the
+  /// symbolic peak-bytes formula, and the per-step release lists the
+  /// caching-allocator mode frees by (memory-planning compile phase).
   const MemoryPlan& memory_plan() const { return memory_plan_; }
 
   /// \brief Evaluates the symbolic peak formula for one input signature —
@@ -253,21 +249,18 @@ class Executable {
                                 const std::string& signature,
                                 LaunchPlan* record_host) const;
 
-  /// Shape-independent buffer liveness: values to free after each step,
-  /// and which graph outputs Run must copy. Computed once at compile time;
-  /// both run phases consume it.
-  void BuildReleaseSchedule();
+  /// Fills copy_output_ from the step schedule. Computed once at compile
+  /// time.
+  void MarkOwnedOutputs();
 
   std::unique_ptr<Graph> graph_;
   std::unique_ptr<ShapeAnalysis> analysis_;
   FusionPlan plan_;
   std::vector<std::unique_ptr<FusedKernel>> kernels_;
   std::vector<Step> steps_;
-  std::vector<std::vector<const Value*>> release_after_step_;
   /// Per graph output: true when its value belongs to the executable (a
   /// constant or a host shape-step result), so Run returns a copy.
   std::vector<bool> copy_output_;
-  BufferAssignment buffer_plan_;
   MemoryPlan memory_plan_;
   CompileReport report_;
   /// Signature -> launch plan. Logically a cache, hence mutable: Run stays

@@ -1,5 +1,7 @@
 #include "runtime/launch_plan.h"
 
+#include <charconv>
+
 namespace disc {
 
 std::string ShapeSignature(
@@ -28,7 +30,14 @@ Result<std::vector<std::vector<int64_t>>> ParseShapeSignature(
       return Status::InvalidArgument("bad shape signature '" + signature +
                                      "': empty dim");
     }
-    dims.push_back(std::stoll(digits));
+    int64_t dim = 0;
+    const char* end = digits.data() + digits.size();
+    if (std::from_chars(digits.data(), end, dim).ec != std::errc()) {
+      return Status::InvalidArgument("bad shape signature '" + signature +
+                                     "': dim " + digits +
+                                     " does not fit int64");
+    }
+    dims.push_back(dim);
     digits.clear();
     return Status::OK();
   };

@@ -3,7 +3,7 @@
 // "Compile once, run any shape" still pays a per-launch host cost: every
 // Run must solve the symbolic dims from the input shapes, evaluate each
 // kernel's guards to pick a variant, compute launch geometry and library
-// footprints, and instantiate the buffer plan. All of that is a pure
+// footprints, and size every buffer and the arena. All of that is a pure
 // function of the input-shape signature — so for the dominant serving
 // pattern (decode loops, repeat-heavy traces) it can be done once per
 // signature and replayed.
@@ -70,7 +70,7 @@ struct PlannedStep {
   /// Footprint of the vendor call (kLibrary steps).
   LibraryCallStats library_stats;
   /// Concrete byte size per buffer this step allocates, in the same order
-  /// the step defines its outputs (the instantiated buffer plan).
+  /// the step defines its outputs (caching-allocator mode).
   std::vector<int64_t> alloc_bytes;
   /// The kernel's executor bound to this signature (kKernel steps of a
   /// bound plan). Immutable and shared by concurrent Runs.
@@ -91,8 +91,6 @@ struct LaunchPlan {
   /// and exactly one allocator call — and so admission control can read a
   /// hot signature's footprint off the cache.
   int64_t arena_bytes = 0;
-  /// Concrete byte size per BufferAssignment slot (per-slot memory mode).
-  std::vector<int64_t> slot_bytes;
   /// True once the plan can serve data-mode runs: every kernel step holds
   /// its binding and every host step its results. Plans built by
   /// timing-only runs are bound on their first data-mode hit.

@@ -164,8 +164,12 @@ MemoryPlan PlanArena(const std::vector<PlanStep>& steps,
   }
 
   ArenaLayout layout = PlanArenaItems(items, analysis.manager());
+  plan.release_after_step.resize(steps.size());
   for (size_t i = 0; i < values.size(); ++i) {
     plan.slot_of[values[i]] = layout.slot_of[i];
+    if (!items[i].pinned) {
+      plan.release_after_step[items[i].last_use_step].push_back(values[i]);
+    }
   }
   plan.slots = std::move(layout.slots);
   plan.peak_bytes = layout.peak_bytes;

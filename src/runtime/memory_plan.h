@@ -1,21 +1,24 @@
 // Symbolic arena memory planning (BladeDISC++'s "compile-time memory
-// optimization under dynamic shapes"): instead of one block per buffer
-// slot, every device value receives a byte *offset* into a single arena,
-// valid for EVERY runtime shape.
+// optimization under dynamic shapes"): every device value receives a byte
+// *offset* into a single arena, valid for EVERY runtime shape.
 //
-// The planner runs liveness over the step schedule (like PlanBuffers) but
-// relaxes the sharing rule: two values may share arena space when their
-// live ranges are disjoint and their sizes are *comparable* under the
-// constraint system — `SymbolicDimManager::ProvablyLe` discharges
-// "does size A fit in the space of size B for every shape?" with divisor
-// and bound facts. Three reuse forms:
-//   * exact   — canonical size expressions are equal (PlanBuffers' rule)
+// The planner runs liveness over the step schedule and lets two values
+// share arena space when their live ranges are disjoint and their sizes
+// are *comparable* under the constraint system —
+// `SymbolicDimManager::ProvablyLe` discharges "does size A fit in the
+// space of size B for every shape?" with divisor and bound facts. Three
+// reuse forms:
+//   * exact   — canonical size expressions are equal
 //   * fit     — the new value provably fits below the slot's size
 //   * widen   — the slot provably fits in the new value's size; the slot
 //               grows (sound: every earlier occupant fit the old size)
-// Sizes that compare with no free slot fall back to a fresh slot — the
-// conservative per-slot layout — and are recorded with a reason so
-// `disc_explain --memory-plan` / memory_plan.json can show why.
+// Sizes that compare with no free slot fall back to a fresh slot and are
+// recorded with a reason so `disc_explain --memory-plan` /
+// memory_plan.json can show why.
+//
+// This liveness pass is the runtime's only one: the plan also lists, per
+// step, the values whose last use it is, and the caching-allocator memory
+// mode frees exactly those after the step.
 //
 // Slot sizes are aligned to kArenaAlignment up front, so offsets (prefix
 // sums) are aligned for every binding and a single arena allocation incurs
@@ -91,6 +94,10 @@ struct MemoryPlan {
   int64_t num_reused = 0;
   int64_t num_cross_size_reuses = 0;
   std::vector<ArenaFallback> fallbacks;
+  /// Per schedule step: the unpinned values whose live range ends there (a
+  /// value no step reads ends at its own step), in definition order. The
+  /// caching allocator frees them after the step.
+  std::vector<std::vector<const Value*>> release_after_step;
 
   int64_t num_slots() const { return static_cast<int64_t>(slots.size()); }
   std::string ToString() const;
@@ -98,8 +105,8 @@ struct MemoryPlan {
   std::string ToJson() const;
 };
 
-/// \brief Plans the arena over the compiler's step schedule. Unlike
-/// PlanBuffers, `steps` here should include constants (they become pinned
+/// \brief Plans the arena over the compiler's step schedule, one entry per
+/// executable step. `steps` should include constants (they become pinned
 /// arena residents, so a Run needs no further allocations); `keep_alive`
 /// values are pinned too.
 MemoryPlan PlanArena(const std::vector<PlanStep>& steps,

@@ -58,13 +58,19 @@ void AppendArgs(std::string* out, const std::vector<TraceArg>& args) {
 }  // namespace
 
 TraceSession::TraceSession()
-    : epoch_(std::chrono::steady_clock::now()), capacity_(kDefaultCapacity) {
-  ring_.resize(capacity_);
-}
+    : epoch_(std::chrono::steady_clock::now()), capacity_(kDefaultCapacity) {}
 
 TraceSession& TraceSession::Global() {
   static TraceSession* session = new TraceSession();
   return *session;
+}
+
+void TraceSession::Enable() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (ring_.empty()) ring_.resize(capacity_);
+  }
+  enabled_.store(true, std::memory_order_relaxed);
 }
 
 double TraceSession::NowUs() const {

@@ -8,7 +8,8 @@
 //
 // Design constraints:
 //   * zero cost when disabled — DISC_TRACE_SCOPE is one relaxed atomic
-//     load, no allocation, no lock;
+//     load, no allocation, no lock; the ring buffer itself is allocated
+//     only when tracing is first enabled or its capacity is set;
 //   * thread-safe — spans from concurrent Runs interleave into one
 //     bounded ring buffer (oldest events drop when full, counted);
 //   * two timelines — wall-clock spans record real time (pid 1); the
@@ -62,7 +63,8 @@ class TraceSession {
 
   static TraceSession& Global();
 
-  void Enable() { enabled_.store(true, std::memory_order_relaxed); }
+  /// Allocates the ring buffer on first use, then turns recording on.
+  void Enable();
   void Disable() { enabled_.store(false, std::memory_order_relaxed); }
   /// The one check on every hot path; relaxed load, nothing else.
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
@@ -113,6 +115,7 @@ class TraceSession {
   std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mu_;
   // Ring buffer: ring_[(head_ + i) % capacity_] for i in [0, size_).
+  // Empty until Enable or set_capacity sizes it to capacity_.
   std::vector<TraceEvent> ring_;
   size_t capacity_;
   size_t head_ = 0;

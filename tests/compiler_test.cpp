@@ -279,6 +279,26 @@ TEST(CompilerTest, ReportIsPopulated) {
   EXPECT_GT(report.shapes.num_symbols, 0);
 }
 
+TEST(CompilerTest, PhaseRowsSumToCompileMs) {
+  Graph g("phases");
+  GraphBuilder b(&g);
+  Value* x = b.Input("x", DType::kF32, {kDynamicDim, 16});
+  Tensor w(DType::kF32, {16, 16});
+  b.Output({b.Softmax(b.MatMul(b.Tanh(x), b.Constant(w)))});
+  auto exe = DiscCompiler::Compile(g, {{"B", ""}});
+  ASSERT_TRUE(exe.ok());
+  const CompileReport& report = (*exe)->report();
+  ASSERT_FALSE(report.phase_ms.empty());
+  EXPECT_EQ(report.phase_ms.back().first, "other");
+  double sum = 0.0;
+  for (const auto& [name, ms] : report.phase_ms) {
+    EXPECT_GE(ms, 0.0) << name;
+    EXPECT_NE(name, "buffer-assignment");
+    sum += ms;
+  }
+  EXPECT_NEAR(sum, report.compile_ms, 1e-9 * report.compile_ms);
+}
+
 TEST(CompilerTest, GraphOutputsThatAreConstantsOrInputs) {
   Graph g("edge");
   GraphBuilder b(&g);

@@ -493,7 +493,7 @@ TEST(DecodeBitIdentityTest, RaggedPaddedBatchMatchesSingleReplay) {
     const auto& batched = session.probs(s);
     ASSERT_EQ(batched.size(), reference->size());
     for (size_t i = 0; i < batched.size(); ++i) {
-      EXPECT_TRUE(BitIdentical(batched[i], (*reference)[i]))
+      EXPECT_TRUE(Tensor::BitEqual(batched[i], (*reference)[i]))
           << "seq " << s << " step " << i << " diverged: max|d|="
           << Tensor::MaxAbsDiff(batched[i], (*reference)[i]);
     }
@@ -526,7 +526,7 @@ TEST(DecodeBitIdentityTest, PreemptResumeRebuildStaysBitIdentical) {
     const auto& batched = session.probs(s);
     ASSERT_EQ(batched.size(), reference->size());
     for (size_t i = 0; i < batched.size(); ++i) {
-      EXPECT_TRUE(BitIdentical(batched[i], (*reference)[i]))
+      EXPECT_TRUE(Tensor::BitEqual(batched[i], (*reference)[i]))
           << "seq " << s << " step " << i << " diverged after preempt";
     }
   }
@@ -548,7 +548,7 @@ TEST(DecodeBitIdentityTest, PaddingGridDoesNotChangeBits) {
   for (size_t r = 1; r < runs.size(); ++r) {
     ASSERT_EQ(runs[r].size(), runs[0].size());
     for (size_t i = 0; i < runs[0].size(); ++i) {
-      EXPECT_TRUE(BitIdentical(runs[r][i], runs[0][i]));
+      EXPECT_TRUE(Tensor::BitEqual(runs[r][i], runs[0][i]));
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 
 #include "compiler/compiler.h"
@@ -21,21 +22,6 @@ Tensor RandomF32(Rng* rng, std::vector<int64_t> dims) {
     t.f32_data()[i] = rng->Normal();
   }
   return t;
-}
-
-// Exact equality — cached replay must be bit-identical, not just close.
-bool BitIdentical(const Tensor& a, const Tensor& b) {
-  if (a.dtype() != b.dtype() || a.dims() != b.dims()) return false;
-  if (a.dtype() == DType::kF32) {
-    for (int64_t i = 0; i < a.num_elements(); ++i) {
-      if (a.f32_data()[i] != b.f32_data()[i]) return false;
-    }
-    return true;
-  }
-  for (int64_t i = 0; i < a.num_elements(); ++i) {
-    if (a.i64_data()[i] != b.i64_data()[i]) return false;
-  }
-  return true;
 }
 
 // A model with every step kind: host shape program (Dim/Cast), a library
@@ -64,6 +50,19 @@ TEST(ShapeSignatureTest, CanonicalAndCollisionFree) {
   EXPECT_EQ(ShapeSignature({{}}), ";");  // rank-0
   // Rank boundaries must not collide: [2,3],[4] vs [2],[3,4].
   EXPECT_NE(ShapeSignature({{2, 3}, {4}}), ShapeSignature({{2}, {3, 4}}));
+}
+
+TEST(ShapeSignatureTest, ParseRejectsDimsBeyondInt64) {
+  auto max = ParseShapeSignature("9223372036854775807x2;");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(*max, (std::vector<std::vector<int64_t>>{
+                      {std::numeric_limits<int64_t>::max(), 2}}));
+  EXPECT_EQ(ShapeSignature(*max), "9223372036854775807x2;");
+  for (const char* bad : {"9223372036854775808;", "99999999999999999999;"}) {
+    auto parsed = ParseShapeSignature(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST(LaunchPlanCacheTest, LruEvictsBeyondCapacity) {
@@ -149,7 +148,7 @@ TEST(LaunchPlanTest, CachedRunsAreBitIdenticalOverRandomTrace) {
     ASSERT_TRUE(a.ok() && b.ok());
     ASSERT_EQ(a->outputs.size(), b->outputs.size());
     for (size_t o = 0; o < a->outputs.size(); ++o) {
-      EXPECT_TRUE(BitIdentical(a->outputs[o], b->outputs[o]))
+      EXPECT_TRUE(Tensor::BitEqual(a->outputs[o], b->outputs[o]))
           << "output " << o << " diverged at query " << i;
     }
     EXPECT_DOUBLE_EQ(a->profile.device_time_us, b->profile.device_time_us);
@@ -173,7 +172,7 @@ TEST(LaunchPlanTest, HostResultsReplayCorrectlyOnHits) {
   auto second = exe->Run({in});
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->profile.launch_plan_hit);
-  EXPECT_TRUE(BitIdentical(first->outputs[2], second->outputs[2]));
+  EXPECT_TRUE(Tensor::BitEqual(first->outputs[2], second->outputs[2]));
   EXPECT_EQ(second->outputs[2].i64_data()[0], 4);  // ShapeOf(x)[0] == B
   // Corrupt the returned tensor; a further hit must be unaffected.
   second->outputs[2].i64_data()[0] = -1;
@@ -199,9 +198,9 @@ TEST(LaunchPlanTest, OutputsNeverAliasTheExecutablesTensors) {
     auto r = (*exe)->Run({in});
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->profile.launch_plan_hit, i > 0);
-    EXPECT_TRUE(BitIdentical(r->outputs[1], Tensor::I64({2}, {3, 2})))
+    EXPECT_TRUE(Tensor::BitEqual(r->outputs[1], Tensor::I64({2}, {3, 2})))
         << "run " << i << ": " << r->outputs[1].ToString();
-    EXPECT_TRUE(BitIdentical(r->outputs[2], Tensor::F32({2}, {1.5f, 2.5f})))
+    EXPECT_TRUE(Tensor::BitEqual(r->outputs[2], Tensor::F32({2}, {1.5f, 2.5f})))
         << "run " << i << ": " << r->outputs[2].ToString();
     r->outputs[1].i64_data()[0] = -1;
     r->outputs[2].f32_data()[0] = -7.0f;
@@ -224,7 +223,8 @@ TEST(LaunchPlanTest, TimingOnlyPlanUpgradesForDataRuns) {
   ASSERT_TRUE(want.ok()) << want.status().ToString();
   ASSERT_EQ(data->outputs.size(), want->size());
   for (size_t o = 0; o < want->size(); ++o) {
-    EXPECT_TRUE(BitIdentical(data->outputs[o], (*want)[o])) << "output " << o;
+    EXPECT_TRUE(Tensor::BitEqual(data->outputs[o], (*want)[o]))
+        << "output " << o;
   }
   EXPECT_EQ(data->outputs[2].i64_data()[0], 4);
   EXPECT_EQ(exe->plan_cache_stats().entries, 1);
@@ -272,7 +272,7 @@ TEST(LaunchPlanTest, ConcurrentRunsAreSafe) {
       auto r = exe->Run({inputs[pick]});
       bool same = r.ok() && r->outputs.size() == expected[pick].size();
       for (size_t o = 0; same && o < expected[pick].size(); ++o) {
-        same = BitIdentical(r->outputs[o], expected[pick][o]);
+        same = Tensor::BitEqual(r->outputs[o], expected[pick][o]);
       }
       if (!same) ++failures;
     }

@@ -41,7 +41,7 @@ TEST(MemoryPlanTest, EmptyScheduleYieldsEmptyLayout) {
 
 TEST(MemoryPlanTest, ExactSizeChainPingPongs) {
   // Ten same-sized values in a chain (each dies when the next is defined):
-  // the arena collapses them into ~2 slots, like PlanBuffers.
+  // the arena collapses them into ~2 slots.
   SymbolicDimManager m;
   SymbolId b = m.NewSymbol("B");
   std::vector<ArenaItem> items;
@@ -295,41 +295,72 @@ TEST(MemoryPlanTest, CompiledModelCarriesPlan) {
   EXPECT_NE(json.find("\"peak_bytes\""), std::string::npos);
 }
 
-TEST(MemoryPlanTest, ArenaPeakNotWorseThanPerSlotSum) {
-  // The arena's symbolic peak must never exceed the per-slot plan's total
-  // (it reuses at least as aggressively), checked on concrete bindings.
+TEST(MemoryPlanTest, ReleaseListsEndEachUnpinnedLiveRange) {
+  Graph g;
+  GraphBuilder b(&g);
+  Value* x = b.Input("x", DType::kF32, {kDynamicDim, 16});
+  Value* a = b.Exp(x);
+  Value* unread = b.Tanh(x);
+  Value* c = b.Abs(a);
+  b.Output({c});
+  ShapeAnalysis analysis(&g, {{"B", ""}});
+  ASSERT_TRUE(analysis.Run().ok());
+  // The last step defines nothing and reads `a` (a host step reading a
+  // device value), so `a` stays live through it.
+  const std::vector<PlanStep> steps = {
+      {{a}, {x}}, {{unread}, {x}}, {{c}, {a}}, {{}, {a}}};
+  MemoryPlan plan = PlanArena(steps, {c}, analysis);
+  using Values = std::vector<const Value*>;
+  ASSERT_EQ(plan.release_after_step.size(), steps.size());
+  EXPECT_EQ(plan.release_after_step[0], Values{});
+  // A value no step reads dies at its own step.
+  EXPECT_EQ(plan.release_after_step[1], Values{unread});
+  EXPECT_EQ(plan.release_after_step[2], Values{});
+  // `c` is pinned (a graph output): never released.
+  EXPECT_EQ(plan.release_after_step[3], Values{a});
+
+  MemoryPlan empty = PlanArena({}, {}, analysis);
+  EXPECT_EQ(empty.num_values, 0);
+  EXPECT_TRUE(empty.release_after_step.empty());
+}
+
+// The caching allocator frees each value after the last-use step of the
+// arena plan's live ranges, so the values it holds at any moment are live
+// together in the arena plan too: the arena must cover its peak.
+TEST(MemoryPlanTest, CachingPeakFitsInTheArenaOnEveryTraceShape) {
   ModelConfig config;
-  Model bert = BuildBert(config);
-  auto exe = DiscCompiler::Compile(*bert.graph, bert.input_dim_labels);
-  ASSERT_TRUE(exe.ok());
-  const MemoryPlan& plan = (*exe)->memory_plan();
-  ASSERT_TRUE(plan.planned);
-  for (const auto& [batch, seq] : std::vector<std::pair<int64_t, int64_t>>{
-           {1, 32}, {4, 128}, {8, 64}}) {
-    auto bindings = (*exe)->analysis().BindInputs({{batch, seq, 64}});
-    ASSERT_TRUE(bindings.ok());
-    auto arena = (*exe)->analysis().EvaluateDim(plan.peak_bytes, *bindings);
-    ASSERT_TRUE(arena.ok());
-    int64_t per_slot_sum = 0;
-    for (const DimExpr& bytes : (*exe)->buffer_plan().slot_bytes) {
-      auto v = (*exe)->analysis().EvaluateDim(bytes, *bindings);
-      ASSERT_TRUE(v.ok());
-      per_slot_sum += AlignUp(*v);
+  std::vector<Model> models = BuildModelSuite(config);
+  models.push_back(BuildGptStepBatch(config));
+  RunOptions caching, arena;
+  arena.memory_mode = MemoryMode::kArena;
+  for (const Model& model : models) {
+    auto exe = DiscCompiler::Compile(*model.graph, model.input_dim_labels);
+    ASSERT_TRUE(exe.ok()) << model.name << ": " << exe.status().ToString();
+    // Every unpinned value is released exactly once; pinned ones never.
+    std::unordered_map<const Value*, int> releases;
+    for (const auto& step : (*exe)->memory_plan().release_after_step) {
+      for (const Value* v : step) ++releases[v];
     }
-    // The arena additionally holds constants (pinned residents); allow for
-    // that fixed overhead when comparing.
-    int64_t constant_bytes = 0;
-    for (const auto& [value, slot] : plan.slot_of) {
-      if (value->producer() != nullptr &&
-          value->producer()->kind() == OpKind::kConstant) {
-        auto v = (*exe)->analysis().EvaluateDim(plan.slots[slot].bytes,
-                                                *bindings);
-        ASSERT_TRUE(v.ok());
-        constant_bytes += *v;
-      }
+    const std::vector<Value*>& outputs = (*exe)->graph().outputs();
+    for (const auto& [value, slot] : (*exe)->memory_plan().slot_of) {
+      const bool pinned =
+          std::count(outputs.begin(), outputs.end(), value) > 0 ||
+          value->producer()->kind() == OpKind::kConstant;
+      EXPECT_EQ(releases[value], pinned ? 0 : 1)
+          << model.name << " value %" << value->id();
     }
-    EXPECT_LE(*arena - constant_bytes, per_slot_sum)
-        << "batch=" << batch << " seq=" << seq;
+
+    ASSERT_FALSE(model.trace.empty());
+    std::vector<ShapeSet> shapes = model.trace;
+    shapes.push_back(model.small_shapes);
+    for (const ShapeSet& s : shapes) {
+      auto c = (*exe)->RunWithShapes(s, caching);
+      auto a = (*exe)->RunWithShapes(s, arena);
+      ASSERT_TRUE(c.ok()) << c.status().ToString();
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      EXPECT_LE(c->profile.peak_memory_bytes, a->profile.arena_bytes)
+          << model.name << " at " << ShapeSignature(s);
+    }
   }
 }
 

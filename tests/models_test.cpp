@@ -192,8 +192,8 @@ TEST_P(ModelBitIdentityTest, RunsMatchTheCompiledGraphBitwise) {
     std::vector<Tensor> inputs = model.make_inputs(shapes, 13);
     auto want = EvaluateGraph((*exe)->graph(), inputs);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
-    for (MemoryMode mode : {MemoryMode::kCachingAllocator,
-                            MemoryMode::kPerSlot, MemoryMode::kArena}) {
+    for (MemoryMode mode :
+         {MemoryMode::kCachingAllocator, MemoryMode::kArena}) {
       RunOptions options;
       options.memory_mode = mode;
       (*exe)->ClearPlanCache();
