@@ -51,7 +51,7 @@ void Sweep(const char* title, const char* id, const Graph& graph,
     DISC_CHECK_OK(rg.status());
     DISC_CHECK_OK(rs.status());
     std::string variant = "?";
-    for (const auto& [name, count] : rs->profile.variant_counts) {
+    for (const auto& [name, count] : *rs->profile.variant_counts) {
       if (count > 0) variant = name.substr(name.find('/') + 1);
     }
     std::string shape_str;
@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
       DISC_CHECK_OK(rp.status());
       DISC_CHECK_OK(rs.status());
       std::string variant = "?";
-      for (const auto& [name, count] : rs->profile.variant_counts) {
+      for (const auto& [name, count] : *rs->profile.variant_counts) {
         if (count > 0) variant = name.substr(name.find('/') + 1);
       }
       std::string shape_str = "[" + Join(shapes[0], "x") + "]";

@@ -11,6 +11,8 @@
 // The punchline matches the paper's framing: launch batching is orthogonal
 // to — and no substitute for — dynamic-shape compilation; fusion already
 // removed most launches.
+#include <chrono>
+
 #include "baselines/dynamic_engine.h"
 #include "baselines/static_engine.h"
 #include "bench/bench_util.h"
@@ -161,15 +163,23 @@ int main(int argc, char** argv) {
     auto trace = RepeatHeavyTrace(kQueries * 4, config.hidden);
     double miss_us = 0, hit_us = 0;
     int64_t misses = 0, hits = 0;
+    // Wall time of each whole timing-only Run, not just its plan lookup.
+    std::vector<double> run_hit_us, run_miss_us;
     for (const ShapeSet& shapes : trace) {
+      const auto start = std::chrono::steady_clock::now();
       auto r = (*exe)->RunWithShapes(shapes);
+      const double run_us = std::chrono::duration<double, std::micro>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
       DISC_CHECK_OK(r.status());
       if (r->profile.launch_plan_hit) {
         hit_us += r->profile.host_plan_us;
         ++hits;
+        run_hit_us.push_back(run_us);
       } else {
         miss_us += r->profile.host_plan_us;
         ++misses;
+        run_miss_us.push_back(run_us);
       }
     }
     double mean_miss = misses > 0 ? miss_us / static_cast<double>(misses) : 0;
@@ -192,6 +202,25 @@ int main(int argc, char** argv) {
                 100.0 * static_cast<double>(hits) /
                     static_cast<double>(hits + misses),
                 mean_hit > 0 ? mean_miss / mean_hit : 0.0);
+
+    // The tables above charge DynamicProfile::Disc()'s modeled host cost
+    // per query; this is what a whole timing-only Run measures.
+    std::printf("\n-- measured Run vs modeled host cost per query --\n");
+    const DynamicProfile modeled = DynamicProfile::Disc();
+    const double run_hit = bench::Percentile(run_hit_us, 50);
+    const double run_miss = bench::Percentile(run_miss_us, 50);
+    bench::Table cost_table(
+        {"path", "measured Run (median)", "modeled", "measured / modeled"});
+    cost_table.AddRow({"plan hit", bench::FmtUs(run_hit),
+                       bench::FmtUs(modeled.plan_hit_host_us),
+                       bench::Fmt("%.1fx", run_hit / modeled.plan_hit_host_us)});
+    cost_table.AddRow(
+        {"plan miss", bench::FmtUs(run_miss),
+         bench::FmtUs(modeled.per_query_host_us),
+         bench::Fmt("%.1fx", run_miss / modeled.per_query_host_us)});
+    cost_table.Print();
+    report.AddMetric("wall.run_hit_us", run_hit, "us");
+    report.AddMetric("wall.run_miss_us", run_miss, "us");
   }
   std::printf(
       "\nReading: graph replay helps only when signatures repeat; on the\n"

@@ -341,6 +341,8 @@ Result<EngineTiming> AsyncCompileEngine::Query(
   RunOptions options;
   options.device = device;
   options.use_launch_plan_cache = options_.profile.use_plan_cache;
+  options.memory_mode = options_.profile.memory_mode;
+  options.memory_limit_bytes = options_.profile.memory_limit_bytes;
   if (options_.profile.use_cuda_graph) {
     options.batch_launches =
         !captured_signatures_.insert(ShapeSignature(input_dims)).second;
@@ -425,6 +427,20 @@ Result<std::vector<Tensor>> AsyncCompileEngine::Execute(
   }
   if (!run.ok()) return run.status();
   return run->outputs;
+}
+
+Result<int64_t> AsyncCompileEngine::PredictPeakBytes(
+    const std::vector<std::vector<int64_t>>& input_dims) {
+  if (graph_ == nullptr) {
+    return Status::FailedPrecondition("Prepare was not called");
+  }
+  // Whatever serves the next Query answers: the installed executable's
+  // peak formula, or the fallback leg while nothing is installed.
+  std::shared_ptr<const Executable> exe = slot_.Acquire();
+  if (exe == nullptr) return fallback_->PredictPeakBytes(input_dims);
+  DISC_ASSIGN_OR_RETURN(int64_t predicted, exe->PredictPeakBytes(input_dims));
+  CountMemoryPrediction(predicted);
+  return predicted;
 }
 
 void AsyncCompileEngine::SetSimulatedTimeUs(double now_us) {

@@ -34,7 +34,8 @@
 namespace disc {
 
 struct AsyncEngineOptions {
-  /// Compile options + per-query host costs of the compiled path.
+  /// Compile options, per-query host costs and memory settings (mode and
+  /// limit) of the compiled path.
   DynamicProfile profile = DynamicProfile::Disc();
   /// Shape-profile feedback (active when profile.feedback_after > 0, which
   /// overrides min_observations).
@@ -88,6 +89,12 @@ class AsyncCompileEngine : public Engine {
 
   Result<std::vector<Tensor>> Execute(
       const std::vector<Tensor>& inputs) override;
+
+  /// \brief The installed executable's symbolic peak formula for this
+  /// signature, or the fallback engine's prediction while none is
+  /// installed.
+  Result<int64_t> PredictPeakBytes(
+      const std::vector<std::vector<int64_t>>& input_dims) override;
 
   void SetSimulatedTimeUs(double now_us) override;
 

@@ -86,10 +86,10 @@ Result<EngineTiming> DynamicCompilerEngine::Query(
   options.memory_mode = profile_.memory_mode;
   options.memory_limit_bytes = profile_.memory_limit_bytes;
   if (profile_.use_cuda_graph) {
-    // CUDA-graph capture keys on the same canonical signature as the
-    // launch-plan cache: replay only an already-captured signature;
-    // capture this one for next time (capture itself runs at normal
-    // launch cost).
+    // CUDA-graph capture keys on the same input dims as the launch-plan
+    // cache (spelled as their ShapeSignature): replay only an
+    // already-captured signature; capture this one for next time
+    // (capture itself runs at normal launch cost).
     options.batch_launches =
         !captured_signatures_.insert(ShapeSignature(input_dims)).second;
   }

@@ -5,33 +5,63 @@
 
 namespace disc {
 
+namespace {
+// The registry metrics behind the counter choke points, resolved once. The
+// registry keeps every metric for the process lifetime (ResetCountersForTest
+// only zeroes counters), so the pointers stay valid.
+struct EngineMetrics {
+  Counter* queries;
+  Counter* compilations;
+  Counter* plan_hits;
+  Counter* plan_misses;
+  Counter* memory_predictions;
+  Histogram* predicted_peak_bytes;
+
+  static const EngineMetrics& Get() {
+    static const EngineMetrics metrics = [] {
+      MetricsRegistry& registry = MetricsRegistry::Global();
+      return EngineMetrics{
+          registry.GetCounter("engine.queries"),
+          registry.GetCounter("engine.compilations"),
+          registry.GetCounter("engine.plan_cache.hit"),
+          registry.GetCounter("engine.plan_cache.miss"),
+          registry.GetCounter("engine.memory_predictions"),
+          registry.GetHistogram("engine.predicted_peak_bytes"),
+      };
+    }();
+    return metrics;
+  }
+};
+}  // namespace
+
 void Engine::CountQuery() {
   ++stats_.queries;
-  CountMetric("engine.queries");
+  EngineMetrics::Get().queries->Increment();
 }
 
 void Engine::CountCompilation(double compile_ms) {
   ++stats_.compilations;
   stats_.total_compile_ms += compile_ms;
-  CountMetric("engine.compilations");
+  EngineMetrics::Get().compilations->Increment();
 }
 
 void Engine::CountPlanLookup(bool hit) {
+  const EngineMetrics& metrics = EngineMetrics::Get();
   if (hit) {
     ++stats_.launch_plan_hits;
-    CountMetric("engine.plan_cache.hit");
+    metrics.plan_hits->Increment();
   } else {
     ++stats_.launch_plan_misses;
-    CountMetric("engine.plan_cache.miss");
+    metrics.plan_misses->Increment();
   }
 }
 
 void Engine::CountMemoryPrediction(int64_t predicted_bytes) {
   ++stats_.memory_predictions;
   stats_.last_predicted_peak_bytes = predicted_bytes;
-  CountMetric("engine.memory_predictions");
-  ObserveMetric("engine.predicted_peak_bytes",
-                static_cast<double>(predicted_bytes));
+  const EngineMetrics& metrics = EngineMetrics::Get();
+  metrics.memory_predictions->Increment();
+  metrics.predicted_peak_bytes->Observe(static_cast<double>(predicted_bytes));
 }
 
 Status Engine::PrepareCommon(const Graph& graph,

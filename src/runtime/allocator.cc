@@ -8,30 +8,51 @@
 
 namespace disc {
 
-Result<int64_t> CachingAllocator::Allocate(int64_t bytes) {
-  if (bytes < 0) {
-    return Status::InvalidArgument(
-        StrFormat("negative allocation size %lld",
-                  static_cast<long long>(bytes)));
-  }
-  int64_t size = std::max<int64_t>(RoundUp(bytes, 256), 256);
-  ++stats_.alloc_calls;
+namespace {
+int64_t SizeClass(int64_t bytes) {
+  return std::max<int64_t>(RoundUp(bytes, 256), 256);
+}
 
-  if (Status injected = CheckFailpoint("runtime.alloc"); !injected.ok()) {
-    ++stats_.failed_allocs;
-    return injected;
+Status NegativeSize(int64_t bytes) {
+  return Status::InvalidArgument(StrFormat(
+      "negative allocation size %lld", static_cast<long long>(bytes)));
+}
+}  // namespace
+
+Result<int64_t> CachingAllocator::Allocate(int64_t bytes) {
+  if (Status checked =
+          CheckAllocation(bytes, stats_.bytes_in_use, memory_limit_bytes_);
+      !checked.ok()) {
+    // A negative size is misuse, not an allocator call.
+    if (bytes >= 0) {
+      ++stats_.alloc_calls;
+      ++stats_.failed_allocs;
+    }
+    return checked;
   }
-  if (memory_limit_bytes_ > 0 &&
-      stats_.bytes_in_use + size > memory_limit_bytes_) {
-    ++stats_.failed_allocs;
+  return Reserve(bytes);
+}
+
+Status CachingAllocator::CheckAllocation(int64_t bytes, int64_t bytes_in_use,
+                                         int64_t memory_limit_bytes) {
+  if (bytes < 0) return NegativeSize(bytes);
+  DISC_INJECT_FAILPOINT("runtime.alloc");
+  const int64_t size = SizeClass(bytes);
+  if (memory_limit_bytes > 0 && bytes_in_use + size > memory_limit_bytes) {
     return Status::ResourceExhausted(StrFormat(
         "allocating %lld B would exceed the %lld B device limit "
         "(%lld B in use)",
         static_cast<long long>(size),
-        static_cast<long long>(memory_limit_bytes_),
-        static_cast<long long>(stats_.bytes_in_use)));
+        static_cast<long long>(memory_limit_bytes),
+        static_cast<long long>(bytes_in_use)));
   }
+  return Status::OK();
+}
 
+Result<int64_t> CachingAllocator::Reserve(int64_t bytes) {
+  if (bytes < 0) return NegativeSize(bytes);
+  const int64_t size = SizeClass(bytes);
+  ++stats_.alloc_calls;
   auto it = free_lists_.find(size);
   int64_t block_id;
   if (it != free_lists_.end() && !it->second.empty()) {

@@ -50,8 +50,26 @@ class CachingAllocator {
   /// \brief Allocates `bytes` (rounded up to a 256-B-aligned size class);
   /// returns an opaque block id. ResourceExhausted when the allocation
   /// would push bytes_in_use past the memory limit (or the `runtime.alloc`
-  /// failpoint fires); InvalidArgument for negative sizes.
+  /// failpoint fires); InvalidArgument for negative sizes. Composes
+  /// CheckAllocation and Reserve.
   Result<int64_t> Allocate(int64_t bytes);
+
+  /// \brief The checks Allocate makes before it books anything, given the
+  /// `bytes_in_use` at that point: InvalidArgument for a negative size,
+  /// then the `runtime.alloc` failpoint, then ResourceExhausted when the
+  /// size class would push bytes_in_use past `memory_limit_bytes` (0 =
+  /// unlimited). Reads nothing but its arguments and the failpoint
+  /// registry, so a Run can check an allocation that a launch plan
+  /// recorded without replaying the allocator (runtime/launch_plan.h).
+  static Status CheckAllocation(int64_t bytes, int64_t bytes_in_use,
+                                int64_t memory_limit_bytes);
+
+  /// \brief The size-class bookkeeping of one allocation whose checks
+  /// passed: takes a cached block of the size class or reserves a new one,
+  /// and counts the call. Consults neither the failpoint nor the memory
+  /// limit, so recording a plan's allocation tape consumes no fault fires.
+  /// InvalidArgument for a negative size.
+  Result<int64_t> Reserve(int64_t bytes);
 
   /// \brief Returns the block to its size-class free list. InvalidArgument
   /// on an unknown id or double free.

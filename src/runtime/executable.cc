@@ -28,6 +28,98 @@ double ElapsedUs(std::chrono::steady_clock::time_point start) {
              std::chrono::steady_clock::now() - start)
       .count();
 }
+
+// The registry metrics a Run reports, resolved once. The registry keeps
+// every metric for the process lifetime (ResetCountersForTest only zeroes
+// counters), so the pointers stay valid.
+struct RunMetrics {
+  Counter* runs;
+  Counter* plan_hits;
+  Counter* plan_misses;
+  Histogram* host_plan_us;
+  Histogram* kernel_utilization;
+  Counter* alloc_calls;
+  Counter* alloc_cache_hits;
+  Counter* alloc_rounding_waste;
+  Counter* memory_bound;
+  Counter* launches;
+
+  static const RunMetrics& Get() {
+    static const RunMetrics metrics = [] {
+      MetricsRegistry& registry = MetricsRegistry::Global();
+      return RunMetrics{
+          registry.GetCounter("runtime.run.count"),
+          registry.GetCounter("runtime.plan_cache.hit"),
+          registry.GetCounter("runtime.plan_cache.miss"),
+          registry.GetHistogram("runtime.host_plan_us"),
+          // Utilization is a fraction, hence the non-default bounds.
+          registry.GetHistogram(
+              "runtime.kernel.utilization",
+              {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}),
+          registry.GetCounter("runtime.alloc.calls"),
+          registry.GetCounter("runtime.alloc.cache_hits"),
+          registry.GetCounter("runtime.alloc.bytes_rounding_waste"),
+          registry.GetCounter("runtime.kernel.memory_bound"),
+          registry.GetCounter("runtime.kernel.launches"),
+      };
+    }();
+    return metrics;
+  }
+};
+
+// Runs the caching allocator's size-class bookkeeping over one signature's
+// schedule (see AllocationTape). `values` lists every value a Run allocates
+// with its byte size, in Run order; `values_end[s]` is one past step s's
+// last. `arena_bytes >= 0` records arena mode: that one allocation first
+// (when nonzero), and no arena resident. Only the bookkeeping runs here:
+// the allocator's checks (the runtime.alloc failpoint, the memory limit)
+// belong to each Run, which makes them against the tape.
+Result<AllocationTape> RecordAllocationTape(
+    const MemoryPlan& memory_plan,
+    const std::vector<std::pair<const Value*, int64_t>>& values,
+    const std::vector<size_t>& values_end, int64_t arena_bytes) {
+  const size_t num_steps = values_end.size();
+  AllocationTape tape;
+  CachingAllocator allocator;
+  std::unordered_map<const Value*, int64_t> block_of;
+  const bool arena = arena_bytes >= 0;
+  if (!arena) tape.allocs.reserve(values.size());
+  if (arena_bytes > 0) {
+    tape.allocs.push_back({arena_bytes, 0});
+    DISC_RETURN_IF_ERROR(allocator.Reserve(arena_bytes).status());
+  }
+  tape.step_begin.reserve(num_steps + 1);
+  size_t v = 0;
+  for (size_t s = 0; s < num_steps; ++s) {
+    tape.step_begin.push_back(static_cast<uint32_t>(tape.allocs.size()));
+    for (; v < values_end[s]; ++v) {
+      const auto& [value, bytes] = values[v];
+      // Arena residents (constants included) live at their offsets in the
+      // arena; they never enter block_of, so the release loop skips them.
+      if (arena && memory_plan.slot_of.count(value)) continue;
+      tape.allocs.push_back({bytes, allocator.stats().bytes_in_use});
+      if (bytes < 0) {
+        // Every Run fails this call's check and makes no later one: end
+        // the tape here.
+        tape.has_negative = true;
+        tape.step_begin.resize(num_steps + 1,
+                               static_cast<uint32_t>(tape.allocs.size()));
+        return tape;
+      }
+      DISC_ASSIGN_OR_RETURN(block_of[value], allocator.Reserve(bytes));
+    }
+    for (const Value* dead : memory_plan.release_after_step[s]) {
+      auto it = block_of.find(dead);
+      if (it != block_of.end()) {
+        DISC_RETURN_IF_ERROR(allocator.Free(it->second));
+        block_of.erase(it);
+      }
+    }
+  }
+  tape.step_begin.push_back(static_cast<uint32_t>(tape.allocs.size()));
+  tape.stats = allocator.stats();
+  return tape;
+}
 }  // namespace
 
 Executable::~Executable() {
@@ -42,10 +134,10 @@ std::string RunProfile::ToString() const {
       static_cast<long long>(library_calls),
       (bytes_read + bytes_written) / 1e6, peak_memory_bytes / 1e6);
   out << (launch_plan_hit ? " plan=hit" : " plan=miss");
-  if (!variant_counts.empty()) {
+  if (variant_counts != nullptr && !variant_counts->empty()) {
     out << " variants{";
     bool first = true;
-    for (const auto& [name, count] : variant_counts) {
+    for (const auto& [name, count] : *variant_counts) {
       if (!first) out << ", ";
       out << name << ":" << count;
       first = false;
@@ -128,6 +220,13 @@ Result<LaunchPlan> Executable::BuildLaunchPlan(
   // signature.
   DISC_ASSIGN_OR_RETURN(plan.bindings, analysis_->BindInputs(input_dims));
   plan.steps.resize(steps_.size());
+  auto variant_counts = std::make_shared<VariantCounts>();
+  // Every value the Run allocates with its byte size, in Run order;
+  // values_end[s] is one past step s's last.
+  std::vector<std::pair<const Value*, int64_t>> values;
+  values.reserve(static_cast<size_t>(memory_plan_.num_values));
+  std::vector<size_t> values_end;
+  values_end.reserve(steps_.size());
 
   for (size_t s = 0; s < steps_.size(); ++s) {
     const Step& step = steps_[s];
@@ -135,7 +234,7 @@ Result<LaunchPlan> Executable::BuildLaunchPlan(
     auto record_alloc = [&](const Value* v) -> Status {
       DISC_ASSIGN_OR_RETURN(std::vector<int64_t> dims,
                             analysis_->EvaluateShape(v, plan.bindings));
-      ps.alloc_bytes.push_back(Product(dims) * DTypeSize(v->dtype()));
+      values.emplace_back(v, Product(dims) * DTypeSize(v->dtype()));
       return Status::OK();
     };
     switch (step.kind) {
@@ -148,6 +247,9 @@ Result<LaunchPlan> Executable::BuildLaunchPlan(
         DISC_ASSIGN_OR_RETURN(
             ps.library_stats,
             ComputeLibraryStats(*step.node, *analysis_, plan.bindings));
+        plan.library_calls += 1;
+        plan.bytes_read += ps.library_stats.bytes_read;
+        plan.bytes_written += ps.library_stats.bytes_written;
         for (const Value* out : step.node->outputs()) {
           DISC_RETURN_IF_ERROR(record_alloc(out));
         }
@@ -157,42 +259,52 @@ Result<LaunchPlan> Executable::BuildLaunchPlan(
         const FusedKernel& kernel = *step.kernel;
         DISC_ASSIGN_OR_RETURN(ps.variant_index,
                               kernel.SelectVariantIndex(plan.bindings));
+        const KernelVariant& variant = kernel.variants()[ps.variant_index];
         // Guard soundness check: the selected variant's guard must admit
         // these bindings. Dispatch normally guarantees this (guards are
         // evaluated in order), so a violation here means the dispatch
         // itself is miscompiled — surface it as kDataLoss so the engine
         // rolls back instead of retrying the same broken artifact.
-        {
-          const Guard& guard = kernel.variants()[ps.variant_index].guard;
-          DISC_ASSIGN_OR_RETURN(bool admitted, guard.Evaluate(plan.bindings));
-          if (!admitted) {
-            return Status::DataLoss(StrFormat(
-                "guard violation: kernel %s selected variant %d ('%s') whose "
-                "guard rejects the bound shapes",
-                kernel.name().c_str(), ps.variant_index,
-                kernel.variants()[ps.variant_index].name.c_str()));
-          }
+        DISC_ASSIGN_OR_RETURN(bool admitted,
+                              variant.guard.Evaluate(plan.bindings));
+        if (!admitted) {
+          return Status::DataLoss(StrFormat(
+              "guard violation: kernel %s selected variant %d ('%s') whose "
+              "guard rejects the bound shapes",
+              kernel.name().c_str(), ps.variant_index,
+              variant.name.c_str()));
         }
-        DISC_ASSIGN_OR_RETURN(
-            ps.kernel_stats,
-            kernel.ComputeStats(plan.bindings,
-                                kernel.variants()[ps.variant_index]));
+        DISC_ASSIGN_OR_RETURN(ps.kernel_stats,
+                              kernel.ComputeStats(plan.bindings, variant));
+        plan.kernel_launches += 1;
+        plan.bytes_read += ps.kernel_stats.bytes_read;
+        plan.bytes_written += ps.kernel_stats.bytes_written;
+        (*variant_counts)[kernel.name() + "/" + variant.name] += 1;
         for (const Value* out : kernel.group().outputs) {
           DISC_RETURN_IF_ERROR(record_alloc(out));
         }
         break;
       }
     }
+    values_end.push_back(values.size());
   }
+  plan.variant_counts = std::move(variant_counts);
 
   // Memoize the arena size for this signature: the peak formula evaluated
   // once. Mode-independent and cheap, so a single cached plan serves every
-  // MemoryMode (and admission control) and a plan hit performs no size
-  // arithmetic at all.
+  // MemoryMode (and admission control).
   if (memory_plan_.planned && memory_plan_.peak_bytes.valid()) {
     DISC_ASSIGN_OR_RETURN(
         plan.arena_bytes,
         analysis_->EvaluateDim(memory_plan_.peak_bytes, plan.bindings));
+  }
+  DISC_ASSIGN_OR_RETURN(
+      plan.caching_tape,
+      RecordAllocationTape(memory_plan_, values, values_end, -1));
+  if (memory_plan_.planned) {
+    DISC_ASSIGN_OR_RETURN(plan.arena_tape,
+                          RecordAllocationTape(memory_plan_, values,
+                                               values_end, plan.arena_bytes));
   }
   if (bind) DISC_RETURN_IF_ERROR(BindKernels(&plan));
   return plan;
@@ -203,8 +315,7 @@ Result<int64_t> Executable::PredictPeakBytes(
   if (!memory_plan_.planned || !memory_plan_.peak_bytes.valid()) return 0;
   // A hot signature answers straight from the memoized plan; Peek leaves
   // the cache stats and LRU order untouched (prediction is observational).
-  if (std::shared_ptr<const LaunchPlan> plan =
-          plan_cache_.Peek(ShapeSignature(input_dims))) {
+  if (std::shared_ptr<const LaunchPlan> plan = plan_cache_.Peek(input_dims)) {
     return plan->arena_bytes;
   }
   DISC_ASSIGN_OR_RETURN(SymbolBindings bindings,
@@ -216,16 +327,13 @@ Result<RunResult> Executable::RunInternal(
     const std::vector<std::vector<int64_t>>& input_dims,
     const std::vector<Tensor>* inputs, const RunOptions& options) const {
   auto start = std::chrono::steady_clock::now();
+  const RunMetrics& metrics = RunMetrics::Get();
   const bool execute_data = inputs != nullptr;
   TraceScope run_scope("executable-run", "runtime");
-  CountMetric("runtime.run.count");
+  metrics.runs->Increment();
 
-  std::string signature;
   std::shared_ptr<const LaunchPlan> cached;
-  if (options.use_launch_plan_cache) {
-    signature = ShapeSignature(input_dims);
-    cached = plan_cache_.Lookup(signature);
-  }
+  if (options.use_launch_plan_cache) cached = plan_cache_.Lookup(input_dims);
   const bool hit = cached != nullptr;
 
   // Only plans that serve data-mode runs bind their kernels: a timing-only
@@ -248,16 +356,14 @@ Result<RunResult> Executable::RunInternal(
   }
   const double host_plan_us = ElapsedUs(start);
   if (options.use_launch_plan_cache) {
-    CountMetric(hit ? "runtime.plan_cache.hit" : "runtime.plan_cache.miss");
+    (hit ? metrics.plan_hits : metrics.plan_misses)->Increment();
   }
-  ObserveMetric("runtime.host_plan_us", host_plan_us);
+  metrics.host_plan_us->Observe(host_plan_us);
   if (run_scope.active()) {
     run_scope.AddArg("plan", options.use_launch_plan_cache
                                  ? (hit ? "hit" : "miss")
                                  : "cache-off");
-    run_scope.AddArg("signature", signature.empty()
-                                      ? ShapeSignature(input_dims)
-                                      : signature);
+    run_scope.AddArg("signature", ShapeSignature(input_dims));
     run_scope.AddArg("mode", execute_data ? "data" : "timing-only");
     // Causal link back to the serving request that issued this Run (0
     // outside a serving context).
@@ -267,9 +373,10 @@ Result<RunResult> Executable::RunInternal(
     }
   }
 
-  // The observatory keys entries by shape signature; reuse the cache key
-  // when it exists, compute it only for ledger-enabled cache-off runs.
-  if (signature.empty() && KernelProfileLedger::Global().enabled()) {
+  // The observatory keys entries by shape signature; only a ledger-enabled
+  // Run spells it out.
+  std::string signature;
+  if (KernelProfileLedger::Global().enabled()) {
     signature = ShapeSignature(input_dims);
   }
   DISC_ASSIGN_OR_RETURN(
@@ -289,7 +396,7 @@ Result<RunResult> Executable::RunInternal(
       CountMetric("runtime.plan_cache.insert_dropped");
     } else {
       plan_cache_.Insert(
-          signature, std::make_shared<const LaunchPlan>(std::move(fresh)));
+          input_dims, std::make_shared<const LaunchPlan>(std::move(fresh)));
     }
   }
   return result;
@@ -301,6 +408,7 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
                                           const std::string& signature,
                                           LaunchPlan* record_host) const {
   DISC_TRACE_SCOPE("plan-execute", "runtime");
+  const RunMetrics& metrics = RunMetrics::Get();
   const SymbolBindings& bindings = plan.bindings;
   DeviceModel model(options.device);
   RunResult result;
@@ -311,20 +419,30 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
   KernelProfileLedger& kernel_ledger = KernelProfileLedger::Global();
   const bool profile_kernels = kernel_ledger.enabled();
   std::vector<KernelLaunchObservation> kernel_observations;
-  CachingAllocator allocator(options.memory_limit_bytes);
   const bool execute_data = inputs != nullptr;
   const bool use_arena =
       options.memory_mode == MemoryMode::kArena && memory_plan_.planned;
 
-  // Arena mode allocates the whole Run's footprint in ONE call against the
-  // memoized peak formula: the limit check (and any armed runtime.alloc
-  // failpoint) fires here, before any step executes, never mid-Run.
-  if (use_arena) {
-    if (plan.arena_bytes > 0) {
-      DISC_RETURN_IF_ERROR(allocator.Allocate(plan.arena_bytes).status());
+  // The plan's allocation tape stands in for the allocator: the Run makes
+  // each recorded call's checks, in the order the calls would come, and
+  // skips them when none can fail. Arena mode's one call comes before any
+  // step executes, so its limit check (and any armed runtime.alloc
+  // failpoint) fires there, never mid-Run.
+  const AllocationTape& tape = use_arena ? plan.arena_tape : plan.caching_tape;
+  auto check_allocs = [&](uint32_t begin, uint32_t end) -> Status {
+    if (!FailpointRegistry::AnyArmed() && options.memory_limit_bytes <= 0 &&
+        !tape.has_negative) {
+      return Status::OK();
     }
-    profile.arena_bytes = plan.arena_bytes;
-  }
+    for (uint32_t i = begin; i < end; ++i) {
+      DISC_RETURN_IF_ERROR(CachingAllocator::CheckAllocation(
+          tape.allocs[i].bytes, tape.allocs[i].in_use_before,
+          options.memory_limit_bytes));
+    }
+    return Status::OK();
+  };
+  DISC_RETURN_IF_ERROR(check_allocs(0, tape.step_begin[0]));
+  if (use_arena) profile.arena_bytes = plan.arena_bytes;
 
   std::unordered_map<const Value*, Tensor> env;
   if (execute_data) {
@@ -333,24 +451,14 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
     }
   }
 
-  std::unordered_map<const Value*, int64_t> block_of;
   for (size_t s = 0; s < steps_.size(); ++s) {
     const Step& step = steps_[s];
     const PlannedStep& ps = plan.steps[s];
-    size_t next_alloc = 0;
-    auto allocate_value = [&](const Value* v) -> Status {
-      const int64_t bytes = ps.alloc_bytes[next_alloc++];
-      // Arena residents (constants included) live at their offsets in the
-      // pre-allocated arena. They never enter block_of, so the release
-      // loop naturally skips them.
-      if (use_arena && memory_plan_.slot_of.count(v)) return Status::OK();
-      DISC_ASSIGN_OR_RETURN(block_of[v], allocator.Allocate(bytes));
-      return Status::OK();
-    };
     switch (step.kind) {
       case Step::Kind::kConstant: {
         // Weights are resident on device for the module's lifetime.
-        DISC_RETURN_IF_ERROR(allocate_value(step.node->output(0)));
+        DISC_RETURN_IF_ERROR(
+            check_allocs(tape.step_begin[s], tape.step_begin[s + 1]));
         if (execute_data) env.emplace(step.node->output(0), *step.constant);
         break;
       }
@@ -362,8 +470,11 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
         // a Run's values, and outputs that are host results get copied).
         if (!execute_data) break;
         TraceScope step_scope("host-shape-op", "runtime.step");
-        step_scope.AddArg("op", OpName(step.node->kind()));
-        step_scope.AddArg("replayed", ps.has_host_results ? "true" : "false");
+        if (step_scope.active()) {
+          step_scope.AddArg("op", OpName(step.node->kind()));
+          step_scope.AddArg("replayed",
+                            ps.has_host_results ? "true" : "false");
+        }
         if (ps.has_host_results) {
           for (size_t i = 0; i < ps.host_results.size(); ++i) {
             env.emplace(step.node->output(static_cast<int>(i)),
@@ -390,20 +501,15 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
       }
       case Step::Kind::kLibrary: {
         TraceScope step_scope(OpName(step.node->kind()), "runtime.step");
-        step_scope.AddArg("kind", "library-call");
-        const LibraryCallStats& stats = ps.library_stats;
+        if (step_scope.active()) step_scope.AddArg("kind", "library-call");
         KernelCost cost =
-            model.EstimateLibrary(stats, options.library_efficiency);
+            model.EstimateLibrary(ps.library_stats, options.library_efficiency);
         profile.device_time_us += options.batch_launches
                                       ? cost.body_us + kGraphReplayPerNodeUs
                                       : cost.time_us;
-        profile.library_calls += 1;
-        profile.bytes_read += stats.bytes_read;
-        profile.bytes_written += stats.bytes_written;
         if (cost.memory_bound) profile.memory_bound_launches += 1;
-        for (const Value* out : step.node->outputs()) {
-          DISC_RETURN_IF_ERROR(allocate_value(out));
-        }
+        DISC_RETURN_IF_ERROR(
+            check_allocs(tape.step_begin[s], tape.step_begin[s + 1]));
         if (execute_data) {
           std::vector<Tensor> operand_values;
           for (const Value* operand : step.node->operands()) {
@@ -432,16 +538,14 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
         const KernelVariant& variant = kernel.variants()[ps.variant_index];
         const KernelStats& stats = ps.kernel_stats;
         TraceScope step_scope(kernel.name(), "runtime.step");
-        step_scope.AddArg("kind", "kernel-launch");
-        step_scope.AddArg("variant", variant.name);
+        if (step_scope.active()) {
+          step_scope.AddArg("kind", "kernel-launch");
+          step_scope.AddArg("variant", variant.name);
+        }
         KernelCost cost = model.EstimateGenerated(stats, variant);
         profile.device_time_us += options.batch_launches
                                       ? cost.body_us + kGraphReplayPerNodeUs
                                       : cost.time_us;
-        profile.kernel_launches += 1;
-        profile.bytes_read += stats.bytes_read;
-        profile.bytes_written += stats.bytes_written;
-        profile.variant_counts[kernel.name() + "/" + variant.name] += 1;
         if (cost.memory_bound) profile.memory_bound_launches += 1;
         if (profile_kernels) {
           KernelLaunchObservation obs;
@@ -457,28 +561,14 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
         }
         // KernelCost.utilization was computed and dropped before; the
         // histogram makes the launch-bound/memory-bound story visible
-        // without enabling the ledger. Pointer cached: stable for the
-        // process lifetime, and the non-default bounds (utilization is a
-        // fraction) only apply on first registration anyway.
-        static Histogram* utilization_hist =
-            MetricsRegistry::Global().GetHistogram(
-                "runtime.kernel.utilization",
-                {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0});
-        utilization_hist->Observe(cost.utilization);
-        for (const Value* out : kernel.group().outputs) {
-          DISC_RETURN_IF_ERROR(allocate_value(out));
-        }
+        // without enabling the ledger.
+        metrics.kernel_utilization->Observe(cost.utilization);
+        DISC_RETURN_IF_ERROR(
+            check_allocs(tape.step_begin[s], tape.step_begin[s + 1]));
         if (execute_data) {
           DISC_RETURN_IF_ERROR(kernel.Execute(ps.binding, &env));
         }
         break;
-      }
-    }
-    for (const Value* dead : memory_plan_.release_after_step[s]) {
-      auto it = block_of.find(dead);
-      if (it != block_of.end()) {
-        DISC_RETURN_IF_ERROR(allocator.Free(it->second));
-        block_of.erase(it);
       }
     }
   }
@@ -489,20 +579,26 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
     // One driver submission for the whole captured graph.
     profile.device_time_us += model.launch_overhead_us();
   }
-  profile.peak_memory_bytes = allocator.stats().peak_bytes_in_use;
-  profile.alloc_calls = allocator.stats().alloc_calls;
-  profile.alloc_cache_hits = allocator.stats().cache_hits;
-  profile.alloc_rounding_waste = allocator.stats().bytes_rounding_waste;
+  // Everything else in the profile is a pure function of the signature:
+  // the plan's totals and its tape's final allocator stats.
+  profile.kernel_launches = plan.kernel_launches;
+  profile.library_calls = plan.library_calls;
+  profile.bytes_read = plan.bytes_read;
+  profile.bytes_written = plan.bytes_written;
+  profile.variant_counts = plan.variant_counts;
+  profile.peak_memory_bytes = tape.stats.peak_bytes_in_use;
+  profile.alloc_calls = tape.stats.alloc_calls;
+  profile.alloc_cache_hits = tape.stats.cache_hits;
+  profile.alloc_rounding_waste = tape.stats.bytes_rounding_waste;
   // The registry mirrors the per-run allocator counters so profile fields
   // and global metrics can never disagree (asserted in metrics_test).
-  CountMetric("runtime.alloc.calls", profile.alloc_calls);
-  CountMetric("runtime.alloc.cache_hits", profile.alloc_cache_hits);
-  CountMetric("runtime.alloc.bytes_rounding_waste",
-              profile.alloc_rounding_waste);
+  metrics.alloc_calls->Increment(profile.alloc_calls);
+  metrics.alloc_cache_hits->Increment(profile.alloc_cache_hits);
+  metrics.alloc_rounding_waste->Increment(profile.alloc_rounding_waste);
   // Same mirror discipline for the memory-bound verdict the device model
   // computes per launch (generated kernels and library calls both count).
-  CountMetric("runtime.kernel.memory_bound", profile.memory_bound_launches);
-  CountMetric("runtime.kernel.launches", profile.kernel_launches);
+  metrics.memory_bound->Increment(profile.memory_bound_launches);
+  metrics.launches->Increment(profile.kernel_launches);
 
   if (profile_kernels && !kernel_observations.empty()) {
     kernel_ledger.ObserveRun(this, signature, bindings,

@@ -8,22 +8,26 @@
 // recompilation, mirroring the paper's compile-once design.
 //
 // Runs are split into two phases (see runtime/launch_plan.h):
-//   * plan build  — all host-side symbolic work (symbol solve, guard
-//     evaluation, launch geometry, library footprints, buffer sizes and
-//     the arena size), a pure function of the input-shape signature;
-//   * plan execute — cost-model charging, allocator traffic and (in data
-//     mode) numeric execution from a finished plan.
-// Plans are memoized per signature in a bounded thread-safe LRU, so
-// repeated-shape Runs (decode loops, hot serving signatures) skip the
-// symbolic phase entirely. A plan that serves data-mode Runs also holds
-// each fused kernel's binding (FusedKernel::Bind), so a hit executes
-// pre-bound loops. Cached runs are strictly observational: same outputs
-// bit-for-bit, same simulated device time — less host work.
+//   * plan build  — all host-side work that depends only on the input-
+//     shape signature: symbol solve, guard evaluation, launch geometry,
+//     library footprints, buffer sizes and the arena size, the Run's
+//     totals (launches, bytes, variant counts) and each memory mode's
+//     allocation tape (the allocator's whole traffic, recorded once);
+//   * plan execute — cost-model charging, the allocator checks against
+//     the tape and (in data mode) numeric execution from a finished plan.
+// Plans are memoized per signature in a bounded thread-safe LRU keyed by
+// the input dims, so repeated-shape Runs (decode loops, hot serving
+// signatures) skip the symbolic phase entirely, and a timing-only hit
+// allocates nothing. A plan that serves data-mode Runs also holds each
+// fused kernel's binding (FusedKernel::Bind), so a hit executes pre-bound
+// loops. Cached runs are strictly observational: same outputs bit-for-bit,
+// same simulated device time, same profile — less host work.
 //
 // Device memory follows the compile-time arena plan (runtime/memory_plan.h)
 // in both memory modes: the arena mode allocates its peak formula once, and
 // the caching-allocator mode frees each value after the last-use step the
-// plan's liveness pass found.
+// plan's liveness pass found. Both are simulated once per signature, when
+// the plan records its tapes.
 //
 // Run outputs never alias tensors the executable owns: an output whose
 // value is a constant or a host shape-step result (which plans record and
@@ -36,7 +40,6 @@
 #ifndef DISC_RUNTIME_EXECUTABLE_H_
 #define DISC_RUNTIME_EXECUTABLE_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,8 +63,7 @@ enum class MemoryMode {
   kCachingAllocator,
   /// A single allocation of the symbolic peak formula: every value —
   /// constants included — lives at a compile-time offset in one arena.
-  /// With a launch-plan cache hit the Run does no size arithmetic and at
-  /// most one (size-class cached) allocator call.
+  /// With a launch-plan cache hit the Run does no size arithmetic.
   kArena,
 };
 
@@ -120,7 +122,9 @@ struct RunProfile {
   /// solve + guard eval + launch geometry + buffer sizes on a miss, a
   /// hash lookup on a hit. Real time, not simulated.
   double host_plan_us = 0.0;
-  std::map<std::string, int64_t> variant_counts;  // per variant name
+  /// Launches per "kernel/variant" name, shared with the launch plan (set
+  /// by every successful Run).
+  std::shared_ptr<const VariantCounts> variant_counts;
 
   std::string ToString() const;
 };
@@ -237,8 +241,9 @@ class Executable {
   /// Binds every kernel step of `plan` to the plan's symbol bindings.
   Status BindKernels(LaunchPlan* plan) const;
 
-  /// Phase 2: charge the cost model and (optionally) execute numerics from
-  /// a finished plan. `record_host` (nullable, data mode, its kernels
+  /// Phase 2: charge the cost model, check the plan's allocations and
+  /// (optionally) execute numerics from a finished plan. Hits and misses
+  /// both run through here. `record_host` (nullable, data mode, its kernels
   /// bound) receives the host shape-step results so the plan can replay
   /// them on later hits, and is then marked bound.
   /// `signature` keys the kernel-observatory flush (empty when the ledger

@@ -63,40 +63,57 @@ Result<std::vector<std::vector<int64_t>>> ParseShapeSignature(
   return input_dims;
 }
 
+size_t LaunchPlanCache::DimsHash::operator()(const InputDims* dims) const {
+  // splitmix64's finalizer over the input count, then each input's rank
+  // and dims: the rank prefixes make [2,3], [2],[3] and [6] hash apart.
+  auto mix = [](uint64_t h, uint64_t value) {
+    uint64_t x = h + 0x9e3779b97f4a7c15ULL + value;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  };
+  uint64_t h = mix(0, dims->size());
+  for (const std::vector<int64_t>& input : *dims) {
+    h = mix(h, input.size());
+    for (int64_t d : input) h = mix(h, static_cast<uint64_t>(d));
+  }
+  return static_cast<size_t>(h);
+}
+
 std::shared_ptr<const LaunchPlan> LaunchPlanCache::Lookup(
-    const std::string& signature) {
+    const InputDims& input_dims) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(signature);
+  auto it = index_.find(&input_dims);
   if (it == index_.end()) {
     ++stats_.misses;
     return nullptr;
   }
   ++stats_.hits;
   lru_.splice(lru_.begin(), lru_, it->second);  // bump to most-recent
-  return it->second->second;
+  return it->second->plan;
 }
 
 std::shared_ptr<const LaunchPlan> LaunchPlanCache::Peek(
-    const std::string& signature) const {
+    const InputDims& input_dims) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(signature);
-  return it == index_.end() ? nullptr : it->second->second;
+  auto it = index_.find(&input_dims);
+  return it == index_.end() ? nullptr : it->second->plan;
 }
 
-void LaunchPlanCache::Insert(const std::string& signature,
+void LaunchPlanCache::Insert(const InputDims& input_dims,
                              std::shared_ptr<const LaunchPlan> plan) {
   std::lock_guard<std::mutex> lock(mu_);
   if (capacity_ == 0) return;
   ++stats_.insertions;
-  auto it = index_.find(signature);
+  auto it = index_.find(&input_dims);
   if (it != index_.end()) {
     // Replace in place (e.g. a plan upgraded with host results).
-    it->second->second = std::move(plan);
+    it->second->plan = std::move(plan);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.emplace_front(signature, std::move(plan));
-  index_[signature] = lru_.begin();
+  lru_.push_front({input_dims, std::move(plan)});
+  index_.emplace(&lru_.front().dims, lru_.begin());
   EvictIfNeededLocked();
 }
 
@@ -108,7 +125,7 @@ void LaunchPlanCache::set_capacity(size_t capacity) {
 
 void LaunchPlanCache::EvictIfNeededLocked() {
   while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().first);
+    index_.erase(&lru_.back().dims);
     lru_.pop_back();
     ++stats_.evictions;
   }
@@ -124,8 +141,8 @@ LaunchPlanCache::Stats LaunchPlanCache::stats() const {
 
 void LaunchPlanCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
   index_.clear();
+  lru_.clear();
 }
 
 }  // namespace disc

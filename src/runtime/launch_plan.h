@@ -10,31 +10,43 @@
 //
 // A LaunchPlan records everything the host derives from one signature:
 //   * the solved SymbolBindings,
-//   * per step: the selected KernelVariant index, the KernelStats /
-//     LibraryCallStats (launch dims live inside KernelStats), and the
-//     concrete byte sizes of every buffer the step allocates,
+//   * per step: the selected KernelVariant index and the KernelStats /
+//     LibraryCallStats (launch dims live inside KernelStats),
+//   * the Run's totals: launch and library-call counts, bytes moved and
+//     the per-variant launch counts,
+//   * per memory mode, the allocation tape: every allocator call a Run
+//     makes, with the bytes in use before it, and the allocator's final
+//     stats — the caching allocator's whole size-class traffic over the
+//     schedule, recorded once, so a Run books no memory itself;
 //   * once the plan serves a data-mode Run: each kernel's KernelBinding
 //     (its executor bound to these shapes, so a hit runs pre-bound loops)
 //     and the host shape-step results (tiny integer tensors that are
 //     themselves pure functions of the signature).
-// A plan built by a timing-only Run carries neither; the first data-mode
-// Run that hits it binds it once and republishes it.
+// A plan built by a timing-only Run carries no bindings or host results;
+// the first data-mode Run that hits it binds it once and republishes it.
 //
 // The plan deliberately does NOT bake in device time: costs are
 // re-estimated from the recorded stats through the DeviceModel on every
 // Run, so a cached Run sees identical simulated device timing under any
 // RunOptions (device, library efficiency, graph replay) — only the host
-// overhead shrinks. This mirrors real BladeDISC's runtime shape-signature
-// dispatch; CUDA-graph replay is the degenerate form of the same idea and
-// shares the signature key (see ShapeSignature).
+// overhead shrinks. Likewise a Run still makes every allocation's checks
+// (the `runtime.alloc` failpoint, the memory limit) against the tape, so
+// fault schedules and limit failures do not depend on hit or miss. This
+// mirrors real BladeDISC's runtime shape-signature dispatch; CUDA-graph
+// replay is the degenerate form of the same idea and shares the signature
+// (see ShapeSignature).
 //
-// LaunchPlanCache is a bounded, thread-safe LRU over canonical signature
-// strings. Plans are immutable once published (shared_ptr<const>), so
-// concurrent Runs on one Executable may share a plan freely.
+// LaunchPlanCache is a bounded, thread-safe LRU keyed by the input dims
+// themselves: a rank-aware hash picks the bucket and an exact compare
+// confirms the entry, so a lookup builds no key and allocates nothing.
+// Plans are immutable once published (shared_ptr<const>), so concurrent
+// Runs on one Executable may share a plan freely.
 #ifndef DISC_RUNTIME_LAUNCH_PLAN_H_
 #define DISC_RUNTIME_LAUNCH_PLAN_H_
 
+#include <cstdint>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -44,19 +56,21 @@
 #include "ir/tensor.h"
 #include "kernel/kernel.h"
 #include "kernel/library.h"
+#include "runtime/allocator.h"
 #include "shape/shape_analysis.h"
 
 namespace disc {
 
-/// \brief Canonical cache key for a set of concrete input shapes, e.g.
+/// \brief Canonical string form of a set of concrete input shapes, e.g.
 /// "1x8x256;1x32x256;". One Executable fixes input count/ranks/dtypes, so
-/// the dims alone identify the signature. Shared by the launch-plan cache
-/// and the engines' CUDA-graph capture sets.
+/// the dims alone identify the signature. Names a signature wherever a
+/// string is needed: trace args, the kernel ledger, the engines'
+/// CUDA-graph capture sets and shadow-validation probes.
 std::string ShapeSignature(const std::vector<std::vector<int64_t>>& input_dims);
 
 /// \brief Inverse of ShapeSignature: "1x8x256;1x32x256;" back into dims.
-/// Used to turn recorded signatures (flight-recorder outliers, plan-cache
-/// keys) into replayable probe bindings for differential validation.
+/// Used to turn recorded signatures (flight-recorder outliers) into
+/// replayable probe bindings for differential validation.
 /// Rejects strings ShapeSignature could not have produced.
 Result<std::vector<std::vector<int64_t>>> ParseShapeSignature(
     const std::string& signature);
@@ -69,9 +83,6 @@ struct PlannedStep {
   KernelStats kernel_stats;
   /// Footprint of the vendor call (kLibrary steps).
   LibraryCallStats library_stats;
-  /// Concrete byte size per buffer this step allocates, in the same order
-  /// the step defines its outputs (caching-allocator mode).
-  std::vector<int64_t> alloc_bytes;
   /// The kernel's executor bound to this signature (kKernel steps of a
   /// bound plan). Immutable and shared by concurrent Runs.
   KernelBinding binding;
@@ -81,23 +92,64 @@ struct PlannedStep {
   bool has_host_results = false;
 };
 
+/// One allocator call of a Run: the requested bytes and the bytes in use
+/// just before it — what CachingAllocator::CheckAllocation needs.
+struct TapedAlloc {
+  int64_t bytes = 0;
+  int64_t in_use_before = 0;
+};
+
+/// A Run's allocator traffic in one memory mode, recorded at plan build by
+/// running the caching allocator's size-class bookkeeping over the
+/// schedule: each step's outputs in definition order, then the step's
+/// release list (MemoryPlan::release_after_step). Arena mode first
+/// allocates the whole arena and skips its residents.
+struct AllocationTape {
+  /// Every allocator call, in Run order.
+  std::vector<TapedAlloc> allocs;
+  /// Step s makes allocs [step_begin[s], step_begin[s + 1]); the calls
+  /// before step_begin[0] come first (the arena). Size: steps + 1.
+  std::vector<uint32_t> step_begin;
+  /// The allocator's stats after the whole Run.
+  CachingAllocator::Stats stats;
+  /// The last call asks for a negative size, which every Run's check
+  /// rejects; the tape ends there.
+  bool has_negative = false;
+};
+
+/// Launch counts per "kernel/variant" name.
+using VariantCounts = std::map<std::string, int64_t>;
+
 /// Everything the host derives from one shape signature.
 struct LaunchPlan {
   SymbolBindings bindings;
   std::vector<PlannedStep> steps;  // parallel to Executable's step schedule
   /// Concrete arena size: the symbolic peak-bytes formula evaluated for
   /// this signature (0 when the module has no device values). Memoized
-  /// here so an arena-mode Run on a plan hit performs no size arithmetic
-  /// and exactly one allocator call — and so admission control can read a
-  /// hot signature's footprint off the cache.
+  /// here so admission control can read a hot signature's footprint off
+  /// the cache.
   int64_t arena_bytes = 0;
+  /// A Run's totals, which depend only on the signature (device time and
+  /// the memory-bound verdicts depend on RunOptions and stay per Run).
+  int64_t kernel_launches = 0;
+  int64_t library_calls = 0;
+  int64_t bytes_read = 0;
+  int64_t bytes_written = 0;
+  /// Set by plan build; shared with every RunProfile the plan serves.
+  std::shared_ptr<const VariantCounts> variant_counts;
+  /// Allocator traffic of a caching-allocator-mode and an arena-mode Run.
+  AllocationTape caching_tape;
+  AllocationTape arena_tape;
   /// True once the plan can serve data-mode runs: every kernel step holds
   /// its binding and every host step its results. Plans built by
   /// timing-only runs are bound on their first data-mode hit.
   bool bound = false;
 };
 
-/// \brief Bounded thread-safe LRU: signature -> immutable LaunchPlan.
+/// The concrete dims of a Run's inputs, one vector per input.
+using InputDims = std::vector<std::vector<int64_t>>;
+
+/// \brief Bounded thread-safe LRU: input dims -> immutable LaunchPlan.
 class LaunchPlanCache {
  public:
   struct Stats {
@@ -111,19 +163,19 @@ class LaunchPlanCache {
 
   explicit LaunchPlanCache(size_t capacity = 128) : capacity_(capacity) {}
 
-  /// \brief Returns the plan for `signature` (bumping it to most-recent)
-  /// or nullptr on a miss. Counts a hit/miss either way.
-  std::shared_ptr<const LaunchPlan> Lookup(const std::string& signature);
+  /// \brief Returns the plan for `input_dims` (bumping it to most-recent)
+  /// or nullptr on a miss. Counts a hit/miss either way. Allocates nothing.
+  std::shared_ptr<const LaunchPlan> Lookup(const InputDims& input_dims);
 
   /// \brief Observational lookup: no hit/miss accounting, no LRU bump.
   /// Used by admission control to read a signature's memoized footprint
   /// without distorting the cache stats that benches and tests assert on.
-  std::shared_ptr<const LaunchPlan> Peek(const std::string& signature) const;
+  std::shared_ptr<const LaunchPlan> Peek(const InputDims& input_dims) const;
 
   /// \brief Publishes a plan, evicting the least-recently-used entry when
   /// at capacity. Re-inserting an existing signature replaces the plan
   /// (used to attach host results recorded by the first data-mode run).
-  void Insert(const std::string& signature,
+  void Insert(const InputDims& input_dims,
               std::shared_ptr<const LaunchPlan> plan);
 
   /// \brief Drops entries (oldest first) until `size() <= capacity`.
@@ -133,13 +185,31 @@ class LaunchPlanCache {
   void Clear();
 
  private:
+  struct Entry {
+    InputDims dims;
+    std::shared_ptr<const LaunchPlan> plan;
+  };
+  // The index keys on a pointer to the dims: an entry's own (list nodes
+  // never move) or, for a lookup, the caller's. Hash and equality read
+  // through it, so a lookup needs no key of its own.
+  struct DimsHash {
+    size_t operator()(const InputDims* dims) const;
+  };
+  struct DimsEqual {
+    bool operator()(const InputDims* a, const InputDims* b) const {
+      return *a == *b;
+    }
+  };
+
   void EvictIfNeededLocked();
 
   mutable std::mutex mu_;
   size_t capacity_;
   // Most-recently-used at the front.
-  std::list<std::pair<std::string, std::shared_ptr<const LaunchPlan>>> lru_;
-  std::unordered_map<std::string, decltype(lru_)::iterator> index_;
+  std::list<Entry> lru_;
+  std::unordered_map<const InputDims*, std::list<Entry>::iterator, DimsHash,
+                     DimsEqual>
+      index_;
   Stats stats_;
 };
 

@@ -577,6 +577,63 @@ TEST(CompileServiceTest, CacheStoreFaultDegradesNotCrashes) {
   EXPECT_EQ(service.cache().stats().stores, 0);
 }
 
+TEST(CompileServiceTest, AsyncEngineRunsWithItsProfilesMemorySettings) {
+  // The compiled path runs in the profile's memory mode under its limit,
+  // and memory-aware admission reads whatever serves the next query: the
+  // fallback leg until the executable is installed, then its peak formula.
+  // The caching allocator would make three calls here (the weight, the
+  // product, the activation); the arena makes one.
+  Graph g("arena");
+  GraphBuilder b(&g);
+  Value* x = b.Input("x", DType::kF32, {kDynamicDim, 64});
+  b.Output({b.Relu(b.MatMul(x, b.Constant(Tensor(DType::kF32, {64, 64}))))});
+  const std::vector<std::vector<std::string>> labels = {{"B", ""}};
+  const std::vector<std::vector<int64_t>> dims = {{64, 64}};
+  DynamicProfile arena = DynamicProfile::DiscArena();
+  arena.per_alloc_host_us = 1.0;
+  DynamicCompilerEngine reference(arena);
+  ASSERT_TRUE(reference.Prepare(g, labels).ok());
+  auto want = reference.Query(dims, DeviceSpec::T4());
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  auto want_peak = reference.PredictPeakBytes(dims);
+  ASSERT_TRUE(want_peak.ok()) << want_peak.status().ToString();
+  ASSERT_GT(*want_peak, 1024);
+
+  CompileService service;
+  AsyncEngineOptions options;
+  options.profile = arena;
+  options.sync_compile = true;
+  AsyncCompileEngine engine(
+      &service,
+      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
+      options);
+  ASSERT_TRUE(engine.Prepare(g, labels).ok());
+  auto before_install = engine.PredictPeakBytes(dims);
+  ASSERT_TRUE(before_install.ok()) << before_install.status().ToString();
+  EXPECT_EQ(*before_install, 0);  // the interpreter admits unconditionally
+  auto got = engine.Query(dims, DeviceSpec::T4());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(engine.swaps(), 1);
+  EXPECT_EQ(got->alloc_us, 1.0);  // the arena: one allocator call
+  EXPECT_EQ(got->peak_memory_bytes, want->peak_memory_bytes);
+  auto peak = engine.PredictPeakBytes(dims);
+  ASSERT_TRUE(peak.ok()) << peak.status().ToString();
+  EXPECT_EQ(*peak, *want_peak);
+  EXPECT_EQ(engine.stats().memory_predictions, 1);
+  EXPECT_EQ(engine.stats().last_predicted_peak_bytes, *want_peak);
+
+  options.profile.memory_limit_bytes = 1024;
+  AsyncCompileEngine limited(
+      &service,
+      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
+      options);
+  ASSERT_TRUE(limited.Prepare(g, labels).ok());
+  auto over = limited.Query(dims, DeviceSpec::T4());
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted)
+      << over.status().ToString();
+}
+
 TEST(CompileServiceTest, WorkerFaultFailsJobAndFallbackKeepsServing) {
   auto g = EwModel("doomed");
   CompileService service;

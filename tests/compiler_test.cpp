@@ -213,7 +213,7 @@ TEST(CompilerTest, VariantDispatchFollowsGuards) {
   auto vec = (*exe)->RunWithShapes({{16, 16}});
   ASSERT_TRUE(vec.ok());
   bool saw_vec = false;
-  for (const auto& [name, count] : vec->profile.variant_counts) {
+  for (const auto& [name, count] : *vec->profile.variant_counts) {
     if (name.find("vec4") != std::string::npos && count > 0) saw_vec = true;
   }
   EXPECT_TRUE(saw_vec) << vec->profile.ToString();
@@ -222,7 +222,7 @@ TEST(CompilerTest, VariantDispatchFollowsGuards) {
   auto gen = (*exe)->RunWithShapes({{3, 3}});
   ASSERT_TRUE(gen.ok());
   bool saw_generic = false;
-  for (const auto& [name, count] : gen->profile.variant_counts) {
+  for (const auto& [name, count] : *gen->profile.variant_counts) {
     if (name.find("generic") != std::string::npos && count > 0) {
       saw_generic = true;
     }
@@ -242,7 +242,7 @@ TEST(CompilerTest, ReduceScheduleSwitchesOnRowLength) {
   auto long_rows = (*exe)->RunWithShapes({{4096, 4096}});
   ASSERT_TRUE(short_rows.ok() && long_rows.ok());
   auto has = [](const RunProfile& profile, const std::string& key) {
-    for (const auto& [name, count] : profile.variant_counts) {
+    for (const auto& [name, count] : *profile.variant_counts) {
       if (name.find(key) != std::string::npos && count > 0) return true;
     }
     return false;

@@ -1,6 +1,7 @@
-// Launch-plan cache: hit/miss accounting, LRU bounds, observational
-// equivalence of cached runs (bit-identical outputs, identical simulated
-// device time), host-result replay, and concurrent Run safety.
+// Launch-plan cache: hit/miss accounting, LRU bounds over dims keys,
+// observational equivalence of cached runs (bit-identical outputs, equal
+// profiles, equal allocation failures), host-result replay, and concurrent
+// Run safety.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +11,9 @@
 #include "compiler/compiler.h"
 #include "ir/builder.h"
 #include "ir/eval.h"
+#include "models/models.h"
 #include "runtime/launch_plan.h"
+#include "support/failpoint.h"
 #include "support/rng.h"
 
 namespace disc {
@@ -44,6 +47,25 @@ std::unique_ptr<Executable> CompileModel() {
   return std::move(*exe);
 }
 
+// Every RunProfile field but the measured host_plan_us and the hit flag.
+void ExpectSameProfile(const RunProfile& a, const RunProfile& b,
+                       const std::string& where) {
+  EXPECT_EQ(a.device_time_us, b.device_time_us) << where;
+  EXPECT_EQ(a.kernel_launches, b.kernel_launches) << where;
+  EXPECT_EQ(a.library_calls, b.library_calls) << where;
+  EXPECT_EQ(a.memory_bound_launches, b.memory_bound_launches) << where;
+  EXPECT_EQ(a.bytes_read, b.bytes_read) << where;
+  EXPECT_EQ(a.bytes_written, b.bytes_written) << where;
+  EXPECT_EQ(a.peak_memory_bytes, b.peak_memory_bytes) << where;
+  EXPECT_EQ(a.alloc_calls, b.alloc_calls) << where;
+  EXPECT_EQ(a.alloc_cache_hits, b.alloc_cache_hits) << where;
+  EXPECT_EQ(a.alloc_rounding_waste, b.alloc_rounding_waste) << where;
+  EXPECT_EQ(a.arena_bytes, b.arena_bytes) << where;
+  ASSERT_NE(a.variant_counts, nullptr) << where;
+  ASSERT_NE(b.variant_counts, nullptr) << where;
+  EXPECT_EQ(*a.variant_counts, *b.variant_counts) << where;
+}
+
 TEST(ShapeSignatureTest, CanonicalAndCollisionFree) {
   EXPECT_EQ(ShapeSignature({{2, 3}, {4, 5}}), "2x3;4x5;");
   EXPECT_EQ(ShapeSignature({}), "");
@@ -67,36 +89,61 @@ TEST(ShapeSignatureTest, ParseRejectsDimsBeyondInt64) {
 
 TEST(LaunchPlanCacheTest, LruEvictsBeyondCapacity) {
   LaunchPlanCache cache(8);
-  for (int i = 0; i < 1000; ++i) {
-    cache.Insert(std::to_string(i), std::make_shared<const LaunchPlan>());
+  for (int64_t i = 0; i < 1000; ++i) {
+    cache.Insert({{i}}, std::make_shared<const LaunchPlan>());
   }
   LaunchPlanCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.entries, 8);
   EXPECT_EQ(stats.insertions, 1000);
   EXPECT_EQ(stats.evictions, 992);
   // Most-recent 8 survive; older keys are gone.
-  EXPECT_NE(cache.Lookup("999"), nullptr);
-  EXPECT_NE(cache.Lookup("992"), nullptr);
-  EXPECT_EQ(cache.Lookup("991"), nullptr);
-  EXPECT_EQ(cache.Lookup("0"), nullptr);
+  EXPECT_NE(cache.Lookup({{999}}), nullptr);
+  EXPECT_NE(cache.Lookup({{992}}), nullptr);
+  EXPECT_EQ(cache.Lookup({{991}}), nullptr);
+  EXPECT_EQ(cache.Lookup({{0}}), nullptr);
 }
 
 TEST(LaunchPlanCacheTest, LookupRefreshesRecency) {
   LaunchPlanCache cache(2);
-  cache.Insert("a", std::make_shared<const LaunchPlan>());
-  cache.Insert("b", std::make_shared<const LaunchPlan>());
-  ASSERT_NE(cache.Lookup("a"), nullptr);  // bump "a" to front
-  cache.Insert("c", std::make_shared<const LaunchPlan>());
-  EXPECT_NE(cache.Lookup("a"), nullptr);
-  EXPECT_EQ(cache.Lookup("b"), nullptr);  // "b" was LRU
-  EXPECT_NE(cache.Lookup("c"), nullptr);
+  cache.Insert({{1}}, std::make_shared<const LaunchPlan>());
+  cache.Insert({{2}}, std::make_shared<const LaunchPlan>());
+  ASSERT_NE(cache.Lookup({{1}}), nullptr);  // bump {{1}} to front
+  cache.Insert({{3}}, std::make_shared<const LaunchPlan>());
+  EXPECT_NE(cache.Lookup({{1}}), nullptr);
+  EXPECT_EQ(cache.Lookup({{2}}), nullptr);  // {{2}} was LRU
+  EXPECT_NE(cache.Lookup({{3}}), nullptr);
 }
 
 TEST(LaunchPlanCacheTest, ZeroCapacityDisables) {
   LaunchPlanCache cache(0);
-  cache.Insert("a", std::make_shared<const LaunchPlan>());
-  EXPECT_EQ(cache.Lookup("a"), nullptr);
+  cache.Insert({{1}}, std::make_shared<const LaunchPlan>());
+  EXPECT_EQ(cache.Lookup({{1}}), nullptr);
   EXPECT_EQ(cache.stats().entries, 0);
+}
+
+TEST(LaunchPlanCacheTest, SameNumbersInOtherRanksAreOtherEntries) {
+  // The key is the dims themselves: the hash covers the input count and
+  // every rank, and a hit is confirmed by an exact compare, so no two of
+  // these can share an entry.
+  const std::vector<std::vector<std::vector<int64_t>>> signatures = {
+      {{2, 3}}, {{3, 2}}, {{2}, {3}}, {{6}}, {{}}, {}};
+  LaunchPlanCache cache;
+  for (size_t i = 0; i < signatures.size(); ++i) {
+    auto plan = std::make_shared<LaunchPlan>();
+    plan->arena_bytes = static_cast<int64_t>(i);
+    cache.Insert(signatures[i], std::move(plan));
+  }
+  EXPECT_EQ(cache.stats().entries, 6);
+  for (size_t i = 0; i < signatures.size(); ++i) {
+    std::shared_ptr<const LaunchPlan> plan = cache.Lookup(signatures[i]);
+    ASSERT_NE(plan, nullptr) << ShapeSignature(signatures[i]);
+    EXPECT_EQ(plan->arena_bytes, static_cast<int64_t>(i))
+        << ShapeSignature(signatures[i]);
+    EXPECT_EQ(cache.Peek(signatures[i]), plan);
+  }
+  EXPECT_EQ(cache.Lookup({{2, 3}, {}}), nullptr);
+  EXPECT_EQ(cache.stats().hits, 6);
+  EXPECT_EQ(cache.stats().misses, 1);
 }
 
 TEST(LaunchPlanTest, HitMissAccounting) {
@@ -285,6 +332,127 @@ TEST(LaunchPlanTest, ConcurrentRunsAreSafe) {
   EXPECT_EQ(stats.hits + stats.misses, 200);
   EXPECT_LE(stats.entries, 4);
   EXPECT_GT(stats.hits, 0);
+}
+
+TEST(LaunchPlanTest, HitMissAndCacheOffProfilesAgreeOnEveryTraceShape) {
+  // A plan holds the Run's totals, variant counts and allocation tapes, so
+  // a hit reports them without recomputing anything: every profile field
+  // must still equal a miss's and a cache-off Run's, in both memory modes.
+  std::vector<Model> models = BuildModelSuite();
+  models.push_back(BuildGptStepBatch());
+  for (const Model& model : models) {
+    auto exe = DiscCompiler::Compile(*model.graph, model.input_dim_labels);
+    ASSERT_TRUE(exe.ok()) << model.name << ": " << exe.status().ToString();
+    for (MemoryMode mode : {MemoryMode::kCachingAllocator, MemoryMode::kArena}) {
+      RunOptions cached;
+      cached.memory_mode = mode;
+      RunOptions off = cached;
+      off.use_launch_plan_cache = false;
+      for (const ShapeSet& shapes : model.trace) {
+        const std::string where =
+            model.name + " " + ShapeSignature(shapes) +
+            (mode == MemoryMode::kArena ? " arena" : " caching");
+        (*exe)->ClearPlanCache();
+        auto miss = (*exe)->RunWithShapes(shapes, cached);
+        auto hit = (*exe)->RunWithShapes(shapes, cached);
+        auto cold = (*exe)->RunWithShapes(shapes, off);
+        ASSERT_TRUE(miss.ok() && hit.ok() && cold.ok()) << where;
+        ASSERT_FALSE(miss->profile.launch_plan_hit) << where;
+        ASSERT_TRUE(hit->profile.launch_plan_hit) << where;
+        ExpectSameProfile(miss->profile, hit->profile, where);
+        ExpectSameProfile(cold->profile, hit->profile, where);
+      }
+    }
+  }
+}
+
+TEST(LaunchPlanTest, AllocationFaultsAndLimitsFailAlikeOnHitMissAndCacheOff) {
+  // A Run makes every recorded allocation's checks against the plan's
+  // tape, and recording the tape consults neither the runtime.alloc
+  // failpoint nor the limit. So the same three Runs fail at the same
+  // allocations with the same messages and fire counts whether they hit
+  // the cache, miss it, or skip it.
+  Model model = BuildBert();
+  auto exe = DiscCompiler::Compile(*model.graph, model.input_dim_labels);
+  ASSERT_TRUE(exe.ok()) << exe.status().ToString();
+  const ShapeSet shapes = {{8, 64, 64}};
+  auto every_third = FailpointSpec::Parse("every:3:code=resource-exhausted");
+  ASSERT_TRUE(every_third.ok()) << every_third.status().ToString();
+  FailpointRegistry& registry = FailpointRegistry::Global();
+
+  // Three Runs on one path under one condition: each Run's status, then
+  // the fires the three caused.
+  auto trial = [&](RunOptions options, bool miss, bool arm, int64_t limit) {
+    if (arm) registry.Arm("runtime.alloc", *every_third);
+    options.memory_limit_bytes = limit;
+    std::vector<std::string> outcomes;
+    for (int i = 0; i < 3; ++i) {
+      if (miss) (*exe)->ClearPlanCache();
+      auto r = (*exe)->RunWithShapes(shapes, options);
+      outcomes.push_back(r.status().ToString());
+    }
+    outcomes.push_back("fires=" +
+                       std::to_string(registry.fires("runtime.alloc")));
+    registry.DisarmAll();
+    return outcomes;
+  };
+
+  for (MemoryMode mode : {MemoryMode::kCachingAllocator, MemoryMode::kArena}) {
+    RunOptions cached;
+    cached.memory_mode = mode;
+    RunOptions off = cached;
+    off.use_launch_plan_cache = false;
+    (*exe)->ClearPlanCache();
+    auto warm = (*exe)->RunWithShapes(shapes, cached);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    const int64_t peak = warm->profile.peak_memory_bytes;
+    ASSERT_GT(peak, 0);
+    struct Condition {
+      bool arm;
+      int64_t limit;
+    };
+    for (Condition c : {Condition{true, 0}, Condition{false, peak - 1},
+                        Condition{false, peak}}) {
+      const std::string where =
+          std::string(mode == MemoryMode::kArena ? "arena" : "caching") +
+          (c.arm ? " every:3" : " limit " + std::to_string(c.limit));
+      ASSERT_TRUE((*exe)->RunWithShapes(shapes, cached).ok()) << where;
+      const std::vector<std::string> hit = trial(cached, false, c.arm, c.limit);
+      EXPECT_EQ(trial(off, false, c.arm, c.limit), hit) << where;
+      EXPECT_EQ(trial(cached, true, c.arm, c.limit), hit) << where;
+      if (c.arm) {
+        EXPECT_NE(hit.back(), "fires=0") << where;
+      } else if (c.limit < peak) {
+        EXPECT_NE(hit[0].find("device limit"), std::string::npos) << where;
+      } else {
+        EXPECT_EQ(hit[0], "OK") << where;
+      }
+    }
+  }
+}
+
+TEST(LaunchPlanTest, NegativeSizesFailCachingModeHitsToo) {
+  // A negative input dim makes negative buffer sizes. An arena-mode Run
+  // never allocates them one by one, so it succeeds and publishes its
+  // plan; the caching allocator rejects the first one, so a caching-mode
+  // hit on that plan must fail like a cache-off Run.
+  Model model = BuildBert();
+  auto exe = DiscCompiler::Compile(*model.graph, model.input_dim_labels);
+  ASSERT_TRUE(exe.ok()) << exe.status().ToString();
+  ShapeSet shapes = model.trace.front();
+  shapes[0][0] = -shapes[0][0];
+  RunOptions arena;
+  arena.memory_mode = MemoryMode::kArena;
+  auto published = (*exe)->RunWithShapes(shapes, arena);
+  ASSERT_TRUE(published.ok()) << published.status().ToString();
+  RunOptions off;
+  off.use_launch_plan_cache = false;
+  auto hit = (*exe)->RunWithShapes(shapes);
+  auto cold = (*exe)->RunWithShapes(shapes, off);
+  EXPECT_EQ((*exe)->plan_cache_stats().hits, 1);
+  ASSERT_FALSE(hit.ok());
+  EXPECT_EQ(hit.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(hit.status().ToString(), cold.status().ToString());
 }
 
 }  // namespace

@@ -38,7 +38,7 @@ TEST(SpeculationTest, HintsProduceExactVariants) {
   auto hot = (*exe)->RunWithShapes({{512, 1024}});
   ASSERT_TRUE(hot.ok());
   bool used_exact = false;
-  for (const auto& [name, count] : hot->profile.variant_counts) {
+  for (const auto& [name, count] : *hot->profile.variant_counts) {
     if (name.find("exact_") != std::string::npos && count > 0) {
       used_exact = true;
     }
@@ -55,7 +55,7 @@ TEST(SpeculationTest, HintsProduceExactVariants) {
   // Off-hint shapes fall back and still run.
   auto other = (*exe)->RunWithShapes({{3, 17}});
   ASSERT_TRUE(other.ok());
-  for (const auto& [name, count] : other->profile.variant_counts) {
+  for (const auto& [name, count] : *other->profile.variant_counts) {
     EXPECT_EQ(name.find("exact_"), std::string::npos) << name;
   }
 }
@@ -185,7 +185,7 @@ TEST(SpeculationTest, TruncationKeepsMostFrequentHint) {
   auto hot = (*exe)->RunWithShapes({{512, 1024}});
   ASSERT_TRUE(hot.ok());
   bool used_exact = false;
-  for (const auto& [name, count] : hot->profile.variant_counts) {
+  for (const auto& [name, count] : *hot->profile.variant_counts) {
     if (name.find("exact_") != std::string::npos && count > 0) {
       used_exact = true;
     }
@@ -195,7 +195,7 @@ TEST(SpeculationTest, TruncationKeepsMostFrequentHint) {
   // The rarer combination lost its slot: no exact variant admits it.
   auto rare = (*exe)->RunWithShapes({{8, 64}});
   ASSERT_TRUE(rare.ok());
-  for (const auto& [name, count] : rare->profile.variant_counts) {
+  for (const auto& [name, count] : *rare->profile.variant_counts) {
     EXPECT_EQ(name.find("exact_"), std::string::npos) << name;
   }
 }
@@ -231,7 +231,7 @@ TEST(SpeculationTest, HintViolatingDivisibilityIsBlockedNotSpecialized) {
   EXPECT_EQ(CountExactVariants(**exe), 1);
   auto rare = (*exe)->RunWithShapes({{7, 1024}});
   ASSERT_TRUE(rare.ok());
-  for (const auto& [name, count] : rare->profile.variant_counts) {
+  for (const auto& [name, count] : *rare->profile.variant_counts) {
     EXPECT_EQ(name.find("exact_"), std::string::npos) << name;
   }
 }
