@@ -30,8 +30,10 @@
 // lanes to the last column), so no read or write leaves an operand; row
 // remainders use tiles of fewer rows. Each AVX entry point ends with an
 // explicit vzeroupper: GCC does not emit one on every exit, and a dirty
-// upper register state makes all later legacy-SSE code (the fused kernels)
-// several times slower without changing any output.
+// upper register state makes all later legacy-SSE code (the fused kernels'
+// scalar loops) several times slower without changing any output. The
+// elementwise row kernels (kernel/elementwise.cc) use the same ISA
+// detection and end the same way.
 #ifndef DISC_IR_CONTRACTION_H_
 #define DISC_IR_CONTRACTION_H_
 

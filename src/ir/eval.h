@@ -12,9 +12,12 @@
 // on store; reductions and contractions accumulate in double in a fixed
 // order. The fused-kernel executor (kernel/execute.cc) reproduces these
 // semantics bit for bit and shares the scalar functions below. They are
-// force-inlined: the fused loops instantiate them with a constant op kind
-// and dtype, so each loop body compiles to the bare expression (one
+// force-inlined: the fused scalar loops instantiate them with a constant op
+// kind and dtype, so each loop body compiles to the bare expression (one
 // multiply, say) instead of an out-of-line call that switches per element.
+// The executor's vector rows (kernel/elementwise.h) use them as the
+// fallback for lanes a rounding test cannot settle, and are tested against
+// them. This evaluator stays scalar: it is the oracle the rows answer to.
 //
 // MatMul and Conv2D run the register-tiled kernels of ir/contraction.h, in
 // the variant SelectContraction picks per call: the widest the host CPU

@@ -121,6 +121,12 @@ bool Tensor::AllClose(const Tensor& a, const Tensor& b, double rtol,
     double bv = b.ElementAsDouble(i);
     if (std::isnan(av) != std::isnan(bv)) return false;
     if (std::isnan(av)) continue;
+    // An infinity matches only itself: atol + rtol * inf would admit any
+    // value.
+    if (std::isinf(av) || std::isinf(bv)) {
+      if (av != bv) return false;
+      continue;
+    }
     if (std::abs(av - bv) > atol + rtol * std::abs(bv)) return false;
   }
   return true;

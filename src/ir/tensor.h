@@ -80,7 +80,8 @@ class Tensor {
 
   /// \brief Max |a-b| over elements; tensors must match in type and dims.
   static double MaxAbsDiff(const Tensor& a, const Tensor& b);
-  /// \brief True when shapes/dtypes match and values agree within atol+rtol.
+  /// \brief True when shapes/dtypes match and values agree within atol+rtol;
+  /// NaN matches only NaN, and an infinity only the same infinity.
   static bool AllClose(const Tensor& a, const Tensor& b, double rtol = 1e-4,
                        double atol = 1e-5);
   /// \brief True when dtypes, dims and the bits of every element match.

@@ -7,16 +7,26 @@
 //   * elementwise ops apply the reference's scalar functions
 //     (ApplyUnaryScalar / ApplyBinaryScalar) on a double carrier and round
 //     to the node's dtype on store, as Tensor::SetElementFromDouble does, so
-//     an in-group cast really converts;
+//     an in-group cast really converts. An f32 member whose innermost rows
+//     are contiguous and hold at least one vector runs a vector row kernel
+//     of the host's ISA instead (kernel/elementwise.h), with the same
+//     outputs: exact rows (add, mul, relu, rsqrt, ...) run the same IEEE
+//     double operations, so each lane rounds as the scalar expression does;
+//     checked rows (tanh, exp, sigmoid) keep a vector approximation y only
+//     where (float)(y * (1 - 2^-44)) and (float)(y * (1 + 2^-44)) agree,
+//     which proves that libm's value, within 2^-44 |y| of y, narrows to the
+//     same f32 (rounding is monotone), and recompute every other lane,
+//     NaNs included, through ApplyUnaryScalar;
 //   * reductions accumulate in double, visiting each output cell's inputs
 //     in row-major input order;
 //   * data movement (transpose, reshape, broadcast_to, slice, pad, concat,
 //     gather) and iota store through the same conversion.
 // Each group output is therefore bit-identical to the reference evaluator's
-// value for its node, whichever variant the runtime selected: variants
-// shape the modeled GPU schedule, not these loops. The scalar functions are
-// force-inlined (ir/eval.h), and every loop below is instantiated for one
-// op kind and dtype pair, so a loop body is the bare scalar expression.
+// value for its node, whichever variant the runtime selected and whichever
+// row ISA Bind picked: variants shape the modeled GPU schedule, not these
+// loops. The scalar functions are force-inlined (ir/eval.h), and every loop
+// below is instantiated for one op kind and dtype pair, so a loop body is
+// the bare scalar expression.
 //
 // Bind. FusedKernel::Bind does all the work that depends only on the
 // symbol bindings. It solves each input's and member's dims through the
@@ -28,9 +38,11 @@
 // every view, so a same-shape elementwise member is one flat loop. It lays
 // out one scratch block for the members that are not group outputs and for
 // reduction accumulators. Each member becomes a MemberLoop whose op kind
-// and dtypes were fixed at bind time. The resulting BoundKernel is
-// immutable: the runtime keeps it in the launch plan, and concurrent
-// Executes share it.
+// and dtypes were fixed at bind time; for an f32 elementwise member it also
+// captures the row kernel, picked from HostIsa() once per binding (strided
+// rows, rows shorter than one vector, other dtypes and reductions keep the
+// scalar loops). The resulting BoundKernel is immutable: the runtime keeps
+// it in the launch plan, and concurrent Executes share it.
 //
 // Execute. The hot path checks each group input's dtype and dims against
 // the bound ones (a disagreement is an error Status, never an out-of-bounds
@@ -40,6 +52,7 @@
 // Execute.
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <functional>
 #include <limits>
@@ -47,6 +60,7 @@
 #include <type_traits>
 
 #include "ir/eval.h"
+#include "kernel/elementwise.h"
 #include "kernel/kernel.h"
 #include "support/math_util.h"
 #include "support/string_util.h"
@@ -76,6 +90,8 @@ struct BoundKernel {
   };
 
   const FusedKernel* kernel = nullptr;
+  /// The ISA of the vector rows some member runs; generic when none does.
+  ContractionIsa row_isa = ContractionIsa::kGeneric;
   std::vector<Dims> input_dims;  // parallel to group.inputs
   std::vector<Member> members;   // parallel to group.nodes
   std::vector<int> outputs;      // member index of each group output
@@ -284,6 +300,17 @@ class Walk {
     }
   }
 
+  /// The element count of every innermost row (0 for an empty walk).
+  int64_t row_length() const {
+    if (empty_) return 0;
+    return extents_.empty() ? 1 : extents_.back();
+  }
+
+  /// The step of view k along every innermost row.
+  int64_t row_step(int k) const {
+    return extents_.empty() ? 0 : strides_[strides_.size() - K + k];
+  }
+
   /// Calls fn(offsets, n, steps) once per innermost row: the row has n
   /// elements, the i-th at offsets[k] + i * steps[k] in view k.
   template <typename Fn>
@@ -357,6 +384,22 @@ void Map2(const Walk<3>& walk, O* out, const A* a, const B* b, Fn fn) {
         o[i] = fn(x[i * step[1]], y[i * step[2]]);
       }
     }
+  });
+}
+
+/// out = row(x) over a walk of (dense out, x) whose rows have unit steps.
+void MapRows(const Walk<2>& walk, float* out, const float* x, UnaryRowFn row) {
+  walk.ForEachRow([&](const int64_t* off, int64_t n, const int64_t*) {
+    row(out + off[0], x + off[1], n);
+  });
+}
+
+/// out = row(a, b) over a walk of (dense out, a, b) whose rows have the
+/// steps `row` was selected for.
+void MapRows(const Walk<3>& walk, float* out, const float* a, const float* b,
+             BinaryRowFn row) {
+  walk.ForEachRow([&](const int64_t* off, int64_t n, const int64_t*) {
+    row(out + off[0], a + off[1], b + off[2], n);
   });
 }
 
@@ -445,6 +488,25 @@ Result<View> BroadcastView(const Node& node, const Dims& in,
   return view;
 }
 
+/// Moves element 0 of `t` beyond any tolerance and bit comparison: a finite
+/// f32 v becomes v + 1 + |v|, 1 + |v| away (an overflow to inf still
+/// differs), a NaN or infinity becomes 0, an i1 flips, and an i64 v becomes
+/// ~v = -v - 1, |2v + 1| away and never overflowing. (v + 1 would stay
+/// within the default relative tolerance for |v| >= 10^4, and round back to
+/// v in double above 2^53.)
+void Perturb(Tensor* t) {
+  if (t->dtype() == DType::kF32) {
+    float& v = t->f32_data()[0];
+    v = std::isfinite(v)
+            ? static_cast<float>(static_cast<double>(v) + 1.0 +
+                                 std::abs(static_cast<double>(v)))
+            : 0.0f;
+  } else {
+    int64_t& v = t->i64_data()[0];
+    v = t->dtype() == DType::kI1 ? 1 - v : ~v;
+  }
+}
+
 /// A member loop that does nothing (zero-sized results).
 MemberLoop NoOp() {
   return [](const Frame&) { return Status::OK(); };
@@ -461,7 +523,8 @@ class Binder {
       : group_(group),
         analysis_(analysis),
         bindings_(bindings),
-        bound_(*bound) {}
+        bound_(*bound),
+        isa_(HostIsa()) {}
 
   Status Run() {
     bound_.input_dims.reserve(group_.inputs.size());
@@ -532,6 +595,14 @@ class Binder {
       if (group_.nodes[i]->output(0) == v) return static_cast<int>(i);
     }
     return -1;
+  }
+
+  /// Whether an f32 member over `walk` may run a vector row: its rows hold
+  /// at least one vector, and the output steps through them densely.
+  template <int K>
+  bool VectorRows(const Walk<K>& walk) const {
+    return isa_ != ContractionIsa::kGeneric &&
+           walk.row_length() >= RowLanes(isa_) && walk.row_step(0) == 1;
   }
 
   /// An operand: a member bound earlier, or a group input.
@@ -605,6 +676,18 @@ class Binder {
                         kOut != DType::kI1) {
             return Mismatch(node, "result dtype");
           } else {
+            if constexpr (kIn == DType::kF32 && kOut == DType::kF32) {
+              if (VectorRows(walk) && walk.row_step(1) == 1) {
+                if (UnaryRowFn row = SelectUnaryRow(isa_, kOp)) {
+                  bound_.row_isa = isa_;
+                  return MemberLoop([walk, row, src = x.slot,
+                                     dst = out.slot](const Frame& f) {
+                    MapRows(walk, Slot<kOut>(f, dst), Slot<kIn>(f, src), row);
+                    return Status::OK();
+                  });
+                }
+              }
+            }
             return MemberLoop([walk, src = x.slot,
                                dst = out.slot](const Frame& f) {
               Map1(walk, Slot<kOut>(f, dst), Slot<kIn>(f, src),
@@ -642,6 +725,20 @@ class Binder {
           if constexpr (kOut != kIn && kOut != DType::kI1) {
             return Mismatch(node, "result dtype");
           } else {
+            if constexpr (kIn == DType::kF32 && kOut == DType::kF32) {
+              if (VectorRows(walk)) {
+                if (BinaryRowFn row = SelectBinaryRow(
+                        isa_, kOp, walk.row_step(1), walk.row_step(2))) {
+                  bound_.row_isa = isa_;
+                  return MemberLoop([walk, row, lhs = a.slot, rhs = b.slot,
+                                     dst = out.slot](const Frame& f) {
+                    MapRows(walk, Slot<kOut>(f, dst), Slot<kIn>(f, lhs),
+                            Slot<kIn>(f, rhs), row);
+                    return Status::OK();
+                  });
+                }
+              }
+            }
             return MemberLoop([walk, n, lhs = a.slot, rhs = b.slot,
                                dst = out.slot](const Frame& f) -> Status {
               bool undefined = false;
@@ -1003,6 +1100,7 @@ class Binder {
   const ShapeAnalysis& analysis_;
   const SymbolBindings& bindings_;
   BoundKernel& bound_;
+  const ContractionIsa isa_;  // the row ISA every member may choose
 };
 
 }  // namespace
@@ -1013,6 +1111,10 @@ Result<KernelBinding> FusedKernel::Bind(const SymbolBindings& bindings) const {
   DISC_RETURN_IF_ERROR(
       Binder(group_, *analysis_, bindings, bound.get()).Run());
   return KernelBinding(std::move(bound));
+}
+
+ContractionIsa FusedKernel::RowIsa(const KernelBinding& binding) const {
+  return binding == nullptr ? ContractionIsa::kGeneric : binding->row_isa;
 }
 
 Status FusedKernel::Execute(
@@ -1079,7 +1181,7 @@ Status FusedKernel::Execute(
     // validation can prove exactly which artifact is bad.
     for (Tensor& t : outputs) {
       if (t.num_elements() == 0) continue;
-      t.SetElementFromDouble(0, t.ElementAsDouble(0) + 1.0);
+      Perturb(&t);
       break;
     }
   }

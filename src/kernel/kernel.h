@@ -24,6 +24,17 @@
 //     cached. The scalar functions are force-inlined so that each loop,
 //     instantiated for one op kind and dtype, runs the bare expression
 //     rather than an out-of-line call that switches on the op per element.
+//     f32 elementwise members with contiguous rows run AVX2 or AVX-512 row
+//     kernels instead (kernel/elementwise.h), picked at Bind from the host
+//     ISA, with the same outputs. Exact rows (add, sub, mul, div, max, min,
+//     neg, abs, relu, sqrt, rsqrt, reciprocal, floor, ceil) run the same
+//     IEEE double operations as the scalar functions, each rounded once.
+//     Checked rows (tanh, exp, sigmoid) compute a vector approximation y
+//     with a proven relative error far below 2^-44 and keep (float)y only
+//     when y * (1 - 2^-44) and y * (1 + 2^-44) narrow to the same f32: libm
+//     is within that interval, and narrowing is monotone, so it narrows to
+//     the same value. Other lanes (NaN, or near a rounding boundary) run the
+//     scalar function.
 //
 // Modeled GPU performance comes from the device model (disc::sim) and the
 // KernelStats this class computes per (bindings, variant): global-memory
@@ -39,6 +50,7 @@
 #include <vector>
 
 #include "fusion/fusion.h"
+#include "ir/contraction.h"
 #include "ir/tensor.h"
 #include "kernel/guard.h"
 #include "shape/shape_analysis.h"
@@ -156,6 +168,11 @@ class FusedKernel {
   /// \brief Bind(bindings) followed by Execute(binding, env).
   Status Execute(const SymbolBindings& bindings,
                  std::unordered_map<const Value*, Tensor>* env) const;
+
+  /// \brief The ISA of the vector row kernels `binding` runs
+  /// (kernel/elementwise.h): generic when no member runs one, or when
+  /// `binding` is null (a timing-only plan binds nothing).
+  ContractionIsa RowIsa(const KernelBinding& binding) const;
 
   /// \brief Resource footprint under concrete bindings for one variant.
   Result<KernelStats> ComputeStats(const SymbolBindings& bindings,

@@ -541,6 +541,8 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
         if (step_scope.active()) {
           step_scope.AddArg("kind", "kernel-launch");
           step_scope.AddArg("variant", variant.name);
+          step_scope.AddArg("isa",
+                            ContractionIsaName(kernel.RowIsa(ps.binding)));
         }
         KernelCost cost = model.EstimateGenerated(stats, variant);
         profile.device_time_us += options.batch_launches

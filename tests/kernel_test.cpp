@@ -4,6 +4,7 @@
 
 #include <limits>
 
+#include "compiler/compiler.h"
 #include "ir/builder.h"
 #include "ir/eval.h"
 #include "kernel/library.h"
@@ -668,6 +669,87 @@ TEST(KernelExecuteTest, OneBindingServesEveryInputOfItsSignature) {
         << "seed " << seed;
   }
   ExpectMatchesReference(*c, {RandomF32(23, {4, 8})});
+}
+
+// Row values for the end-to-end edge test, by category: finite edges (signed
+// zeros, subnormals, FLT_MIN, the checked ops' clamp and saturation edges),
+// the same with one NaN, and the same with infinities and +-FLT_MAX. A row
+// mixes no two NaN sources, so every NaN it produces carries one payload
+// (which of two NaN operands propagates is up to the compiler's operand
+// order, and not what this test checks).
+std::vector<float> EdgeRow(int category, int64_t cols, int64_t row) {
+  static const std::vector<float> kFinite = {
+      0.0f,     -0.0f,   1e-45f,  -1e-45f,   1.1754942e-38f, -1.17549435e-38f,
+      9.5f,     -9.5f,   9.01f,   -9.0f,     89.0f,          -89.0f,
+      88.7228f, -104.0f, 104.0f,  -103.972f, 90.0f,          -90.0f,
+      17.0f,    -17.0f,  0.17f,   -0.34657f, 0.5f,           -2.25f};
+  std::vector<float> values(cols);
+  for (int64_t c = 0; c < cols; ++c) {
+    values[c] = kFinite[(row * 5 + c) % kFinite.size()];
+  }
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kMax = std::numeric_limits<float>::max();
+  if (category == 1) {
+    values[(row * 3) % cols] = std::numeric_limits<float>::quiet_NaN();
+  } else if (category == 2) {
+    const float specials[] = {kInf, -kMax, kMax, -kInf};
+    for (int64_t c = row % 2; c < cols; c += 3) values[c] = specials[c % 4];
+  }
+  return values;
+}
+
+TEST(KernelExecuteTest, EdgeValuesThroughFusedCompositesMatchTheReference) {
+  // Gelu (tanh), Softmax (exp), LayerNorm (rsqrt) and Sigmoid after a
+  // broadcast bias add, on rows around the vector widths: each member runs
+  // a vector row or the scalar loop as Bind chooses, on a plan miss and on
+  // a hit.
+  using Body = std::function<Value*(GraphBuilder*, Value*, Value*)>;
+  const std::vector<std::pair<std::string, Body>> composites = {
+      {"gelu", [](GraphBuilder* b, Value* x, Value*) { return b->Gelu(x); }},
+      {"softmax",
+       [](GraphBuilder* b, Value* x, Value*) { return b->Softmax(x); }},
+      {"layernorm",
+       [](GraphBuilder* b, Value* x, Value* bias) {
+         return b->LayerNorm(x, bias, bias);
+       }},
+      {"sigmoid",
+       [](GraphBuilder* b, Value* x, Value*) { return b->Sigmoid(x); }},
+  };
+  constexpr int64_t kRows = 6;
+  for (int64_t cols : {1, 7, 8, 9, 16, 17, 67}) {
+    std::vector<float> x_values, bias_values;
+    for (int64_t r = 0; r < kRows; ++r) {
+      const std::vector<float> row = EdgeRow(static_cast<int>(r % 3), cols, r);
+      x_values.insert(x_values.end(), row.begin(), row.end());
+    }
+    for (int64_t c = 0; c < cols; ++c) {
+      const float kBias[] = {0.0f, -0.0f, 0.25f, -1.5f, 1e-40f, 3.0f};
+      bias_values.push_back(kBias[c % 6]);
+    }
+    const std::vector<Tensor> inputs = {Tensor::F32({kRows, cols}, x_values),
+                                        Tensor::F32({cols}, bias_values)};
+    for (const auto& [name, body] : composites) {
+      const std::string where = name + " cols=" + std::to_string(cols);
+      Graph g(name);
+      GraphBuilder b(&g);
+      Value* x = b.Input("x", DType::kF32, {kDynamicDim, cols});
+      Value* bias = b.Input("bias", DType::kF32, {cols});
+      b.Output({body(&b, b.Add(x, bias), bias)});
+      auto exe = DiscCompiler::Compile(g, {{"R", ""}, {""}});
+      ASSERT_TRUE(exe.ok()) << where << ": " << exe.status().ToString();
+      auto want = EvaluateGraph(g, inputs);
+      ASSERT_TRUE(want.ok()) << where;
+      for (bool hit : {false, true}) {
+        auto got = (*exe)->Run(inputs);
+        ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+        EXPECT_EQ(got->profile.launch_plan_hit, hit) << where;
+        EXPECT_TRUE(Tensor::BitEqual(got->outputs[0], (*want)[0]))
+            << where << (hit ? " (hit)" : " (miss)") << ": "
+            << got->outputs[0].ToString(512) << " vs "
+            << (*want)[0].ToString(512);
+      }
+    }
+  }
 }
 
 TEST(KernelTest, OpFlopCosts) {

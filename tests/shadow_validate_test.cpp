@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <filesystem>
+#include <functional>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -189,6 +191,61 @@ TEST_F(ShadowValidateTest, MiscompiledCandidateIsCaughtAsDivergence) {
   EXPECT_FALSE(report.passed);
   EXPECT_STREQ(report.verdict(), "caught");
   EXPECT_GE(report.divergences, 1) << report.Summary();
+}
+
+// The injected miscompile must change its element whatever the value: a
+// NaN, an infinity, an f32 too large for + 1 to show, an i1 that is already
+// 1 and an i64 beyond 2^53 included, each beyond the validator's tolerance.
+TEST_F(ShadowValidateTest, InjectedMiscompileMovesEveryValueBeyondTolerance) {
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kNan = std::numeric_limits<float>::quiet_NaN();
+  const float kMax = std::numeric_limits<float>::max();
+  const ShadowValidateOptions tolerances;
+  struct Case {
+    DType dtype;
+    std::function<Value*(GraphBuilder*, Value*)> op;
+    Tensor input;
+  };
+  auto neg = [](GraphBuilder* b, Value* x) { return b->Neg(x); };
+  auto positive = [](GraphBuilder* b, Value* x) {
+    return b->Greater(x, b->ScalarI64(0));
+  };
+  const std::vector<Case> cases = {
+      {DType::kF32, neg, Tensor::F32({3}, {0.5f, 1.0f, 2.0f})},
+      {DType::kF32, neg, Tensor::F32({3}, {3e7f, 1.0f, 2.0f})},
+      {DType::kF32, neg, Tensor::F32({3}, {-3e7f, 1.0f, 2.0f})},
+      {DType::kF32, neg, Tensor::F32({3}, {kMax, 1.0f, 2.0f})},
+      {DType::kF32, neg, Tensor::F32({3}, {-kMax, 1.0f, 2.0f})},
+      {DType::kF32, neg, Tensor::F32({3}, {kInf, 1.0f, 2.0f})},
+      {DType::kF32, neg, Tensor::F32({3}, {-kInf, 1.0f, 2.0f})},
+      {DType::kF32, neg, Tensor::F32({3}, {kNan, 1.0f, 2.0f})},
+      {DType::kI64, neg, Tensor::I64({3}, {(int64_t{1} << 60) + 1, 1, 2})},
+      {DType::kI64, neg, Tensor::I64({3}, {-12345678, 1, 2})},
+      {DType::kI64, neg, Tensor::I64({3}, {0, 1, 2})},
+      {DType::kI64, positive, Tensor::I64({3}, {5, 1, 2})},  // i1 true
+      {DType::kI64, positive, Tensor::I64({3}, {-5, 1, 2})},  // i1 false
+  };
+  for (const Case& c : cases) {
+    Graph g("miscompiled");
+    GraphBuilder b(&g);
+    Value* x = b.Input("x", c.dtype, {kDynamicDim});
+    b.Output({c.op(&b, x)});
+    ASSERT_TRUE(FailpointRegistry::Global()
+                    .ArmFromSpec("kernel.miscompile=always")
+                    .ok());
+    auto exe = DiscCompiler::Compile(g, {{"N"}});
+    FailpointRegistry::Global().DisarmAll();
+    ASSERT_TRUE(exe.ok()) << exe.status().ToString();
+    auto got = (*exe)->Run({c.input});
+    auto want = EvaluateGraph(g, {c.input});
+    ASSERT_TRUE(got.ok() && want.ok());
+    const Tensor& out = got->outputs[0];
+    const Tensor& ref = (*want)[0];
+    EXPECT_FALSE(Tensor::BitEqual(out, ref)) << c.input.ToString();
+    EXPECT_FALSE(Tensor::AllClose(out, ref, tolerances.rtol, tolerances.atol))
+        << c.input.ToString() << ": " << out.ToString() << " vs "
+        << ref.ToString();
+  }
 }
 
 TEST_F(ShadowValidateTest, GuardMispredictIsCaughtAsGuardViolation) {

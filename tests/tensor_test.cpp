@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace disc {
 namespace {
@@ -101,6 +102,21 @@ TEST(TensorTest, AllCloseNaNAgreement) {
                                Tensor::F32({1}, {nan})));
   EXPECT_FALSE(
       Tensor::AllClose(Tensor::F32({1}, {nan}), Tensor::F32({1}, {1.0f})));
+}
+
+TEST(TensorTest, AllCloseInfinityMatchesOnlyItself) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float max = std::numeric_limits<float>::max();
+  EXPECT_TRUE(Tensor::AllClose(Tensor::F32({2}, {inf, -inf}),
+                               Tensor::F32({2}, {inf, -inf})));
+  for (float other : {0.0f, 1.0f, max, -inf}) {
+    EXPECT_FALSE(
+        Tensor::AllClose(Tensor::F32({1}, {other}), Tensor::F32({1}, {inf})))
+        << other;
+    EXPECT_FALSE(
+        Tensor::AllClose(Tensor::F32({1}, {inf}), Tensor::F32({1}, {other})))
+        << other;
+  }
 }
 
 }  // namespace
