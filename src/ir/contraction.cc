@@ -20,13 +20,16 @@ namespace {
 //
 // A variant is a traits struct `Isa` holding its primitives:
 //   Vec                       kLanes doubles
-//   kRows                     rows Mr of a full tile, which is Mr x 2 Vecs
+//   kRows                     rows of a full tile
+//   kTileVecs[R]              Vecs per row of a tile of R rows (1..kRows):
+//                             the tile table
 //   kPacksTransposedB         the MatMul driver packs B^T into a [k][n] panel
 //                             (else it reads B^T in place, one lane per row)
 //   Mask, EdgeMask(count)     the first `count` (1..kLanes) lanes of a Vec
 //   Load(p, v), LoadEdge(p, m, v)
-//                             v = kLanes adjacent B values (those in `m`, the
+//                             v = kLanes adjacent values (those in `m`, the
 //                             rest 0), widened to double
+//   StoreWide(p, v)           the kLanes doubles of v stored at p
 //   MulAdd(acc, a, b)         acc += a * b, with the A value `a` broadcast
 //   Store(p, v, store), StoreEdge(p, v, m, store)
 //                             v (the lanes in `m`) narrowed to the out dtype;
@@ -38,22 +41,71 @@ namespace {
 // templates themselves are compiled for the baseline target, whose calling
 // convention has no AVX registers.
 
-constexpr int kTileVecs = 2;  // Vecs per row of a full tile
+// Calls f(std::integral_constant<int, count>()) for a count in [1, N].
+template <int N, class F>
+inline void WithCount(int count, const F& f) {
+  if (count == N) {
+    f(std::integral_constant<int, N>());
+  } else if constexpr (N > 1) {
+    WithCount<N - 1>(count, f);
+  }
+}
 
-// Runs k contraction steps on an Mr x V block of accumulators: `a` is packed
-// [k][Mr] doubles, and `load_b(kk, b)` yields the tile's B vectors at step
-// kk. The unroll pragmas are load-bearing: without them GCC keeps the tile on
-// the stack and reloads it for every multiply.
+// The A side of a tile is packed as Mr rows of doubles, row r at a + r * lda.
+// Runs k contraction steps on an Mr x V block of accumulators, where
+// `load_b(kk, b)` yields the tile's B vectors at step kk. The unroll pragmas
+// are load-bearing: without them GCC keeps the tile on the stack and reloads
+// it for every multiply.
 template <class Isa, int Mr, int V, class LoadB>
-inline void AccumulateTile(const double* a, int64_t k, const LoadB& load_b,
+inline void AccumulateTile(const double* a, int64_t lda, int64_t k,
+                           const LoadB& load_b,
                            typename Isa::Vec (&acc)[Mr][V]) {
-  for (int64_t kk = 0; kk < k; ++kk, a += Mr) {
+  for (int64_t kk = 0; kk < k; ++kk) {
     typename Isa::Vec b[V];
     load_b(kk, b);
 #pragma GCC unroll 8
     for (int r = 0; r < Mr; ++r) {
-#pragma GCC unroll 2
-      for (int v = 0; v < V; ++v) Isa::MulAdd(acc[r][v], a[r], b[v]);
+#pragma GCC unroll 8
+      for (int v = 0; v < V; ++v) Isa::MulAdd(acc[r][v], a[r * lda + kk], b[v]);
+    }
+  }
+}
+
+// Widens the `count` contiguous values at `src` into doubles at `dst`, whole
+// Vecs first. The tail goes element by element: a wide store there would
+// overlap the next run's, and the tile's loads from such overlapping stores
+// stall (Conv2D with one input channel packs runs of 3 taps).
+template <class Isa, class T>
+inline void WidenRow(const T* src, int64_t count, double* dst) {
+  constexpr int kLanes = Isa::kLanes;
+  int64_t i = 0;
+  for (; i + kLanes <= count; i += kLanes) {
+    typename Isa::Vec v;
+    Isa::Load(src + i, v);
+    Isa::StoreWide(dst + i, v);
+  }
+  for (; i < count; ++i) dst[i] = static_cast<double>(src[i]);
+}
+
+// dst[c * ld_dst + r] = src[r * ld_src + c], converted to U, for r < rows
+// and c < cols: the packs of transposed operands. Eight source rows at a
+// time, so each column is written eight adjacent elements at a time.
+template <class T, class U>
+inline void Transpose(const T* src, int64_t ld_src, int64_t rows,
+                      int64_t cols, U* dst, int64_t ld_dst) {
+  constexpr int kBlock = 8;
+  int64_t r0 = 0;
+  for (; r0 + kBlock <= rows; r0 += kBlock) {
+    const T* s = src + r0 * ld_src;
+    U* d = dst + r0;
+    for (int64_t c = 0; c < cols; ++c, d += ld_dst) {
+#pragma GCC unroll 8
+      for (int i = 0; i < kBlock; ++i) d[i] = static_cast<U>(s[i * ld_src + c]);
+    }
+  }
+  for (; r0 < rows; ++r0) {
+    for (int64_t c = 0; c < cols; ++c) {
+      dst[c * ld_dst + r0] = static_cast<U>(src[r0 * ld_src + c]);
     }
   }
 }
@@ -80,6 +132,7 @@ struct RowColumns {
         last(Isa::EdgeMask(tile.cols - (V - 1) * Isa::kLanes)) {}
   void operator()(int64_t kk, typename Isa::Vec (&b)[V]) const {
     const T* row = p + kk * ld;
+#pragma GCC unroll 8
     for (int v = 0; v + 1 < V; ++v) Isa::Load(row + v * Isa::kLanes, b[v]);
     const T* tail = row + (V - 1) * Isa::kLanes;
     if constexpr (Tile::kEdge) {
@@ -102,6 +155,7 @@ inline void StoreTile(const typename Isa::Vec (&acc)[Mr][V], T* out,
       Isa::EdgeMask(cols - (V - 1) * Isa::kLanes);
 #pragma GCC unroll 8
   for (int r = 0; r < Mr; ++r, out += ldo) {
+#pragma GCC unroll 8
     for (int v = 0; v + 1 < V; ++v) {
       Isa::Store(out + v * Isa::kLanes, acc[r][v], store);
     }
@@ -124,33 +178,38 @@ inline void RunTile(int64_t j0, int cols, T* out, int64_t ldo,
 }
 
 // Covers output columns [0, n) of Mr rows (`ldo` apart from `out`) with
-// tiles: full ones of 2 Vecs, then one edge tile of 1 or 2 Vecs. For each,
+// tiles: full ones of kTileVecs[Mr] Vecs, then one edge tile of as many Vecs
+// as the remaining columns need, the last one masked. For each,
 // body(acc, tile) accumulates into the zeroed accumulators, which are then
 // stored.
 template <class Isa, int Mr, class T, class Body, class StoreFn>
 inline void ForColumnTiles(int64_t n, T* out, int64_t ldo, const Body& body,
                            const StoreFn& store) {
   constexpr int kLanes = Isa::kLanes;
+  constexpr int V = Isa::kTileVecs[Mr];
   int64_t j0 = 0;
-  for (; j0 + kTileVecs * kLanes <= n; j0 += kTileVecs * kLanes) {
-    RunTile<Isa, Mr, kTileVecs, false>(j0, kTileVecs * kLanes, out, ldo,
-                                       body, store);
+  for (; j0 + V * kLanes <= n; j0 += V * kLanes) {
+    RunTile<Isa, Mr, V, false>(j0, V * kLanes, out, ldo, body, store);
   }
   const int cols = static_cast<int>(n - j0);
-  if (cols > kLanes) {
-    RunTile<Isa, Mr, kTileVecs, true>(j0, cols, out, ldo, body, store);
-  } else if (cols > 0) {
-    RunTile<Isa, Mr, 1, true>(j0, cols, out, ldo, body, store);
+  if (cols > 0) {
+    WithCount<V>((cols + kLanes - 1) / kLanes, [&](auto vecs) {
+      RunTile<Isa, Mr, decltype(vecs)::value, true>(j0, cols, out, ldo, body,
+                                                    store);
+    });
   }
 }
 
 // Calls block(std::integral_constant<int, R>(), i0) over rows [i0, m) in
-// blocks of R = Mr rows, then covers the remainder with R = Mr / 2, Mr / 4,
-// ..., 1.
+// blocks of R = Mr rows, then once with R = the rows left, if any.
 template <int Mr, class Block>
-inline void ForRowBlocks(int64_t m, const Block& block, int64_t i0 = 0) {
+inline void ForRowBlocks(int64_t m, const Block& block) {
+  int64_t i0 = 0;
   for (; i0 + Mr <= m; i0 += Mr) block(std::integral_constant<int, Mr>(), i0);
-  if constexpr (Mr > 1) ForRowBlocks<Mr / 2>(m, block, i0);
+  if (i0 < m) {
+    WithCount<Mr - 1>(static_cast<int>(m - i0),
+                      [&](auto rows) { block(rows, i0); });
+  }
 }
 
 using Double2 = double __attribute__((vector_size(16)));
@@ -186,16 +245,17 @@ struct ToI1 {
   int64_t operator()(double v) const { return v != 0.0 ? 1 : 0; }
 };
 
-// Batched MatMul: A packed per row block as doubles (transposed or not), B
-// read in place at its own dtype, or, where the variant packs B^T, from one
-// [k][n] panel per distinct B slice.
+// Batched MatMul: A packed per row block as rows of doubles, B read in place
+// at its own dtype, or, where the variant packs B^T, from one [k][n] panel
+// per distinct B slice.
 template <class Isa, class T, class StoreFn>
 inline void MatMulDriver(const MatMulDims& d, const T* a, const T* b, T* out,
                          const StoreFn& store) {
   const int64_t m = d.m, n = d.n, k = d.k;
   const int64_t lda = d.transpose_a ? m : k;
+  const int64_t ldp = k;  // packed A rows
   const bool pack_b = Isa::kPacksTransposedB && d.transpose_b;
-  std::vector<double> packed_a(k * std::min<int64_t>(m, Isa::kRows));
+  std::vector<double> packed_a(ldp * std::min<int64_t>(m, Isa::kRows));
   std::vector<T> packed_b(pack_b ? k * n : 0);
   const T* packed_from = nullptr;  // the B slice packed_b holds
   std::vector<int64_t> idx(d.batch.size(), 0);
@@ -214,11 +274,7 @@ inline void MatMulDriver(const MatMulDims& d, const T* a, const T* b, T* out,
     int64_t ldb = d.transpose_b ? k : n;
     if (pack_b) {
       if (pb != packed_from) {
-        for (int64_t j = 0; j < n; ++j) {
-          for (int64_t kk = 0; kk < k; ++kk) {
-            packed_b[kk * n + j] = pb[j * ldb + kk];
-          }
-        }
+        Transpose(pb, ldb, n, k, packed_b.data(), n);
         packed_from = pb;
       }
       pb = packed_b.data();
@@ -227,10 +283,11 @@ inline void MatMulDriver(const MatMulDims& d, const T* a, const T* b, T* out,
     ForRowBlocks<Isa::kRows>(m, [&](auto rows, int64_t i0) {
       constexpr int R = decltype(rows)::value;
       double* pk = packed_a.data();
-      for (int64_t kk = 0; kk < k; ++kk) {
+      if (d.transpose_a) {
+        Transpose(pa + i0, lda, k, R, pk, ldp);
+      } else {
         for (int r = 0; r < R; ++r) {
-          pk[kk * R + r] = static_cast<double>(
-              d.transpose_a ? pa[kk * lda + i0 + r] : pa[(i0 + r) * lda + kk]);
+          WidenRow<Isa>(pa + (i0 + r) * lda, k, pk + r * ldp);
         }
       }
       ForColumnTiles<Isa, R>(
@@ -238,14 +295,14 @@ inline void MatMulDriver(const MatMulDims& d, const T* a, const T* b, T* out,
           [&](auto& acc, auto tile) {
             if constexpr (!Isa::kPacksTransposedB) {
               if (d.transpose_b) {
-                AccumulateTile<Isa>(pk, k, TransposedColumns(pb, ldb, tile, n),
-                                    acc);
+                AccumulateTile<Isa>(pk, ldp, k,
+                                    TransposedColumns(pb, ldb, tile, n), acc);
                 return;
               }
             }
-            AccumulateTile<Isa>(pk, k, RowColumns<Isa, T, decltype(tile)>(
-                                           pb, ldb, tile),
-                                acc);
+            AccumulateTile<Isa>(
+                pk, ldp, k,
+                RowColumns<Isa, T, decltype(tile)>(pb, ldb, tile), acc);
           },
           store);
     });
@@ -254,10 +311,12 @@ inline void MatMulDriver(const MatMulDims& d, const T* a, const T* b, T* out,
 
 // NHWC Conv2D with the filter as the B operand ([kh*kw*c, oc], rows oc
 // apart). Output pixels whose kx taps are all in bounds form an interior
-// run per output row; it goes in blocks of one tile height (then smaller
-// ones), each with one AccumulateTile per column tile over the in-bounds ky
-// range, whose filter rows are contiguous. Border pixels go one at a time,
-// with one AccumulateTile per in-bounds ky over the in-bounds kx range.
+// run per output row; it goes in blocks of one tile height (then one block
+// of the pixels left), each with one AccumulateTile per column tile over the
+// in-bounds ky range, whose filter rows are contiguous. A pixel's taps at
+// one ky are contiguous in the input, so each packed A row is a run of
+// widened copies. Border pixels go one at a time, with one AccumulateTile
+// per in-bounds ky over the in-bounds kx range.
 template <class Isa>
 inline void Conv2DDriver(const Conv2DDims& d, const float* src,
                          const float* flt, float* dst) {
@@ -269,7 +328,9 @@ inline void Conv2DDriver(const Conv2DDims& d, const float* src,
   const int64_t x_lo = std::min(ow, (pw + sw - 1) / sw);
   const int64_t x_hi = std::max(
       x_lo, w + pw >= d.kw ? std::min(ow, (w + pw - d.kw) / sw + 1) : 0);
-  std::vector<double> packed(d.kh * taps * Isa::kRows);
+  // One packed row per pixel of a block: up to kh runs of `taps` doubles.
+  const int64_t ldp = d.kh * taps;
+  std::vector<double> packed(Isa::kRows * ldp);
   for (int64_t ni = 0; ni < d.n; ++ni) {
     for (int64_t yo = 0; yo < oh; ++yo) {
       float* dst_row = dst + (ni * oh + yo) * ow * oc;
@@ -285,19 +346,16 @@ inline void Conv2DDriver(const Conv2DDims& d, const float* src,
         constexpr int R = decltype(rows)::value;
         const int64_t xo = x_lo + i0;
         const int64_t x0 = xo * sw - pw;
-        for (int64_t ky = ky0; ky < ky1; ++ky) {
-          const float* taps_at = src + (src_rows + (ky * w + x0) * c);
-          double* pk = &packed[(ky - ky0) * taps * R];
-          for (int64_t t = 0; t < taps; ++t) {
-            for (int r = 0; r < R; ++r) {
-              pk[t * R + r] = static_cast<double>(taps_at[r * sw * c + t]);
-            }
+        for (int r = 0; r < R; ++r) {
+          for (int64_t ky = ky0; ky < ky1; ++ky) {
+            WidenRow<Isa>(src + (src_rows + (ky * w + x0 + r * sw) * c), taps,
+                          &packed[r * ldp + (ky - ky0) * taps]);
           }
         }
         ForColumnTiles<Isa, R>(
             oc, dst_row + xo * oc, oc,
             [&](auto& acc, auto tile) {
-              AccumulateTile<Isa>(packed.data(), (ky1 - ky0) * taps,
+              AccumulateTile<Isa>(packed.data(), ldp, (ky1 - ky0) * taps,
                                   RowColumns<Isa, float, decltype(tile)>(
                                       flt + ky0 * taps * oc, oc, tile),
                                   acc);
@@ -311,9 +369,8 @@ inline void Conv2DDriver(const Conv2DDims& d, const float* src,
         const int64_t len = std::max<int64_t>(0, kx1 - kx0) * c;
         if (len > 0) {
           for (int64_t ky = ky0; ky < ky1; ++ky) {
-            const float* taps_at =
-                src + (src_rows + (ky * w + x0 + kx0) * c);
-            std::copy(taps_at, taps_at + len, &packed[(ky - ky0) * len]);
+            WidenRow<Isa>(src + (src_rows + (ky * w + x0 + kx0) * c), len,
+                          &packed[(ky - ky0) * len]);
           }
         }
         ForColumnTiles<Isa, 1>(
@@ -322,7 +379,7 @@ inline void Conv2DDriver(const Conv2DDims& d, const float* src,
               if (len == 0) return;  // no tap in bounds: the empty sum
               for (int64_t ky = ky0; ky < ky1; ++ky) {
                 AccumulateTile<Isa>(
-                    &packed[(ky - ky0) * len], len,
+                    &packed[(ky - ky0) * len], ldp, len,
                     RowColumns<Isa, float, decltype(tile)>(
                         flt + (ky * taps + kx0 * c) * oc, oc, tile),
                     acc);
@@ -339,12 +396,15 @@ inline void Conv2DDriver(const Conv2DDims& d, const float* src,
 // ---------------------------------------------------------------------------
 // generic: the x86-64 baseline (SSE2), so each product rounds before it is
 // added. Loads and stores go lane by lane at the operand's own dtype; edge
-// lanes read the last column that exists.
+// lanes read the last column that exists. Every tile is 2 Vecs wide: without
+// FMA a wider one measured no faster, and slower for the m = 1 products with
+// B^T that SelectContraction sends here.
 struct GenericIsa {
   using Vec = Double2;
   using Mask = int;  // the count of lanes that exist
   static constexpr int kLanes = 2;
   static constexpr int kRows = 4;
+  static constexpr int kTileVecs[kRows + 1] = {0, 2, 2, 2, 2};
   static constexpr bool kPacksTransposedB = false;
   static Mask EdgeMask(int count) { return count; }
   template <class T>
@@ -354,6 +414,10 @@ struct GenericIsa {
   template <class T>
   static void LoadEdge(const T* p, Mask count, Vec& v) {
     v = Vec{static_cast<double>(p[0]), static_cast<double>(p[count - 1])};
+  }
+  static void StoreWide(double* p, const Vec& v) {
+    p[0] = v[0];
+    p[1] = v[1];
   }
   static void MulAdd(Vec& acc, double a, const Vec& b) {
     acc += Vec{a, a} * b;
@@ -384,8 +448,11 @@ struct GenericIsa {
 #if defined(__x86_64__)
 
 // ---------------------------------------------------------------------------
-// avx2: f32 only. B loads widen four floats at a time; edge lanes are
-// masked off, so they neither fault nor leave the operand.
+// avx2: f32 only. B loads widen four floats at a time, one vcvtps2pd from
+// memory; edge lanes are masked off, so they neither fault nor leave the
+// operand. The tile table keeps R x V accumulators, the V B vectors and one
+// broadcast within the 16 ymm registers: 6 x 2 (15), 5 x 2 (13), 4 x 2, 3 x 3
+// (13), 2 x 4 (13) and 1 x 4.
 #pragma GCC push_options
 #pragma GCC target("avx2,fma")
 
@@ -394,6 +461,7 @@ struct Avx2Isa {
   using Mask = __m128i;
   static constexpr int kLanes = 4;
   static constexpr int kRows = 6;
+  static constexpr int kTileVecs[kRows + 1] = {0, 4, 4, 3, 2, 2, 2};
   static constexpr bool kPacksTransposedB = true;
   static Mask EdgeMask(int count) {
     static constexpr int32_t kLaneMasks[8] = {-1, -1, -1, -1, 0, 0, 0, 0};
@@ -406,6 +474,7 @@ struct Avx2Isa {
   static void LoadEdge(const float* p, Mask mask, Vec& v) {
     v = _mm256_cvtps_pd(_mm_maskload_ps(p, mask));
   }
+  static void StoreWide(double* p, const Vec& v) { _mm256_storeu_pd(p, v); }
   static void MulAdd(Vec& acc, double a, const Vec& b) {
     acc = _mm256_fmadd_pd(_mm256_set1_pd(a), b, acc);
   }
@@ -435,8 +504,14 @@ struct Avx2Isa {
 
 // ---------------------------------------------------------------------------
 // avx512: f32 only, with 256-bit masked edge loads and stores (avx512vl).
-// Widening and narrowing go through __builtin_convertvector: GCC 12's
-// _mm512_cvtps_pd and _mm512_cvtpd_ps raise -Wmaybe-uninitialized.
+// Widening is _mm512_maskz_cvtps_pd with every lane set, one vcvtps2pd from
+// memory into a zmm: __builtin_convertvector(__m256 -> __m512d) becomes two
+// ymm conversions plus an extract and an insert under GCC 12, whose unmasked
+// _mm512_cvtps_pd raises -Wmaybe-uninitialized. Narrowing stays
+// __builtin_convertvector, which is one vcvtpd2ps. Tiles of 5 to 8 rows are
+// 3 Vecs wide (up to 24 accumulators, 3 B vectors and one broadcast, 28 of
+// the 32 zmm); shorter ones are wider (1 and 2 rows x 8 Vecs, 3 x 5, 4 x 4),
+// so a short tile still keeps at least 8 FMA chains in flight.
 #pragma GCC push_options
 #pragma GCC target("avx512f,avx512vl")
 
@@ -445,16 +520,18 @@ struct Avx512Isa {
   using Mask = __mmask8;
   static constexpr int kLanes = 8;
   static constexpr int kRows = 8;
+  static constexpr int kTileVecs[kRows + 1] = {0, 8, 8, 5, 4, 3, 3, 3, 3};
   static constexpr bool kPacksTransposedB = true;
   static Mask EdgeMask(int count) {
     return static_cast<Mask>((1u << count) - 1);
   }
   static void Load(const float* p, Vec& v) {
-    v = __builtin_convertvector(_mm256_loadu_ps(p), __m512d);
+    v = _mm512_maskz_cvtps_pd(0xff, _mm256_loadu_ps(p));
   }
   static void LoadEdge(const float* p, Mask mask, Vec& v) {
-    v = __builtin_convertvector(_mm256_maskz_loadu_ps(mask, p), __m512d);
+    v = _mm512_maskz_cvtps_pd(0xff, _mm256_maskz_loadu_ps(mask, p));
   }
+  static void StoreWide(double* p, const Vec& v) { _mm512_storeu_pd(p, v); }
   static void MulAdd(Vec& acc, double a, const Vec& b) {
     acc = _mm512_fmadd_pd(_mm512_set1_pd(a), b, acc);
   }
@@ -550,7 +627,7 @@ ContractionIsa HostIsa() {
 }
 
 ContractionIsa SelectContraction(DType dtype, int64_t m, bool transpose_b) {
-  constexpr int64_t kMinRowsToPackTransposedB = 4;
+  constexpr int64_t kMinRowsToPackTransposedB = 2;
   if (dtype != DType::kF32) return ContractionIsa::kGeneric;
   if (transpose_b && m < kMinRowsToPackTransposedB) {
     return ContractionIsa::kGeneric;

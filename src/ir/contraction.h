@@ -10,12 +10,12 @@
 // dot-product loop, which eval_test keeps as the oracle.
 //
 // Variants (ContractionIsa):
-//   generic  4 x 4 tiles of SSE2 double pairs, compiled for the x86-64
-//            baseline, so each product rounds before it is added. Runs every
-//            dtype, and is the only variant built for other targets.
-//   avx2     6 x 8 tiles of AVX2 double quads with FMA (needs avx2 and fma).
-//   avx512   8 x 16 tiles of AVX-512 double octets with FMA (needs avx512f,
-//            and avx512vl for the masked 256-bit edge loads and stores).
+//   generic  SSE2 double pairs, compiled for the x86-64 baseline, so each
+//            product rounds before it is added. Runs every dtype, and is the
+//            only variant built for other targets.
+//   avx2     AVX2 double quads with FMA (needs avx2 and fma).
+//   avx512   AVX-512 double octets with FMA (needs avx512f, and avx512vl for
+//            the masked 256-bit edge loads and stores).
 // The FMA variants take f32 operands only. An f32 x f32 product is exact in
 // double, so a fused multiply-add rounds exactly as a multiply followed by
 // an add. An i64 product is not exact in double, so integer operands never
@@ -24,15 +24,48 @@
 //
 // Every variant is one instantiation of the same tile template and of one
 // driver per op; only the load-and-widen, broadcast, multiply-add,
-// narrow-and-store and edge-mask primitives differ. Tiles fill the register
-// file (8 of 16 xmm, 12 of 16 ymm, 16 of 32 zmm hold accumulators). Column
-// remainders use masked loads and stores (the generic variant clamps its
-// lanes to the last column), so no read or write leaves an operand; row
-// remainders use tiles of fewer rows. Each AVX entry point ends with an
-// explicit vzeroupper: GCC does not emit one on every exit, and a dirty
-// upper register state makes all later legacy-SSE code (the fused kernels'
-// scalar loops) several times slower without changing any output. The
-// elementwise row kernels (kernel/elementwise.cc) use the same ISA
+// narrow-and-store and edge-mask primitives and the tile table differ.
+//
+// Tiles. A tile is R output rows x V Vecs of columns, one accumulator per
+// (row, Vec), so its R x V sums advance as independent FMA chains; one
+// output's sum never spans two accumulators, which would change its order.
+// Rows go in blocks of the variant's full height, then one block of the rows
+// left; the tile table gives V for each R (R x V accumulators in brackets):
+//   R        1       2       3       4       5       6       7       8
+//   generic  2 (2)   2 (4)   2 (6)   2 (8)
+//   avx2     4 (4)   4 (8)   3 (9)   2 (8)   2 (10)  2 (12)
+//   avx512   8 (8)   8 (16)  5 (15)  4 (16)  3 (15)  3 (18)  3 (21)  3 (24)
+// Columns go in tiles of V Vecs, then one edge tile of as many Vecs as the
+// columns left need, whose last Vec is masked. Short tiles are wide so that
+// a 1- to 4-row product still keeps several FMAs in flight; every R x V keeps
+// the accumulators, the V B vectors and one broadcast inside the register
+// file (16 xmm, 16 ymm, 32 zmm). The widths were picked by timing every
+// suite contraction shape (EXPERIMENTS.md).
+//
+// Packing. Each block's A rows are widened to double once, as R rows of k
+// doubles, and every column tile of the block reuses them. Non-transposed A
+// rows, and Conv2D's taps (a pixel's taps at one ky are contiguous in NHWC),
+// are contiguous, so the pack is whole-Vec loads, one conversion and one
+// store per Vec, then the last k mod kLanes elements one by one (a wide tail
+// store would overlap the next row's, and loads from overlapping stores
+// stall), with no per-element branch. Transposed A, and B^T for the FMA
+// variants, are packed by one
+// transpose loop that reads eight source rows at a time. B stays f32 and is
+// widened in registers on every load, one instruction per Vec
+// (vcvtps2pd from memory; for AVX-512 through _mm512_maskz_cvtps_pd with
+// every lane set, which GCC 12 emits as one instruction where
+// __builtin_convertvector emits four, and which avoids the
+// -Wmaybe-uninitialized warning of _mm512_cvtps_pd). A double B panel would
+// double the bytes each tile streams, and an m = 1 product never repays its
+// conversions.
+//
+// Edges. Column remainders use masked loads and stores (the generic variant
+// clamps its lanes to the last column), and packs read only the operand's
+// own elements, so no read or write leaves an operand. Each AVX entry point
+// ends with an explicit vzeroupper: GCC does not emit one on every exit, and
+// a dirty upper register state makes all later legacy-SSE code (the fused
+// kernels' scalar loops) several times slower without changing any output.
+// The elementwise row kernels (kernel/elementwise.cc) use the same ISA
 // detection and end the same way.
 #ifndef DISC_IR_CONTRACTION_H_
 #define DISC_IR_CONTRACTION_H_
@@ -60,8 +93,8 @@ bool HostSupports(ContractionIsa isa);
 ContractionIsa HostIsa();
 
 /// \brief The variant a contraction with `m` output rows runs: generic for
-/// i64 and i1 operands, and for transpose_b with m < 4, where the generic
-/// variant reads B^T in place and packing it would cost as much as the
+/// i64 and i1 operands, and for transpose_b with m < 2, where the generic
+/// variant reads B^T in place and packing it costs about as much as the
 /// product; HostIsa() otherwise.
 ContractionIsa SelectContraction(DType dtype, int64_t m, bool transpose_b);
 

@@ -22,7 +22,7 @@
 // MatMul and Conv2D run the register-tiled kernels of ir/contraction.h, in
 // the variant SelectContraction picks per call: the widest the host CPU
 // runs (AVX-512, AVX2, or the generic SSE2 tile), except that i64 and i1
-// operands, and transpose_b with fewer than 4 rows, take the generic one.
+// operands, and transpose_b with fewer than 2 rows, take the generic one.
 // The AVX variants use fused multiply-adds, which round exactly as a
 // multiply then an add only because an f32 x f32 product is exact in
 // double; so they take f32 operands only. Each AVX entry point ends with an
@@ -116,26 +116,36 @@ inline bool IntegralDivisionUndefined(double a, double b) {
           static_cast<int64_t>(a) == std::numeric_limits<int64_t>::min());
 }
 
+/// \brief `b`, or `a` where `a` is NaN: the second operand of +, -, * and /.
+/// When both operands are NaN, IEEE 754 leaves open whose payload the result
+/// carries; x86 returns the first source operand's, and the compiler orders
+/// the operands of + and * as it likes. With a NaN `a` in both places the
+/// result is `a`'s NaN, quieted, however they are ordered.
+[[gnu::always_inline]] inline double NanFromFirst(double a, double b) {
+  return std::isnan(a) ? a : b;
+}
+
 /// \brief Scalar semantics of a binary elementwise op. Integral ops
 /// (div/mod on i64) truncate like C++; their operands must pass
-/// IntegralDivisionUndefined first. Always inlined for the same reason as
+/// IntegralDivisionUndefined first. Arithmetic on two NaNs returns the first
+/// operand's, quieted (NanFromFirst). Always inlined for the same reason as
 /// ApplyUnaryScalar.
 [[gnu::always_inline]] inline double ApplyBinaryScalar(OpKind kind, double a,
                                                        double b, DType dtype) {
   bool integral = IsIntegral(dtype);
   switch (kind) {
     case OpKind::kAdd:
-      return a + b;
+      return a + NanFromFirst(a, b);
     case OpKind::kSub:
-      return a - b;
+      return a - NanFromFirst(a, b);
     case OpKind::kMul:
-      return a * b;
+      return a * NanFromFirst(a, b);
     case OpKind::kDiv:
       if (integral) {
         return static_cast<double>(static_cast<int64_t>(a) /
                                    static_cast<int64_t>(b));
       }
-      return a / b;
+      return a / NanFromFirst(a, b);
     case OpKind::kPow:
       return std::pow(a, b);
     case OpKind::kMaximum:

@@ -28,6 +28,7 @@ namespace {
 //   Spill(v, p)              the kLanes doubles of v stored at p
 //   Add, Sub, Mul, Div(a, b) a = a op b
 //   Max, Min(a, b)           a = std::max(a, b), std::min(a, b)
+//   NanFromFirst(a, b)       b = a in the lanes where a is NaN
 //   Neg, Abs, Sqrt, Floor, Ceil(a)
 //   CopySign(a, b)           a = |a| with the sign of b
 //   MulAdd(a, b, c)          a = a * b + c, one rounding
@@ -201,17 +202,23 @@ inline void ExactUnary(typename Isa::Vec& v) {
   }
 }
 
-// Exact binary op K: a = K(a, b).
+// Exact binary op K: a = K(a, b). Arithmetic takes NanFromFirst(a, b) as
+// its second operand (ir/eval.h), so two NaNs give a's, quieted.
 template <class Isa, OpKind K>
 inline void ExactBinary(typename Isa::Vec& a, const typename Isa::Vec& b) {
-  if constexpr (K == OpKind::kAdd) {
-    Isa::Add(a, b);
-  } else if constexpr (K == OpKind::kSub) {
-    Isa::Sub(a, b);
-  } else if constexpr (K == OpKind::kMul) {
-    Isa::Mul(a, b);
-  } else if constexpr (K == OpKind::kDiv) {
-    Isa::Div(a, b);
+  if constexpr (K == OpKind::kAdd || K == OpKind::kSub ||
+                K == OpKind::kMul || K == OpKind::kDiv) {
+    typename Isa::Vec second = b;
+    Isa::NanFromFirst(a, second);
+    if constexpr (K == OpKind::kAdd) {
+      Isa::Add(a, second);
+    } else if constexpr (K == OpKind::kSub) {
+      Isa::Sub(a, second);
+    } else if constexpr (K == OpKind::kMul) {
+      Isa::Mul(a, second);
+    } else {
+      Isa::Div(a, second);
+    }
   } else if constexpr (K == OpKind::kMaximum) {
     Isa::Max(a, b);
   } else {
@@ -425,6 +432,9 @@ struct Avx2Isa {
   // also for NaN and +-0; likewise for min.
   static void Max(Vec& a, const Vec& b) { a = _mm256_max_pd(b, a); }
   static void Min(Vec& a, const Vec& b) { a = _mm256_min_pd(b, a); }
+  static void NanFromFirst(const Vec& a, Vec& b) {
+    b = _mm256_blendv_pd(b, a, _mm256_cmp_pd(a, a, _CMP_UNORD_Q));
+  }
   static void Neg(Vec& a) { a = _mm256_xor_pd(a, _mm256_set1_pd(-0.0)); }
   static void Abs(Vec& a) { a = _mm256_andnot_pd(_mm256_set1_pd(-0.0), a); }
   static void Sqrt(Vec& a) { a = _mm256_sqrt_pd(a); }
@@ -516,6 +526,9 @@ struct Avx512Isa {
   }
   static void Min(Vec& a, const Vec& b) {
     a = _mm512_mask_min_pd(a, kAll, b, a);
+  }
+  static void NanFromFirst(const Vec& a, Vec& b) {
+    b = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(a, a, _CMP_UNORD_Q), b, a);
   }
   static void Neg(Vec& a) { a = (Vec)((Bits)a ^ kSign); }
   static void Abs(Vec& a) { a = (Vec)((Bits)a & ~kSign); }

@@ -7,10 +7,11 @@
 //
 // Numeric contract: every output is bit-identical to the scalar reference,
 // (float)ApplyUnaryScalar(op, x) or (float)ApplyBinaryScalar(op, a, b, f32)
-// (ir/eval.h), for every input, NaN payloads and signed zeros included. The
-// one freedom is which payload an arithmetic op on two NaNs carries: IEEE
-// 754 leaves it open, x86 takes the first source operand's, and the
-// compiler orders the operands of + and *, so no scalar loop pins it either.
+// (ir/eval.h), for every input, NaN payloads and signed zeros included.
+// IEEE 754 leaves open which payload an arithmetic op on two NaNs carries;
+// the reference pins it to the first operand's, quieted, by passing that NaN
+// as both operands (NanFromFirst), and the rows do the same with one compare
+// and one blend per vector.
 //   * Exact ops: neg, abs, relu, sqrt, rsqrt (sqrt, then divide),
 //     reciprocal, floor, ceil, add, sub, mul, div, maximum and minimum run
 //     the same IEEE double operations on the same widened operands, then one

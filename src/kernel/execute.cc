@@ -116,6 +116,27 @@ using DTypeTag = std::integral_constant<DType, D>;
 template <OpKind K>
 using OpTag = std::integral_constant<OpKind, K>;
 
+/// The element widened to double, as Tensor::ElementAsDouble widens it
+/// (which quiets a signalling NaN). For f32 floor, ceil, maximum and minimum
+/// the widened value is opaque to GCC, which would otherwise narrow
+/// (float)std::floor((double)x) to an inlined floorf(x), and std::max of two
+/// widened floats to a float compare: both return a signalling NaN as it
+/// came. The other ops quiet it either way, and keep their float forms.
+template <OpKind kOp, typename S>
+[[gnu::always_inline]] inline double Widened(S v) {
+  double d = static_cast<double>(v);
+  if constexpr (std::is_same_v<S, float> &&
+                (kOp == OpKind::kFloor || kOp == OpKind::kCeil ||
+                 kOp == OpKind::kMaximum || kOp == OpKind::kMinimum)) {
+#if defined(__x86_64__)
+    __asm__("" : "+x"(d));
+#else
+    __asm__("" : "+g"(d));
+#endif
+  }
+  return d;
+}
+
 /// The store conversion of Tensor::SetElementFromDouble.
 template <DType D>
 Storage<D> FromDouble(double v) {
@@ -693,7 +714,7 @@ class Binder {
               Map1(walk, Slot<kOut>(f, dst), Slot<kIn>(f, src),
                    [](Storage<kIn> v) {
                      return FromDouble<kOut>(
-                         ApplyUnaryScalar(kOp, static_cast<double>(v)));
+                         ApplyUnaryScalar(kOp, Widened<kOp>(v)));
                    });
               return Status::OK();
             });
@@ -745,8 +766,8 @@ class Binder {
               Map2(walk, Slot<kOut>(f, dst), Slot<kIn>(f, lhs),
                    Slot<kIn>(f, rhs),
                    [&undefined](Storage<kIn> p, Storage<kIn> q) {
-                     const double dp = static_cast<double>(p);
-                     const double dq = static_cast<double>(q);
+                     const double dp = Widened<kOp>(p);
+                     const double dq = Widened<kOp>(q);
                      if constexpr (kChecked) {
                        if (IntegralDivisionUndefined(dp, dq)) {
                          undefined = true;

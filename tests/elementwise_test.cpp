@@ -77,23 +77,6 @@ float BinaryReference(OpKind op, float a, float b) {
       ApplyBinaryScalar(op, Widen(a), Widen(b), DType::kF32));
 }
 
-// When both operands of an arithmetic op are NaN, IEEE 754 lets the result
-// carry either one's payload; x86 returns the first source operand's, and
-// the compiler orders the operands of commutative + and *, so no scalar loop
-// pins the choice (EvaluateNode and the fused scalar loop differ on it).
-// Returns the other operand's quieted NaN there, and the reference
-// elsewhere.
-float AlsoAccepted(OpKind op, float a, float b) {
-  const bool arithmetic = op != OpKind::kMaximum && op != OpKind::kMinimum;
-  if (arithmetic && std::isnan(a) && std::isnan(b)) {
-    const float quiet_a = static_cast<float>(Widen(a));
-    const float quiet_b = static_cast<float>(Widen(b));
-    const float want = BinaryReference(op, a, b);
-    return BitsOf(want) == BitsOf(quiet_a) ? quiet_b : quiet_a;
-  }
-  return BinaryReference(op, a, b);
-}
-
 // Signed zeros, the smallest and largest subnormals, +-FLT_MIN, +-FLT_MAX,
 // infinities, NaN payloads, and the clamp and saturation edges of the
 // checked ops with their f32 neighbours.
@@ -158,18 +141,13 @@ std::unique_ptr<float[]> Buffer(const std::vector<float>& pool, size_t first,
 }
 
 // `got` holds the outputs at [offset, offset + n), each with the bits of
-// want[i] or, if given, of also[i]; everything around them must still be the
-// sentinel.
+// want[i]; everything around them must still be the sentinel.
 void ExpectRow(const std::vector<float>& got, int64_t offset, int64_t n,
-               const std::vector<float>& want, const std::string& where,
-               const std::vector<float>& also = {}) {
+               const std::vector<float>& want, const std::string& where) {
   for (int64_t i = 0; i < static_cast<int64_t>(got.size()); ++i) {
     const bool in_row = i >= offset && i < offset + n;
-    uint32_t expected = in_row ? BitsOf(want[i - offset]) : BitsOf(kSentinel);
-    if (in_row && !also.empty() &&
-        BitsOf(got[i]) == BitsOf(also[i - offset])) {
-      expected = BitsOf(also[i - offset]);
-    }
+    const uint32_t expected =
+        in_row ? BitsOf(want[i - offset]) : BitsOf(kSentinel);
     ASSERT_EQ(BitsOf(got[i]), expected)
         << where << " element " << i << (in_row ? "" : " (outside the row)");
   }
@@ -288,14 +266,13 @@ TEST_P(ElementwiseRowTest, BinaryRowsMatchTheScalarReference) {
           const auto b = Buffer(pool, first * 3 + 1, b_size);
           const float* pa = a.get() + (sa == 1 ? offset : 0);
           const float* pb = b.get() + (sb == 1 ? offset : 0);
-          std::vector<float> want(n), also(n);
+          std::vector<float> want(n);
           for (int64_t i = 0; i < n; ++i) {
             want[i] = BinaryReference(op, pa[i * sa], pb[i * sb]);
-            also[i] = AlsoAccepted(op, pa[i * sa], pb[i * sb]);
           }
           std::vector<float> out(offset + n + 4, kSentinel);
           row(out.data() + offset, pa, pb, n);
-          ExpectRow(out, offset, n, want, where, also);
+          ExpectRow(out, offset, n, want, where);
           // In place: out == a, then out == b, wherever that operand is a
           // full row.
           for (int in_place : {0, 1}) {
@@ -308,8 +285,7 @@ TEST_P(ElementwiseRowTest, BinaryRowsMatchTheScalarReference) {
             row(dst, pa2, pb2, n);
             std::vector<float> got(dst, dst + n);
             ExpectRow(got, 0, n, want,
-                      where + (in_place == 0 ? " out == a" : " out == b"),
-                      also);
+                      where + (in_place == 0 ? " out == a" : " out == b"));
           }
         }
       }
@@ -332,7 +308,7 @@ TEST_P(ElementwiseRowTest, EdgeValuesMatchTheScalarReference) {
       const BinaryRowFn row = SelectBinaryRow(isa(), op, steps[0], steps[1]);
       for (int64_t s = 0; s < n; ++s) {
         const float scalar = edges[s];
-        std::vector<float> want(n), also(n), got(n);
+        std::vector<float> want(n), got(n);
         const std::vector<float> single(1, scalar);
         const float* a = steps[0] == 1 ? edges.data() : single.data();
         const float* b = steps[1] == 1 ? edges.data() : single.data();
@@ -342,21 +318,18 @@ TEST_P(ElementwiseRowTest, EdgeValuesMatchTheScalarReference) {
           std::rotate(rotated.begin(), rotated.begin() + s, rotated.end());
           for (int64_t i = 0; i < n; ++i) {
             want[i] = BinaryReference(op, edges[i], rotated[i]);
-            also[i] = AlsoAccepted(op, edges[i], rotated[i]);
           }
           row(got.data(), edges.data(), rotated.data(), n);
         } else {
           for (int64_t i = 0; i < n; ++i) {
             want[i] = BinaryReference(op, a[i * steps[0]], b[i * steps[1]]);
-            also[i] = AlsoAccepted(op, a[i * steps[0]], b[i * steps[1]]);
           }
           row(got.data(), a, b, n);
         }
         ExpectRow(got, 0, n, want,
                   std::string(OpName(op)) + " with " + std::to_string(scalar) +
                       " steps=" + std::to_string(steps[0]) + "," +
-                      std::to_string(steps[1]),
-                  also);
+                      std::to_string(steps[1]));
       }
     }
   }

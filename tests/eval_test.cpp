@@ -491,6 +491,43 @@ TEST_P(ContractionTest, MatMulRandomShapesAreBitIdenticalToDotProducts) {
   }
 }
 
+// Every tile of the variant's table (contraction.h): m from 1 to two full
+// row blocks plus one, so that every remainder height R runs, and n from 1 to
+// two of the widest tiles plus one lane, so that every R meets full tiles and
+// every edge tile width and masked lane count (k = 64 only where the last
+// Vec holds all lanes or one, which still meets every edge width). The
+// geometry below is the widest per variant: {lanes per Vec, full tile rows,
+// widest tile in Vecs}.
+TEST_P(ContractionTest, MatMulCoversEveryTileOfTheTable) {
+  struct Geometry {
+    int64_t lanes, rows, max_vecs;
+  };
+  const Geometry g = isa() == ContractionIsa::kAvx512 ? Geometry{8, 8, 8}
+                     : isa() == ContractionIsa::kAvx2 ? Geometry{4, 6, 4}
+                                                      : Geometry{2, 4, 2};
+  Rng rng(53);
+  for (bool ta : {false, true}) {
+    for (bool tb : {false, true}) {
+      for (int64_t m = 1; m <= 2 * g.rows + 1; ++m) {
+        for (int64_t n = 1; n <= 2 * g.max_vecs * g.lanes + 1; ++n) {
+          for (int64_t k : {0, 1, 7, 64}) {
+            if (k == 64 && n % g.lanes > 1) continue;
+            ExpectMatMulMatchesNaive(isa(), &rng, DType::kF32, {}, {}, m, n,
+                                     k, ta, tb);
+          }
+        }
+        // Batch dims broadcast from either side, at a full-tile width plus
+        // one lane.
+        const int64_t n = g.max_vecs * g.lanes + 1;
+        ExpectMatMulMatchesNaive(isa(), &rng, DType::kF32, {2, 1}, {1, 3}, m,
+                                 n, 7, ta, tb);
+        ExpectMatMulMatchesNaive(isa(), &rng, DType::kF32, {3}, {1}, m, n, 7,
+                                 ta, tb);
+      }
+    }
+  }
+}
+
 TEST_P(ContractionTest, Conv2DLoopOrderIsBitIdenticalToPerChannelSums) {
   struct Case {
     std::vector<int64_t> in, filter;
@@ -521,6 +558,16 @@ TEST_P(ContractionTest, Conv2DLoopOrderIsBitIdenticalToPerChannelSums) {
       cases.push_back({{2, 4, ow, 3}, {3, 3, 3, oc}, 1, 1, 1, 1});
     }
     cases.push_back({{1, 3, ow + 2, 1}, {3, 3, 1, 9}, 1, 1, 0, 0});
+  }
+  // Stride 2, padding 1: an odd width w gives (w - 1) / 2 - 1 interior
+  // pixels and one border pixel at each end. Interior counts 0 to 17 leave
+  // every remainder height of every variant, across output-channel counts
+  // that give every edge tile width (up to 4 Vecs of 8 lanes) and more.
+  for (int64_t interior = 0; interior <= 17; ++interior) {
+    for (int64_t oc : {1, 7, 12, 24, 33, 40}) {
+      cases.push_back(
+          {{1, 3, 2 * interior + 3, 2}, {3, 3, 2, oc}, 2, 2, 1, 1});
+    }
   }
   Rng rng(23);
   for (const Case& tc : cases) {
@@ -739,61 +786,71 @@ class GuardedFloats {
 
 TEST_P(ContractionTest, EdgeReadsStayInsideTheOperands) {
   Rng rng(47);
-  for (bool tb : {false, true}) {
-    for (int64_t m : {1, 5, 13}) {
-      for (int64_t n : {1, 3, 5, 7, 9, 15, 17, 37}) {
-        for (int64_t k : {1, 7, 64}) {
-          Tensor a = RandomF32(&rng, {m, k});
-          Tensor w = RandomF32(&rng, MatrixDims({}, k, n, tb));
-          auto dims = MatMulDimsOf(a.dims(), w.dims(), false, tb);
-          ASSERT_TRUE(dims.ok());
-          GuardedFloats guarded_w(w);
-          std::vector<float> zeros(m * n, 0.0f);
-          GuardedFloats out(zeros.data(), m * n);
-          MatMulF32(isa(), *dims, a.f32_data(), guarded_w.data(), out.data());
-          Tensor want = NaiveMatMul(a, w, false, tb, {});
-          EXPECT_TRUE(std::equal(out.data(), out.data() + m * n,
-                                 want.f32_data(),
-                                 [](float x, float y) {
-                                   return std::memcmp(&x, &y, 4) == 0;
-                                 }))
-              << ContractionIsaName(isa()) << " m=" << m << " n=" << n
-              << " k=" << k << " tb=" << tb;
+  for (bool ta : {false, true}) {
+    for (bool tb : {false, true}) {
+      for (int64_t m : {1, 5, 13}) {
+        for (int64_t n : {1, 3, 5, 7, 9, 15, 17, 37}) {
+          for (int64_t k : {1, 7, 9, 64}) {
+            Tensor a = RandomF32(&rng, MatrixDims({}, m, k, ta));
+            Tensor w = RandomF32(&rng, MatrixDims({}, k, n, tb));
+            auto dims = MatMulDimsOf(a.dims(), w.dims(), ta, tb);
+            ASSERT_TRUE(dims.ok());
+            GuardedFloats guarded_a(a), guarded_w(w);
+            std::vector<float> zeros(m * n, 0.0f);
+            GuardedFloats out(zeros.data(), m * n);
+            MatMulF32(isa(), *dims, guarded_a.data(), guarded_w.data(),
+                      out.data());
+            Tensor want = NaiveMatMul(a, w, ta, tb, {});
+            EXPECT_TRUE(std::equal(out.data(), out.data() + m * n,
+                                   want.f32_data(),
+                                   [](float x, float y) {
+                                     return std::memcmp(&x, &y, 4) == 0;
+                                   }))
+                << ContractionIsaName(isa()) << " m=" << m << " n=" << n
+                << " k=" << k << " ta=" << ta << " tb=" << tb;
+          }
         }
       }
     }
   }
-  for (int64_t oc : {1, 3, 5, 7, 9, 15, 17}) {
+  // The last pixel's taps end the input: with one or three channels (packed
+  // runs of 3 or 9 taps) and at strides 1 and 2.
+  for (int64_t oc : {1, 3, 5, 7, 9, 15, 17, 33}) {
     for (int64_t w : {1, 4, 13}) {
-      Tensor in = RandomF32(&rng, {1, 4, w, 3});
-      Tensor filter = RandomF32(&rng, {3, 3, 3, oc});
-      GuardedFloats guarded_in(in), guarded_filter(filter);
-      Tensor want = NaiveConv2D(in, filter, 1, 1, 1, 1);
-      std::vector<float> zeros(want.num_elements(), 0.0f);
-      GuardedFloats out(zeros.data(), want.num_elements());
-      Conv2DF32(isa(), ConvDims(in, filter, 1, 1, 1, 1), guarded_in.data(),
-                guarded_filter.data(), out.data());
-      EXPECT_EQ(std::memcmp(out.data(), want.f32_data(),
-                            want.num_elements() * sizeof(float)),
-                0)
-          << ContractionIsaName(isa()) << " oc=" << oc << " w=" << w;
+      for (int64_t c : {1, 3}) {
+        for (int64_t stride : {1, 2}) {
+          Tensor in = RandomF32(&rng, {1, 4, w, c});
+          Tensor filter = RandomF32(&rng, {3, 3, c, oc});
+          GuardedFloats guarded_in(in), guarded_filter(filter);
+          Tensor want = NaiveConv2D(in, filter, stride, stride, 1, 1);
+          std::vector<float> zeros(want.num_elements(), 0.0f);
+          GuardedFloats out(zeros.data(), want.num_elements());
+          Conv2DF32(isa(), ConvDims(in, filter, stride, stride, 1, 1),
+                    guarded_in.data(), guarded_filter.data(), out.data());
+          EXPECT_EQ(std::memcmp(out.data(), want.f32_data(),
+                                want.num_elements() * sizeof(float)),
+                    0)
+              << ContractionIsaName(isa()) << " oc=" << oc << " w=" << w
+              << " c=" << c << " stride=" << stride;
+        }
+      }
     }
   }
 }
 
-// On every host: integer operands and small transposed-B products take the
+// On every host: integer operands and one-row transposed-B products take the
 // generic variant; everything else takes the widest the CPU runs.
 TEST(EvalTest, ContractionSelectionRules) {
   EXPECT_TRUE(HostSupports(ContractionIsa::kGeneric));
   EXPECT_TRUE(HostSupports(HostIsa()));
-  for (int64_t m : {1, 3, 4, 64}) {
+  for (int64_t m : {1, 2, 3, 4, 64}) {
     for (bool tb : {false, true}) {
       EXPECT_EQ(SelectContraction(DType::kI64, m, tb),
                 ContractionIsa::kGeneric);
       EXPECT_EQ(SelectContraction(DType::kI1, m, tb),
                 ContractionIsa::kGeneric);
       EXPECT_EQ(SelectContraction(DType::kF32, m, tb),
-                tb && m < 4 ? ContractionIsa::kGeneric : HostIsa())
+                tb && m < 2 ? ContractionIsa::kGeneric : HostIsa())
           << "m=" << m << " tb=" << tb;
     }
   }

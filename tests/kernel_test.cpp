@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 
 #include "compiler/compiler.h"
@@ -698,6 +699,32 @@ std::vector<float> EdgeRow(int category, int64_t cols, int64_t row) {
   return values;
 }
 
+float F32FromBits(uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+// Compiles `g` with the input dim `labels` and checks its Run, on a plan
+// miss and then a hit, bit for bit against EvaluateGraph.
+void ExpectRunsMatchTheReference(
+    const Graph& g, const std::vector<std::vector<std::string>>& labels,
+    const std::vector<Tensor>& inputs, const std::string& where) {
+  auto exe = DiscCompiler::Compile(g, labels);
+  ASSERT_TRUE(exe.ok()) << where << ": " << exe.status().ToString();
+  auto want = EvaluateGraph(g, inputs);
+  ASSERT_TRUE(want.ok()) << where;
+  for (bool hit : {false, true}) {
+    auto got = (*exe)->Run(inputs);
+    ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+    EXPECT_EQ(got->profile.launch_plan_hit, hit) << where;
+    EXPECT_TRUE(Tensor::BitEqual(got->outputs[0], (*want)[0]))
+        << where << (hit ? " (hit)" : " (miss)") << ": "
+        << got->outputs[0].ToString(512) << " vs "
+        << (*want)[0].ToString(512);
+  }
+}
+
 TEST(KernelExecuteTest, EdgeValuesThroughFusedCompositesMatchTheReference) {
   // Gelu (tanh), Softmax (exp), LayerNorm (rsqrt) and Sigmoid after a
   // broadcast bias add, on rows around the vector widths: each member runs
@@ -735,18 +762,98 @@ TEST(KernelExecuteTest, EdgeValuesThroughFusedCompositesMatchTheReference) {
       Value* x = b.Input("x", DType::kF32, {kDynamicDim, cols});
       Value* bias = b.Input("bias", DType::kF32, {cols});
       b.Output({body(&b, b.Add(x, bias), bias)});
-      auto exe = DiscCompiler::Compile(g, {{"R", ""}, {""}});
-      ASSERT_TRUE(exe.ok()) << where << ": " << exe.status().ToString();
-      auto want = EvaluateGraph(g, inputs);
-      ASSERT_TRUE(want.ok()) << where;
-      for (bool hit : {false, true}) {
-        auto got = (*exe)->Run(inputs);
-        ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
-        EXPECT_EQ(got->profile.launch_plan_hit, hit) << where;
-        EXPECT_TRUE(Tensor::BitEqual(got->outputs[0], (*want)[0]))
-            << where << (hit ? " (hit)" : " (miss)") << ": "
-            << got->outputs[0].ToString(512) << " vs "
-            << (*want)[0].ToString(512);
+      ExpectRunsMatchTheReference(g, {{"R", ""}, {""}}, inputs, where);
+    }
+  }
+}
+
+// EvaluateNode widens every f32 element to double, which quiets a
+// signalling NaN, so every fused loop must quiet it too. The scalar loop
+// once let GCC narrow (float)std::floor((double)x) to floorf(x), and the
+// widened maximum and minimum to float compares, which keep it signalling.
+// Rows of 1, 3 and 7 elements run the scalar loops, rows of 8 and 16 the
+// vector rows where the host has them, and a stride-2 slice a copy loop.
+TEST(KernelExecuteTest, SignallingNaNsAreQuietedLikeTheReference) {
+  const float snan = F32FromBits(0x7f800001);
+  const OpKind unary[] = {OpKind::kFloor, OpKind::kCeil, OpKind::kNeg,
+                          OpKind::kAbs,   OpKind::kSqrt, OpKind::kRelu};
+  const OpKind binary[] = {OpKind::kMaximum, OpKind::kMinimum, OpKind::kAdd,
+                           OpKind::kSub,     OpKind::kMul,     OpKind::kDiv};
+  constexpr int64_t kRows = 1;  // so that a member's row is `cols` long
+  for (int64_t cols : {1, 3, 7, 8, 16}) {
+    for (bool strided : {false, true}) {
+      // A strided row is every other element of a row twice as long.
+      const int64_t width = strided ? 2 * cols : cols;
+      Tensor x = RandomF32(71, {kRows, width});
+      Tensor y = RandomF32(73, {kRows, cols});
+      for (int64_t r = 0; r < kRows; ++r) {
+        x.f32_data()[r * width] = snan;
+        y.f32_data()[r * cols + cols - 1] = snan;
+      }
+      auto build = [&](Graph* g, OpKind op, bool is_binary) {
+        GraphBuilder b(g);
+        Value* xv = b.Input("x", DType::kF32, {kDynamicDim, width});
+        Value* yv = b.Input("y", DType::kF32, {kDynamicDim, cols});
+        if (strided) xv = b.Slice(xv, {0, 0}, {-1, width}, {1, 2});
+        Value* z = is_binary ? b.Binary(op, xv, yv) : b.Unary(op, xv);
+        b.Output({b.Neg(b.Neg(z))});
+      };
+      for (OpKind op : unary) {
+        Graph g("snan");
+        build(&g, op, false);
+        ExpectRunsMatchTheReference(
+            g, {{"R", ""}, {"R", ""}}, {x, y},
+            std::string(OpName(op)) + " cols=" + std::to_string(cols) +
+                (strided ? " strided" : ""));
+      }
+      for (OpKind op : binary) {
+        Graph g("snan");
+        build(&g, op, true);
+        ExpectRunsMatchTheReference(
+            g, {{"R", ""}, {"R", ""}}, {x, y},
+            std::string(OpName(op)) + " cols=" + std::to_string(cols) +
+                (strided ? " strided" : ""));
+      }
+    }
+  }
+}
+
+// When both operands of an arithmetic op are NaN, IEEE 754 leaves open
+// which one's payload the result carries; x86 returns the first source
+// operand's, and GCC orders the operands of commutative ops per call site.
+// The choice is pinned: the first operand's NaN, quieted. Every operand form
+// (contiguous with contiguous, contiguous with a broadcast scalar, and the
+// reverse), on 3-element rows (scalar loops) and 16-element rows (vector
+// rows where the host has them).
+TEST(KernelExecuteTest, TwoNaNOperandsGiveTheFirstOperandsNaN) {
+  const float first = F32FromBits(0xffc00000);
+  const float second = F32FromBits(0x7fc00007);
+  for (OpKind op : {OpKind::kAdd, OpKind::kSub, OpKind::kMul, OpKind::kDiv}) {
+    for (int64_t cols : {3, 16}) {
+      for (int form = 0; form < 3; ++form) {
+        const int64_t x_cols = form == 2 ? 1 : cols;
+        const int64_t y_cols = form == 1 ? 1 : cols;
+        for (bool swap : {false, true}) {
+          const std::string where =
+              std::string(OpName(op)) + " cols=" + std::to_string(cols) +
+              " form=" + std::to_string(form) + (swap ? " swapped" : "");
+          Tensor x(DType::kF32, {2, x_cols});
+          Tensor y(DType::kF32, {2, y_cols});
+          std::fill_n(x.f32_data(), x.num_elements(), swap ? second : first);
+          std::fill_n(y.f32_data(), y.num_elements(), swap ? first : second);
+          Graph g("two-nans");
+          GraphBuilder b(&g);
+          Value* xv = b.Input("x", DType::kF32, {kDynamicDim, x_cols});
+          Value* yv = b.Input("y", DType::kF32, {kDynamicDim, y_cols});
+          b.Output({b.Neg(b.Neg(b.Binary(op, xv, yv)))});
+          ExpectRunsMatchTheReference(g, {{"R", ""}, {"R", ""}}, {x, y},
+                                      where);
+          auto want = EvaluateGraph(g, {x, y});
+          ASSERT_TRUE(want.ok()) << where;
+          uint32_t bits;
+          std::memcpy(&bits, (*want)[0].f32_data(), sizeof(bits));
+          EXPECT_EQ(bits, swap ? 0x7fc00007u : 0xffc00000u) << where;
+        }
       }
     }
   }
