@@ -292,7 +292,6 @@ Result<std::unique_ptr<Executable>> DiscCompiler::Compile(
       }
       exe->steps_.push_back(step);
     }
-    exe->MarkOwnedOutputs();
   }
 
   // 6. Symbolic arena planning: byte offsets into one arena, valid for
@@ -335,6 +334,8 @@ Result<std::unique_ptr<Executable>> DiscCompiler::Compile(
       plan_steps.push_back(std::move(ps));
     }
     exe->memory_plan_ = PlanArena(plan_steps, keep_alive, *exe->analysis_);
+    // The data path's dense value numbering, with each step's release list.
+    DISC_RETURN_IF_ERROR(exe->IndexValues());
     exe->report_.arena_slots = exe->memory_plan_.num_slots();
     exe->report_.arena_cross_size_reuses =
         exe->memory_plan_.num_cross_size_reuses;

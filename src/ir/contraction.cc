@@ -1,6 +1,7 @@
 #include "ir/contraction.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <type_traits>
 
 #if defined(__x86_64__)
@@ -245,44 +246,61 @@ struct ToI1 {
   int64_t operator()(double v) const { return v != 0.0 ? 1 : 0; }
 };
 
+// The pack space of a MatMul on variant Isa with operands of type T: the A
+// rows of one row block as doubles, then, where the variant packs B^T, one
+// [k][n] panel of T. The driver carves its pack by this layout, and
+// MatMulPackBytes reports its size.
+template <class Isa, class T>
+struct MatMulPack {
+  explicit MatMulPack(const MatMulDims& d)
+      : b_offset(RoundUp(d.k * std::min<int64_t>(d.m, Isa::kRows) *
+                             static_cast<int64_t>(sizeof(double)),
+                         64)),
+        bytes(b_offset + (Isa::kPacksTransposedB && d.transpose_b
+                              ? d.k * d.n * static_cast<int64_t>(sizeof(T))
+                              : 0)) {}
+  int64_t b_offset;
+  int64_t bytes;
+};
+
 // Batched MatMul: A packed per row block as rows of doubles, B read in place
 // at its own dtype, or, where the variant packs B^T, from one [k][n] panel
-// per distinct B slice.
+// per distinct B slice. `pack` holds MatMulPack<Isa, T>(d).bytes.
 template <class Isa, class T, class StoreFn>
 inline void MatMulDriver(const MatMulDims& d, const T* a, const T* b, T* out,
-                         const StoreFn& store) {
+                         std::byte* pack, const StoreFn& store) {
   const int64_t m = d.m, n = d.n, k = d.k;
   const int64_t lda = d.transpose_a ? m : k;
   const int64_t ldp = k;  // packed A rows
   const bool pack_b = Isa::kPacksTransposedB && d.transpose_b;
-  std::vector<double> packed_a(ldp * std::min<int64_t>(m, Isa::kRows));
-  std::vector<T> packed_b(pack_b ? k * n : 0);
+  double* packed_a = reinterpret_cast<double*>(pack);
+  T* packed_b =
+      reinterpret_cast<T*>(pack + MatMulPack<Isa, T>(d).b_offset);
   const T* packed_from = nullptr;  // the B slice packed_b holds
-  std::vector<int64_t> idx(d.batch.size(), 0);
   const int64_t slices = Product(d.batch);
   for (int64_t s = 0; s < slices; ++s, out += m * n) {
+    // Slice s's batch index, row-major over d.batch.
     const T* pa = a;
     const T* pb = b;
-    for (size_t i = 0; i < idx.size(); ++i) {
-      pa += idx[i] * d.a_batch_strides[i];
-      pb += idx[i] * d.b_batch_strides[i];
-    }
-    for (size_t i = idx.size(); i-- > 0;) {
-      if (++idx[i] < d.batch[i]) break;
-      idx[i] = 0;
+    int64_t rest = s;
+    for (size_t i = d.batch.size(); i-- > 0;) {
+      const int64_t at = rest % d.batch[i];
+      rest /= d.batch[i];
+      pa += at * d.a_batch_strides[i];
+      pb += at * d.b_batch_strides[i];
     }
     int64_t ldb = d.transpose_b ? k : n;
     if (pack_b) {
       if (pb != packed_from) {
-        Transpose(pb, ldb, n, k, packed_b.data(), n);
+        Transpose(pb, ldb, n, k, packed_b, n);
         packed_from = pb;
       }
-      pb = packed_b.data();
+      pb = packed_b;
       ldb = n;
     }
     ForRowBlocks<Isa::kRows>(m, [&](auto rows, int64_t i0) {
       constexpr int R = decltype(rows)::value;
-      double* pk = packed_a.data();
+      double* pk = packed_a;
       if (d.transpose_a) {
         Transpose(pa + i0, lda, k, R, pk, ldp);
       } else {
@@ -316,10 +334,16 @@ inline void MatMulDriver(const MatMulDims& d, const T* a, const T* b, T* out,
 // in-bounds ky range, whose filter rows are contiguous. A pixel's taps at
 // one ky are contiguous in the input, so each packed A row is a run of
 // widened copies. Border pixels go one at a time, with one AccumulateTile
-// per in-bounds ky over the in-bounds kx range.
+// per in-bounds ky over the in-bounds kx range. `pack` holds
+// Conv2DPackDoubles<Isa>(d) doubles.
+template <class Isa>
+int64_t Conv2DPackDoubles(const Conv2DDims& d) {
+  return Isa::kRows * d.kh * d.kw * d.c;  // kRows pixels of kh runs of taps
+}
+
 template <class Isa>
 inline void Conv2DDriver(const Conv2DDims& d, const float* src,
-                         const float* flt, float* dst) {
+                         const float* flt, float* dst, std::byte* pack) {
   const int64_t oh = (d.h + 2 * d.ph - d.kh) / d.sh + 1;
   const int64_t ow = (d.w + 2 * d.pw - d.kw) / d.sw + 1;
   const int64_t w = d.w, c = d.c, oc = d.oc, sw = d.sw, pw = d.pw;
@@ -330,7 +354,7 @@ inline void Conv2DDriver(const Conv2DDims& d, const float* src,
       x_lo, w + pw >= d.kw ? std::min(ow, (w + pw - d.kw) / sw + 1) : 0);
   // One packed row per pixel of a block: up to kh runs of `taps` doubles.
   const int64_t ldp = d.kh * taps;
-  std::vector<double> packed(Isa::kRows * ldp);
+  double* packed = reinterpret_cast<double*>(pack);
   for (int64_t ni = 0; ni < d.n; ++ni) {
     for (int64_t yo = 0; yo < oh; ++yo) {
       float* dst_row = dst + (ni * oh + yo) * ow * oc;
@@ -355,7 +379,7 @@ inline void Conv2DDriver(const Conv2DDims& d, const float* src,
         ForColumnTiles<Isa, R>(
             oc, dst_row + xo * oc, oc,
             [&](auto& acc, auto tile) {
-              AccumulateTile<Isa>(packed.data(), ldp, (ky1 - ky0) * taps,
+              AccumulateTile<Isa>(packed, ldp, (ky1 - ky0) * taps,
                                   RowColumns<Isa, float, decltype(tile)>(
                                       flt + ky0 * taps * oc, oc, tile),
                                   acc);
@@ -436,13 +460,15 @@ struct GenericIsa {
 };
 
 [[gnu::flatten]] void MatMulGeneric(const MatMulDims& d, const float* a,
-                                    const float* b, float* out) {
-  MatMulDriver<GenericIsa>(d, a, b, out, ToF32());
+                                    const float* b, float* out,
+                                    std::byte* pack) {
+  MatMulDriver<GenericIsa>(d, a, b, out, pack, ToF32());
 }
 
 [[gnu::flatten]] void Conv2DGeneric(const Conv2DDims& d, const float* in,
-                                    const float* filter, float* out) {
-  Conv2DDriver<GenericIsa>(d, in, filter, out);
+                                    const float* filter, float* out,
+                                    std::byte* pack) {
+  Conv2DDriver<GenericIsa>(d, in, filter, out, pack);
 }
 
 #if defined(__x86_64__)
@@ -489,14 +515,16 @@ struct Avx2Isa {
 };
 
 [[gnu::flatten]] void MatMulAvx2(const MatMulDims& d, const float* a,
-                                 const float* b, float* out) {
-  MatMulDriver<Avx2Isa>(d, a, b, out, ToF32());
+                                 const float* b, float* out,
+                                 std::byte* pack) {
+  MatMulDriver<Avx2Isa>(d, a, b, out, pack, ToF32());
   _mm256_zeroupper();
 }
 
 [[gnu::flatten]] void Conv2DAvx2(const Conv2DDims& d, const float* in,
-                                 const float* filter, float* out) {
-  Conv2DDriver<Avx2Isa>(d, in, filter, out);
+                                 const float* filter, float* out,
+                                 std::byte* pack) {
+  Conv2DDriver<Avx2Isa>(d, in, filter, out, pack);
   _mm256_zeroupper();
 }
 
@@ -546,14 +574,16 @@ struct Avx512Isa {
 };
 
 [[gnu::flatten]] void MatMulAvx512(const MatMulDims& d, const float* a,
-                                   const float* b, float* out) {
-  MatMulDriver<Avx512Isa>(d, a, b, out, ToF32());
+                                   const float* b, float* out,
+                                   std::byte* pack) {
+  MatMulDriver<Avx512Isa>(d, a, b, out, pack, ToF32());
   _mm256_zeroupper();
 }
 
 [[gnu::flatten]] void Conv2DAvx512(const Conv2DDims& d, const float* in,
-                                   const float* filter, float* out) {
-  Conv2DDriver<Avx512Isa>(d, in, filter, out);
+                                   const float* filter, float* out,
+                                   std::byte* pack) {
+  Conv2DDriver<Avx512Isa>(d, in, filter, out, pack);
   _mm256_zeroupper();
 }
 
@@ -657,18 +687,44 @@ Result<MatMulDims> MatMulDimsOf(const std::vector<int64_t>& a,
   return d;
 }
 
+int64_t MatMulPackBytes(ContractionIsa isa, DType dtype,
+                        const MatMulDims& dims) {
+  if (dtype != DType::kF32) return MatMulPack<GenericIsa, int64_t>(dims).bytes;
+  switch (isa) {
+#if defined(__x86_64__)
+    case ContractionIsa::kAvx2:
+      return MatMulPack<Avx2Isa, float>(dims).bytes;
+    case ContractionIsa::kAvx512:
+      return MatMulPack<Avx512Isa, float>(dims).bytes;
+#endif
+    default:
+      return MatMulPack<GenericIsa, float>(dims).bytes;
+  }
+}
+
+int64_t Conv2DPackBytes(ContractionIsa isa, const Conv2DDims& dims) {
+  int64_t doubles = Conv2DPackDoubles<GenericIsa>(dims);
+#if defined(__x86_64__)
+  if (isa == ContractionIsa::kAvx2) doubles = Conv2DPackDoubles<Avx2Isa>(dims);
+  if (isa == ContractionIsa::kAvx512) {
+    doubles = Conv2DPackDoubles<Avx512Isa>(dims);
+  }
+#endif
+  return doubles * static_cast<int64_t>(sizeof(double));
+}
+
 void MatMulF32(ContractionIsa isa, const MatMulDims& dims, const float* a,
-               const float* b, float* out) {
+               const float* b, float* out, std::byte* pack) {
   DISC_CHECK(HostSupports(isa))
       << ContractionIsaName(isa) << " is not supported by this CPU";
   switch (isa) {
     case ContractionIsa::kGeneric:
-      return MatMulGeneric(dims, a, b, out);
+      return MatMulGeneric(dims, a, b, out, pack);
 #if defined(__x86_64__)
     case ContractionIsa::kAvx2:
-      return MatMulAvx2(dims, a, b, out);
+      return MatMulAvx2(dims, a, b, out, pack);
     case ContractionIsa::kAvx512:
-      return MatMulAvx512(dims, a, b, out);
+      return MatMulAvx512(dims, a, b, out, pack);
 #endif
     default:
       DISC_UNREACHABLE(ContractionIsaName(isa));
@@ -677,26 +733,26 @@ void MatMulF32(ContractionIsa isa, const MatMulDims& dims, const float* a,
 
 [[gnu::flatten]] void MatMulI64(const MatMulDims& dims, DType dtype,
                                 const int64_t* a, const int64_t* b,
-                                int64_t* out) {
+                                int64_t* out, std::byte* pack) {
   if (dtype == DType::kI1) {
-    MatMulDriver<GenericIsa>(dims, a, b, out, ToI1());
+    MatMulDriver<GenericIsa>(dims, a, b, out, pack, ToI1());
   } else {
-    MatMulDriver<GenericIsa>(dims, a, b, out, ToI64());
+    MatMulDriver<GenericIsa>(dims, a, b, out, pack, ToI64());
   }
 }
 
 void Conv2DF32(ContractionIsa isa, const Conv2DDims& dims, const float* in,
-               const float* filter, float* out) {
+               const float* filter, float* out, std::byte* pack) {
   DISC_CHECK(HostSupports(isa))
       << ContractionIsaName(isa) << " is not supported by this CPU";
   switch (isa) {
     case ContractionIsa::kGeneric:
-      return Conv2DGeneric(dims, in, filter, out);
+      return Conv2DGeneric(dims, in, filter, out, pack);
 #if defined(__x86_64__)
     case ContractionIsa::kAvx2:
-      return Conv2DAvx2(dims, in, filter, out);
+      return Conv2DAvx2(dims, in, filter, out, pack);
     case ContractionIsa::kAvx512:
-      return Conv2DAvx512(dims, in, filter, out);
+      return Conv2DAvx512(dims, in, filter, out, pack);
 #endif
     default:
       DISC_UNREACHABLE(ContractionIsaName(isa));

@@ -57,7 +57,10 @@
 // __builtin_convertvector emits four, and which avoids the
 // -Wmaybe-uninitialized warning of _mm512_cvtps_pd). A double B panel would
 // double the bytes each tile streams, and an m = 1 product never repays its
-// conversions.
+// conversions. The packs live in space the caller supplies, sized by
+// MatMulPackBytes / Conv2DPackBytes, so a call allocates nothing: the
+// runtime hands every library step the same scratch region of its Run's
+// arena, and EvaluateNode a vector of the reported size.
 //
 // Edges. Column remainders use masked loads and stores (the generic variant
 // clamps its lanes to the last column), and packs read only the operand's
@@ -70,6 +73,7 @@
 #ifndef DISC_IR_CONTRACTION_H_
 #define DISC_IR_CONTRACTION_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -116,15 +120,24 @@ Result<MatMulDims> MatMulDimsOf(const std::vector<int64_t>& a,
                                 const std::vector<int64_t>& b, bool ta,
                                 bool tb);
 
-/// \brief f32 MatMul on variant `isa`, which the host must support.
-/// Writes every output.
-void MatMulF32(ContractionIsa isa, const MatMulDims& dims, const float* a,
-               const float* b, float* out);
+/// \brief The pack space, in bytes, a MatMul of `dtype` operands with
+/// `dims` needs on variant `isa`: the caller supplies it (8-byte aligned),
+/// and the kernel keeps nothing in it between calls. i64 and i1 run the
+/// generic variant whatever `isa` says.
+int64_t MatMulPackBytes(ContractionIsa isa, DType dtype,
+                        const MatMulDims& dims);
 
-/// \brief i64 or i1 (`dtype`) MatMul, on the generic variant. i1 outputs
+/// \brief f32 MatMul on variant `isa`, which the host must support, with
+/// MatMulPackBytes(isa, f32, dims) bytes of pack space at `pack`. Writes
+/// every output.
+void MatMulF32(ContractionIsa isa, const MatMulDims& dims, const float* a,
+               const float* b, float* out, std::byte* pack);
+
+/// \brief i64 or i1 (`dtype`) MatMul, on the generic variant, with
+/// MatMulPackBytes(generic, dtype, dims) bytes of pack space. i1 outputs
 /// are 1 where the sum is nonzero.
 void MatMulI64(const MatMulDims& dims, DType dtype, const int64_t* a,
-               const int64_t* b, int64_t* out);
+               const int64_t* b, int64_t* out, std::byte* pack);
 
 /// \brief An NHWC Conv2D with an HWIO filter [kh, kw, c, oc] and symmetric
 /// padding: output [n, oh, ow, oc] with oh = (h + 2 ph - kh) / sh + 1 and
@@ -135,10 +148,14 @@ struct Conv2DDims {
   int64_t sh = 1, sw = 1, ph = 0, pw = 0;
 };
 
-/// \brief Conv2D on variant `isa`, which the host must support. Writes every
-/// output.
+/// \brief The pack space, in bytes, a Conv2D with `dims` needs on variant
+/// `isa` (8-byte aligned, caller-supplied, as for MatMul).
+int64_t Conv2DPackBytes(ContractionIsa isa, const Conv2DDims& dims);
+
+/// \brief Conv2D on variant `isa`, which the host must support, with
+/// Conv2DPackBytes(isa, dims) bytes of pack space. Writes every output.
 void Conv2DF32(ContractionIsa isa, const Conv2DDims& dims, const float* in,
-               const float* filter, float* out);
+               const float* filter, float* out, std::byte* pack);
 
 }  // namespace disc
 

@@ -181,28 +181,46 @@ Result<Tensor> EvalReduce(const Node& node, const Tensor& in) {
   return out;
 }
 
-Result<Tensor> EvalMatMul(const Node& node, const Tensor& a, const Tensor& b) {
-  if (a.dtype() != b.dtype()) return InvalidOp(node, "dtype mismatch");
-  const bool ta = node.GetIntAttr("transpose_a", 0) != 0;
-  const bool tb = node.GetIntAttr("transpose_b", 0) != 0;
-  Result<MatMulDims> dims = MatMulDimsOf(a.dims(), b.dims(), ta, tb);
-  if (!dims.ok()) return InvalidOp(node, dims.status().message());
-  std::vector<int64_t> out_dims = dims->batch;
-  out_dims.push_back(dims->m);
-  out_dims.push_back(dims->n);
-  Tensor out(a.dtype(), std::move(out_dims));
-  if (out.num_elements() == 0) return out;
-  if (a.dtype() == DType::kF32) {
-    MatMulF32(SelectContraction(node, a), *dims, a.f32_data(), b.f32_data(),
-              out.f32_data());
-  } else {
-    MatMulI64(*dims, a.dtype(), a.i64_data(), b.i64_data(), out.i64_data());
-  }
+// A MatMul or Conv2D: the resolved call on the operands' buffers, with a
+// pack of the size it reports.
+Result<Tensor> EvalContraction(const Node& node, const Tensor& lhs,
+                               const Tensor& rhs) {
+  DISC_ASSIGN_OR_RETURN(ContractionCall call,
+                        ResolveContraction(node, lhs.dtype(), lhs.dims(),
+                                           rhs.dtype(), rhs.dims()));
+  Tensor out(call.dtype, call.out_dims);
+  std::vector<double> pack((call.pack_bytes + 7) / 8);
+  RunContraction(call, lhs.raw_data(), rhs.raw_data(), out.raw_data(),
+                 reinterpret_cast<std::byte*>(pack.data()));
   return out;
 }
 
-Result<Tensor> EvalConv2D(const Node& node, const Tensor& in,
-                          const Tensor& filter) {
+}  // namespace
+
+Result<ContractionCall> ResolveContraction(const Node& node, DType lhs_dtype,
+                                           const std::vector<int64_t>& lhs,
+                                           DType rhs_dtype,
+                                           const std::vector<int64_t>& rhs) {
+  ContractionCall call;
+  call.kind = node.kind();
+  call.dtype = lhs_dtype;
+  if (node.kind() == OpKind::kMatMul) {
+    if (lhs_dtype != rhs_dtype) return InvalidOp(node, "dtype mismatch");
+    const bool ta = node.GetIntAttr("transpose_a", 0) != 0;
+    const bool tb = node.GetIntAttr("transpose_b", 0) != 0;
+    Result<MatMulDims> dims = MatMulDimsOf(lhs, rhs, ta, tb);
+    if (!dims.ok()) return InvalidOp(node, dims.status().message());
+    call.matmul = std::move(*dims);
+    call.out_dims = call.matmul.batch;
+    call.out_dims.push_back(call.matmul.m);
+    call.out_dims.push_back(call.matmul.n);
+    call.isa = SelectContraction(lhs_dtype, call.matmul.m, tb);
+    call.pack_bytes = MatMulPackBytes(call.isa, lhs_dtype, call.matmul);
+    return call;
+  }
+  if (node.kind() != OpKind::kConv2D) {
+    return InvalidOp(node, "not a contraction");
+  }
   // The type rule rejects what the kernels cannot run (strides < 1,
   // negative padding, non-f32 operands, a channel mismatch, a window larger
   // than the padded input); the graph's dims may be dynamic, so check the
@@ -210,43 +228,44 @@ Result<Tensor> EvalConv2D(const Node& node, const Tensor& in,
   DISC_ASSIGN_OR_RETURN(
       std::vector<TensorType> types,
       InferOutputTypes(OpKind::kConv2D,
-                       {TensorType(in.dtype(), in.dims()),
-                        TensorType(filter.dtype(), filter.dims())},
+                       {TensorType(lhs_dtype, lhs), TensorType(rhs_dtype, rhs)},
                        node.attrs(), {}));
-  Tensor out(DType::kF32, types[0].dims);
-  if (out.num_elements() == 0) return out;
   const auto& strides = node.GetIntListAttr("strides");
   const auto& padding = node.GetIntListAttr("padding");
-  Conv2DDims dims;
-  dims.n = in.dims()[0];
-  dims.h = in.dims()[1];
-  dims.w = in.dims()[2];
-  dims.c = in.dims()[3];
-  dims.kh = filter.dims()[0];
-  dims.kw = filter.dims()[1];
-  dims.oc = filter.dims()[3];
+  Conv2DDims& dims = call.conv;
+  dims.n = lhs[0];
+  dims.h = lhs[1];
+  dims.w = lhs[2];
+  dims.c = lhs[3];
+  dims.kh = rhs[0];
+  dims.kw = rhs[1];
+  dims.oc = rhs[3];
   dims.sh = strides[0];
   dims.sw = strides[1];
   dims.ph = padding[0];
   dims.pw = padding[1];
-  Conv2DF32(SelectContraction(node, in), dims, in.f32_data(),
-            filter.f32_data(), out.f32_data());
-  return out;
+  call.out_dims = types[0].dims;
+  // Conv2D's implicit GEMM reads its B operand, the filter, in place, so
+  // its row count does not enter the choice.
+  call.isa = SelectContraction(DType::kF32, /*m=*/0, /*transpose_b=*/false);
+  call.pack_bytes = Conv2DPackBytes(call.isa, dims);
+  return call;
 }
 
-}  // namespace
-
-ContractionIsa SelectContraction(const Node& node, const Tensor& lhs) {
-  if (node.kind() != OpKind::kMatMul) {
-    // Conv2D's implicit GEMM reads its B operand, the filter, in place, so
-    // its row count does not enter the choice.
-    return SelectContraction(lhs.dtype(), /*m=*/0, /*transpose_b=*/false);
+void RunContraction(const ContractionCall& call, const void* lhs,
+                    const void* rhs, void* out, std::byte* pack) {
+  if (Product(call.out_dims) == 0) return;
+  if (call.kind == OpKind::kConv2D) {
+    Conv2DF32(call.isa, call.conv, static_cast<const float*>(lhs),
+              static_cast<const float*>(rhs), static_cast<float*>(out), pack);
+  } else if (call.dtype == DType::kF32) {
+    MatMulF32(call.isa, call.matmul, static_cast<const float*>(lhs),
+              static_cast<const float*>(rhs), static_cast<float*>(out), pack);
+  } else {
+    MatMulI64(call.matmul, call.dtype, static_cast<const int64_t*>(lhs),
+              static_cast<const int64_t*>(rhs), static_cast<int64_t*>(out),
+              pack);
   }
-  const bool ta = node.GetIntAttr("transpose_a", 0) != 0;
-  const bool tb = node.GetIntAttr("transpose_b", 0) != 0;
-  const int64_t m = lhs.rank() >= 2 ? lhs.dims()[lhs.rank() - (ta ? 1 : 2)]
-                                    : 0;
-  return SelectContraction(lhs.dtype(), m, tb);
 }
 
 Result<std::vector<Tensor>> EvaluateNode(const Node& node,
@@ -287,14 +306,10 @@ Result<std::vector<Tensor>> EvaluateNode(const Node& node,
       return single(std::move(out));
     }
 
-    case OpKind::kMatMul: {
-      DISC_ASSIGN_OR_RETURN(Tensor out,
-                            EvalMatMul(node, inputs[0], inputs[1]));
-      return single(std::move(out));
-    }
+    case OpKind::kMatMul:
     case OpKind::kConv2D: {
       DISC_ASSIGN_OR_RETURN(Tensor out,
-                            EvalConv2D(node, inputs[0], inputs[1]));
+                            EvalContraction(node, inputs[0], inputs[1]));
       return single(std::move(out));
     }
 

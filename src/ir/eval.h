@@ -4,8 +4,8 @@
 // This is the semantic ground truth of the repo. It is used by
 //   * constant folding (disc::opt),
 //   * the eager-interpreter baselines (PyTorch-style engines),
-//   * the runtime's library steps (GEMM / Conv2D run through EvaluateNode),
-//     and
+//   * the runtime's library steps (GEMM / Conv2D: the launch plan holds each
+//     step's ResolveContraction, and a Run calls RunContraction), and
 //   * every correctness test that compares compiled kernels against a
 //     reference.
 // Elementwise ops compute on a double carrier and round to the node's dtype
@@ -20,7 +20,8 @@
 // them. This evaluator stays scalar: it is the oracle the rows answer to.
 //
 // MatMul and Conv2D run the register-tiled kernels of ir/contraction.h, in
-// the variant SelectContraction picks per call: the widest the host CPU
+// the variant SelectContraction picks per resolved call (ResolveContraction,
+// shared with the runtime's launch plans): the widest the host CPU
 // runs (AVX-512, AVX2, or the generic SSE2 tile), except that i64 and i1
 // operands, and transpose_b with fewer than 2 rows, take the generic one.
 // The AVX variants use fused multiply-adds, which round exactly as a
@@ -57,9 +58,32 @@ Result<std::vector<Tensor>> EvaluateNode(const Node& node,
 Result<std::vector<Tensor>> EvaluateGraph(const Graph& graph,
                                           const std::vector<Tensor>& inputs);
 
-/// \brief The contraction variant EvaluateNode runs for a MatMul or Conv2D
-/// `node` whose first operand is `lhs`.
-ContractionIsa SelectContraction(const Node& node, const Tensor& lhs);
+/// \brief A MatMul or Conv2D resolved for concrete operand types: the
+/// kernel call both EvaluateNode and the runtime's library steps make.
+struct ContractionCall {
+  OpKind kind = OpKind::kMatMul;
+  DType dtype = DType::kF32;  // of the operands and the result
+  ContractionIsa isa = ContractionIsa::kGeneric;
+  MatMulDims matmul;  // kMatMul
+  Conv2DDims conv;    // kConv2D
+  std::vector<int64_t> out_dims;
+  /// Pack space the call needs (MatMulPackBytes / Conv2DPackBytes).
+  int64_t pack_bytes = 0;
+};
+
+/// \brief Resolves MatMul or Conv2D `node` for operands of these dtypes and
+/// dims: checks them as EvaluateNode does (InvalidArgument on a mismatch),
+/// computes the result dims, and picks the variant with SelectContraction.
+Result<ContractionCall> ResolveContraction(const Node& node, DType lhs_dtype,
+                                           const std::vector<int64_t>& lhs,
+                                           DType rhs_dtype,
+                                           const std::vector<int64_t>& rhs);
+
+/// \brief Runs a resolved call on dense row-major buffers of the resolved
+/// dtypes and dims, with call.pack_bytes of 8-byte-aligned pack space at
+/// `pack`. Writes every output; allocates nothing.
+void RunContraction(const ContractionCall& call, const void* lhs,
+                    const void* rhs, void* out, std::byte* pack);
 
 /// \brief Scalar semantics of a unary elementwise op (dtype-aware via
 /// double carrier; exact for the integral range used in shapes). Always

@@ -62,6 +62,17 @@ class Tensor {
     return idata_->data();
   }
 
+  /// \brief The element buffer, whatever the dtype: float for f32, int64_t
+  /// for i64 and i1. Null for a default-constructed tensor, and possibly for
+  /// an empty one.
+  void* raw_data() {
+    return dtype_ == DType::kF32 ? static_cast<void*>(fdata_ ? fdata_->data()
+                                                             : nullptr)
+                                 : (idata_ ? idata_->data() : nullptr);
+  }
+  const void* raw_data() const {
+    return const_cast<Tensor*>(this)->raw_data();
+  }
   /// \brief Element read as double regardless of dtype (for tests/printing).
   double ElementAsDouble(int64_t linear_index) const;
   /// \brief Element write from double regardless of dtype.

@@ -44,12 +44,17 @@
 // scalar loops). The resulting BoundKernel is immutable: the runtime keeps
 // it in the launch plan, and concurrent Executes share it.
 //
-// Execute. The hot path checks each group input's dtype and dims against
-// the bound ones (a disagreement is an error Status, never an out-of-bounds
-// read), allocates the group outputs and one block for the slot table and
-// scratch, runs the member loops in order, and only then inserts the
-// outputs into env. Execute(bindings, env) is Bind followed by this same
-// Execute.
+// Execute. The core takes raw buffers: a table of value buffers, the table
+// index of each group input and output, and ScratchBytes(binding) of
+// scratch, where it lays out the Frame's slot table followed by the scratch
+// members and accumulators. It runs the member loops in order and checks
+// nothing the binding fixed, so the caller answers for every buffer's dtype
+// and dims: the runtime's launch plan sizes them from the same bindings.
+// The env-map Execute is an adapter over the same core: it checks each
+// group input's dtype and dims against the bound ones (a disagreement is an
+// error Status, never an out-of-bounds read), allocates the group outputs
+// and the scratch, runs the core, and only then inserts the outputs into
+// env. Execute(bindings, env) is Bind followed by that adapter.
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -95,6 +100,9 @@ struct BoundKernel {
   std::vector<Dims> input_dims;  // parallel to group.inputs
   std::vector<Member> members;   // parallel to group.nodes
   std::vector<int> outputs;      // member index of each group output
+  /// The scratch an Execute gets: the Frame's slot table (table_bytes),
+  /// then the scratch members and accumulators (scratch_bytes).
+  int64_t table_bytes = 0;
   int64_t scratch_bytes = 0;
 };
 
@@ -151,11 +159,6 @@ Storage<D> FromDouble(double v) {
 
 int64_t StorageSize(DType dtype) {
   return dtype == DType::kF32 ? sizeof(float) : sizeof(int64_t);
-}
-
-void* DataOf(Tensor* t) {
-  if (t->dtype() == DType::kF32) return t->f32_data();
-  return t->i64_data();
 }
 
 /// The typed buffer of slot `slot` in `frame`.
@@ -509,22 +512,22 @@ Result<View> BroadcastView(const Node& node, const Dims& in,
   return view;
 }
 
-/// Moves element 0 of `t` beyond any tolerance and bit comparison: a finite
-/// f32 v becomes v + 1 + |v|, 1 + |v| away (an overflow to inf still
-/// differs), a NaN or infinity becomes 0, an i1 flips, and an i64 v becomes
-/// ~v = -v - 1, |2v + 1| away and never overflowing. (v + 1 would stay
-/// within the default relative tolerance for |v| >= 10^4, and round back to
-/// v in double above 2^53.)
-void Perturb(Tensor* t) {
-  if (t->dtype() == DType::kF32) {
-    float& v = t->f32_data()[0];
+/// Moves the first element of a `dtype` buffer beyond any tolerance and bit
+/// comparison: a finite f32 v becomes v + 1 + |v|, 1 + |v| away (an
+/// overflow to inf still differs), a NaN or infinity becomes 0, an i1 flips,
+/// and an i64 v becomes ~v = -v - 1, |2v + 1| away and never overflowing.
+/// (v + 1 would stay within the default relative tolerance for |v| >= 10^4,
+/// and round back to v in double above 2^53.)
+void Perturb(DType dtype, void* data) {
+  if (dtype == DType::kF32) {
+    float& v = *static_cast<float*>(data);
     v = std::isfinite(v)
             ? static_cast<float>(static_cast<double>(v) + 1.0 +
                                  std::abs(static_cast<double>(v)))
             : 0.0f;
   } else {
-    int64_t& v = t->i64_data()[0];
-    v = t->dtype() == DType::kI1 ? 1 - v : ~v;
+    int64_t& v = *static_cast<int64_t*>(data);
+    v = dtype == DType::kI1 ? 1 - v : ~v;
   }
 }
 
@@ -587,6 +590,10 @@ class Binder {
       }
       bound_.outputs.push_back(member);
     }
+    bound_.table_bytes = RoundUp(
+        static_cast<int64_t>((group_.inputs.size() + bound_.members.size()) *
+                             sizeof(void*)),
+        16);
     return Status::OK();
   }
 
@@ -1138,6 +1145,10 @@ ContractionIsa FusedKernel::RowIsa(const KernelBinding& binding) const {
   return binding == nullptr ? ContractionIsa::kGeneric : binding->row_isa;
 }
 
+int64_t FusedKernel::ScratchBytes(const KernelBinding& binding) const {
+  return binding == nullptr ? 0 : binding->table_bytes + binding->scratch_bytes;
+}
+
 Status FusedKernel::Execute(
     const SymbolBindings& bindings,
     std::unordered_map<const Value*, Tensor>* env) const {
@@ -1154,15 +1165,15 @@ Status FusedKernel::Execute(
   }
   const BoundKernel& bound = *binding;
   const size_t num_inputs = group_.inputs.size();
-  const size_t num_slots = num_inputs + bound.members.size();
-  // One block: the slot table, then the scratch members and accumulators.
-  const int64_t table_bytes =
-      RoundUp(static_cast<int64_t>(num_slots * sizeof(void*)), 16);
-  std::unique_ptr<std::byte[]> block(
-      new std::byte[table_bytes + bound.scratch_bytes]);
-  void** slots = reinterpret_cast<void**>(block.get());
-  std::byte* scratch = block.get() + table_bytes;
-
+  const size_t num_values = num_inputs + group_.outputs.size();
+  // One block: the core's scratch, then the value table (the group inputs,
+  // then the group outputs) and its indices.
+  const int64_t scratch_bytes = ScratchBytes(binding);
+  std::unique_ptr<std::byte[]> block(new std::byte[
+      scratch_bytes + num_values * (sizeof(void*) + sizeof(int))]);
+  void** values = reinterpret_cast<void**>(block.get() + scratch_bytes);
+  int* indices = reinterpret_cast<int*>(values + num_values);
+  for (size_t i = 0; i < num_values; ++i) indices[i] = static_cast<int>(i);
   for (size_t i = 0; i < num_inputs; ++i) {
     const Value* input = group_.inputs[i];
     auto it = env->find(input);
@@ -1177,15 +1188,39 @@ Status FusedKernel::Execute(
           input->id(), t.TypeString().c_str(), DTypeName(input->dtype()),
           DimsString(bound.input_dims[i]).c_str()));
     }
-    slots[i] = DataOf(&t);  // only read
+    values[i] = t.raw_data();  // only read
   }
   std::vector<Tensor> outputs;
   outputs.reserve(group_.outputs.size());
   for (size_t o = 0; o < group_.outputs.size(); ++o) {
-    const int member = bound.outputs[o];
     outputs.emplace_back(group_.outputs[o]->dtype(),
-                         bound.members[member].dims);
-    slots[num_inputs + member] = DataOf(&outputs.back());
+                         bound.members[bound.outputs[o]].dims);
+    values[num_inputs + o] = outputs.back().raw_data();
+  }
+  DISC_RETURN_IF_ERROR(Execute(
+      binding,
+      KernelBuffers{values, indices, indices + num_inputs, block.get()}));
+  for (size_t o = 0; o < outputs.size(); ++o) {
+    env->emplace(group_.outputs[o], std::move(outputs[o]));
+  }
+  return Status::OK();
+}
+
+Status FusedKernel::Execute(const KernelBinding& binding,
+                            const KernelBuffers& buffers) const {
+  if (binding == nullptr || binding->kernel != this) {
+    return Status::Internal("kernel " + name_ +
+                            " executed without its binding");
+  }
+  const BoundKernel& bound = *binding;
+  const size_t num_inputs = group_.inputs.size();
+  void** slots = reinterpret_cast<void**>(buffers.scratch);
+  std::byte* scratch = buffers.scratch + bound.table_bytes;
+  for (size_t i = 0; i < num_inputs; ++i) {
+    slots[i] = buffers.values[buffers.inputs[i]];
+  }
+  for (size_t o = 0; o < group_.outputs.size(); ++o) {
+    slots[num_inputs + bound.outputs[o]] = buffers.values[buffers.outputs[o]];
   }
   for (size_t m = 0; m < bound.members.size(); ++m) {
     const int64_t offset = bound.members[m].scratch_offset;
@@ -1198,16 +1233,15 @@ Status FusedKernel::Execute(
   }
   if (miscompiled_) {
     // Injected miscompile: perturb one element of the first non-empty group
-    // output. Deterministic (same wrong answer every run) so differential
-    // validation can prove exactly which artifact is bad.
-    for (Tensor& t : outputs) {
-      if (t.num_elements() == 0) continue;
-      Perturb(&t);
+    // output, wherever the caller keeps it. Deterministic (same wrong answer
+    // every run) so differential validation can prove exactly which
+    // artifact is bad.
+    for (size_t o = 0; o < group_.outputs.size(); ++o) {
+      const int member = bound.outputs[o];
+      if (Product(bound.members[member].dims) == 0) continue;
+      Perturb(group_.outputs[o]->dtype(), slots[num_inputs + member]);
       break;
     }
-  }
-  for (size_t o = 0; o < outputs.size(); ++o) {
-    env->emplace(group_.outputs[o], std::move(outputs[o]));
   }
   return Status::OK();
 }

@@ -14,9 +14,13 @@
 //         happens here. The result, a KernelBinding, is immutable and
 //         shared: the runtime keeps it in the launch plan, and concurrent
 //         Runs use it without locking.
-//       - Execute, per call: checks the input tensors against the bound
-//         dtypes and dims, allocates the group outputs and one scratch
-//         block, and runs the bound loops. It does no symbolic work.
+//       - Execute, per call: runs the bound loops on raw buffers the caller
+//         supplies (KernelBuffers), allocating nothing and doing no
+//         symbolic work. The runtime calls it with buffers in its Run's
+//         arena. The env-map Execute, which perfbench's traced replay and
+//         the tests call, is an adapter over it: it checks the input
+//         tensors against the bound dtypes and dims and allocates the group
+//         outputs and the scratch.
 //     Each member is materialized once at its IR dtype, exactly as
 //     EvaluateNode would, by the same scalar functions (ir/eval.h), so
 //     every output is bit-identical to the reference evaluator's value for
@@ -44,6 +48,7 @@
 #ifndef DISC_KERNEL_KERNEL_H_
 #define DISC_KERNEL_KERNEL_H_
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -129,6 +134,19 @@ struct BoundKernel;
 /// unbound.
 using KernelBinding = std::shared_ptr<const BoundKernel>;
 
+/// \brief The buffers of one pointer-based FusedKernel::Execute. Group
+/// input i is read from values[inputs[i]] and group output o is written to
+/// values[outputs[o]]; each buffer holds its value at the IR dtype (float
+/// for f32, int64_t for i64 and i1) and the bound dims, and no output
+/// overlaps an input. `scratch` holds ScratchBytes(binding) bytes, 16-byte
+/// aligned.
+struct KernelBuffers {
+  void* const* values;
+  const int* inputs;
+  const int* outputs;
+  std::byte* scratch;
+};
+
 /// \brief A fused kernel compiled from one FusionGroup. The group's Nodes
 /// and Values must outlive the kernel (the compiler owns the graph).
 class FusedKernel {
@@ -157,11 +175,23 @@ class FusedKernel {
   Result<KernelBinding> Bind(const SymbolBindings& bindings) const;
 
   /// \brief Executes the kernel on the CPU from a binding of this kernel:
-  /// reads group inputs from `env` and inserts the group outputs, each
-  /// bit-identical to EvaluateNode on its member whatever variant was
-  /// selected. Inputs whose dtype or dims disagree with the binding are an
-  /// error, never read; on any error `env` is left unchanged. Keeps no
+  /// reads the group inputs from `buffers` and writes the group outputs
+  /// there, each bit-identical to EvaluateNode on its member whatever
+  /// variant was selected. Checks no buffer (see KernelBuffers) and
+  /// allocates nothing; on an error the outputs are partly written. Keeps no
   /// state, so concurrent calls (sharing one binding) are safe.
+  Status Execute(const KernelBinding& binding,
+                 const KernelBuffers& buffers) const;
+
+  /// \brief Bytes of scratch Execute(binding, buffers) needs (0 for a null
+  /// binding).
+  int64_t ScratchBytes(const KernelBinding& binding) const;
+
+  /// \brief The env-map form of Execute: reads group inputs from `env` and
+  /// inserts the group outputs. Inputs whose dtype or dims disagree with the
+  /// binding are an error, never read; on any error `env` is left
+  /// unchanged. Allocates the outputs and the scratch, then runs the same
+  /// core.
   Status Execute(const KernelBinding& binding,
                  std::unordered_map<const Value*, Tensor>* env) const;
 

@@ -2,11 +2,12 @@
 //
 // MatMul and Conv2D are not code-generated — like the paper's system, the
 // compiler schedules them as calls into a tuned vendor library and fuses
-// the memory-bound operators around them. Execution goes through the
-// reference evaluator, which runs the variant of the ir/contraction kernels
-// that SelectContraction picks for the host CPU, dtype and shape; this
-// header supplies the resource footprint the device model charges for the
-// call.
+// the memory-bound operators around them. Execution runs the variant of
+// the ir/contraction kernels that SelectContraction picks for the host CPU,
+// dtype and shape, through the ContractionCall the launch plan resolved
+// (ResolveContraction in ir/eval.h, which the reference evaluator shares);
+// this header supplies the resource footprint the device model charges for
+// the call.
 #ifndef DISC_KERNEL_LIBRARY_H_
 #define DISC_KERNEL_LIBRARY_H_
 

@@ -1,9 +1,21 @@
 #include "runtime/executable.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define DISC_ADDRESS_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define DISC_ADDRESS_SANITIZER 1
+#endif
+#endif
+#if defined(DISC_ADDRESS_SANITIZER)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "ir/eval.h"
 #include "kernel/library.h"
@@ -22,6 +34,49 @@ namespace {
 // Per-node cost of replaying a captured CUDA graph (vs a full driver
 // launch): the GPU still schedules each kernel, the host does not.
 constexpr double kGraphReplayPerNodeUs = 0.4;
+
+// Run buffers are aligned to a cache line; arena offsets are multiples of
+// kArenaAlignment and the regions past the arena multiples of this.
+constexpr int64_t kBufferAlignment = 64;
+
+// Stands in for the null buffer of an empty tensor: every value a step
+// touches gets a valid pointer, even when it has no elements.
+alignas(kBufferAlignment) std::byte kEmptyBuffer[kBufferAlignment];
+
+void* NonNull(const void* data) {
+  return const_cast<void*>(data != nullptr ? data : kEmptyBuffer);
+}
+
+// Bytes of a `dtype` value with `dims` in host storage: float for f32,
+// int64_t for i64 and i1 (Tensor's layout, which the kernels read).
+int64_t HostBytes(DType dtype, const std::vector<int64_t>& dims) {
+  return Product(dims) * static_cast<int64_t>(dtype == DType::kF32
+                                                 ? sizeof(float)
+                                                 : sizeof(int64_t));
+}
+
+// Under AddressSanitizer a Run's buffer is unaddressable except for the
+// values live at the current step and that step's scratch, so a loop that
+// runs past its value fails as it would past a heap block of its own. No-ops
+// otherwise.
+void PoisonBytes([[maybe_unused]] const std::byte* p,
+                 [[maybe_unused]] int64_t bytes) {
+#if defined(DISC_ADDRESS_SANITIZER)
+  ASAN_POISON_MEMORY_REGION(p, bytes);
+#endif
+}
+void UnpoisonBytes([[maybe_unused]] const std::byte* p,
+                   [[maybe_unused]] int64_t bytes) {
+#if defined(DISC_ADDRESS_SANITIZER)
+  ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+#endif
+}
+constexpr bool kPoisonRunBuffers =
+#if defined(DISC_ADDRESS_SANITIZER)
+    true;
+#else
+    false;
+#endif
 
 double ElapsedUs(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::micro>(
@@ -174,10 +229,11 @@ std::string CompileReport::PhaseBreakdown() const {
 
 Result<RunResult> Executable::Run(const std::vector<Tensor>& inputs,
                                   const RunOptions& options) const {
-  std::vector<std::vector<int64_t>> dims;
+  if (options.execute_data) return RunInternal(nullptr, &inputs, options);
+  InputDims dims;
   dims.reserve(inputs.size());
   for (const Tensor& t : inputs) dims.push_back(t.dims());
-  return RunInternal(dims, options.execute_data ? &inputs : nullptr, options);
+  return RunInternal(&dims, nullptr, options);
 }
 
 Result<RunResult> Executable::RunWithShapes(
@@ -185,30 +241,220 @@ Result<RunResult> Executable::RunWithShapes(
     const RunOptions& options) const {
   RunOptions timing_only = options;
   timing_only.execute_data = false;
-  return RunInternal(input_dims, nullptr, timing_only);
+  return RunInternal(&input_dims, nullptr, timing_only);
 }
 
-void Executable::MarkOwnedOutputs() {
-  // Constants and host shape-step results belong to the executable (plans
-  // record host results and replay them), so Run copies such outputs.
-  std::unordered_set<const Value*> owned;
-  for (const Step& step : steps_) {
-    if (step.kind == Step::Kind::kConstant || step.kind == Step::Kind::kHost) {
-      owned.insert(step.node->outputs().begin(), step.node->outputs().end());
+Status Executable::CheckInputs(const std::vector<Tensor>& inputs) const {
+  const std::vector<Value*>& params = graph_->inputs();
+  if (inputs.size() != params.size()) {
+    return Status::InvalidArgument(
+        StrFormat("Run got %zu inputs; graph '%s' takes %zu", inputs.size(),
+                  graph_->name().c_str(), params.size()));
+  }
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    if (inputs[i].dtype() != params[i]->dtype()) {
+      return Status::InvalidArgument(StrFormat(
+          "input %zu is %s; graph '%s' takes %s there", i,
+          inputs[i].TypeString().c_str(), graph_->name().c_str(),
+          params[i]->type().ToString().c_str()));
     }
   }
-  copy_output_.clear();
-  for (const Value* out : graph_->outputs()) {
-    copy_output_.push_back(owned.count(out) > 0);
-  }
+  return Status::OK();
 }
 
-Status Executable::BindKernels(LaunchPlan* plan) const {
-  for (size_t s = 0; s < steps_.size(); ++s) {
-    if (steps_[s].kind != Step::Kind::kKernel) continue;
-    DISC_ASSIGN_OR_RETURN(plan->steps[s].binding,
-                          steps_[s].kernel->Bind(plan->bindings));
+Status Executable::IndexValues() {
+  values_.clear();
+  std::unordered_map<const Value*, int> index;
+  auto define = [&](const Value* v, int step, int result) {
+    index.emplace(v, static_cast<int>(values_.size()));
+    values_.push_back({v, step, result, false});
+    return static_cast<int>(values_.size()) - 1;
+  };
+  auto lookup = [&](const Value* v) -> Result<int> {
+    auto it = index.find(v);
+    if (it == index.end()) {
+      return Status::Internal(StrFormat(
+          "value %%%d is read before any step defines it", v->id()));
+    }
+    return it->second;
+  };
+  for (size_t i = 0; i < graph_->inputs().size(); ++i) {
+    define(graph_->inputs()[i], -1, static_cast<int>(i));
   }
+  step_values_.assign(steps_.size(), StepValues());
+  for (size_t s = 0; s < steps_.size(); ++s) {
+    const Step& step = steps_[s];
+    StepValues& sv = step_values_[s];
+    const bool kernel = step.kind == Step::Kind::kKernel;
+    const std::vector<Value*>& reads =
+        kernel ? step.kernel->group().inputs : step.node->operands();
+    const std::vector<Value*>& writes =
+        kernel ? step.kernel->group().outputs : step.node->outputs();
+    for (const Value* v : reads) {
+      DISC_ASSIGN_OR_RETURN(int r, lookup(v));
+      sv.reads.push_back(r);
+    }
+    for (size_t w = 0; w < writes.size(); ++w) {
+      sv.writes.push_back(
+          define(writes[w], static_cast<int>(s), static_cast<int>(w)));
+    }
+  }
+  for (size_t s = 0; s < steps_.size(); ++s) {
+    for (const Value* v : memory_plan_.release_after_step[s]) {
+      DISC_ASSIGN_OR_RETURN(int r, lookup(v));
+      step_values_[s].releases.push_back(r);
+    }
+  }
+  output_values_.clear();
+  output_first_.clear();
+  for (const Value* out : graph_->outputs()) {
+    DISC_ASSIGN_OR_RETURN(int v, lookup(out));
+    values_[v].graph_output = true;
+    const auto first =
+        std::find(output_values_.begin(), output_values_.end(), v);
+    output_first_.push_back(static_cast<int>(first - output_values_.begin()));
+    output_values_.push_back(v);
+  }
+  return Status::OK();
+}
+
+std::unique_ptr<Executable::RunBuffer> Executable::TakeRunBuffer(
+    int64_t bytes) const {
+  std::unique_ptr<RunBuffer> buffer;
+  {
+    std::lock_guard<std::mutex> lock(buffer_mu_);
+    if (!free_buffers_.empty()) {
+      buffer = std::move(free_buffers_.back());
+      free_buffers_.pop_back();
+    }
+  }
+  if (buffer == nullptr) {
+    buffer = std::make_unique<RunBuffer>();
+    buffer->values.resize(values_.size());
+  }
+  if (buffer->capacity < bytes || buffer->base == nullptr) {
+    // Not zero-filled: every loop writes what it later reads, and the
+    // constants' arena slots are never touched, so their pages need not
+    // become resident.
+    const int64_t capacity = std::max(bytes, kBufferAlignment);
+    buffer->storage.reset(new std::byte[capacity + kBufferAlignment - 1]);
+    buffer->base = reinterpret_cast<std::byte*>(
+        RoundUp(reinterpret_cast<intptr_t>(buffer->storage.get()),
+                kBufferAlignment));
+    buffer->capacity = capacity;
+  }
+  if (kPoisonRunBuffers) PoisonBytes(buffer->base, buffer->capacity);
+  return buffer;
+}
+
+void Executable::ReturnRunBuffer(std::unique_ptr<RunBuffer> buffer) const {
+  if (kPoisonRunBuffers) UnpoisonBytes(buffer->base, buffer->capacity);
+  std::lock_guard<std::mutex> lock(buffer_mu_);
+  free_buffers_.push_back(std::move(buffer));
+}
+
+Status Executable::BindData(const InputDims& input_dims,
+                            LaunchPlan* plan) const {
+  const SymbolBindings& bindings = plan->bindings;
+  const size_t num_values = values_.size();
+  plan->value_dims.resize(num_values);
+  plan->value_offsets.assign(num_values, -1);
+  for (size_t v = 0; v < num_values; ++v) {
+    const ValueDef& def = values_[v];
+    DISC_ASSIGN_OR_RETURN(plan->value_dims[v],
+                          analysis_->EvaluateShape(def.value, bindings));
+    const std::vector<int64_t>& dims = plan->value_dims[v];
+    // Buffers read in place must be what the analysis predicts, since the
+    // steps reading them are laid out from its dims.
+    const std::vector<int64_t>* actual = nullptr;
+    if (def.step < 0) {
+      actual = &input_dims[def.result];
+    } else if (steps_[def.step].kind == Step::Kind::kConstant) {
+      actual = &steps_[def.step].constant->dims();
+    }
+    if ((actual != nullptr && *actual != dims) ||
+        std::any_of(dims.begin(), dims.end(),
+                    [](int64_t d) { return d < 0; })) {
+      return Status::Internal(StrFormat(
+          "value %%%d is [%s]; the shape analysis predicts [%s]",
+          def.value->id(),
+          actual != nullptr ? Join(*actual, "x").c_str() : "?",
+          Join(dims, "x").c_str()));
+    }
+  }
+
+  // The arena slots' byte offsets under this signature: the prefix sums of
+  // their sizes, which is what each MemoryPlan slot offset evaluates to.
+  std::vector<int64_t> slot_bytes, slot_offset;
+  int64_t arena_end = 0;
+  for (const ArenaSlot& slot : memory_plan_.slots) {
+    DISC_ASSIGN_OR_RETURN(int64_t bytes,
+                          analysis_->EvaluateDim(slot.bytes, bindings));
+    slot_bytes.push_back(bytes);
+    slot_offset.push_back(arena_end);
+    arena_end += bytes;
+  }
+  if (arena_end != plan->arena_bytes) {
+    return Status::Internal(StrFormat(
+        "arena slots sum to %lld bytes; the peak formula gives %lld",
+        static_cast<long long>(arena_end),
+        static_cast<long long>(plan->arena_bytes)));
+  }
+
+  int64_t end = arena_end;  // i1 results go past the arena
+  int64_t scratch_bytes = 0;
+  plan->data_steps.resize(steps_.size());
+  for (size_t s = 0; s < steps_.size(); ++s) {
+    const Step& step = steps_[s];
+    const StepValues& sv = step_values_[s];
+    PlannedStep& ps = plan->steps[s];
+    DataStep& ds = plan->data_steps[s];
+    if (step.kind == Step::Kind::kKernel) {
+      DISC_ASSIGN_OR_RETURN(ps.binding, step.kernel->Bind(bindings));
+      ds.scratch_bytes = step.kernel->ScratchBytes(ps.binding);
+    } else if (step.kind == Step::Kind::kLibrary) {
+      const int lhs = sv.reads[0], rhs = sv.reads[1], out = sv.writes[0];
+      DISC_ASSIGN_OR_RETURN(
+          ds.call, ResolveContraction(*step.node, values_[lhs].value->dtype(),
+                                      plan->value_dims[lhs],
+                                      values_[rhs].value->dtype(),
+                                      plan->value_dims[rhs]));
+      if (ds.call.dtype != values_[out].value->dtype() ||
+          ds.call.out_dims != plan->value_dims[out]) {
+        return Status::Internal(StrFormat(
+            "%s %%%d computes %s[%s]; the shape analysis predicts %s[%s]",
+            OpName(step.node->kind()), values_[out].value->id(),
+            DTypeName(ds.call.dtype), Join(ds.call.out_dims, "x").c_str(),
+            DTypeName(values_[out].value->dtype()),
+            Join(plan->value_dims[out], "x").c_str()));
+      }
+      ds.scratch_bytes = ds.call.pack_bytes;
+    } else {
+      continue;  // constants and host results are read in place
+    }
+    scratch_bytes = std::max(scratch_bytes, ds.scratch_bytes);
+    for (int w : sv.writes) {
+      const ValueDef& def = values_[w];
+      if (def.graph_output) continue;  // written into the returned tensor
+      const int64_t bytes = HostBytes(def.value->dtype(), plan->value_dims[w]);
+      if (def.value->dtype() == DType::kI1) {
+        // Stored as int64_t, 8x the byte its arena slot books.
+        plan->value_offsets[w] = end;
+        end += RoundUp(bytes, kBufferAlignment);
+        continue;
+      }
+      const int slot = memory_plan_.slot_of.at(def.value);
+      if (bytes > slot_bytes[slot]) {
+        return Status::Internal(StrFormat(
+            "value %%%d needs %lld bytes; its arena slot %d holds %lld",
+            def.value->id(), static_cast<long long>(bytes), slot,
+            static_cast<long long>(slot_bytes[slot])));
+      }
+      plan->value_offsets[w] = slot_offset[slot];
+    }
+  }
+  plan->scratch_offset = RoundUp(end, kBufferAlignment);
+  plan->buffer_bytes = plan->scratch_offset + scratch_bytes;
   return Status::OK();
 }
 
@@ -306,7 +552,7 @@ Result<LaunchPlan> Executable::BuildLaunchPlan(
                           RecordAllocationTape(memory_plan_, values,
                                                values_end, plan.arena_bytes));
   }
-  if (bind) DISC_RETURN_IF_ERROR(BindKernels(&plan));
+  if (bind) DISC_RETURN_IF_ERROR(BindData(input_dims, &plan));
   return plan;
 }
 
@@ -323,36 +569,54 @@ Result<int64_t> Executable::PredictPeakBytes(
   return analysis_->EvaluateDim(memory_plan_.peak_bytes, bindings);
 }
 
-Result<RunResult> Executable::RunInternal(
-    const std::vector<std::vector<int64_t>>& input_dims,
-    const std::vector<Tensor>* inputs, const RunOptions& options) const {
+Result<RunResult> Executable::RunInternal(const InputDims* input_dims,
+                                          const std::vector<Tensor>* inputs,
+                                          const RunOptions& options) const {
   auto start = std::chrono::steady_clock::now();
   const RunMetrics& metrics = RunMetrics::Get();
   const bool execute_data = inputs != nullptr;
   TraceScope run_scope("executable-run", "runtime");
   metrics.runs->Increment();
+  // Steps read raw buffers, so nothing downstream would notice a mistyped
+  // input.
+  if (execute_data) DISC_RETURN_IF_ERROR(CheckInputs(*inputs));
+
+  // A data-mode Run keys the cache on its inputs' dims and spells them out
+  // only when it needs them as a list (plan build, traces, the ledger).
+  InputDims own_dims;
+  auto dims = [&]() -> const InputDims& {
+    if (input_dims == nullptr) {
+      own_dims.reserve(inputs->size());
+      for (const Tensor& t : *inputs) own_dims.push_back(t.dims());
+      input_dims = &own_dims;
+    }
+    return *input_dims;
+  };
 
   std::shared_ptr<const LaunchPlan> cached;
-  if (options.use_launch_plan_cache) cached = plan_cache_.Lookup(input_dims);
+  if (options.use_launch_plan_cache) {
+    cached = input_dims != nullptr ? plan_cache_.Lookup(*input_dims)
+                                   : plan_cache_.LookupInputs(*inputs);
+  }
   const bool hit = cached != nullptr;
 
-  // Only plans that serve data-mode runs bind their kernels: a timing-only
-  // run never executes them.
+  // Only plans that serve data-mode runs lay out the data path: a
+  // timing-only run never executes it.
   LaunchPlan fresh;
   const LaunchPlan* plan = cached.get();
-  LaunchPlan* record_host = nullptr;
+  LaunchPlan* record = nullptr;
   if (!hit) {
-    DISC_ASSIGN_OR_RETURN(fresh, BuildLaunchPlan(input_dims, execute_data));
+    DISC_ASSIGN_OR_RETURN(fresh, BuildLaunchPlan(dims(), execute_data));
     plan = &fresh;
-    if (execute_data && options.use_launch_plan_cache) record_host = &fresh;
+    if (execute_data) record = &fresh;
   } else if (execute_data && !cached->bound) {
-    // The cached plan was built by a timing-only run; upgrade it once: bind
-    // its kernels and record the host shape-step results this run is about
-    // to compute.
+    // The cached plan was built by a timing-only run; upgrade it once: lay
+    // out its data path and record the host shape-step results this run is
+    // about to compute.
     fresh = *cached;
-    DISC_RETURN_IF_ERROR(BindKernels(&fresh));
+    DISC_RETURN_IF_ERROR(BindData(dims(), &fresh));
     plan = &fresh;
-    record_host = &fresh;
+    record = &fresh;
   }
   const double host_plan_us = ElapsedUs(start);
   if (options.use_launch_plan_cache) {
@@ -363,7 +627,7 @@ Result<RunResult> Executable::RunInternal(
     run_scope.AddArg("plan", options.use_launch_plan_cache
                                  ? (hit ? "hit" : "miss")
                                  : "cache-off");
-    run_scope.AddArg("signature", ShapeSignature(input_dims));
+    run_scope.AddArg("signature", ShapeSignature(dims()));
     run_scope.AddArg("mode", execute_data ? "data" : "timing-only");
     // Causal link back to the serving request that issued this Run (0
     // outside a serving context).
@@ -377,36 +641,182 @@ Result<RunResult> Executable::RunInternal(
   // Run spells it out.
   std::string signature;
   if (KernelProfileLedger::Global().enabled()) {
-    signature = ShapeSignature(input_dims);
+    signature = ShapeSignature(dims());
   }
-  DISC_ASSIGN_OR_RETURN(
-      RunResult result,
-      ExecutePlan(*plan, inputs, options, signature, record_host));
-  result.profile.launch_plan_hit = hit;
-  result.profile.host_plan_us = host_plan_us;
+  // The data-mode buffer goes back to the pool whatever the outcome.
+  std::unique_ptr<RunBuffer> buffer;
+  if (execute_data) buffer = TakeRunBuffer(plan->buffer_bytes);
+  Result<RunResult> result =
+      ExecutePlan(*plan, inputs, options, signature, record, buffer.get());
+  if (buffer != nullptr) ReturnRunBuffer(std::move(buffer));
+  if (!result.ok()) return result;
+  result->profile.launch_plan_hit = hit;
+  result->profile.host_plan_us = host_plan_us;
 
   // Publish only after a successful run, so failures never poison the
   // cache; re-publishing an upgraded hit replaces the entry in place. A
   // failed insertion (fault-injected here; allocation failure in a real
   // runtime) is not an error — the run already succeeded, the signature
   // just stays uncached and later runs rebuild the plan.
-  if (options.use_launch_plan_cache && (!hit || record_host != nullptr)) {
+  if (options.use_launch_plan_cache && (!hit || record != nullptr)) {
     if (Status inject = CheckFailpoint("runtime.plan_cache.insert");
         !inject.ok()) {
       CountMetric("runtime.plan_cache.insert_dropped");
     } else {
-      plan_cache_.Insert(
-          input_dims, std::make_shared<const LaunchPlan>(std::move(fresh)));
+      plan_cache_.Insert(dims(),
+                         std::make_shared<const LaunchPlan>(std::move(fresh)));
     }
   }
   return result;
+}
+
+Tensor Executable::HostOperand(int value, const LaunchPlan& plan,
+                               const std::vector<Tensor>& inputs,
+                               const RunBuffer& buffer) const {
+  const ValueDef& def = values_[value];
+  if (def.step < 0) return inputs[def.result];
+  const Step& step = steps_[def.step];
+  if (step.kind == Step::Kind::kConstant) return *step.constant;
+  if (step.kind == Step::Kind::kHost) {
+    return plan.steps[def.step].host_results[def.result];
+  }
+  Tensor copy(def.value->dtype(), plan.value_dims[value]);
+  const int64_t bytes = HostBytes(copy.dtype(), copy.dims());
+  if (bytes > 0) std::memcpy(copy.raw_data(), buffer.values[value], bytes);
+  return copy;
+}
+
+void Executable::StartData(const LaunchPlan& plan,
+                           const std::vector<Tensor>& inputs,
+                           RunBuffer* buffer,
+                           std::vector<Tensor>* outputs) const {
+  void** values = buffer->values.data();
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    values[i] = NonNull(inputs[i].raw_data());
+  }
+  outputs->reserve(output_values_.size());
+  for (size_t i = 0; i < output_values_.size(); ++i) {
+    const int v = output_values_[i];
+    const ValueDef& def = values_[v];
+    const bool computed =
+        def.step >= 0 && (steps_[def.step].kind == Step::Kind::kKernel ||
+                          steps_[def.step].kind == Step::Kind::kLibrary);
+    if (!computed || output_first_[i] != static_cast<int>(i)) {
+      outputs->emplace_back();  // FinishData fills it in
+      continue;
+    }
+    outputs->emplace_back(def.value->dtype(), plan.value_dims[v]);
+    values[v] = NonNull(outputs->back().raw_data());
+  }
+}
+
+Status Executable::RunStepData(size_t s, const LaunchPlan& plan,
+                               const std::vector<Tensor>& inputs,
+                               LaunchPlan* record, RunBuffer* buffer) const {
+  const Step& step = steps_[s];
+  const StepValues& sv = step_values_[s];
+  const PlannedStep& ps = plan.steps[s];
+  void** values = buffer->values.data();
+  std::byte* scratch = buffer->base + plan.scratch_offset;
+  const int64_t scratch_bytes = plan.data_steps[s].scratch_bytes;
+  // Point the step's arena results at their places; under
+  // AddressSanitizer also open them and the step's scratch.
+  for (int w : sv.writes) {
+    const int64_t offset = plan.value_offsets[w];
+    if (offset < 0) continue;
+    values[w] = buffer->base + offset;
+    if (kPoisonRunBuffers) {
+      UnpoisonBytes(buffer->base + offset,
+                    HostBytes(values_[w].value->dtype(), plan.value_dims[w]));
+    }
+  }
+  if (kPoisonRunBuffers) UnpoisonBytes(scratch, scratch_bytes);
+
+  switch (step.kind) {
+    case Step::Kind::kConstant:
+      values[sv.writes[0]] = NonNull(step.constant->raw_data());
+      break;
+    case Step::Kind::kHost:
+      if (!ps.has_host_results) {
+        // The recording Run: only here do operands become tensors.
+        DISC_CHECK(record != nullptr) << "bound plan without host results";
+        std::vector<Tensor> operands;
+        for (int r : sv.reads) {
+          operands.push_back(HostOperand(r, plan, inputs, *buffer));
+        }
+        DISC_ASSIGN_OR_RETURN(std::vector<Tensor> results,
+                              EvaluateNode(*step.node, operands));
+        for (size_t i = 0; i < results.size(); ++i) {
+          const int w = sv.writes[i];
+          if (results[i].dtype() != values_[w].value->dtype() ||
+              results[i].dims() != plan.value_dims[w]) {
+            return Status::Internal(StrFormat(
+                "host step result %%%d is %s; the shape analysis predicts "
+                "%s[%s]",
+                values_[w].value->id(), results[i].TypeString().c_str(),
+                DTypeName(values_[w].value->dtype()),
+                Join(plan.value_dims[w], "x").c_str()));
+          }
+        }
+        PlannedStep& recorded = record->steps[s];
+        recorded.host_results = std::move(results);
+        recorded.has_host_results = true;
+      }
+      for (size_t i = 0; i < sv.writes.size(); ++i) {
+        values[sv.writes[i]] = NonNull(ps.host_results[i].raw_data());
+      }
+      break;
+    case Step::Kind::kLibrary:
+      RunContraction(plan.data_steps[s].call, values[sv.reads[0]],
+                     values[sv.reads[1]], values[sv.writes[0]], scratch);
+      break;
+    case Step::Kind::kKernel:
+      DISC_RETURN_IF_ERROR(step.kernel->Execute(
+          ps.binding,
+          KernelBuffers{values, sv.reads.data(), sv.writes.data(), scratch}));
+      break;
+  }
+
+  if (kPoisonRunBuffers) {
+    // Close the scratch and every value whose last use this was.
+    PoisonBytes(scratch, scratch_bytes);
+    for (int r : sv.releases) {
+      const int64_t offset = plan.value_offsets[r];
+      if (offset < 0) continue;
+      PoisonBytes(buffer->base + offset,
+                  HostBytes(values_[r].value->dtype(), plan.value_dims[r]));
+    }
+  }
+  return Status::OK();
+}
+
+void Executable::FinishData(const LaunchPlan& plan,
+                            const std::vector<Tensor>& inputs,
+                            std::vector<Tensor>* outputs) const {
+  // The outputs not written in place: inputs are shared, constants and
+  // host results (which the executable keeps) copied, and a repeated
+  // result shares its first tensor.
+  for (size_t i = 0; i < output_values_.size(); ++i) {
+    const ValueDef& def = values_[output_values_[i]];
+    Tensor& out = (*outputs)[i];
+    if (def.step < 0) {
+      out = inputs[def.result];
+    } else if (steps_[def.step].kind == Step::Kind::kConstant) {
+      out = steps_[def.step].constant->Clone();
+    } else if (steps_[def.step].kind == Step::Kind::kHost) {
+      out = plan.steps[def.step].host_results[def.result].Clone();
+    } else if (output_first_[i] != static_cast<int>(i)) {
+      out = (*outputs)[output_first_[i]];
+    }
+  }
 }
 
 Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
                                           const std::vector<Tensor>* inputs,
                                           const RunOptions& options,
                                           const std::string& signature,
-                                          LaunchPlan* record_host) const {
+                                          LaunchPlan* record,
+                                          RunBuffer* buffer) const {
   DISC_TRACE_SCOPE("plan-execute", "runtime");
   const RunMetrics& metrics = RunMetrics::Get();
   const SymbolBindings& bindings = plan.bindings;
@@ -419,7 +829,7 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
   KernelProfileLedger& kernel_ledger = KernelProfileLedger::Global();
   const bool profile_kernels = kernel_ledger.enabled();
   std::vector<KernelLaunchObservation> kernel_observations;
-  const bool execute_data = inputs != nullptr;
+  const bool execute_data = buffer != nullptr;
   const bool use_arena =
       options.memory_mode == MemoryMode::kArena && memory_plan_.planned;
 
@@ -443,13 +853,7 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
   };
   DISC_RETURN_IF_ERROR(check_allocs(0, tape.step_begin[0]));
   if (use_arena) profile.arena_bytes = plan.arena_bytes;
-
-  std::unordered_map<const Value*, Tensor> env;
-  if (execute_data) {
-    for (size_t i = 0; i < graph_->inputs().size(); ++i) {
-      env.emplace(graph_->inputs()[i], (*inputs)[i]);
-    }
-  }
+  if (execute_data) StartData(plan, *inputs, buffer, &result.outputs);
 
   for (size_t s = 0; s < steps_.size(); ++s) {
     const Step& step = steps_[s];
@@ -459,7 +863,9 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
         // Weights are resident on device for the module's lifetime.
         DISC_RETURN_IF_ERROR(
             check_allocs(tape.step_begin[s], tape.step_begin[s + 1]));
-        if (execute_data) env.emplace(step.node->output(0), *step.constant);
+        if (execute_data) {
+          DISC_RETURN_IF_ERROR(RunStepData(s, plan, *inputs, record, buffer));
+        }
         break;
       }
       case Step::Kind::kHost: {
@@ -467,7 +873,7 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
         // launches; it contributes no device time. Results are a pure
         // function of the shape signature, so a plan that recorded them
         // shares them instead of re-evaluating the node (nothing writes to
-        // a Run's values, and outputs that are host results get copied).
+        // them, and outputs that are host results get copied).
         if (!execute_data) break;
         TraceScope step_scope("host-shape-op", "runtime.step");
         if (step_scope.active()) {
@@ -475,28 +881,7 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
           step_scope.AddArg("replayed",
                             ps.has_host_results ? "true" : "false");
         }
-        if (ps.has_host_results) {
-          for (size_t i = 0; i < ps.host_results.size(); ++i) {
-            env.emplace(step.node->output(static_cast<int>(i)),
-                        ps.host_results[i]);
-          }
-          break;
-        }
-        std::vector<Tensor> operand_values;
-        for (const Value* operand : step.node->operands()) {
-          operand_values.push_back(env.at(operand));
-        }
-        DISC_ASSIGN_OR_RETURN(std::vector<Tensor> values,
-                              EvaluateNode(*step.node, operand_values));
-        if (record_host != nullptr) {
-          PlannedStep& recorded = record_host->steps[s];
-          recorded.host_results = values;
-          recorded.has_host_results = true;
-        }
-        for (size_t i = 0; i < values.size(); ++i) {
-          env.emplace(step.node->output(static_cast<int>(i)),
-                      std::move(values[i]));
-        }
+        DISC_RETURN_IF_ERROR(RunStepData(s, plan, *inputs, record, buffer));
         break;
       }
       case Step::Kind::kLibrary: {
@@ -511,21 +896,11 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
         DISC_RETURN_IF_ERROR(
             check_allocs(tape.step_begin[s], tape.step_begin[s + 1]));
         if (execute_data) {
-          std::vector<Tensor> operand_values;
-          for (const Value* operand : step.node->operands()) {
-            operand_values.push_back(env.at(operand));
-          }
           if (step_scope.active()) {
-            step_scope.AddArg("variant",
-                              ContractionIsaName(SelectContraction(
-                                  *step.node, operand_values[0])));
+            step_scope.AddArg("variant", ContractionIsaName(
+                                             plan.data_steps[s].call.isa));
           }
-          DISC_ASSIGN_OR_RETURN(std::vector<Tensor> values,
-                                EvaluateNode(*step.node, operand_values));
-          for (size_t i = 0; i < values.size(); ++i) {
-            env.emplace(step.node->output(static_cast<int>(i)),
-                        std::move(values[i]));
-          }
+          DISC_RETURN_IF_ERROR(RunStepData(s, plan, *inputs, record, buffer));
         }
         break;
       }
@@ -568,14 +943,14 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
         DISC_RETURN_IF_ERROR(
             check_allocs(tape.step_begin[s], tape.step_begin[s + 1]));
         if (execute_data) {
-          DISC_RETURN_IF_ERROR(kernel.Execute(ps.binding, &env));
+          DISC_RETURN_IF_ERROR(RunStepData(s, plan, *inputs, record, buffer));
         }
         break;
       }
     }
   }
 
-  if (record_host != nullptr) record_host->bound = true;
+  if (record != nullptr) record->bound = true;
 
   if (options.batch_launches) {
     // One driver submission for the whole captured graph.
@@ -608,20 +983,7 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
                              profile.device_time_us, kernel_observations);
   }
 
-  if (execute_data) {
-    const std::vector<Value*>& outputs = graph_->outputs();
-    result.outputs.reserve(outputs.size());
-    for (size_t i = 0; i < outputs.size(); ++i) {
-      auto it = env.find(outputs[i]);
-      if (it == env.end()) {
-        return Status::Internal("graph output %" +
-                                std::to_string(outputs[i]->id()) +
-                                " was not produced");
-      }
-      result.outputs.push_back(copy_output_[i] ? it->second.Clone()
-                                               : it->second);
-    }
-  }
+  if (execute_data) FinishData(plan, *inputs, &result.outputs);
   return result;
 }
 

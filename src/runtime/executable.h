@@ -12,22 +12,39 @@
 //     shape signature: symbol solve, guard evaluation, launch geometry,
 //     library footprints, buffer sizes and the arena size, the Run's
 //     totals (launches, bytes, variant counts) and each memory mode's
-//     allocation tape (the allocator's whole traffic, recorded once);
+//     allocation tape (the allocator's whole traffic, recorded once); for
+//     plans that serve data-mode Runs also the data layout (kernel
+//     bindings, resolved library calls, every value's offset);
 //   * plan execute — cost-model charging, the allocator checks against
 //     the tape and (in data mode) numeric execution from a finished plan.
 // Plans are memoized per signature in a bounded thread-safe LRU keyed by
 // the input dims, so repeated-shape Runs (decode loops, hot serving
-// signatures) skip the symbolic phase entirely, and a timing-only hit
-// allocates nothing. A plan that serves data-mode Runs also holds each
-// fused kernel's binding (FusedKernel::Bind), so a hit executes pre-bound
-// loops. Cached runs are strictly observational: same outputs bit-for-bit,
-// same simulated device time, same profile — less host work.
+// signatures) skip the symbolic phase entirely. A timing-only hit
+// allocates nothing, and a data-mode hit allocates only its returned
+// outputs. Cached runs are strictly observational: same outputs
+// bit-for-bit, same simulated device time, same profile — less host work.
 //
-// Device memory follows the compile-time arena plan (runtime/memory_plan.h)
-// in both memory modes: the arena mode allocates its peak formula once, and
-// the caching-allocator mode frees each value after the last-use step the
-// plan's liveness pass found. Both are simulated once per signature, when
-// the plan records its tapes.
+// Data path. Compile numbers every value a step reads or writes with a
+// dense index. A data-mode Run checks its inputs' dtypes, takes one byte
+// buffer from a per-executable pool (grown when a plan needs more, never
+// zero-filled) and resolves every value to a pointer through a dense
+// table: graph inputs, constants and host results are read in place,
+// graph outputs are written straight into the returned tensors, and every
+// other kernel or library result lives in the buffer at its arena slot's
+// offset (runtime/memory_plan.h), which the plan evaluated once. Kernel
+// steps run their bound loops on those pointers and library steps call
+// the contraction kernels with the plan's resolved call, all sharing one
+// scratch region past the arena. The arena frees a slot only after its
+// occupant's last use, so no step's outputs overlap its inputs. Under
+// AddressSanitizer the buffer is poisoned except for the values live at
+// each step, so a loop that runs past its value still fails.
+//
+// Device memory follows the compile-time arena plan in both memory modes:
+// the arena mode allocates its peak formula once, and the caching-allocator
+// mode frees each value after the last-use step the plan's liveness pass
+// found. Both are simulated once per signature, when the plan records its
+// tapes; the mode chooses only that accounting, and both run the same data
+// path, so their outputs are bit-identical by construction.
 //
 // Run outputs never alias tensors the executable owns: an output whose
 // value is a constant or a host shape-step result (which plans record and
@@ -40,7 +57,9 @@
 #ifndef DISC_RUNTIME_EXECUTABLE_H_
 #define DISC_RUNTIME_EXECUTABLE_H_
 
+#include <cstddef>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -55,7 +74,8 @@
 
 namespace disc {
 
-/// How a Run backs device values with memory.
+/// How a Run's simulated device allocator books device values. The data
+/// path is the same in both modes (see the file comment).
 enum class MemoryMode {
   /// One CachingAllocator call per live value (the baseline; reuse happens
   /// dynamically through the allocator's size-class cache). Values are
@@ -90,11 +110,11 @@ struct RunOptions {
   /// the limit returns ResourceExhausted from Run (retryable) instead of
   /// aborting the process.
   int64_t memory_limit_bytes = 0;
-  /// Memory-planning strategy. Defaults to the caching allocator so
-  /// existing byte-stable baselines (F7/F9/F10 count per-value allocator
-  /// traffic and failpoint fires) are unchanged; the arena is opt-in via
-  /// engines/benches. Outputs are bit-identical across modes — only the
-  /// allocation pattern differs.
+  /// Memory-planning strategy of the simulated allocator. Defaults to the
+  /// caching allocator so existing byte-stable baselines (F7/F9/F10 count
+  /// per-value allocator traffic and failpoint fires) are unchanged; the
+  /// arena is opt-in via engines/benches. Outputs are bit-identical across
+  /// modes — only the booked allocation pattern differs.
   MemoryMode memory_mode = MemoryMode::kCachingAllocator;
 };
 
@@ -229,48 +249,117 @@ class Executable {
     const Tensor* constant = nullptr;  // kConstant: the node's value
   };
 
-  Result<RunResult> RunInternal(
-      const std::vector<std::vector<int64_t>>& input_dims,
-      const std::vector<Tensor>* inputs, const RunOptions& options) const;
+  /// A step's values for the data path, by dense index (values_), kept
+  /// apart from Step so that the steps a timing-only Run walks stay small.
+  struct StepValues {
+    /// What the step reads (a kernel's group inputs, else the node's
+    /// operands) and writes (a kernel's group outputs, else the node's
+    /// results), in that order.
+    std::vector<int> reads, writes;
+    /// Values whose live range ends here (MemoryPlan::release_after_step);
+    /// AddressSanitizer builds poison them after the step.
+    std::vector<int> releases;
+  };
+
+  /// A value some step reads or writes: its defining step and result
+  /// index, or step -1 and the input index for a graph input.
+  struct ValueDef {
+    const Value* value = nullptr;
+    int step = -1;
+    int result = 0;
+    bool graph_output = false;
+  };
+
+  /// The byte buffer and dense value table of one data-mode Run.
+  struct RunBuffer {
+    std::unique_ptr<std::byte[]> storage;
+    std::byte* base = nullptr;  // storage, aligned to 64 bytes
+    int64_t capacity = 0;       // bytes usable from base
+    std::vector<void*> values;  // dense value index -> the value's buffer
+  };
+
+  /// `input_dims` is null for a data-mode Run, whose dims are its inputs'.
+  Result<RunResult> RunInternal(const InputDims* input_dims,
+                                const std::vector<Tensor>* inputs,
+                                const RunOptions& options) const;
+
+  /// Checks a data-mode Run's input count and dtypes against the graph's.
+  Status CheckInputs(const std::vector<Tensor>& inputs) const;
 
   /// Phase 1: all host-side symbolic work for one signature. `bind` also
-  /// binds every kernel step (plans that serve data-mode runs).
-  Result<LaunchPlan> BuildLaunchPlan(
-      const std::vector<std::vector<int64_t>>& input_dims, bool bind) const;
+  /// lays out the data path (plans that serve data-mode runs).
+  Result<LaunchPlan> BuildLaunchPlan(const InputDims& input_dims,
+                                     bool bind) const;
 
-  /// Binds every kernel step of `plan` to the plan's symbol bindings.
-  Status BindKernels(LaunchPlan* plan) const;
+  /// Lays out `plan`'s data path (see LaunchPlan): binds every kernel step,
+  /// resolves every library call and places every value, checking that
+  /// each fits its place and that every buffer agrees with the shape
+  /// analysis.
+  Status BindData(const InputDims& input_dims, LaunchPlan* plan) const;
 
   /// Phase 2: charge the cost model, check the plan's allocations and
   /// (optionally) execute numerics from a finished plan. Hits and misses
-  /// both run through here. `record_host` (nullable, data mode, its kernels
-  /// bound) receives the host shape-step results so the plan can replay
-  /// them on later hits, and is then marked bound.
-  /// `signature` keys the kernel-observatory flush (empty when the ledger
-  /// is disabled — RunInternal only computes it on demand).
+  /// both run through here. `buffer` is the Run's buffer in data mode and
+  /// null in timing-only mode. `record` (data mode; null when the plan is
+  /// a bound, cached one) is the plan itself: it receives the host
+  /// shape-step results so later hits can replay them, and is then marked
+  /// bound. `signature` keys the kernel-observatory flush (empty when the
+  /// ledger is disabled — RunInternal only computes it on demand).
   Result<RunResult> ExecutePlan(const LaunchPlan& plan,
                                 const std::vector<Tensor>* inputs,
                                 const RunOptions& options,
                                 const std::string& signature,
-                                LaunchPlan* record_host) const;
+                                LaunchPlan* record, RunBuffer* buffer) const;
 
-  /// Fills copy_output_ from the step schedule. Computed once at compile
-  /// time.
-  void MarkOwnedOutputs();
+  /// The data half of ExecutePlan, kept out of its step loop. StartData
+  /// points the value table at the inputs and at fresh tensors for the
+  /// graph outputs that kernel and library steps write; RunStepData runs
+  /// step `s`'s data; FinishData fills in the other outputs.
+  void StartData(const LaunchPlan& plan, const std::vector<Tensor>& inputs,
+                 RunBuffer* buffer, std::vector<Tensor>* outputs) const;
+  Status RunStepData(size_t s, const LaunchPlan& plan,
+                     const std::vector<Tensor>& inputs, LaunchPlan* record,
+                     RunBuffer* buffer) const;
+  void FinishData(const LaunchPlan& plan, const std::vector<Tensor>& inputs,
+                  std::vector<Tensor>* outputs) const;
+
+  /// A value a host step reads, as a tensor: the input, constant or host
+  /// result itself, or a copy of a kernel or library result's bytes.
+  Tensor HostOperand(int value, const LaunchPlan& plan,
+                     const std::vector<Tensor>& inputs,
+                     const RunBuffer& buffer) const;
+
+  /// Takes a pooled Run buffer of at least `bytes`; ReturnRunBuffer puts
+  /// it back. Concurrent Runs take different buffers.
+  std::unique_ptr<RunBuffer> TakeRunBuffer(int64_t bytes) const;
+  void ReturnRunBuffer(std::unique_ptr<RunBuffer> buffer) const;
+
+  /// Numbers every value the steps read or write (values_, step_values_,
+  /// output_values_). Runs once at compile time, after memory planning.
+  Status IndexValues();
 
   std::unique_ptr<Graph> graph_;
   std::unique_ptr<ShapeAnalysis> analysis_;
   FusionPlan plan_;
   std::vector<std::unique_ptr<FusedKernel>> kernels_;
   std::vector<Step> steps_;
-  /// Per graph output: true when its value belongs to the executable (a
-  /// constant or a host shape-step result), so Run returns a copy.
-  std::vector<bool> copy_output_;
+  std::vector<StepValues> step_values_;  // parallel to steps_
+  /// Dense value index -> definition: the graph inputs first (index =
+  /// input index), then each step's writes in schedule order.
+  std::vector<ValueDef> values_;
+  /// Per graph output: its dense value index, and the first graph output
+  /// with the same value (a kernel or library result is returned as one
+  /// tensor however often it repeats).
+  std::vector<int> output_values_;
+  std::vector<int> output_first_;
   MemoryPlan memory_plan_;
   CompileReport report_;
   /// Signature -> launch plan. Logically a cache, hence mutable: Run stays
   /// const and the cache is internally synchronized.
   mutable LaunchPlanCache plan_cache_;
+  /// Idle data-mode Run buffers.
+  mutable std::mutex buffer_mu_;
+  mutable std::vector<std::unique_ptr<RunBuffer>> free_buffers_;
 };
 
 }  // namespace disc

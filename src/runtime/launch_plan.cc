@@ -63,7 +63,7 @@ Result<std::vector<std::vector<int64_t>>> ParseShapeSignature(
   return input_dims;
 }
 
-size_t LaunchPlanCache::DimsHash::operator()(const InputDims* dims) const {
+size_t LaunchPlanCache::DimsHash::operator()(const DimsKey& key) const {
   // splitmix64's finalizer over the input count, then each input's rank
   // and dims: the rank prefixes make [2,3], [2],[3] and [6] hash apart.
   auto mix = [](uint64_t h, uint64_t value) {
@@ -72,18 +72,28 @@ size_t LaunchPlanCache::DimsHash::operator()(const InputDims* dims) const {
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
   };
-  uint64_t h = mix(0, dims->size());
-  for (const std::vector<int64_t>& input : *dims) {
+  uint64_t h = mix(0, key.size());
+  for (size_t i = 0; i < key.size(); ++i) {
+    const std::vector<int64_t>& input = key[i];
     h = mix(h, input.size());
     for (int64_t d : input) h = mix(h, static_cast<uint64_t>(d));
   }
   return static_cast<size_t>(h);
 }
 
-std::shared_ptr<const LaunchPlan> LaunchPlanCache::Lookup(
-    const InputDims& input_dims) {
+bool LaunchPlanCache::DimsEqual::operator()(const DimsKey& a,
+                                            const DimsKey& b) const {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i] != b[i]) return false;
+  }
+  return true;
+}
+
+std::shared_ptr<const LaunchPlan> LaunchPlanCache::LookupKey(
+    const DimsKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(&input_dims);
+  auto it = index_.find(key);
   if (it == index_.end()) {
     ++stats_.misses;
     return nullptr;
@@ -93,10 +103,20 @@ std::shared_ptr<const LaunchPlan> LaunchPlanCache::Lookup(
   return it->second->plan;
 }
 
+std::shared_ptr<const LaunchPlan> LaunchPlanCache::Lookup(
+    const InputDims& input_dims) {
+  return LookupKey({&input_dims, nullptr});
+}
+
+std::shared_ptr<const LaunchPlan> LaunchPlanCache::LookupInputs(
+    const std::vector<Tensor>& inputs) {
+  return LookupKey({nullptr, &inputs});
+}
+
 std::shared_ptr<const LaunchPlan> LaunchPlanCache::Peek(
     const InputDims& input_dims) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(&input_dims);
+  auto it = index_.find({&input_dims, nullptr});
   return it == index_.end() ? nullptr : it->second->plan;
 }
 
@@ -105,7 +125,7 @@ void LaunchPlanCache::Insert(const InputDims& input_dims,
   std::lock_guard<std::mutex> lock(mu_);
   if (capacity_ == 0) return;
   ++stats_.insertions;
-  auto it = index_.find(&input_dims);
+  auto it = index_.find({&input_dims, nullptr});
   if (it != index_.end()) {
     // Replace in place (e.g. a plan upgraded with host results).
     it->second->plan = std::move(plan);
@@ -113,7 +133,7 @@ void LaunchPlanCache::Insert(const InputDims& input_dims,
     return;
   }
   lru_.push_front({input_dims, std::move(plan)});
-  index_.emplace(&lru_.front().dims, lru_.begin());
+  index_.emplace(DimsKey{&lru_.front().dims, nullptr}, lru_.begin());
   EvictIfNeededLocked();
 }
 
@@ -125,7 +145,7 @@ void LaunchPlanCache::set_capacity(size_t capacity) {
 
 void LaunchPlanCache::EvictIfNeededLocked() {
   while (lru_.size() > capacity_) {
-    index_.erase(&lru_.back().dims);
+    index_.erase(DimsKey{&lru_.back().dims, nullptr});
     lru_.pop_back();
     ++stats_.evictions;
   }

@@ -18,12 +18,17 @@
 //     makes, with the bytes in use before it, and the allocator's final
 //     stats — the caching allocator's whole size-class traffic over the
 //     schedule, recorded once, so a Run books no memory itself;
-//   * once the plan serves a data-mode Run: each kernel's KernelBinding
-//     (its executor bound to these shapes, so a hit runs pre-bound loops)
-//     and the host shape-step results (tiny integer tensors that are
-//     themselves pure functions of the signature).
-// A plan built by a timing-only Run carries no bindings or host results;
-// the first data-mode Run that hits it binds it once and republishes it.
+//   * once the plan serves a data-mode Run, its data layout: each kernel's
+//     KernelBinding (its executor bound to these shapes, so a hit runs
+//     pre-bound loops), each library step's resolved ContractionCall (dims
+//     and ISA), the host shape-step results (tiny integer tensors that are
+//     themselves pure functions of the signature), every value's dims, and
+//     each kernel and library result's byte offset in the Run's buffer:
+//     its arena slot's offset, evaluated once, with one scratch region past
+//     the arena that the steps share, sized to the largest kernel scratch
+//     or contraction pack.
+// A plan built by a timing-only Run carries no data layout; the first
+// data-mode Run that hits it binds it once and republishes it.
 //
 // The plan deliberately does NOT bake in device time: costs are
 // re-estimated from the recorded stats through the DeviceModel on every
@@ -38,7 +43,8 @@
 //
 // LaunchPlanCache is a bounded, thread-safe LRU keyed by the input dims
 // themselves: a rank-aware hash picks the bucket and an exact compare
-// confirms the entry, so a lookup builds no key and allocates nothing.
+// confirms the entry, so a lookup builds no key and allocates nothing —
+// from a list of dims or straight from a data-mode Run's input tensors.
 // Plans are immutable once published (shared_ptr<const>), so concurrent
 // Runs on one Executable may share a plan freely.
 #ifndef DISC_RUNTIME_LAUNCH_PLAN_H_
@@ -53,6 +59,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ir/eval.h"
 #include "ir/tensor.h"
 #include "kernel/kernel.h"
 #include "kernel/library.h"
@@ -90,6 +97,16 @@ struct PlannedStep {
   /// Runs share them read-only; Run copies a graph output that is one.
   std::vector<Tensor> host_results;
   bool has_host_results = false;
+};
+
+/// What a step of a bound plan needs beyond its PlannedStep, kept apart so
+/// that the steps a timing-only Run walks stay small.
+struct DataStep {
+  /// The contraction a library step runs.
+  ContractionCall call;
+  /// Bytes of the plan's scratch region the step uses: the kernel's scratch
+  /// or the contraction's pack.
+  int64_t scratch_bytes = 0;
 };
 
 /// One allocator call of a Run: the requested bytes and the bytes in use
@@ -140,9 +157,23 @@ struct LaunchPlan {
   /// Allocator traffic of a caching-allocator-mode and an arena-mode Run.
   AllocationTape caching_tape;
   AllocationTape arena_tape;
-  /// True once the plan can serve data-mode runs: every kernel step holds
-  /// its binding and every host step its results. Plans built by
-  /// timing-only runs are bound on their first data-mode hit.
+  /// The data layout of a bound plan: data_steps, and over the
+  /// executable's dense value indices, value_dims (every value's dims) and
+  /// value_offsets (the byte offset in a Run's buffer of each kernel or
+  /// library result that lives there, -1 for the rest: graph inputs,
+  /// constants and host results are read in place, and graph outputs are
+  /// written into the returned tensors).
+  /// The buffer holds the arena [0, arena_bytes), then a region for i1
+  /// results (stored as int64_t, wider than their arena slots), then the
+  /// scratch region at scratch_offset, buffer_bytes in all.
+  std::vector<DataStep> data_steps;  // parallel to steps
+  std::vector<std::vector<int64_t>> value_dims;
+  std::vector<int64_t> value_offsets;
+  int64_t scratch_offset = 0;
+  int64_t buffer_bytes = 0;
+  /// True once the plan can serve data-mode runs: it holds the data layout
+  /// and every host step its results. Plans built by timing-only runs are
+  /// bound on their first data-mode hit.
   bool bound = false;
 };
 
@@ -166,6 +197,9 @@ class LaunchPlanCache {
   /// \brief Returns the plan for `input_dims` (bumping it to most-recent)
   /// or nullptr on a miss. Counts a hit/miss either way. Allocates nothing.
   std::shared_ptr<const LaunchPlan> Lookup(const InputDims& input_dims);
+  /// \brief Lookup by the dims of a Run's input tensors.
+  std::shared_ptr<const LaunchPlan> LookupInputs(
+      const std::vector<Tensor>& inputs);
 
   /// \brief Observational lookup: no hit/miss accounting, no LRU bump.
   /// Used by admission control to read a signature's memoized footprint
@@ -189,26 +223,32 @@ class LaunchPlanCache {
     InputDims dims;
     std::shared_ptr<const LaunchPlan> plan;
   };
-  // The index keys on a pointer to the dims: an entry's own (list nodes
-  // never move) or, for a lookup, the caller's. Hash and equality read
-  // through it, so a lookup needs no key of its own.
-  struct DimsHash {
-    size_t operator()(const InputDims* dims) const;
-  };
-  struct DimsEqual {
-    bool operator()(const InputDims* a, const InputDims* b) const {
-      return *a == *b;
+  // The index keys on a pointer to dims: an entry's own (list nodes never
+  // move) or, for a lookup, the caller's dims or input tensors. Hash and
+  // equality read through it, so a lookup needs no key of its own.
+  struct DimsKey {
+    const InputDims* dims = nullptr;            // or
+    const std::vector<Tensor>* tensors = nullptr;
+    size_t size() const { return dims ? dims->size() : tensors->size(); }
+    const std::vector<int64_t>& operator[](size_t i) const {
+      return dims ? (*dims)[i] : (*tensors)[i].dims();
     }
   };
+  struct DimsHash {
+    size_t operator()(const DimsKey& key) const;
+  };
+  struct DimsEqual {
+    bool operator()(const DimsKey& a, const DimsKey& b) const;
+  };
 
+  std::shared_ptr<const LaunchPlan> LookupKey(const DimsKey& key);
   void EvictIfNeededLocked();
 
   mutable std::mutex mu_;
   size_t capacity_;
   // Most-recently-used at the front.
   std::list<Entry> lru_;
-  std::unordered_map<const InputDims*, std::list<Entry>::iterator, DimsHash,
-                     DimsEqual>
+  std::unordered_map<DimsKey, std::list<Entry>::iterator, DimsHash, DimsEqual>
       index_;
   Stats stats_;
 };

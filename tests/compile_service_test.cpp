@@ -122,13 +122,22 @@ TEST(CompileServiceTest, PriorityQueueServesForegroundFirst) {
 
   std::mutex mu;
   std::condition_variable cv;
+  bool blocking = false;
   bool release = false;
   auto blocker = MakeRequest(g.get());
   blocker.pre_compile_hook = [&] {
     std::unique_lock<std::mutex> lock(mu);
+    blocking = true;
+    cv.notify_all();
     cv.wait(lock, [&] { return release; });
   };
   service.Submit(std::move(blocker));
+  // The blocker is a prefetch job: it holds the worker only once the worker
+  // has dequeued it. Queued later, it would lose to the higher classes.
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return blocking; });
+  }
 
   // Queue in worst order; distinct graphs so nothing dedups.
   auto g_pre = EwModel("prefetch");

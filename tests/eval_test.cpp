@@ -302,6 +302,17 @@ std::vector<int64_t> MatrixDims(std::vector<int64_t> batch, int64_t rows,
   return batch;
 }
 
+// Pack space of the size a contraction call reports, exactly that long so
+// that AddressSanitizer builds catch a kernel that packs past it.
+class Pack {
+ public:
+  explicit Pack(int64_t bytes) : doubles_((bytes + 7) / 8) {}
+  std::byte* data() { return reinterpret_cast<std::byte*>(doubles_.data()); }
+
+ private:
+  std::vector<double> doubles_;
+};
+
 // Runs `a` x `w` on variant `isa` through its explicit-ISA entry point and
 // compares the result bit for bit with NaiveMatMul. Integer operands only
 // ever run the generic variant, so they are checked for that one. Where
@@ -319,10 +330,14 @@ void ExpectMatMulMatchesNaive(ContractionIsa isa, const Tensor& a,
   if (a.dtype() == DType::kF32) {
     std::fill_n(got.f32_data(), got.num_elements(),
                 std::numeric_limits<float>::signaling_NaN());
-    MatMulF32(isa, *dims, a.f32_data(), w.f32_data(), got.f32_data());
+    Pack pack(MatMulPackBytes(isa, a.dtype(), *dims));
+    MatMulF32(isa, *dims, a.f32_data(), w.f32_data(), got.f32_data(),
+              pack.data());
   } else {
     std::fill_n(got.i64_data(), got.num_elements(), int64_t{-7});
-    MatMulI64(*dims, a.dtype(), a.i64_data(), w.i64_data(), got.i64_data());
+    Pack pack(MatMulPackBytes(isa, a.dtype(), *dims));
+    MatMulI64(*dims, a.dtype(), a.i64_data(), w.i64_data(), got.i64_data(),
+              pack.data());
   }
   EXPECT_TRUE(Tensor::BitEqual(got, NaiveMatMul(a, w, ta, tb, dims->batch)))
       << ContractionIsaName(isa) << ": " << a.TypeString() << " x "
@@ -375,8 +390,10 @@ Tensor ExpectConv2DMatchesNaive(ContractionIsa isa, const Tensor& in,
   Tensor got(DType::kF32, want.dims());
   std::fill_n(got.f32_data(), got.num_elements(),
               std::numeric_limits<float>::signaling_NaN());
-  Conv2DF32(isa, ConvDims(in, filter, sh, sw, ph, pw), in.f32_data(),
-            filter.f32_data(), got.f32_data());
+  const Conv2DDims dims = ConvDims(in, filter, sh, sw, ph, pw);
+  Pack pack(Conv2DPackBytes(isa, dims));
+  Conv2DF32(isa, dims, in.f32_data(), filter.f32_data(), got.f32_data(),
+            pack.data());
   EXPECT_TRUE(Tensor::BitEqual(got, want))
       << ContractionIsaName(isa) << ": " << in.TypeString() << " * "
       << filter.TypeString() << " strides " << sh << "," << sw
@@ -798,8 +815,9 @@ TEST_P(ContractionTest, EdgeReadsStayInsideTheOperands) {
             GuardedFloats guarded_a(a), guarded_w(w);
             std::vector<float> zeros(m * n, 0.0f);
             GuardedFloats out(zeros.data(), m * n);
+            Pack pack(MatMulPackBytes(isa(), DType::kF32, *dims));
             MatMulF32(isa(), *dims, guarded_a.data(), guarded_w.data(),
-                      out.data());
+                      out.data(), pack.data());
             Tensor want = NaiveMatMul(a, w, ta, tb, {});
             EXPECT_TRUE(std::equal(out.data(), out.data() + m * n,
                                    want.f32_data(),
@@ -825,8 +843,10 @@ TEST_P(ContractionTest, EdgeReadsStayInsideTheOperands) {
           Tensor want = NaiveConv2D(in, filter, stride, stride, 1, 1);
           std::vector<float> zeros(want.num_elements(), 0.0f);
           GuardedFloats out(zeros.data(), want.num_elements());
-          Conv2DF32(isa(), ConvDims(in, filter, stride, stride, 1, 1),
-                    guarded_in.data(), guarded_filter.data(), out.data());
+          const Conv2DDims dims = ConvDims(in, filter, stride, stride, 1, 1);
+          Pack pack(Conv2DPackBytes(isa(), dims));
+          Conv2DF32(isa(), dims, guarded_in.data(), guarded_filter.data(),
+                    out.data(), pack.data());
           EXPECT_EQ(std::memcmp(out.data(), want.f32_data(),
                                 want.num_elements() * sizeof(float)),
                     0)

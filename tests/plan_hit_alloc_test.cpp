@@ -1,14 +1,19 @@
 // A timing-only launch-plan hit must not touch the heap: the plan holds
 // every piece of per-Run bookkeeping that depends only on the signature
 // (totals, variant counts, the allocation tape), the cache keys on the
-// dims themselves, and the metric handles are resolved once. The
-// operator-new hook (alloc_hook.h, shared with trace_alloc_test) counts the
-// bytes each call allocates.
+// dims themselves, and the metric handles are resolved once. A data-mode
+// hit allocates only what it returns: the plan also holds the data layout,
+// and the Run's buffer comes from the executable's pool. The operator-new
+// hook (alloc_hook.h, shared with trace_alloc_test) counts the bytes each
+// call allocates.
 #include <gtest/gtest.h>
 
 #include "alloc_hook.h"
 #include "baselines/dynamic_engine.h"
+#include "compiler/compiler.h"
+#include "ir/eval.h"
 #include "models/models.h"
+#include "support/failpoint.h"
 
 namespace disc {
 namespace {
@@ -79,6 +84,106 @@ TEST_P(PlanHitAllocTest, TimingOnlyHitsAllocateNothing) {
               0)
         << model.name;
     EXPECT_TRUE(ok) << model.name;
+  }
+}
+
+// The bytes that constructing `outputs`' tensors and a vector holding them
+// allocates: all a data-mode hit may allocate.
+int64_t OutputBytes(const std::vector<Tensor>& outputs) {
+  bool ok = false;
+  return AllocatedBytes(
+      [&] {
+        std::vector<Tensor> fresh;
+        fresh.reserve(outputs.size());
+        for (const Tensor& t : outputs) fresh.emplace_back(t.dtype(), t.dims());
+        return true;
+      },
+      &ok);
+}
+
+TEST_P(PlanHitAllocTest, DataModeHitsAllocateOnlyTheirOutputs) {
+  RunOptions options;
+  options.memory_mode =
+      GetParam() ? MemoryMode::kArena : MemoryMode::kCachingAllocator;
+  std::vector<Model> models = BuildModelSuite();
+  models.push_back(BuildGptStepBatch());
+  for (const Model& model : models) {
+    auto exe = DiscCompiler::Compile(*model.graph, model.input_dim_labels);
+    ASSERT_TRUE(exe.ok()) << model.name << ": " << exe.status().ToString();
+    std::vector<std::vector<Tensor>> inputs;
+    for (const ShapeSet& shapes : model.trace) {
+      inputs.push_back(model.make_inputs(shapes, inputs.size() + 1));
+      auto warm = (*exe)->Run(inputs.back(), options);
+      ASSERT_TRUE(warm.ok()) << model.name << ": " << warm.status().ToString();
+    }
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      const std::string where =
+          model.name + " " + ShapeSignature(model.trace[i]);
+      Result<RunResult> r = Status::Internal("not run");
+      bool ok = false;
+      const int64_t bytes = AllocatedBytes(
+          [&] {
+            r = (*exe)->Run(inputs[i], options);
+            return r.ok() && r->profile.launch_plan_hit;
+          },
+          &ok);
+      ASSERT_TRUE(ok) << where << ": " << r.status().ToString();
+      EXPECT_LE(bytes, OutputBytes(r->outputs)) << where;
+    }
+    bool ok = false;
+    EXPECT_EQ(AllocatedBytes(
+                  [&] {
+                    return (*exe)->RunWithShapes(model.trace.back(), options)
+                        .ok();
+                  },
+                  &ok),
+              0)
+        << model.name;
+    EXPECT_TRUE(ok) << model.name;
+  }
+}
+
+TEST_P(PlanHitAllocTest, FaultedRunsReturnTheirBuffer) {
+  // A Run that fails part-way (a kernel fault, or an allocation check in
+  // caching mode, after some steps have run) still returns its buffer to
+  // the pool: the next hit allocates only its outputs, and its outputs are
+  // bit-identical to the reference evaluator's.
+  RunOptions options;
+  options.memory_mode =
+      GetParam() ? MemoryMode::kArena : MemoryMode::kCachingAllocator;
+  Model model = BuildBert();
+  auto exe = DiscCompiler::Compile(*model.graph, model.input_dim_labels);
+  ASSERT_TRUE(exe.ok()) << exe.status().ToString();
+  const std::vector<Tensor> inputs = model.make_inputs(model.trace[0], 5);
+  auto want = EvaluateGraph(*model.graph, inputs);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE((*exe)->Run(inputs, options).ok());
+  FailpointRegistry& registry = FailpointRegistry::Global();
+  for (const char* failpoint : {"runtime.kernel", "runtime.alloc"}) {
+    auto spec = FailpointSpec::Parse("every:3:code=unavailable");
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    registry.Arm(failpoint, *spec);
+    bool failed = false;
+    for (int i = 0; i < 3 && !failed; ++i) {
+      failed = !(*exe)->Run(inputs, options).ok();
+    }
+    registry.DisarmAll();
+    EXPECT_TRUE(failed) << failpoint;
+    Result<RunResult> r = Status::Internal("not run");
+    bool ok = false;
+    const int64_t bytes = AllocatedBytes(
+        [&] {
+          r = (*exe)->Run(inputs, options);
+          return r.ok() && r->profile.launch_plan_hit;
+        },
+        &ok);
+    ASSERT_TRUE(ok) << failpoint << ": " << r.status().ToString();
+    EXPECT_LE(bytes, OutputBytes(r->outputs)) << failpoint;
+    ASSERT_EQ(r->outputs.size(), want->size());
+    for (size_t o = 0; o < want->size(); ++o) {
+      EXPECT_TRUE(Tensor::BitEqual(r->outputs[o], (*want)[o]))
+          << failpoint << " output " << o;
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include "compiler/compiler.h"
 #include "ir/builder.h"
 #include "ir/eval.h"
+#include "models/models.h"
 #include "support/rng.h"
 #include "support/trace.h"
 
@@ -398,6 +399,80 @@ TEST(RuntimeTest, ArenaOverLimitIsRetryableResourceExhausted) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(r.status().IsRetryable());
+}
+
+TEST(RuntimeTest, InputDtypesAreCheckedUpFront) {
+  // Steps read raw buffers, so a Run checks every input's dtype before any
+  // of them runs: flipping one input's dtype is an InvalidArgument naming
+  // that input, on a plan miss and on a hit, in both memory modes.
+  for (const Model& model : BuildModelSuite()) {
+    auto exe = DiscCompiler::Compile(*model.graph, model.input_dim_labels);
+    ASSERT_TRUE(exe.ok()) << model.name << ": " << exe.status().ToString();
+    const std::vector<Tensor> inputs = model.make_inputs(model.small_shapes, 3);
+    for (MemoryMode mode : {MemoryMode::kCachingAllocator, MemoryMode::kArena}) {
+      RunOptions options;
+      options.memory_mode = mode;
+      for (size_t i = 0; i < inputs.size(); ++i) {
+        std::vector<Tensor> flipped = inputs;
+        flipped[i] = Tensor(
+            inputs[i].dtype() == DType::kF32 ? DType::kI64 : DType::kF32,
+            inputs[i].dims());
+        for (bool hit : {false, true}) {
+          const std::string where = model.name + " input " +
+                                    std::to_string(i) +
+                                    (hit ? " hit" : " miss");
+          (*exe)->ClearPlanCache();
+          if (hit) {
+            ASSERT_TRUE((*exe)->Run(inputs, options).ok()) << where;
+          }
+          auto r = (*exe)->Run(flipped, options);
+          ASSERT_FALSE(r.ok()) << where;
+          EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+              << where << ": " << r.status().ToString();
+          EXPECT_NE(r.status().message().find("input " + std::to_string(i)),
+                    std::string::npos)
+              << where << ": " << r.status().ToString();
+        }
+      }
+    }
+  }
+}
+
+TEST(RuntimeTest, PooledBuffersCarryNoStaleBytes) {
+  // One executable's Runs share pooled buffers, which are never cleared:
+  // alternating its largest and smallest trace signatures, with fresh
+  // inputs each time, every Run must still equal the reference evaluator
+  // bit for bit.
+  for (const Model& model : BuildModelSuite()) {
+    auto exe = DiscCompiler::Compile(*model.graph, model.input_dim_labels);
+    ASSERT_TRUE(exe.ok()) << model.name << ": " << exe.status().ToString();
+    auto elements = [](const ShapeSet& shapes) {
+      int64_t n = 0;
+      for (const std::vector<int64_t>& dims : shapes) n += Product(dims);
+      return n;
+    };
+    const auto [small, large] = std::minmax_element(
+        model.trace.begin(), model.trace.end(),
+        [&](const ShapeSet& a, const ShapeSet& b) {
+          return elements(a) < elements(b);
+        });
+    uint64_t seed = 11;
+    for (int round = 0; round < 2; ++round) {
+      for (const ShapeSet* shapes : {&*large, &*small}) {
+        const std::string where = model.name + " " + ShapeSignature(*shapes);
+        const std::vector<Tensor> inputs = model.make_inputs(*shapes, ++seed);
+        auto got = (*exe)->Run(inputs);
+        auto want = EvaluateGraph(*model.graph, inputs);
+        ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+        ASSERT_TRUE(want.ok()) << where << ": " << want.status().ToString();
+        ASSERT_EQ(got->outputs.size(), want->size()) << where;
+        for (size_t o = 0; o < want->size(); ++o) {
+          EXPECT_TRUE(Tensor::BitEqual(got->outputs[o], (*want)[o]))
+              << where << " output " << o;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
