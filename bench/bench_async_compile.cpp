@@ -22,7 +22,7 @@
 #include <filesystem>
 #include <unistd.h>
 
-#include "baselines/async_engine.h"
+#include "baselines/dynamic_engine.h"
 #include "baselines/interpreter_engine.h"
 #include "bench/bench_util.h"
 #include "compile_service/compile_service.h"
@@ -102,7 +102,7 @@ ColumnResult RunColumn(const Graph& graph, const std::string& cache_dir,
   options.sync_compile = sync_compile;
   options.simulated_compile_latency_us = kCompileLatencyUs;
   options.simulated_cache_load_latency_us = kCacheLoadLatencyUs;
-  AsyncCompileEngine engine(
+  DynamicCompilerEngine engine(
       &service,
       std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
       options);
@@ -208,10 +208,12 @@ int main(int argc, char** argv) {
   bench::Table table({"system", "p50", "p99", "stalls", "fallback",
                       "first exe", "first spec", "compiles", "restores"});
   for (Column& column : columns) {
-    std::vector<double> l = column.r.latencies;
+    const std::vector<double> sorted = bench::Sorted(column.r.latencies);
+    const double p50 = PercentileOfSorted(sorted, 50);
+    const double p99 = PercentileOfSorted(sorted, 99);
     const std::string prefix = std::string(column.key) + ".";
-    report.AddMetric(prefix + "p50_us", bench::Percentile(l, 50), "us");
-    report.AddMetric(prefix + "p99_us", bench::Percentile(l, 99), "us");
+    report.AddMetric(prefix + "p50_us", p50, "us");
+    report.AddMetric(prefix + "p99_us", p99, "us");
     report.AddMetric(prefix + "stall_queries",
                      static_cast<double>(column.r.stall_queries), "queries");
     report.AddMetric(prefix + "fallback_queries",
@@ -225,8 +227,7 @@ int main(int argc, char** argv) {
                      static_cast<double>(column.r.compile_jobs), "jobs");
     report.AddMetric(prefix + "disk_restores",
                      static_cast<double>(column.r.disk_restores), "jobs");
-    table.AddRow({column.label, bench::FmtUs(bench::Percentile(l, 50)),
-                  bench::FmtUs(bench::Percentile(l, 99)),
+    table.AddRow({column.label, bench::FmtUs(p50), bench::FmtUs(p99),
                   std::to_string(column.r.stall_queries),
                   std::to_string(column.r.fallback_queries),
                   bench::FmtUs(column.r.first_executable_us),

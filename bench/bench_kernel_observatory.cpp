@@ -186,8 +186,9 @@ int main(int argc, char** argv) {
         << "12 queries stay below min_observations; nothing should trip yet";
 
     // Close the loop: the audit's verdict becomes a respecialization. The
-    // swap destroys the audited executable — the ledger Forgets its
-    // entries automatically, so the later audit only sees the new one.
+    // swap keeps the audited executable alive as the slot's rollback
+    // generation, so the ledger would keep its entries; clearing the
+    // ledger first makes the later audit see only the new executable.
     ledger.Clear();
     DISC_CHECK_OK(engine.NoteKernelRegret({{kHotBatch, kHidden}},
                                           hot_before.regret_us));

@@ -106,13 +106,13 @@ int main(int argc, char** argv) {
         prev = timing->device_us;
       }
       const EngineStats& stats = engine->stats();
+      const double p99 = PercentileOfSorted(bench::Sorted(latencies), 99);
       {
         std::string prefix = std::string(repeat_heavy ? "repeat-heavy"
                                                       : "fully-dynamic") +
                              "." + name + ".";
         report.AddMetric(prefix + "mean_us", bench::Mean(latencies), "us");
-        report.AddMetric(prefix + "p99_us",
-                         bench::Percentile(latencies, 99), "us");
+        report.AddMetric(prefix + "p99_us", p99, "us");
         if (stats.launch_plan_hits + stats.launch_plan_misses > 0) {
           report.AddMetric(prefix + "plan_hit_rate",
                            stats.launch_plan_hit_rate(), "ratio");
@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
       }
       table.AddRow(
           {name, bench::FmtUs(bench::Mean(latencies)),
-           bench::FmtUs(bench::Percentile(latencies, 99)),
+           bench::FmtUs(p99),
            stats.launch_plan_hits + stats.launch_plan_misses > 0
                ? bench::Fmt("%.0f%%", stats.launch_plan_hit_rate() * 100)
                : std::string("off"),
@@ -207,8 +207,9 @@ int main(int argc, char** argv) {
     // per query; this is what a whole timing-only Run measures.
     std::printf("\n-- measured Run vs modeled host cost per query --\n");
     const DynamicProfile modeled = DynamicProfile::Disc();
-    const double run_hit = bench::Percentile(run_hit_us, 50);
-    const double run_miss = bench::Percentile(run_miss_us, 50);
+    const double run_hit = PercentileOfSorted(bench::Sorted(run_hit_us), 50);
+    const double run_miss =
+        PercentileOfSorted(bench::Sorted(run_miss_us), 50);
     bench::Table cost_table(
         {"path", "measured Run (median)", "modeled", "measured / modeled"});
     cost_table.AddRow({"plan hit", bench::FmtUs(run_hit),

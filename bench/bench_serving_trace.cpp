@@ -30,15 +30,18 @@ int main(int argc, char** argv) {
       DISC_CHECK_OK(engine.status());
       auto latencies = bench::ReplayTrace(engine->get(), model, device);
       DISC_CHECK_OK(latencies.status());
-      std::vector<double> l = *latencies;
+      const std::vector<double>& l = *latencies;
+      const std::vector<double> sorted = bench::Sorted(l);
       std::string prefix = std::string(model_name) + "." + system + ".";
-      report.AddMetric(prefix + "p50_us", bench::Percentile(l, 50), "us");
-      report.AddMetric(prefix + "p99_us", bench::Percentile(l, 99), "us");
+      report.AddMetric(prefix + "p50_us", PercentileOfSorted(sorted, 50),
+                       "us");
+      report.AddMetric(prefix + "p99_us", PercentileOfSorted(sorted, 99),
+                       "us");
       report.AddMetric(prefix + "mean_us", bench::Mean(l), "us");
-      table.AddRow({system, bench::FmtUs(bench::Percentile(l, 50)),
-                    bench::FmtUs(bench::Percentile(l, 95)),
-                    bench::FmtUs(bench::Percentile(l, 99)),
-                    bench::FmtUs(*std::max_element(l.begin(), l.end())),
+      table.AddRow({system, bench::FmtUs(PercentileOfSorted(sorted, 50)),
+                    bench::FmtUs(PercentileOfSorted(sorted, 95)),
+                    bench::FmtUs(PercentileOfSorted(sorted, 99)),
+                    bench::FmtUs(sorted.back()),
                     bench::FmtUs(bench::Mean(l))});
     }
     table.Print();
@@ -62,12 +65,14 @@ int main(int argc, char** argv) {
       DynamicCompilerEngine engine(profile);
       auto latencies = bench::ReplayTrace(&engine, model, device);
       DISC_CHECK_OK(latencies.status());
-      std::vector<double> l = *latencies;
+      const std::vector<double>& l = *latencies;
+      const std::vector<double> sorted = bench::Sorted(l);
       const EngineStats& stats = engine.stats();
       table.AddRow(
           {use_plan_cache ? "plan cache on" : "plan cache off",
-           bench::FmtUs(bench::Percentile(l, 50)),
-           bench::FmtUs(bench::Percentile(l, 99)), bench::FmtUs(bench::Mean(l)),
+           bench::FmtUs(PercentileOfSorted(sorted, 50)),
+           bench::FmtUs(PercentileOfSorted(sorted, 99)),
+           bench::FmtUs(bench::Mean(l)),
            use_plan_cache
                ? bench::Fmt("%.0f%%", stats.launch_plan_hit_rate() * 100)
                : std::string("off")});

@@ -27,7 +27,7 @@
 #include <filesystem>
 #include <unistd.h>
 
-#include "baselines/async_engine.h"
+#include "baselines/dynamic_engine.h"
 #include "baselines/interpreter_engine.h"
 #include "bench/bench_util.h"
 #include "compile_service/compile_service.h"
@@ -130,7 +130,7 @@ LegResult RunLeg(const Graph& graph, const LegConfig& config) {
   options.simulated_cache_load_latency_us = kCacheLoadLatencyUs;
   options.validate_adoptions = config.validate;
   options.simulated_validation_latency_us = kValidationLatencyUs;
-  AsyncCompileEngine engine(
+  DynamicCompilerEngine engine(
       &service,
       std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
       options);
@@ -256,8 +256,8 @@ int main(int argc, char** argv) {
   for (const Leg& leg : legs) {
     LegResult r = RunLeg(*graph, leg.config);
     const std::string prefix = std::string(leg.key) + ".";
-    report.AddMetric(prefix + "p50_us", bench::Percentile(r.latencies, 50),
-                     "us");
+    const double p50 = PercentileOfSorted(bench::Sorted(r.latencies), 50);
+    report.AddMetric(prefix + "p50_us", p50, "us");
     report.AddMetric(prefix + "wrong_results_served",
                      static_cast<double>(r.wrong_results_served), "queries");
     report.AddMetric(prefix + "checked_results",
@@ -276,7 +276,7 @@ int main(int argc, char** argv) {
                      static_cast<double>(r.fallback_queries), "queries");
     report.AddMetric(prefix + "compile_jobs",
                      static_cast<double>(r.compile_jobs), "jobs");
-    table.AddRow({leg.label, bench::FmtUs(bench::Percentile(r.latencies, 50)),
+    table.AddRow({leg.label, bench::FmtUs(p50),
                   std::to_string(r.wrong_results_served),
                   std::to_string(r.validations_run),
                   std::to_string(r.validations_caught),
@@ -395,8 +395,9 @@ int main(int argc, char** argv) {
          ++i) {
       deltas.push_back(on.latencies[i] - off.latencies[i]);
     }
-    double median_delta = bench::Percentile(deltas, 50);
-    double p99_delta = bench::Percentile(deltas, 99);
+    std::sort(deltas.begin(), deltas.end());
+    double median_delta = PercentileOfSorted(deltas, 50);
+    double p99_delta = PercentileOfSorted(deltas, 99);
     report.AddMetric("overhead.median_paired_delta_us", median_delta, "us");
     report.AddMetric("overhead.p99_paired_delta_us", p99_delta, "us");
     std::printf(

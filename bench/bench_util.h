@@ -16,6 +16,7 @@
 #include "support/artifact_dump.h"
 #include "support/json.h"
 #include "support/logging.h"
+#include "support/math_util.h"
 #include "support/trace.h"
 
 namespace disc {
@@ -203,14 +204,10 @@ inline double Mean(const std::vector<double>& values) {
          static_cast<double>(values.size());
 }
 
-inline double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
+/// An ascending copy of `values`, for PercentileOfSorted.
+inline std::vector<double> Sorted(std::vector<double> values) {
   std::sort(values.begin(), values.end());
-  double idx = p / 100.0 * static_cast<double>(values.size() - 1);
-  size_t lo = static_cast<size_t>(idx);
-  size_t hi = std::min(lo + 1, values.size() - 1);
-  double frac = idx - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
+  return values;
 }
 
 }  // namespace bench

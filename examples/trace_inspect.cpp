@@ -40,7 +40,6 @@
 #include <cstring>
 #include <filesystem>
 
-#include "baselines/async_engine.h"
 #include "baselines/baselines.h"
 #include "baselines/dynamic_engine.h"
 #include "baselines/fallback_chain.h"
@@ -273,10 +272,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 4. Serve the same stream through the async compile service: Prepare
-  // submits a prefetch job and returns immediately, early requests degrade
-  // to the interpreter leg, and the compiled executable is hot-swapped in
-  // when its job lands. With the artifact cache enabled (default; disable
+  // 4. Serve the same stream through the DISC engine in service mode (a
+  // CompileService and an interpreter fallback): Prepare submits a
+  // prefetch job and returns immediately, early requests degrade to the
+  // interpreter leg, and the compiled executable is hot-swapped in when
+  // its job lands. With the artifact cache enabled (default; disable
   // via --no-compile-cache) the compiled artifact is persisted and a
   // re-run of this demo restores it from disk instead of compiling. The
   // job timeline below shows submit -> start -> finish per job with its
@@ -293,7 +293,7 @@ int main(int argc, char** argv) {
   CompileService service(service_options);
   AsyncEngineOptions async_options;
   async_options.validate_adoptions = validation;
-  AsyncCompileEngine async_engine(
+  DynamicCompilerEngine async_engine(
       &service,
       std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
       async_options);

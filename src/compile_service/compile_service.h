@@ -14,9 +14,10 @@
 //     sat queued past its budget) is dropped at dequeue, not compiled;
 //   * persistent artifact cache consulted before compiling, populated
 //     after — a warm restart turns every job into a disk hit;
-//   * all submissions return a CompileJobHandle future. The engine serves
-//     through its fallback leg until done() and then hot-swaps the result
-//     in via ExecutableSlot (see hot_swap.h) — the query path never waits.
+//   * all submissions return a CompileJobHandle future. A
+//     DynamicCompilerEngine built with a service serves through its
+//     fallback leg until done() and then hot-swaps the result in via
+//     ExecutableSlot (see hot_swap.h) — the query path never waits.
 //
 // Instrumented with compile_service.* metrics (queue depth, job latency
 // histograms, cache verdicts) and "compile_service"-category trace spans;

@@ -9,8 +9,9 @@
 // confident enough. Unlike the old one-shot `feedback_applied_` flag in
 // DynamicCompilerEngine, the feedback is continuous: when the hot-value
 // profile *shifts* (yesterday's hot batch size is no longer today's), a
-// fresh hint set is emitted and the engine submits a new respecialization
-// job — the compiled executable follows the traffic.
+// fresh hint set is emitted and the engine respecializes again — inline,
+// or as a job on its CompileService — so the compiled executable follows
+// the traffic.
 //
 // The hint ordering contract matters: SymbolicDimManager::AddLikelyValue
 // keeps values unique with the most recent last, and the speculative

@@ -207,7 +207,6 @@ ValidationReport ShadowValidator::Validate(
       incumbent != nullptr ? "incumbent" : "reference-evaluator";
 
   RunOptions run_options;
-  run_options.execute_data = true;
   // Probe runs must not warm or skew the candidate's launch-plan cache
   // stats; validation is observational until the swap.
   run_options.use_launch_plan_cache = false;

@@ -54,20 +54,6 @@ struct SeqState {
   int64_t total_len() const { return req.prompt_len + req.decode_len; }
 };
 
-std::vector<double> SortedCopy(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v;
-}
-
-double Percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  double idx = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  size_t lo = static_cast<size_t>(idx);
-  size_t hi = std::min(lo + 1, sorted.size() - 1);
-  double frac = idx - static_cast<double>(lo);
-  return sorted[lo] * (1 - frac) + sorted[hi] * frac;
-}
-
 }  // namespace
 
 Result<DecodeStats> SimulateDecode(Engine* engine,
@@ -581,15 +567,15 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
     }
   }
 
-  const std::vector<double> sorted_lat = SortedCopy(latencies);
-  sv.p50_us = Percentile(sorted_lat, 50);
-  sv.p95_us = Percentile(sorted_lat, 95);
-  sv.p99_us = Percentile(sorted_lat, 99);
+  std::sort(latencies.begin(), latencies.end());
+  sv.p50_us = PercentileOfSorted(latencies, 50);
+  sv.p95_us = PercentileOfSorted(latencies, 95);
+  sv.p99_us = PercentileOfSorted(latencies, 99);
   double total_lat = 0.0;
-  for (double l : sorted_lat) total_lat += l;
-  sv.mean_us = sorted_lat.empty()
+  for (double l : latencies) total_lat += l;
+  sv.mean_us = latencies.empty()
                    ? 0.0
-                   : total_lat / static_cast<double>(sorted_lat.size());
+                   : total_lat / static_cast<double>(latencies.size());
   sv.throughput_qps =
       clock_us > 0
           ? static_cast<double>(sv.completed) / clock_us * 1e6
@@ -598,9 +584,9 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
       clock_us > 0
           ? static_cast<double>(sv.generated_tokens) / clock_us * 1e6
           : 0.0;
-  const std::vector<double> sorted_tbt = SortedCopy(tbt_gaps);
-  sv.p50_tbt_us = Percentile(sorted_tbt, 50);
-  sv.p99_tbt_us = Percentile(sorted_tbt, 99);
+  std::sort(tbt_gaps.begin(), tbt_gaps.end());
+  sv.p50_tbt_us = PercentileOfSorted(tbt_gaps, 50);
+  sv.p99_tbt_us = PercentileOfSorted(tbt_gaps, 99);
   sv.step_padding_waste =
       total_padded_tokens > 0
           ? 1.0 - static_cast<double>(total_real_tokens) /

@@ -229,19 +229,13 @@ std::string CompileReport::PhaseBreakdown() const {
 
 Result<RunResult> Executable::Run(const std::vector<Tensor>& inputs,
                                   const RunOptions& options) const {
-  if (options.execute_data) return RunInternal(nullptr, &inputs, options);
-  InputDims dims;
-  dims.reserve(inputs.size());
-  for (const Tensor& t : inputs) dims.push_back(t.dims());
-  return RunInternal(&dims, nullptr, options);
+  return RunInternal(nullptr, &inputs, options);
 }
 
 Result<RunResult> Executable::RunWithShapes(
     const std::vector<std::vector<int64_t>>& input_dims,
     const RunOptions& options) const {
-  RunOptions timing_only = options;
-  timing_only.execute_data = false;
-  return RunInternal(&input_dims, nullptr, timing_only);
+  return RunInternal(&input_dims, nullptr, options);
 }
 
 Status Executable::CheckInputs(const std::vector<Tensor>& inputs) const {

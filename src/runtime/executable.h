@@ -50,10 +50,12 @@
 // value is a constant or a host shape-step result (which plans record and
 // replay) is returned as a copy; every other output is fresh per Run.
 //
-// Two run modes:
-//   * data mode      — executes numerics on the CPU and simulates timing;
-//   * timing-only    — skips data movement entirely (shapes suffice), used
-//                      by the benchmarks so sweeps stay fast.
+// Two run modes, one per entry point:
+//   * data mode (Run)             — executes numerics on the CPU and
+//                                   simulates timing;
+//   * timing-only (RunWithShapes) — skips data movement entirely (shapes
+//                                   suffice), used by the benchmarks so
+//                                   sweeps stay fast.
 #ifndef DISC_RUNTIME_EXECUTABLE_H_
 #define DISC_RUNTIME_EXECUTABLE_H_
 
@@ -89,8 +91,6 @@ enum class MemoryMode {
 
 struct RunOptions {
   DeviceSpec device = DeviceSpec::A10();
-  /// When false, Run only simulates timing (outputs stay empty).
-  bool execute_data = true;
   /// Fraction of peak FLOPs the vendor library reaches for GEMM/Conv
   /// (cuBLAS-class 0.85; tuned TVM/TensorRT kernels higher).
   double library_efficiency = 0.85;

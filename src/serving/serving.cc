@@ -456,17 +456,9 @@ Result<ServingStats> SimulateServing(Engine* engine, const ShapeFn& shape_fn,
   }
 
   std::sort(latencies.begin(), latencies.end());
-  auto pct = [&](double p) {
-    if (latencies.empty()) return 0.0;
-    double idx = p / 100.0 * static_cast<double>(latencies.size() - 1);
-    size_t lo = static_cast<size_t>(idx);
-    size_t hi = std::min(lo + 1, latencies.size() - 1);
-    double frac = idx - static_cast<double>(lo);
-    return latencies[lo] * (1 - frac) + latencies[hi] * frac;
-  };
-  stats.p50_us = pct(50);
-  stats.p95_us = pct(95);
-  stats.p99_us = pct(99);
+  stats.p50_us = PercentileOfSorted(latencies, 50);
+  stats.p95_us = PercentileOfSorted(latencies, 95);
+  stats.p99_us = PercentileOfSorted(latencies, 99);
   double total = 0;
   for (double l : latencies) total += l;
   stats.mean_us =

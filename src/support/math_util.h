@@ -1,8 +1,10 @@
 // Integer math helpers shared by shape arithmetic, buffer planning and the
-// device model.
+// device model, and the one exact percentile every latency report uses.
 #ifndef DISC_SUPPORT_MATH_UTIL_H_
 #define DISC_SUPPORT_MATH_UTIL_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -46,6 +48,18 @@ inline int64_t Product(const std::vector<int64_t>& dims) {
 
 /// \brief Greatest common divisor with gcd(0, x) == x.
 inline int64_t Gcd(int64_t a, int64_t b) { return std::gcd(a, b); }
+
+/// \brief Exact `p`-th percentile (0..100) of an ascending-sorted sample:
+/// linear interpolation between the two nearest ranks; 0 when empty.
+inline double PercentileOfSorted(const std::vector<double>& sorted,
+                                 double p) {
+  if (sorted.empty()) return 0.0;
+  double idx = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  size_t lo = static_cast<size_t>(idx);
+  size_t hi = std::min(lo + 1, sorted.size() - 1);
+  double frac = idx - static_cast<double>(lo);
+  return sorted[lo] * (1 - frac) + sorted[hi] * frac;
+}
 
 }  // namespace disc
 

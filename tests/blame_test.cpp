@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/async_engine.h"
 #include "baselines/dynamic_engine.h"
 #include "baselines/fallback_chain.h"
 #include "baselines/interpreter_engine.h"
@@ -198,7 +197,7 @@ TEST(ServingLedgerTest, LedgersValidAcrossAsyncHotSwap) {
   CompileService service(service_options);
   AsyncEngineOptions async_options;
   async_options.simulated_compile_latency_us = 2000.0;  // deterministic gate
-  AsyncCompileEngine engine(
+  DynamicCompilerEngine engine(
       &service,
       std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
       async_options);

@@ -16,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/async_engine.h"
 #include "baselines/dynamic_engine.h"
 #include "baselines/interpreter_engine.h"
 #include "compile_service/profile_feedback.h"
@@ -245,7 +244,7 @@ TEST(CompileServiceTest, QueryDuringInFlightCompileServesFallback) {
   std::atomic<bool> compiling{false};
 
   AsyncEngineOptions options;
-  AsyncCompileEngine engine(
+  DynamicCompilerEngine engine(
       &service,
       std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
       options);
@@ -612,7 +611,7 @@ TEST(CompileServiceTest, AsyncEngineRunsWithItsProfilesMemorySettings) {
   AsyncEngineOptions options;
   options.profile = arena;
   options.sync_compile = true;
-  AsyncCompileEngine engine(
+  DynamicCompilerEngine engine(
       &service,
       std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
       options);
@@ -632,7 +631,7 @@ TEST(CompileServiceTest, AsyncEngineRunsWithItsProfilesMemorySettings) {
   EXPECT_EQ(engine.stats().last_predicted_peak_bytes, *want_peak);
 
   options.profile.memory_limit_bytes = 1024;
-  AsyncCompileEngine limited(
+  DynamicCompilerEngine limited(
       &service,
       std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
       options);
@@ -646,7 +645,7 @@ TEST(CompileServiceTest, AsyncEngineRunsWithItsProfilesMemorySettings) {
 TEST(CompileServiceTest, WorkerFaultFailsJobAndFallbackKeepsServing) {
   auto g = EwModel("doomed");
   CompileService service;
-  AsyncCompileEngine engine(
+  DynamicCompilerEngine engine(
       &service,
       std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()));
 
@@ -807,29 +806,40 @@ TEST(CompileServiceTest, FlatDistributionEmitsNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine integration: the DynamicCompilerEngine satellite.
+// Engine integration: profile feedback through the service, and the
+// inline and service modes of the one engine.
+
+std::unique_ptr<Engine> Interpreter() {
+  return std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch());
+}
 
 TEST(CompileServiceTest, EngineRespecializesThroughServiceOffTheQueryThread) {
   auto g = EwModel();
   CompileService service;
-  DynamicProfile profile = DynamicProfile::DiscWithSpeculation();
-  DynamicCompilerEngine engine(profile);
-  engine.set_compile_service(&service);
+  AsyncEngineOptions options;
+  options.profile = DynamicProfile::DiscWithSpeculation();
+  DynamicCompilerEngine engine(&service, Interpreter(), options);
   ASSERT_TRUE(engine.Prepare(*g, {{"B", "S"}}).ok());
+  service.Drain();  // the prefetch compile
 
   std::vector<std::vector<int64_t>> hot = {{512, 1024}};
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(engine.Query(hot, DeviceSpec::T4()).ok());
   }
-  // The respecialization ran in the background, not on the query thread.
+  // The eighth query tripped the feedback and submitted the
+  // respecialization; nothing compiled on the query thread (the one
+  // compilation is the adopted prefetch).
   EXPECT_EQ(engine.respecializations(), 1);
+  EXPECT_EQ(engine.stats().compilations, 1);
   service.Drain();
-  EXPECT_EQ(service.stats().compiled, 1);
+  EXPECT_EQ(service.stats().compiled, 2);
 
-  // A later query adopts the specialized executable.
+  // A later query adopts the specialized executable, which counts as a
+  // compilation.
   auto before = engine.stats().compilations;
   ASSERT_TRUE(engine.Query(hot, DeviceSpec::T4()).ok());
   EXPECT_EQ(engine.stats().compilations, before + 1);
+  EXPECT_EQ(engine.swaps(), 2);
 
   // The traffic shifts; the profile respecializes again (the old one-shot
   // feedback_applied_ flag would have stopped after the first).
@@ -840,24 +850,113 @@ TEST(CompileServiceTest, EngineRespecializesThroughServiceOffTheQueryThread) {
   service.Drain();
   ASSERT_TRUE(engine.Query(shifted, DeviceSpec::T4()).ok());
   EXPECT_GE(engine.respecializations(), 2);
+  EXPECT_GE(engine.stats().compilations, 3);
 }
 
-TEST(CompileServiceTest, SyncCompileFallbackPreservesBlockingBehavior) {
+TEST(CompileServiceTest, KernelRegretSubmitsRespecializationJob) {
   auto g = EwModel();
   CompileService service;
-  DynamicProfile profile = DynamicProfile::DiscWithSpeculation();
-  profile.sync_compile_fallback = true;
-  DynamicCompilerEngine engine(profile);
-  engine.set_compile_service(&service);
+  AsyncEngineOptions options;
+  options.profile = DynamicProfile::DiscWithSpeculation();
+  DynamicCompilerEngine engine(&service, Interpreter(), options);
   ASSERT_TRUE(engine.Prepare(*g, {{"B", "S"}}).ok());
-  std::vector<std::vector<int64_t>> hot = {{512, 1024}};
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(engine.Query(hot, DeviceSpec::T4()).ok());
+  service.Drain();
+  // Four flat observations: below min_observations, nothing trips.
+  for (int64_t b : {4, 5, 6, 7}) {
+    ASSERT_TRUE(engine.Query({{b, 8}}, DeviceSpec::T4()).ok());
   }
-  // Recompiled synchronously on the query thread: visible immediately,
-  // no service job involved.
-  EXPECT_EQ(engine.stats().compilations, 2);
-  EXPECT_EQ(service.stats().submitted, 0);
+  ASSERT_EQ(engine.respecializations(), 0);
+
+  // The regret-weighted sighting makes {512, 1024} the confident hot
+  // value: a respecialization job goes to the service, not the caller.
+  const int64_t submitted = service.stats().submitted;
+  ASSERT_TRUE(engine.NoteKernelRegret({{512, 1024}}, 5.0).ok());
+  EXPECT_EQ(engine.respecializations(), 1);
+  EXPECT_EQ(service.stats().submitted, submitted + 1);
+  EXPECT_EQ(engine.stats().compilations, 1);
+  service.Drain();
+  ASSERT_TRUE(engine.Query({{512, 1024}}, DeviceSpec::T4()).ok());
+  EXPECT_EQ(engine.swaps(), 2);
+}
+
+TEST(CompileServiceTest, InlineAndServiceModesAgree) {
+  auto g = EwModel();
+  const std::vector<std::vector<std::string>> labels = {{"B", "S"}};
+  // A hot shape long enough to trip DiscWithSpeculation's feedback (after
+  // 8 queries), then a cold tail.
+  std::vector<std::vector<std::vector<int64_t>>> trace(12, {{512, 1024}});
+  for (int64_t b : {3, 64, 17}) trace.push_back({{b, 96}});
+
+  for (const DynamicProfile& profile :
+       {DynamicProfile::Disc(), DynamicProfile::DiscWithSpeculation()}) {
+    SCOPED_TRACE(profile.name);
+    DynamicCompilerEngine inline_engine(profile);
+    CompileService service;
+    AsyncEngineOptions options;
+    options.profile = profile;
+    DynamicCompilerEngine service_engine(&service, Interpreter(), options);
+    ASSERT_TRUE(inline_engine.Prepare(*g, labels).ok());
+    ASSERT_TRUE(service_engine.Prepare(*g, labels).ok());
+    service.Drain();
+
+    // The service engine adopts on its first query, then runs the same
+    // installs as the inline engine. A respecialization lands there one
+    // query later (its job finishes after the query that submitted it),
+    // so the query that trips it and the next, whose plan-cache states
+    // differ, are not compared.
+    int compared = 0;
+    for (size_t q = 0; q < trace.size(); ++q) {
+      const bool in_step = q == 0 || service_engine.swaps() ==
+                                         inline_engine.swaps();
+      auto want = inline_engine.Query(trace[q], DeviceSpec::T4());
+      auto got = service_engine.Query(trace[q], DeviceSpec::T4());
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      service.Drain();
+      if (!in_step || service_engine.swaps() != inline_engine.swaps()) {
+        continue;
+      }
+      ++compared;
+      EXPECT_EQ(got->total_us, want->total_us) << "query " << q;
+      EXPECT_EQ(got->device_us, want->device_us) << "query " << q;
+      EXPECT_EQ(got->host_us, want->host_us) << "query " << q;
+      EXPECT_EQ(got->compile_us, want->compile_us) << "query " << q;
+      EXPECT_EQ(got->alloc_us, want->alloc_us) << "query " << q;
+      EXPECT_EQ(got->kernel_launches, want->kernel_launches) << "query " << q;
+      EXPECT_EQ(got->bytes_moved, want->bytes_moved) << "query " << q;
+      EXPECT_EQ(got->padded_waste_bytes, want->padded_waste_bytes)
+          << "query " << q;
+      EXPECT_EQ(got->peak_memory_bytes, want->peak_memory_bytes)
+          << "query " << q;
+    }
+    const bool respecialized = profile.feedback_after > 0;
+    EXPECT_EQ(compared, static_cast<int>(trace.size()) -
+                            (respecialized ? 2 : 0));
+    EXPECT_EQ(service_engine.stats().fallback_queries, 0);
+    EXPECT_EQ(service_engine.respecializations(),
+              inline_engine.respecializations());
+    EXPECT_EQ(service_engine.respecializations(), respecialized ? 1 : 0);
+    EXPECT_EQ(service_engine.stats().compilations,
+              inline_engine.stats().compilations);
+
+    // Every distinct shape of the trace: the last hot query and the tail.
+    for (size_t q = trace.size() - 4; q < trace.size(); ++q) {
+      const auto& dims = trace[q][0];
+      Tensor in(DType::kF32, dims);
+      Rng rng(q + 1);
+      for (int64_t i = 0; i < in.num_elements(); ++i) {
+        in.f32_data()[i] = rng.Normal();
+      }
+      auto want = inline_engine.Execute({in});
+      auto got = service_engine.Execute({in});
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_EQ(got->size(), want->size());
+      for (size_t o = 0; o < got->size(); ++o) {
+        EXPECT_TRUE(Tensor::BitEqual((*got)[o], (*want)[o])) << "query " << q;
+      }
+    }
+  }
 }
 
 }  // namespace

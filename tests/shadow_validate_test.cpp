@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/async_engine.h"
+#include "baselines/dynamic_engine.h"
 #include "baselines/interpreter_engine.h"
 #include "compile_service/compile_service.h"
 #include "compile_service/hot_swap.h"
@@ -309,7 +309,7 @@ TEST_F(ShadowValidateTest, EngineAdmitsCleanCandidateAfterValidation) {
   CompileService service;
   AsyncEngineOptions options;
   options.validate_adoptions = true;
-  AsyncCompileEngine engine(
+  DynamicCompilerEngine engine(
       &service,
       std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
       options);
@@ -339,7 +339,7 @@ TEST_F(ShadowValidateTest, EngineRejectsAndQuarantinesMiscompiledCandidate) {
   CompileService service;
   AsyncEngineOptions options;
   options.validate_adoptions = true;
-  AsyncCompileEngine engine(
+  DynamicCompilerEngine engine(
       &service,
       std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
       options);
@@ -379,7 +379,7 @@ TEST_F(ShadowValidateTest, RuntimeGuardViolationRollsBackAndPoisons) {
   CompileService service;
   AsyncEngineOptions options;
   options.profile.feedback_after = 4;  // enables respecialization
-  AsyncCompileEngine engine(
+  DynamicCompilerEngine engine(
       &service,
       std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
       options);
@@ -442,7 +442,7 @@ TEST_F(ShadowValidateTest, QuarantineSurvivesWarmRestartWithZeroCompiles) {
     CompileService service(service_options);
     AsyncEngineOptions options;
     options.validate_adoptions = true;
-    AsyncCompileEngine engine(
+    DynamicCompilerEngine engine(
         &service,
         std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
         options);
@@ -463,7 +463,7 @@ TEST_F(ShadowValidateTest, QuarantineSurvivesWarmRestartWithZeroCompiles) {
   CompileService restarted(service_options);
   AsyncEngineOptions options;
   options.validate_adoptions = true;
-  AsyncCompileEngine engine(
+  DynamicCompilerEngine engine(
       &restarted,
       std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
       options);
