@@ -185,10 +185,9 @@ int main(int argc, char** argv) {
     DISC_CHECK_EQ(engine.respecializations(), 0)
         << "12 queries stay below min_observations; nothing should trip yet";
 
-    // Close the loop: the audit's verdict becomes a respecialization. The
-    // swap keeps the audited executable alive as the slot's rollback
-    // generation, so the ledger would keep its entries; clearing the
-    // ledger first makes the later audit see only the new executable.
+    // Close the loop: the audit's verdict becomes a respecialization, and
+    // the inline swap releases the audited executable. Clearing the ledger
+    // first makes the later audit see only the new executable.
     ledger.Clear();
     DISC_CHECK_OK(engine.NoteKernelRegret({{kHotBatch, kHidden}},
                                           hot_before.regret_us));

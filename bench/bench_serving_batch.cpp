@@ -60,13 +60,14 @@ int main(int argc, char** argv) {
   struct Config {
     const char* engine;
     PadPolicy pad;
+    int64_t max_batch;
     const char* label;
   };
   const Config configs[] = {
-      {"DISC", PadPolicy::kBatchMax, "DISC, pad to batch max"},
-      {"DISC", PadPolicy::kBucketPow2, "DISC, pow2 buckets (ablation)"},
-      {"TensorRT", PadPolicy::kBucketPow2, "TensorRT, pow2 buckets"},
-      {"PyTorch", PadPolicy::kNone, "PyTorch eager, no batching"},
+      {"DISC", PadPolicy::kBatchMax, 8, "DISC, pad to batch max"},
+      {"DISC", PadPolicy::kBucketPow2, 8, "DISC, pow2 buckets (ablation)"},
+      {"TensorRT", PadPolicy::kBucketPow2, 8, "TensorRT, pow2 buckets"},
+      {"PyTorch", PadPolicy::kBatchMax, 1, "PyTorch eager, no batching"},
   };
 
   for (double mean_gap_us : {200.0, 40.0}) {
@@ -90,6 +91,7 @@ int main(int argc, char** argv) {
       }
       BatcherOptions options;
       options.pad = config.pad;
+      options.max_batch = config.max_batch;
       auto stats = SimulateServing(engine->get(), shape_fn, requests,
                                    options, device);
       DISC_CHECK_OK(stats.status());

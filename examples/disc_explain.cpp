@@ -1,9 +1,16 @@
-// Compilation-introspection CLI: "why was (or wasn't) this pair fused,
-// and which shape constraint decided it?"
+// The one inspection CLI: compile-time decisions, runtime traces, serving
+// and decode. Three modes share one flag parser, one compile-service /
+// failpoint / metrics printer and one Chrome-trace writer: --trace=<file>
+// records every layer's spans (compile phases and passes, per-Run plan
+// hit/miss, kernel launches, serving and decode steps on the simulated
+// clock) for chrome://tracing or https://ui.perfetto.dev.
 //
-// Compiles a named model with decision recording on, optionally dumps the
-// full artifact set, and answers queries against the decision and
-// constraint logs:
+// Introspection (the default): "why was (or wasn't) this pair fused, and
+// which shape constraint decided it?" Compiles a named model through the
+// compile service (a later run restores it from the artifact cache at
+// --cache-dir) with decision recording on, optionally dumps the full
+// artifact set, and answers queries against the decision and constraint
+// logs:
 //
 //   $ disc_explain --model=bert --dump-dir=/tmp/bert_dump
 //   $ disc_explain --model=softmax --why-not-fused=3,5
@@ -14,14 +21,6 @@
 //   $ disc_explain --model=gelu-glue --hotspots
 //   $ disc_explain --model=gelu-glue --no-specialization --regret
 //   $ disc_explain --model=softmax --no-compile-cache --validation
-//   $ disc_explain --decode [--decode-json=decode_timeline.json]
-//
-// --decode prints the continuous-batching step timeline — per-step batch
-// occupancy, joins/retires/preemptions, KV-pool blocks with the
-// high-water step flagged — from a decode_timeline.json dump written by
-// `trace_inspect --decode` or bench_decode_serving. When the dump does
-// not exist yet, a small synthetic decode replay is run first to produce
-// one, so the flag also works standalone.
 //
 // --hotspots replays the model's shape trace with the kernel observatory
 // enabled and prints the per-(kernel, variant, signature) device-time
@@ -29,21 +28,49 @@
 // launch-bound vs memory-bound split. --regret additionally runs the
 // counterfactual variant-regret audit (joined to the fusion decisions
 // that formed each kernel's group). Both write kernel_profile.json.
+// --validation replays the shape trace plus the guard-boundary probes of
+// the compiled variants through the executable and the reference
+// evaluator, and exports the verdict as validation_report.json.
 //
-// Node ids are the %N value ids shown in the IR dumps (module_*.ir) and in
-// `--decisions` output. Models: the F2 micro workloads (softmax, layernorm,
-// gelu-glue) plus the full model suite (mlp, bert, seq2seq-step, crnn,
-// fastspeech2, dlrm, ...).
+// --serve (model default seq2seq-step): compiles the model directly, so
+// compile_service.* failpoints hit the serving engine's job; replays its
+// shape trace; serves a synthetic request stream through the
+// DISC->interpreter fallback chain; then serves it twice through a
+// service-mode engine, whose artifact cache (disc_explain.serve.cache,
+// wiped at start) is its own. --blame adds the p99 tail-blame report
+// (blame_report.json, re-parsed: "blame_report=ok") and joins each
+// retained outlier to the kernels of the Run that served it.
+//
+//   $ disc_explain --serve --trace=serve.trace.json [--blame]
+//
+// --decode: a synthetic decode trace replays through the continuous-
+// batching scheduler on the compiled GPT step-batch model. The step
+// timeline is written to decode_timeline.json and printed, ending in the
+// greppable "decode_timeline=ok ... accounting=" line. With
+// DISC_FAILPOINTS arming runtime.alloc, memory pressure must surface as
+// preemptions, not failures.
+//
+// --serve's direct compile honours --dump-dir, --dump-filter,
+// --static-shapes-only and --no-specialization; the other introspection
+// queries are ignored by --serve and --decode. Node ids are the %N value
+// ids shown in the IR dumps (module_*.ir) and in `--decisions` output. Models: the F2 micro workloads (softmax,
+// layernorm, gelu-glue) plus the full model suite (mlp, bert,
+// seq2seq-step, crnn, fastspeech2, dlrm, ...).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/dynamic_engine.h"
+#include "baselines/fallback_chain.h"
+#include "baselines/interpreter_engine.h"
 #include "compile_service/compile_service.h"
 #include "compile_service/shadow_validate.h"
 #include "compiler/compiler.h"
@@ -51,10 +78,15 @@
 #include "decode/decode_scheduler.h"
 #include "ir/builder.h"
 #include "models/models.h"
+#include "serving/serving.h"
 #include "support/artifact_dump.h"
+#include "support/blame.h"
 #include "support/failpoint.h"
+#include "support/flight_recorder.h"
 #include "support/kernel_profile.h"
+#include "support/metrics.h"
 #include "support/string_util.h"
+#include "support/trace.h"
 
 namespace disc {
 namespace {
@@ -383,70 +415,14 @@ int RunObservatory(const Executable& exe, const Workload& workload,
   return 0;
 }
 
-// Prints the decode step timeline from a decode_timeline.json dump. A
-// missing dump is produced on the spot by a small synthetic replay (real
-// compiled GPT step-batch model), so `disc_explain --decode` works both
-// as a viewer for another tool's dump and standalone.
-int ShowDecodeTimeline(const std::string& path) {
-  auto text = ReadFileToString(path);
-  if (!text.ok()) {
-    std::printf("no dump at %s — running a synthetic decode replay to "
-                "produce one\n\n",
-                path.c_str());
-    ModelConfig config;
-    config.hidden = 32;
-    config.trace_length = 4;
-    Model model = BuildGptStepBatch(config);
-    DynamicCompilerEngine engine(DynamicProfile::Disc());
-    if (!engine.Prepare(*model.graph, model.input_dim_labels).ok()) {
-      std::fprintf(stderr, "decode engine setup failed\n");
-      return 1;
-    }
-    DecodeOptions options;
-    options.max_batch = 8;
-    options.kv.capacity_blocks = 96;
-    options.kv.block_tokens = 16;
-    options.kv.bytes_per_token = 2 * config.hidden * sizeof(float);
-    auto stats = SimulateDecode(&engine, GptStepBatchShapeFn(config.hidden),
-                                SyntheticDecodeStream(48, 40.0, 11), options,
-                                DeviceSpec::A10());
-    if (!stats.ok()) {
-      std::fprintf(stderr, "decode replay failed: %s\n",
-                   stats.status().ToString().c_str());
-      return 1;
-    }
-    Status wrote = stats->WriteTimelineJson(path);
-    if (!wrote.ok()) {
-      std::fprintf(stderr, "%s\n", wrote.ToString().c_str());
-      return 1;
-    }
-    text = ReadFileToString(path);
-    if (!text.ok()) {
-      std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-      return 1;
-    }
-  }
-  auto rendered = FormatDecodeTimelineJson(*text);
-  if (!rendered.ok()) {
-    std::fprintf(stderr, "decode_timeline=invalid: %s\n",
-                 rendered.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("%s", rendered->c_str());
-  std::printf("\ndecode_timeline=ok path=%s\n", path.c_str());
-  return 0;
-}
-
-}  // namespace
-}  // namespace disc
-
-int main(int argc, char** argv) {
-  using namespace disc;
-  std::string model_name = "softmax";
+struct Flags {
+  std::string model;
   std::string dump_dir;
   std::string filter;
   std::string why_pair;
   std::string cache_dir = "disc_explain.cache";
+  std::string profile_json = "kernel_profile.json";
+  std::string trace_path;
   bool no_compile_cache = false;
   bool static_only = false;
   bool list_decisions = false;
@@ -455,145 +431,165 @@ int main(int argc, char** argv) {
   bool show_hotspots = false;
   bool show_regret = false;
   bool no_specialization = false;
-  bool run_validation = false;
-  bool show_decode = false;
-  std::string decode_json = "decode_timeline.json";
-  std::string profile_json = "kernel_profile.json";
+  bool validation = false;
+  bool serve = false;
+  bool blame = false;
+  bool decode = false;
+};
+
+constexpr char kUsage[] =
+    "usage: disc_explain [--serve [--blame] | --decode] [--model=<name>]\n"
+    "           [--trace=<file>] [--dump-dir=<dir>] [--dump-filter=<substr>]\n"
+    "           [--why-not-fused=A,B] [--static-shapes-only] [--decisions]\n"
+    "           [--constraints] [--memory-plan] [--hotspots] [--regret]\n"
+    "           [--no-specialization] [--profile-json=<path>]\n"
+    "           [--cache-dir=<dir>] [--no-compile-cache] [--validation]\n";
+
+bool ParseFlags(int argc, char** argv, Flags* f) {
+  const std::pair<const char*, std::string*> values[] = {
+      {"--model=", &f->model},           {"--dump-dir=", &f->dump_dir},
+      {"--dump-filter=", &f->filter},    {"--why-not-fused=", &f->why_pair},
+      {"--cache-dir=", &f->cache_dir},   {"--profile-json=", &f->profile_json},
+      {"--trace=", &f->trace_path}};
+  const std::pair<const char*, bool*> switches[] = {
+      {"--no-compile-cache", &f->no_compile_cache},
+      {"--static-shapes-only", &f->static_only},
+      {"--decisions", &f->list_decisions},
+      {"--constraints", &f->list_constraints},
+      {"--memory-plan", &f->show_memory_plan},
+      {"--hotspots", &f->show_hotspots},
+      {"--regret", &f->show_regret},
+      {"--no-specialization", &f->no_specialization},
+      {"--validation", &f->validation},
+      {"--serve", &f->serve},
+      {"--blame", &f->blame},
+      {"--decode", &f->decode}};
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--model=", 8) == 0) {
-      model_name = arg + 8;
-    } else if (std::strncmp(arg, "--dump-dir=", 11) == 0) {
-      dump_dir = arg + 11;
-    } else if (std::strncmp(arg, "--dump-filter=", 14) == 0) {
-      filter = arg + 14;
-    } else if (std::strncmp(arg, "--why-not-fused=", 16) == 0) {
-      why_pair = arg + 16;
-    } else if (std::strncmp(arg, "--cache-dir=", 12) == 0) {
-      cache_dir = arg + 12;
-    } else if (std::strcmp(arg, "--no-compile-cache") == 0) {
-      no_compile_cache = true;
-    } else if (std::strcmp(arg, "--static-shapes-only") == 0) {
-      static_only = true;
-    } else if (std::strcmp(arg, "--decisions") == 0) {
-      list_decisions = true;
-    } else if (std::strcmp(arg, "--constraints") == 0) {
-      list_constraints = true;
-    } else if (std::strcmp(arg, "--memory-plan") == 0) {
-      show_memory_plan = true;
-    } else if (std::strcmp(arg, "--hotspots") == 0) {
-      show_hotspots = true;
-    } else if (std::strcmp(arg, "--regret") == 0) {
-      show_regret = true;
-    } else if (std::strcmp(arg, "--no-specialization") == 0) {
-      no_specialization = true;
-    } else if (std::strcmp(arg, "--validation") == 0) {
-      run_validation = true;
-    } else if (std::strcmp(arg, "--decode") == 0) {
-      show_decode = true;
-    } else if (std::strncmp(arg, "--decode-json=", 14) == 0) {
-      show_decode = true;
-      decode_json = arg + 14;
-    } else if (std::strncmp(arg, "--profile-json=", 15) == 0) {
-      profile_json = arg + 15;
-    } else {
-      std::fprintf(
-          stderr,
-          "usage: disc_explain --model=<name> [--dump-dir=<dir>]\n"
-          "           [--dump-filter=<substr>] [--why-not-fused=A,B]\n"
-          "           [--static-shapes-only] [--decisions] [--constraints]\n"
-          "           [--memory-plan] [--hotspots] [--regret]\n"
-          "           [--no-specialization] [--profile-json=<path>]\n"
-          "           [--cache-dir=<dir>] [--no-compile-cache]\n"
-          "           [--validation] [--decode] [--decode-json=<path>]\n");
-      return 2;
-    }
+    const std::string arg = argv[i];
+    auto known = [&]() {
+      for (const auto& [name, value] : values) {
+        if (StartsWith(arg, name)) {
+          *value = arg.substr(std::strlen(name));
+          return true;
+        }
+      }
+      for (const auto& [name, value] : switches) {
+        if (arg != name) continue;
+        *value = true;
+        return true;
+      }
+      return false;
+    };
+    if (!known()) return false;
   }
-  // --decode is a pure dump viewer: no model compile involved.
-  if (show_decode) return ShowDecodeTimeline(decode_json);
-  // Introspection artifacts are written only by a real compile, so a dump
-  // request disables the artifact cache (a disk restore would silently
-  // skip the dump).
-  if (!dump_dir.empty()) no_compile_cache = true;
+  return true;
+}
 
-  auto workload = BuildWorkload(model_name);
-  if (!workload.ok()) {
-    std::fprintf(stderr, "%s\n", workload.status().ToString().c_str());
-    return 2;
-  }
+// Prints a failed step's status; true when `status` is an error.
+bool Failed(const Status& status, const char* what) {
+  if (status.ok()) return false;
+  std::fprintf(stderr, "%s failed: %s\n", what, status.ToString().c_str());
+  return true;
+}
 
-  CompileOptions options = static_only ? CompileOptions::NoSymbolicShapes()
-                           : no_specialization
+CompileOptions InspectedCompileOptions(const Flags& f) {
+  CompileOptions options = f.static_only ? CompileOptions::NoSymbolicShapes()
+                           : f.no_specialization
                                ? CompileOptions::NoSpecialization()
                                : CompileOptions();
-  options.dump.dir = dump_dir;
-  options.dump.filter = filter;
+  options.dump.dir = f.dump_dir;
+  options.dump.filter = f.filter;
+  return options;
+}
 
+// Differential validation: replays the workload's shape trace (plus the
+// guard-boundary probes derived from the compiled variants) through the
+// executable and the IR reference evaluator — the check the engine's
+// admission gate runs. With DISC_FAILPOINTS arming kernel.miscompile /
+// kernel.guard.mispredict at compile time, this is the from-the-outside
+// proof that it catches a wrong executable before it could serve.
+int RunValidation(const Executable& exe, const Workload& workload,
+                  const std::string& key_id) {
+  ShadowValidator validator;
+  std::vector<std::vector<std::vector<int64_t>>> observed(
+      workload.trace.begin(), workload.trace.end());
+  std::vector<ProbeBinding> probes =
+      validator.BuildProbes(exe, workload.labels, observed, {}, {});
+  ValidationReport report =
+      validator.Validate(exe, /*incumbent=*/nullptr, *workload.graph, probes,
+                         workload.name, key_id);
+  std::printf("\n== differential validation (vs reference evaluator) ==\n");
+  std::printf("%s\n", report.Summary().c_str());
+  for (const ProbeOutcome& po : report.outcomes) {
+    std::printf("  probe %-18s %-9s %s%s%s\n", po.signature.c_str(),
+                po.source.c_str(), po.outcome.c_str(),
+                po.detail.empty() ? "" : ": ", po.detail.c_str());
+  }
+  const char* path = "validation_report.json";
+  if (Failed(report.WriteJsonFile(path), "writing the validation report")) {
+    return 1;
+  }
+  std::printf("validation_report=ok verdict=%s probes=%lld path=%s\n",
+              report.verdict(), static_cast<long long>(report.probes), path);
+  return 0;
+}
+
+int RunIntrospection(const Flags& flags, const Workload& workload,
+                     CompileService* service) {
   // The compile goes through the service so a previous invocation's
   // artifact (same model, same options) restores from the persistent
   // cache instead of recompiling — the job timeline printed at the end
   // shows which happened.
-  CompileServiceOptions service_options;
-  if (!no_compile_cache) service_options.cache.dir = cache_dir;
-  CompileService service(service_options);
   CompileJobRequest request;
-  request.model_name = workload->name;
-  request.graph = workload->graph.get();
-  request.labels = workload->labels;
-  request.options = options;
+  request.model_name = workload.name;
+  request.graph = workload.graph.get();
+  request.labels = workload.labels;
+  request.options = InspectedCompileOptions(flags);
   request.priority = JobPriority::kForegroundMiss;
-  CompileJobHandle job = service.Submit(std::move(request));
+  CompileJobHandle job = service->Submit(std::move(request));
   const CompileJobOutcome& outcome = job.Wait();
-  if (!outcome.status.ok()) {
-    std::fprintf(stderr, "compile failed: %s\n",
-                 outcome.status.ToString().c_str());
-    // A failed compile with failpoints armed is usually the failpoint
-    // firing — say so, with hit/fire counts.
-    std::string failpoints = FailpointRegistry::Global().Summary();
-    if (!failpoints.empty()) {
-      std::fprintf(stderr, "active failpoints (DISC_FAILPOINTS):\n%s",
-                   failpoints.c_str());
-    }
-    return 1;
-  }
-  std::shared_ptr<const Executable> exe = outcome.executable;
+  // A failed compile with failpoints armed is usually the failpoint
+  // firing; the summary printed at the end shows its hit/fire counts.
+  if (Failed(outcome.status, "compile")) return 1;
+  const Executable& exe = *outcome.executable;
 
   std::printf("model %s%s: %zu nodes -> %zu fusion groups%s\n",
-              workload->name.c_str(),
-              static_only ? " (static-shapes-only ablation)" : "",
-              exe->graph().nodes().size(), exe->plan().groups.size(),
+              workload.name.c_str(),
+              flags.static_only ? " (static-shapes-only ablation)" : "",
+              exe.graph().nodes().size(), exe.plan().groups.size(),
               outcome.from_disk_cache ? " (restored from artifact cache)"
                                       : "");
-  if (!dump_dir.empty()) {
-    std::printf("artifacts dumped to %s/\n", dump_dir.c_str());
+  if (!flags.dump_dir.empty()) {
+    std::printf("artifacts dumped to %s/\n", flags.dump_dir.c_str());
   }
   std::printf("\n");
 
-  if (show_memory_plan) PrintMemoryPlan(*exe);
+  if (flags.show_memory_plan) PrintMemoryPlan(exe);
 
-  if (list_decisions ||
-      (why_pair.empty() && !list_constraints && !show_memory_plan &&
-       !show_hotspots && !show_regret && !run_validation)) {
+  if (flags.list_decisions ||
+      (flags.why_pair.empty() && !flags.list_constraints &&
+       !flags.show_memory_plan && !flags.show_hotspots && !flags.show_regret &&
+       !flags.validation)) {
     std::printf("== fusion decisions (final verdict per considered pair) ==\n");
-    for (const FusionDecision& d : exe->plan().decisions) {
+    for (const FusionDecision& d : exe.plan().decisions) {
       std::printf("  %s\n", d.ToString().c_str());
     }
-    if (exe->plan().decisions.empty()) {
+    if (exe.plan().decisions.empty()) {
       std::printf("  (none — fusion disabled or nothing adjacent)\n");
     }
-    std::printf("\n== fusion groups ==\n%s\n", exe->plan().ToString().c_str());
+    std::printf("\n== fusion groups ==\n%s\n", exe.plan().ToString().c_str());
   }
 
-  if (list_constraints) {
+  if (flags.list_constraints) {
     std::printf("== excavated shape constraints (discovery order) ==\n");
-    for (const ConstraintRecord& r : exe->analysis().constraint_log()) {
+    for (const ConstraintRecord& r : exe.analysis().constraint_log()) {
       std::printf("  %s\n", r.ToString().c_str());
     }
     std::printf("\n");
   }
 
-  if (!why_pair.empty()) {
-    size_t comma = why_pair.find(',');
+  if (!flags.why_pair.empty()) {
+    size_t comma = flags.why_pair.find(',');
     if (comma == std::string::npos) {
       std::fprintf(stderr, "--why-not-fused wants two ids: A,B\n");
       return 2;
@@ -603,57 +599,324 @@ int main(int argc, char** argv) {
       if (!s.empty() && s[0] == '%') s.erase(0, 1);
       return std::atoi(s.c_str());
     };
-    int a = parse_id(why_pair.substr(0, comma));
-    int b = parse_id(why_pair.substr(comma + 1));
-    WhyNotFused(*exe, a, b);
+    WhyNotFused(exe, parse_id(flags.why_pair.substr(0, comma)),
+                parse_id(flags.why_pair.substr(comma + 1)));
   }
 
-  if (show_hotspots || show_regret) {
-    int rc = RunObservatory(*exe, *workload, show_regret, profile_json);
+  if (flags.show_hotspots || flags.show_regret) {
+    int rc = RunObservatory(exe, workload, flags.show_regret,
+                            flags.profile_json);
     if (rc != 0) return rc;
   }
+  if (flags.validation) {
+    return RunValidation(exe, workload, outcome.key.ToId());
+  }
+  return 0;
+}
 
-  // Differential validation: replay the workload's shape trace (plus the
-  // guard-boundary probes derived from the compiled variants) through the
-  // executable and the IR reference evaluator. With DISC_FAILPOINTS
-  // arming kernel.miscompile / kernel.guard.mispredict at compile time,
-  // this is the from-the-outside proof that the admission gate catches a
-  // wrong executable before it could serve.
-  if (run_validation) {
-    ShadowValidator validator;
-    std::vector<std::vector<std::vector<int64_t>>> observed(
-        workload->trace.begin(), workload->trace.end());
-    std::vector<ProbeBinding> probes = validator.BuildProbes(
-        *exe, workload->labels, observed, {}, {});
-    ValidationReport vreport =
-        validator.Validate(*exe, /*incumbent=*/nullptr, *workload->graph,
-                           probes, workload->name, outcome.key.ToId());
-    std::printf("\n== differential validation (vs reference evaluator) ==\n");
-    std::printf("%s\n", vreport.Summary().c_str());
-    for (const ProbeOutcome& po : vreport.outcomes) {
-      std::printf("  probe %-18s %-9s %s%s%s\n", po.signature.c_str(),
-                  po.source.c_str(), po.outcome.c_str(),
-                  po.detail.empty() ? "" : ": ", po.detail.c_str());
+// --serve. Every step lands in the trace: compile-phase spans, per-Run
+// plan=miss/plan=hit spans, and per-request spans (batch formation, queue
+// wait, execution) on the simulated clock.
+int RunServe(const Flags& flags, const Workload& workload,
+             CompileService* service) {
+  TailBlameAggregator blame_aggregator;
+  if (flags.blame) {
+    FlightRecorder::Global().Enable();
+    // Kernel ledger alongside the flight recorder: an outlier's trace id
+    // joins to the per-kernel breakdown of the Run that served it.
+    KernelProfileLedger::Global().Clear();
+    KernelProfileLedger::Global().Enable();
+  }
+
+  // 1. Compile directly, not through the service: the service's only job
+  // is then the serving engine's (section 4), which is where
+  // compile_service.* failpoints must hit.
+  auto exe = DiscCompiler::Compile(*workload.graph, workload.labels,
+                                   InspectedCompileOptions(flags));
+  if (Failed(exe.status(), "compile")) return 1;
+  std::printf("compiled '%s': %s\n", workload.name.c_str(),
+              (*exe)->report().ToString().c_str());
+  std::printf("per-phase breakdown:\n%s\n",
+              (*exe)->report().PhaseBreakdown().c_str());
+  if (!flags.dump_dir.empty()) {
+    std::printf("compilation artifacts dumped to %s/\n",
+                flags.dump_dir.c_str());
+  }
+
+  // 2. Replay the shape trace through the executable: the first run of
+  // each signature builds its launch plan, repeats replay it.
+  int64_t run_failures = 0;
+  for (const ShapeSet& shapes : workload.trace) {
+    auto r = (*exe)->RunWithShapes(shapes);
+    // The raw executable has no fallback leg: under an armed
+    // DISC_FAILPOINTS schedule runs fail loudly, but the sections below
+    // stay reachable.
+    if (!r.ok() && ++run_failures == 1) {
+      std::fprintf(stderr, "run failed: %s\n", r.status().ToString().c_str());
+    }
+  }
+  auto cache_stats = (*exe)->plan_cache_stats();
+  std::printf("replayed %zu-query shape trace: %lld plan hits, %lld misses",
+              workload.trace.size(), static_cast<long long>(cache_stats.hits),
+              static_cast<long long>(cache_stats.misses));
+  if (run_failures > 0) {
+    std::printf(" (%lld runs failed via injected faults)",
+                static_cast<long long>(run_failures));
+  }
+  std::printf("\n");
+
+  // 3. Serve a synthetic request stream through the DISC->interpreter
+  // fallback chain. Fault-free it is a pass-through; with DISC_FAILPOINTS
+  // armed the degraded route and breaker transitions land in the same
+  // trace (categories "failpoint" and "serving.breaker").
+  EngineFallbackChain chain(
+      std::make_unique<DynamicCompilerEngine>(DynamicProfile::Disc()),
+      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()));
+  if (Failed(chain.Prepare(*workload.graph, workload.labels),
+             "engine setup")) {
+    return 1;
+  }
+  auto shape_fn = [&](int64_t batch, int64_t seq) {
+    std::vector<std::vector<int64_t>> dims;
+    for (const Value* in : workload.graph->inputs()) {
+      std::vector<int64_t> d = in->type().dims;
+      // Bind the model's dynamic dims to the padded batch geometry.
+      for (size_t i = 0; i < d.size(); ++i) {
+        if (d[i] == kDynamicDim) d[i] = i == 0 ? batch : seq;
+      }
+      dims.push_back(std::move(d));
+    }
+    return dims;
+  };
+  auto requests = SyntheticRequestStream(64, 25.0, 7);
+  BatcherOptions batcher;
+  auto stats = SimulateServing(&chain, shape_fn, requests, batcher,
+                               DeviceSpec::A10());
+  if (Failed(stats.status(), "serving")) return 1;
+  std::printf("served %zu requests: %s\n", requests.size(),
+              stats->ToString().c_str());
+  blame_aggregator.AddAll(stats->completed_requests);
+  if (!chain.breaker_transitions().empty()) {
+    std::printf("\n== circuit-breaker transitions (simulated clock) ==\n");
+    for (const BreakerTransition& t : chain.breaker_transitions()) {
+      std::printf("  t=%.0fus  %s -> %s  (%s)\n", t.sim_time_us,
+                  BreakerStateName(t.from), BreakerStateName(t.to),
+                  t.reason.c_str());
     }
   }
 
-  std::printf("\n== compile service ==\n%s",
-              service.JobTimelineString().c_str());
-  ArtifactCacheStats cache_stats = service.cache().stats();
-  std::printf(
-      "cache: hits=%lld misses=%lld stores=%lld evictions=%lld "
-      "quarantined=%lld\n",
-      static_cast<long long>(cache_stats.hits),
-      static_cast<long long>(cache_stats.misses),
-      static_cast<long long>(cache_stats.stores),
-      static_cast<long long>(cache_stats.evictions),
-      static_cast<long long>(cache_stats.quarantined));
-  std::printf("%s", service.cache().ManifestSummary().c_str());
+  // 4. Serve the same stream through a service-mode engine: Prepare
+  // submits a prefetch job and returns at once, early requests degrade to
+  // the interpreter leg, and the compiled executable is hot-swapped in
+  // when its job lands; the second wave is served compiled (degraded=0).
+  // A worker fault (compile_service.worker) fails the job while the
+  // fallback leg keeps serving; a store fault loses only persistence.
+  DynamicCompilerEngine async_engine(
+      service,
+      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()));
+  if (Failed(async_engine.Prepare(*workload.graph, workload.labels),
+             "service engine setup")) {
+    return 1;
+  }
+  auto async_stats = SimulateServing(&async_engine, shape_fn, requests,
+                                     batcher, DeviceSpec::A10());
+  if (Failed(async_stats.status(), "service-engine serving")) return 1;
+  service->Drain();
+  std::printf("\nasync-served %zu requests: %s\n", requests.size(),
+              async_stats->ToString().c_str());
+  blame_aggregator.AddAll(async_stats->completed_requests);
+  auto second_wave = SimulateServing(&async_engine, shape_fn, requests,
+                                     batcher, DeviceSpec::A10());
+  if (second_wave.ok()) {
+    std::printf("second wave %zu requests: %s\n", requests.size(),
+                second_wave->ToString().c_str());
+    blame_aggregator.AddAll(second_wave->completed_requests);
+  }
+  std::printf("  hot swaps=%lld  fallback queries=%lld\n",
+              static_cast<long long>(async_engine.swaps()),
+              static_cast<long long>(async_engine.stats().fallback_queries));
+  if (!flags.blame) return 0;
 
+  // 5. Tail blame: decompose p99 latency into the phase ledger's causal
+  // segments, export blame_report.json through the deterministic JSON
+  // writer, then re-parse the file and verify the shares sum to 1.0.
+  BlameReport report = blame_aggregator.Compute(99.0);
+  std::printf("\n== tail-latency blame (p%.0f over %lld requests) ==\n%s",
+              report.tail_percentile,
+              static_cast<long long>(report.total_requests),
+              report.ToString().c_str());
+  const char* report_path = "blame_report.json";
+  if (Failed(report.WriteJsonFile(report_path), "writing the blame report")) {
+    return 1;
+  }
+  auto text = ReadFileToString(report_path);
+  if (Failed(text.status(), "reading the blame report")) return 1;
+  double share_sum = 0.0;
+  Status valid = ValidateBlameReportJson(*text, 1e-6, &share_sum);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "blame_report=invalid: %s\n",
+                 valid.ToString().c_str());
+    return 1;
+  }
+  std::printf("blame_report=ok sum=%.6f tail_requests=%lld path=%s\n",
+              share_sum, static_cast<long long>(report.tail_requests),
+              report_path);
+  std::printf("\n== flight recorder ==\n%s",
+              FlightRecorder::Global().ToString().c_str());
+
+  // Join each retained outlier to the kernel ledger's run records: the
+  // same trace id keyed both captures, so the tail request's latency
+  // decomposes one level further — into the kernels of its batch.
+  KernelProfileLedger& kernel_ledger = KernelProfileLedger::Global();
+  std::printf("\n== outlier kernel breakdown (trace-id join) ==\n");
+  int64_t joined = 0;
+  for (const FlightRecord& record : FlightRecorder::Global().Snapshot()) {
+    std::vector<KernelProfileLedger::RunRecord> runs =
+        kernel_ledger.RunsForTrace(record.trace_id);
+    if (runs.empty()) continue;
+    ++joined;
+    std::printf("  trace_id=%llu:\n",
+                static_cast<unsigned long long>(record.trace_id));
+    for (const auto& run : runs) std::printf("    %s\n", run.ToString().c_str());
+  }
+  if (joined == 0) {
+    std::printf("  (no outlier trace ids found in the ledger ring — "
+                "outliers predate its capacity)\n");
+  }
+  std::printf("kernel_join=%lld outliers matched in run ring "
+              "(ledger: %lld runs retained)\n",
+              static_cast<long long>(joined),
+              static_cast<long long>(kernel_ledger.stats().runs_retained));
+  // Lifetime fence: entries hold kernel pointers into the engines'
+  // executables, which die when this function returns.
+  kernel_ledger.Disable();
+  kernel_ledger.Clear();
+  return 0;
+}
+
+// --decode. The step spans, per-sequence ledger phases (including
+// decode_wait) and KV-pool metrics land in the same trace as the rest.
+int RunDecode() {
+  ModelConfig config;
+  config.hidden = 32;
+  config.trace_length = 4;
+  Model model = BuildGptStepBatch(config);
+  DynamicCompilerEngine engine(DynamicProfile::Disc());
+  if (Failed(engine.Prepare(*model.graph, model.input_dim_labels),
+             "decode engine setup")) {
+    return 1;
+  }
+  DecodeOptions options;
+  options.max_batch = 8;
+  options.kv.capacity_blocks = 96;
+  options.kv.block_tokens = 16;
+  options.kv.bytes_per_token = 2 * config.hidden * sizeof(float);
+  auto stats = SimulateDecode(&engine, GptStepBatchShapeFn(config.hidden),
+                              SyntheticDecodeStream(48, 40.0, 11), options,
+                              DeviceSpec::A10());
+  if (Failed(stats.status(), "decode replay")) return 1;
+  const char* timeline_path = "decode_timeline.json";
+  if (Failed(stats->WriteTimelineJson(timeline_path),
+             "writing the decode timeline")) {
+    return 1;
+  }
+  std::printf("%s\nserving view: %s\n", stats->TimelineText().c_str(),
+              stats->ToString().c_str());
+
+  const ServingStats& sv = stats->serving;
+  const bool accounting_ok =
+      sv.submitted == sv.completed + sv.shed + sv.deadline_missed + sv.failed;
+  std::printf(
+      "decode_timeline=ok policy=%s steps=%lld completed=%lld/%lld "
+      "preemptions=%lld resumes=%lld accounting=%s path=%s\n",
+      stats->policy.c_str(), static_cast<long long>(sv.decode_steps),
+      static_cast<long long>(sv.completed),
+      static_cast<long long>(sv.submitted),
+      static_cast<long long>(sv.preemptions),
+      static_cast<long long>(sv.resumes), accounting_ok ? "ok" : "DRIFTED",
+      timeline_path);
+  return accounting_ok ? 0 : 1;
+}
+
+// The tail every mode shares: the compile service's job timeline and
+// cache (null in --decode, which has none), the armed failpoints, and the
+// metrics registry for the serving modes.
+void PrintEpilogue(CompileService* service, bool with_metrics) {
+  if (service != nullptr) {
+    std::printf("\n== compile service ==\n%s",
+                service->JobTimelineString().c_str());
+    ArtifactCacheStats cache = service->cache().stats();
+    std::printf(
+        "cache: hits=%lld misses=%lld stores=%lld evictions=%lld "
+        "quarantined=%lld\n",
+        static_cast<long long>(cache.hits),
+        static_cast<long long>(cache.misses),
+        static_cast<long long>(cache.stores),
+        static_cast<long long>(cache.evictions),
+        static_cast<long long>(cache.quarantined));
+    std::printf("%s", service->cache().ManifestSummary().c_str());
+  }
   std::string failpoints = FailpointRegistry::Global().Summary();
   if (!failpoints.empty()) {
     std::printf("\n== active failpoints (DISC_FAILPOINTS) ==\n%s",
                 failpoints.c_str());
   }
-  return 0;
+  if (with_metrics) {
+    std::printf("\n== metrics registry ==\n%s",
+                MetricsRegistry::Global().ToString().c_str());
+  }
+}
+
+bool WriteTrace(const std::string& path) {
+  TraceSession& session = TraceSession::Global();
+  session.Disable();
+  if (Failed(session.WriteJson(path), "writing the trace")) return false;
+  std::printf(
+      "\nwrote %zu trace events to %s (load in chrome://tracing or "
+      "ui.perfetto.dev)\n",
+      session.num_events(), path.c_str());
+  return true;
+}
+
+}  // namespace
+}  // namespace disc
+
+int main(int argc, char** argv) {
+  using namespace disc;
+  Flags flags;
+  if (!ParseFlags(argc, argv, &flags)) {
+    std::fprintf(stderr, "%s", kUsage);
+    return 2;
+  }
+  if (!flags.trace_path.empty()) TraceSession::Global().Enable();
+  int rc = 0;
+  std::unique_ptr<CompileService> service;
+  if (flags.decode) {
+    rc = RunDecode();
+  } else {
+    if (flags.model.empty()) {
+      flags.model = flags.serve ? "seq2seq-step" : "softmax";
+    }
+    auto workload = BuildWorkload(flags.model);
+    if (!workload.ok()) {
+      std::fprintf(stderr, "%s\n", workload.status().ToString().c_str());
+      return 2;
+    }
+    // Introspection artifacts are written only by a real compile, so a
+    // dump request disables the introspection cache (a disk restore would
+    // silently skip the dump). --serve compiles its dump directly and
+    // starts its own cache cold, so its engine's job compiles and stores.
+    CompileServiceOptions service_options;
+    if (!flags.no_compile_cache && (flags.serve || flags.dump_dir.empty())) {
+      service_options.cache.dir =
+          flags.serve ? "disc_explain.serve.cache" : flags.cache_dir;
+      if (flags.serve) std::filesystem::remove_all(service_options.cache.dir);
+    }
+    service = std::make_unique<CompileService>(service_options);
+    rc = flags.serve ? RunServe(flags, *workload, service.get())
+                     : RunIntrospection(flags, *workload, service.get());
+  }
+  PrintEpilogue(service.get(), flags.serve || flags.decode);
+  if (!flags.trace_path.empty() && !WriteTrace(flags.trace_path)) rc = 1;
+  return rc;
 }

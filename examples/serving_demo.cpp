@@ -3,6 +3,7 @@
 //
 //   $ ./build/examples/serving_demo
 #include <cstdio>
+#include <utility>
 
 #include "baselines/baselines.h"
 #include "ir/builder.h"
@@ -30,13 +31,17 @@ int main() {
   std::printf("%zu requests, Zipf sequence lengths, ~8us arrival gap (heavy load)\n\n",
               requests.size());
 
-  for (PadPolicy policy :
-       {PadPolicy::kBatchMax, PadPolicy::kBucketPow2, PadPolicy::kNone}) {
+  // max_batch = 1 is no batching: every request runs alone (eager-style).
+  const std::pair<PadPolicy, int64_t> configs[] = {{PadPolicy::kBatchMax, 8},
+                                                   {PadPolicy::kBucketPow2, 8},
+                                                   {PadPolicy::kBatchMax, 1}};
+  for (auto [policy, max_batch] : configs) {
     auto engine = MakeBaseline("DISC");
     if (!engine.ok()) return 1;
     if (!(*engine)->Prepare(graph, {{"B", "S", ""}}).ok()) return 1;
     BatcherOptions options;
     options.pad = policy;
+    options.max_batch = max_batch;
     auto stats = SimulateServing(engine->get(), shape_fn, requests, options,
                                  DeviceSpec::A10());
     if (!stats.ok()) {
@@ -44,7 +49,7 @@ int main() {
                    stats.status().ToString().c_str());
       return 1;
     }
-    std::printf("%-12s %s\n", PadPolicyName(policy),
+    std::printf("%-12s %s\n", max_batch == 1 ? "none" : PadPolicyName(policy),
                 stats->ToString().c_str());
   }
   return 0;

@@ -253,11 +253,13 @@ void DynamicCompilerEngine::MaybeAdopt(bool sync_wait,
 void DynamicCompilerEngine::AdoptNow(const CompileJobOutcome& adopted,
                                      bool had_hints) {
   // Hot-swap: the outgoing executable's launch plans encode its own buffer
-  // sizes and variants; Swap clears them and keeps the executable as the
-  // rollback generation.
-  slot_.Swap(adopted.executable);
-  previous_key_ = current_key_;
-  current_key_ = adopted.key;
+  // sizes and variants; Swap clears them. Service mode keeps the outgoing
+  // executable as the rollback generation for a later kDataLoss. Inline
+  // mode never rolls back (RunInstalled hands its kDataLoss to the
+  // caller), so the outgoing executable and its pooled Run buffer go now.
+  const bool keep_history = service_ != nullptr;
+  slot_.Swap(adopted.executable, keep_history);
+  if (keep_history) previous_key_ = std::exchange(current_key_, adopted.key);
   CountMetric("engine.hot_swap");
   if (adopted.from_disk_cache) {
     ++disk_restores_;

@@ -15,7 +15,8 @@
 // lives in an ExecutableSlot either way:
 //   * inline (built from a DynamicProfile): Prepare and profile-feedback
 //     respecialization compile on the caller, so the query that trips the
-//     feedback already runs on the new executable.
+//     feedback already runs on the new executable. The displaced one is
+//     released at once: inline mode never rolls back.
 //   * service (built with a CompileService and a fallback engine): the
 //     deployment shape. Prepare never compiles on the caller: it submits a
 //     prefetch job (the service consults its persistent artifact cache)
@@ -275,7 +276,8 @@ class DynamicCompilerEngine : public Engine {
   std::shared_ptr<ValidationReport> last_validation_report_;
 
   /// CacheKeys of the installed / previous-generation executables, so a
-  /// runtime kDataLoss can poison the offending artifact.
+  /// runtime kDataLoss can poison the offending artifact (service mode
+  /// only: inline mode keeps neither keys nor a previous generation).
   std::optional<CacheKey> current_key_;
   std::optional<CacheKey> previous_key_;
 

@@ -114,7 +114,7 @@ class PersistentArtifactCache {
 
   ArtifactCacheStats stats() const;
 
-  /// \brief Human-readable manifest dump for trace_inspect/disc_explain:
+  /// \brief Human-readable manifest dump printed by disc_explain:
   /// schema version, entry count/bytes, per-entry id, model, size, LRU
   /// rank.
   std::string ManifestSummary() const;

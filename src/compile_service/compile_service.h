@@ -139,7 +139,7 @@ struct CompileServiceStats {
   int64_t tasks_failed = 0;
 };
 
-/// One row of the job timeline (trace_inspect/disc_explain output).
+/// One row of the job timeline (disc_explain output).
 struct JobTimelineEntry {
   int64_t job_id = 0;
   std::string model;

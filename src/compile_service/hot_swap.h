@@ -36,17 +36,19 @@ class ExecutableSlot {
   /// \brief Installs `next` (may be null to clear) and returns the
   /// previous executable, its launch-plan cache already cleared.
   ///
-  /// The displaced executable is additionally *retained* as the previous
-  /// generation so a post-swap guard violation or output divergence can
-  /// Rollback() to it. Only one generation of history is kept: swapping
-  /// twice forgets the older incumbent.
-  std::shared_ptr<const Executable> Swap(
-      std::shared_ptr<const Executable> next) {
+  /// With `keep_history`, the displaced executable is additionally
+  /// *retained* as the previous generation so a post-swap guard violation
+  /// or output divergence can Rollback() to it. Only one generation of
+  /// history is kept: swapping twice forgets the older incumbent. Without
+  /// it the slot keeps no history, and the displaced executable lives only
+  /// as long as the returned pointer and in-flight Runs hold it.
+  std::shared_ptr<const Executable> Swap(std::shared_ptr<const Executable> next,
+                                         bool keep_history = true) {
     std::shared_ptr<const Executable> previous;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      previous = current_;
-      previous_ = std::move(current_);
+      previous = std::move(current_);
+      previous_ = keep_history ? previous : nullptr;
       current_ = std::move(next);
       ++generation_;
     }

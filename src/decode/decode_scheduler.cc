@@ -167,6 +167,7 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
   // the batch when the step's timing lands.
   auto preempt = [&](size_t victim, double now_us, double backoff_so_far_us) {
     SeqState& s = seqs[victim];
+    const int64_t freed_blocks = pool.blocks_of(static_cast<int64_t>(victim));
     pool.Release(static_cast<int64_t>(victim));
     running.erase(std::find(running.begin(), running.end(), victim));
     wait_queue.push_front(victim);
@@ -181,7 +182,7 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
           TraceSession::kSimPid, /*tid=*/0,
           {{"seq", std::to_string(s.req.id)},
            {"generated", std::to_string(s.generated)},
-           {"kv_blocks_freed", std::to_string(pool.stats().block_recycles)}});
+           {"kv_blocks_freed", std::to_string(freed_blocks)}});
     }
   };
 
@@ -710,228 +711,100 @@ std::vector<DecodeRequest> SyntheticDecodeStream(int64_t count,
   return requests;
 }
 
-namespace {
-
-/// Required numeric field of a timeline-dump object; the error names the
-/// path so a truncated or hand-edited dump fails with a usable message.
-Result<double> TimelineNumber(const JsonValue& obj, const char* section,
-                              const char* key) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || !v->is_number()) {
-    return Status::InvalidArgument(
-        StrFormat("decode timeline: missing numeric field %s.%s", section,
-                  key));
-  }
-  return v->as_number();
-}
-
-Result<int64_t> TimelineInt(const JsonValue& obj, const char* section,
-                            const char* key) {
-  DISC_ASSIGN_OR_RETURN(double v, TimelineNumber(obj, section, key));
-  return static_cast<int64_t>(v);
-}
-
-Result<std::string> TimelineString(const JsonValue& obj, const char* section,
-                                   const char* key) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || !v->is_string()) {
-    return Status::InvalidArgument(
-        StrFormat("decode timeline: missing string field %s.%s", section,
-                  key));
-  }
-  return v->as_string();
-}
-
-}  // namespace
-
-Result<std::string> FormatDecodeTimelineJson(const std::string& json_text) {
-  DISC_ASSIGN_OR_RETURN(JsonValue doc, ParseJson(json_text));
-  if (!doc.is_object()) {
-    return Status::InvalidArgument("decode timeline: not a JSON object");
-  }
-  const JsonValue* schema = doc.Find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->as_string() != "disc.decode.timeline.v1") {
-    return Status::InvalidArgument(
-        "decode timeline: expected schema disc.decode.timeline.v1");
-  }
-  DISC_ASSIGN_OR_RETURN(std::string policy,
-                        TimelineString(doc, "$", "policy"));
-  const JsonValue* summary = doc.Find("summary");
-  const JsonValue* kv = doc.Find("kv_pool");
-  const JsonValue* steps = doc.Find("steps");
-  if (summary == nullptr || !summary->is_object() || kv == nullptr ||
-      !kv->is_object() || steps == nullptr || !steps->is_array()) {
-    return Status::InvalidArgument(
-        "decode timeline: wants summary + kv_pool objects and a steps "
-        "array");
-  }
-
-  std::string out;
-  out += StrFormat("== decode step timeline (policy=%s) ==\n",
-                   policy.c_str());
-  {
-    DISC_ASSIGN_OR_RETURN(int64_t submitted,
-                          TimelineInt(*summary, "summary", "submitted"));
-    DISC_ASSIGN_OR_RETURN(int64_t completed,
-                          TimelineInt(*summary, "summary", "completed"));
-    DISC_ASSIGN_OR_RETURN(int64_t shed,
-                          TimelineInt(*summary, "summary", "shed"));
-    DISC_ASSIGN_OR_RETURN(int64_t failed,
-                          TimelineInt(*summary, "summary", "failed"));
-    DISC_ASSIGN_OR_RETURN(int64_t n_steps,
-                          TimelineInt(*summary, "summary", "steps"));
-    DISC_ASSIGN_OR_RETURN(int64_t joins,
-                          TimelineInt(*summary, "summary", "joins"));
-    DISC_ASSIGN_OR_RETURN(int64_t retires,
-                          TimelineInt(*summary, "summary", "retires"));
-    DISC_ASSIGN_OR_RETURN(int64_t preemptions,
-                          TimelineInt(*summary, "summary", "preemptions"));
-    DISC_ASSIGN_OR_RETURN(int64_t resumes,
-                          TimelineInt(*summary, "summary", "resumes"));
-    DISC_ASSIGN_OR_RETURN(int64_t tokens,
-                          TimelineInt(*summary, "summary",
-                                      "generated_tokens"));
-    DISC_ASSIGN_OR_RETURN(double tps, TimelineNumber(*summary, "summary",
-                                                     "tokens_per_sec"));
-    DISC_ASSIGN_OR_RETURN(double p50, TimelineNumber(*summary, "summary",
-                                                     "p50_tbt_us"));
-    DISC_ASSIGN_OR_RETURN(double p99, TimelineNumber(*summary, "summary",
-                                                     "p99_tbt_us"));
-    DISC_ASSIGN_OR_RETURN(double waste,
-                          TimelineNumber(*summary, "summary",
-                                         "step_padding_waste"));
-    DISC_ASSIGN_OR_RETURN(double plan_hit,
-                          TimelineNumber(*summary, "summary",
-                                         "plan_hit_rate"));
-    out += StrFormat(
-        "requests: submitted=%lld completed=%lld shed=%lld failed=%lld\n",
-        static_cast<long long>(submitted), static_cast<long long>(completed),
-        static_cast<long long>(shed), static_cast<long long>(failed));
-    out += StrFormat(
-        "steps: %lld  joins=%lld retires=%lld preemptions=%lld "
-        "resumes=%lld\n",
-        static_cast<long long>(n_steps), static_cast<long long>(joins),
-        static_cast<long long>(retires), static_cast<long long>(preemptions),
-        static_cast<long long>(resumes));
-    out += StrFormat(
-        "tokens: %lld generated  %.1f tok/s  tbt p50=%.1fus p99=%.1fus  "
-        "padding waste=%.1f%%  plan hits=%.1f%%\n",
-        static_cast<long long>(tokens), tps, p50, p99, 100.0 * waste,
-        100.0 * plan_hit);
-  }
-  int64_t high_water = 0;
-  {
-    DISC_ASSIGN_OR_RETURN(int64_t capacity,
-                          TimelineInt(*kv, "kv_pool", "capacity_blocks"));
-    DISC_ASSIGN_OR_RETURN(int64_t block_bytes,
-                          TimelineInt(*kv, "kv_pool", "block_bytes"));
-    DISC_ASSIGN_OR_RETURN(int64_t arena_bytes,
-                          TimelineInt(*kv, "kv_pool", "arena_bytes"));
-    DISC_ASSIGN_OR_RETURN(std::string growth,
-                          TimelineString(*kv, "kv_pool", "growth_formula"));
-    DISC_ASSIGN_OR_RETURN(high_water,
-                          TimelineInt(*kv, "kv_pool", "high_water_blocks"));
-    DISC_ASSIGN_OR_RETURN(int64_t recycles,
-                          TimelineInt(*kv, "kv_pool", "block_recycles"));
-    out += StrFormat(
-        "kv pool: %lld blocks x %lld B (arena %lld B)  growth=%s  "
-        "high-water=%lld  recycles=%lld\n",
-        static_cast<long long>(capacity), static_cast<long long>(block_bytes),
-        static_cast<long long>(arena_bytes), growth.c_str(),
-        static_cast<long long>(high_water),
-        static_cast<long long>(recycles));
-  }
+std::string DecodeStats::TimelineText() const {
+  const ServingStats& sv = serving;
+  std::string out =
+      StrFormat("== decode step timeline (policy=%s) ==\n", policy.c_str());
+  out += StrFormat(
+      "requests: submitted=%lld completed=%lld shed=%lld failed=%lld\n",
+      static_cast<long long>(sv.submitted),
+      static_cast<long long>(sv.completed), static_cast<long long>(sv.shed),
+      static_cast<long long>(sv.failed));
+  out += StrFormat(
+      "steps: %lld  joins=%lld retires=%lld preemptions=%lld resumes=%lld\n",
+      static_cast<long long>(sv.decode_steps),
+      static_cast<long long>(sv.decode_joins),
+      static_cast<long long>(sv.decode_retires),
+      static_cast<long long>(sv.preemptions),
+      static_cast<long long>(sv.resumes));
+  out += StrFormat(
+      "tokens: %lld generated  %.1f tok/s  tbt p50=%.1fus p99=%.1fus  "
+      "padding waste=%.1f%%  plan hits=%.1f%%\n",
+      static_cast<long long>(sv.generated_tokens), sv.tokens_per_sec,
+      sv.p50_tbt_us, sv.p99_tbt_us, 100.0 * sv.step_padding_waste,
+      100.0 * sv.plan_hit_rate);
+  const int64_t high_water = sv.kv_high_water_blocks;
+  out += StrFormat(
+      "kv pool: %lld blocks x %lld B (arena %lld B)  growth=%s  "
+      "high-water=%lld  recycles=%lld\n",
+      static_cast<long long>(kv_capacity_blocks),
+      static_cast<long long>(kv_block_bytes),
+      static_cast<long long>(kv_arena_bytes), kv_growth_formula.c_str(),
+      static_cast<long long>(high_water),
+      static_cast<long long>(sv.kv_block_recycles));
 
   // Per-step table. The occupancy bar draws live rows as '#' inside the
   // padded launch batch ('.'), so pow2/bucket padding is visible at a
   // glance; event-free runs on the same signature collapse to one line.
-  const JsonValue::Array& rows = steps->as_array();
   out += StrFormat("  %5s %10s %-9s %4s %-*s %6s  %s\n", "step", "t_us",
                    "sig", "occ", 34, "batch(live=#/pad=.)", "kv-blk",
                    "events");
   bool high_water_flagged = false;
-  size_t i = 0;
-  while (i < rows.size()) {
-    const JsonValue& row = rows[i];
-    if (!row.is_object()) {
-      return Status::InvalidArgument("decode timeline: step row is not an "
-                                     "object");
-    }
-    DISC_ASSIGN_OR_RETURN(int64_t step, TimelineInt(row, "steps", "step"));
-    DISC_ASSIGN_OR_RETURN(double start, TimelineNumber(row, "steps",
-                                                       "start_us"));
-    DISC_ASSIGN_OR_RETURN(int64_t occ, TimelineInt(row, "steps",
-                                                   "occupancy"));
-    DISC_ASSIGN_OR_RETURN(int64_t padded_batch,
-                          TimelineInt(row, "steps", "padded_batch"));
-    DISC_ASSIGN_OR_RETURN(int64_t joins, TimelineInt(row, "steps", "joins"));
-    DISC_ASSIGN_OR_RETURN(int64_t retires,
-                          TimelineInt(row, "steps", "retires"));
-    DISC_ASSIGN_OR_RETURN(int64_t preempts,
-                          TimelineInt(row, "steps", "preemptions"));
-    DISC_ASSIGN_OR_RETURN(int64_t blocks,
-                          TimelineInt(row, "steps", "kv_blocks_in_use"));
-    DISC_ASSIGN_OR_RETURN(std::string sig,
-                          TimelineString(row, "steps", "signature"));
-
-    const bool quiet = joins == 0 && retires == 0 && preempts == 0;
-    if (quiet && (high_water_flagged || blocks != high_water)) {
-      // Look ahead: collapse a run of event-free same-signature steps.
+  auto quiet = [&](const DecodeStepRecord& r) {
+    return r.joins == 0 && r.retires == 0 && r.preemptions == 0 &&
+           (high_water_flagged || r.kv_blocks_in_use != high_water);
+  };
+  for (size_t i = 0; i < timeline.size();) {
+    const DecodeStepRecord& r = timeline[i];
+    if (quiet(r)) {
       size_t j = i + 1;
-      while (j < rows.size()) {
-        const JsonValue& next = rows[j];
-        if (!next.is_object()) break;
-        auto nj = TimelineInt(next, "steps", "joins");
-        auto nr = TimelineInt(next, "steps", "retires");
-        auto np = TimelineInt(next, "steps", "preemptions");
-        auto nb = TimelineInt(next, "steps", "kv_blocks_in_use");
-        auto ns = TimelineString(next, "steps", "signature");
-        if (!nj.ok() || !nr.ok() || !np.ok() || !nb.ok() || !ns.ok()) break;
-        if (*nj != 0 || *nr != 0 || *np != 0 || *ns != sig) break;
-        if (!high_water_flagged && *nb == high_water) break;
+      while (j < timeline.size() && quiet(timeline[j]) &&
+             timeline[j].signature == r.signature) {
         ++j;
       }
       if (j - i > 3) {
         out += StrFormat("  %5s   ... %lld quiet steps (sig=%s, occ=%lld, "
                          "blk=%lld) ...\n",
-                         "", static_cast<long long>(j - i), sig.c_str(),
-                         static_cast<long long>(occ),
-                         static_cast<long long>(blocks));
+                         "", static_cast<long long>(j - i),
+                         r.signature.c_str(),
+                         static_cast<long long>(r.occupancy),
+                         static_cast<long long>(r.kv_blocks_in_use));
         i = j;
         continue;
       }
     }
 
-    std::string bar;
-    const int64_t bar_width = std::min<int64_t>(padded_batch, 32);
+    const int64_t bar_width = std::min<int64_t>(r.padded_batch, 32);
     const int64_t live_width =
-        padded_batch > 0 ? std::min<int64_t>(
-                               bar_width, (occ * bar_width + padded_batch - 1) /
-                                              padded_batch)
-                         : 0;
-    bar.append(static_cast<size_t>(live_width), '#');
+        r.padded_batch > 0
+            ? std::min<int64_t>(bar_width,
+                                (r.occupancy * bar_width + r.padded_batch - 1) /
+                                    r.padded_batch)
+            : 0;
+    std::string bar(static_cast<size_t>(live_width), '#');
     bar.append(static_cast<size_t>(bar_width - live_width), '.');
 
     std::string events;
-    if (joins > 0) {
-      events += StrFormat("+%lld join ", static_cast<long long>(joins));
+    if (r.joins > 0) {
+      events += StrFormat("+%lld join ", static_cast<long long>(r.joins));
     }
-    if (retires > 0) {
-      events += StrFormat("-%lld retire ", static_cast<long long>(retires));
+    if (r.retires > 0) {
+      events += StrFormat("-%lld retire ", static_cast<long long>(r.retires));
     }
-    if (preempts > 0) {
+    if (r.preemptions > 0) {
       events += StrFormat("!%lld preempt ",
-                          static_cast<long long>(preempts));
+                          static_cast<long long>(r.preemptions));
     }
-    if (!high_water_flagged && blocks == high_water) {
+    if (!high_water_flagged && r.kv_blocks_in_use == high_water) {
       events += "<-- kv high-water";
       high_water_flagged = true;
     }
     out += StrFormat("  %5lld %10.1f %-9s %4lld %-*s %6lld  %s\n",
-                     static_cast<long long>(step), start, sig.c_str(),
-                     static_cast<long long>(occ), 34, bar.c_str(),
-                     static_cast<long long>(blocks), events.c_str());
+                     static_cast<long long>(r.step), r.start_us,
+                     r.signature.c_str(), static_cast<long long>(r.occupancy),
+                     34, bar.c_str(),
+                     static_cast<long long>(r.kv_blocks_in_use),
+                     events.c_str());
     ++i;
   }
   return out;

@@ -33,8 +33,8 @@
 // `decode_wait` phase (time mid-flight but out of the running batch);
 // the ledger still sums exactly to the end-to-end latency, DISC_CHECKed
 // per request. The per-step timeline (occupancy, joins/retires/
-// preemptions, KV high-water) is dumped as decode_timeline.json for
-// `disc_explain --decode` / `trace_inspect --decode`.
+// preemptions, KV high-water) is rendered by `disc_explain --decode`,
+// which also dumps it as decode_timeline.json.
 #ifndef DISC_DECODE_DECODE_SCHEDULER_H_
 #define DISC_DECODE_DECODE_SCHEDULER_H_
 
@@ -131,6 +131,12 @@ struct DecodeStats {
   /// the per-step records.
   JsonValue TimelineJson() const;
   Status WriteTimelineJson(const std::string& path) const;
+  /// Human-readable step timeline (what `disc_explain --decode` prints):
+  /// the summary and KV-pool lines plus a per-step table — occupancy bar
+  /// inside the padded launch batch, launch signature, join/retire/preempt
+  /// events, KV blocks in use (high-water step flagged) — with long quiet
+  /// runs elided.
+  std::string TimelineText() const;
 };
 
 /// Maps a step's (padded batch, padded kv length) to the step model's
@@ -160,15 +166,6 @@ Result<DecodeStats> SimulateDecode(Engine* engine,
 std::vector<DecodeRequest> SyntheticDecodeStream(int64_t count,
                                                  double mean_gap_us,
                                                  uint64_t seed);
-
-/// \brief Parses a decode_timeline.json dump (schema
-/// disc.decode.timeline.v1) and renders the human-readable step timeline
-/// that `disc_explain --decode` and `trace_inspect --decode` print: the
-/// summary and KV-pool lines plus a per-step table — occupancy bar inside
-/// the padded launch batch, launch signature, join/retire/preempt events,
-/// KV blocks in use (high-water step flagged) — with long quiet runs
-/// elided. InvalidArgument on malformed or wrong-schema documents.
-Result<std::string> FormatDecodeTimelineJson(const std::string& json_text);
 
 }  // namespace disc
 

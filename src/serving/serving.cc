@@ -16,8 +16,6 @@ namespace disc {
 
 const char* PadPolicyName(PadPolicy policy) {
   switch (policy) {
-    case PadPolicy::kNone:
-      return "none";
     case PadPolicy::kBatchMax:
       return "batch-max";
     case PadPolicy::kBucketPow2:
@@ -112,18 +110,6 @@ std::vector<Batch> FormBatches(const std::vector<Request>& requests,
   std::vector<Batch> batches;
   if (requests.empty()) return batches;
   const std::vector<Request> sorted = SortedByArrival(requests);
-
-  if (options.pad == PadPolicy::kNone) {
-    for (const Request& r : sorted) {
-      Batch batch;
-      batch.requests = {r};
-      batch.padded_batch = 1;
-      batch.padded_seq = r.seq_len;
-      batch.ready_us = r.arrival_us;
-      batches.push_back(std::move(batch));
-    }
-    return batches;
-  }
 
   Batch current;
   auto flush = [&]() {

@@ -7,8 +7,8 @@
 //   * kBatchMax   — pad only to the longest request in the batch; needs a
 //                   compiler that accepts ANY (B, S) — i.e. DISC;
 //   * kBucketPow2 — pad (B, S) up to powers of two; what static engines
-//                   with a bucket grid must do;
-//   * kNone       — no batching: every request runs alone (eager-style).
+//                   with a bucket grid must do.
+// No batching (every request runs alone, eager-style) is max_batch = 1.
 // The simulator advances a single-device clock: batches execute serially,
 // requests accumulate queueing + execution latency; reported percentiles
 // include both.
@@ -54,7 +54,6 @@ struct Request {
 };
 
 enum class PadPolicy {
-  kNone,       // no batching, one request per launch
   kBatchMax,   // pad to the batch's longest sequence
   kBucketPow2, // pad batch and sequence to powers of two
 };

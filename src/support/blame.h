@@ -19,9 +19,9 @@
 //     captured id in the job request itself.
 //   * TailBlameAggregator — consumes completed-request records and answers
 //     "what fraction of p99 latency does each phase own", printed by
-//     `trace_inspect --blame` and exported as blame_report.json through
-//     the deterministic JSON writer (shares sum to 1.0 by the ledger
-//     invariant; the exporter re-checks it).
+//     `disc_explain --serve --blame` and exported as blame_report.json
+//     through the deterministic JSON writer (shares sum to 1.0 by the
+//     ledger invariant; the exporter re-checks it).
 #ifndef DISC_SUPPORT_BLAME_H_
 #define DISC_SUPPORT_BLAME_H_
 
@@ -172,8 +172,8 @@ class TailBlameAggregator {
 
 /// \brief Re-parses a serialized blame report (ParseJson) and verifies its
 /// share vectors each sum to 1.0 within `tolerance`. Returns OK with
-/// `*out_sum` = the tail-share sum; the CI trace-smoke step drives this
-/// through `trace_inspect --blame`.
+/// `*out_sum` = the tail-share sum; the CI blame smoke drives this
+/// through `disc_explain --serve --blame`.
 Status ValidateBlameReportJson(const std::string& json_text, double tolerance,
                                double* out_sum);
 

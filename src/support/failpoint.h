@@ -102,8 +102,8 @@ class FailpointRegistry {
   /// \brief Fires so far of the named failpoint (0 if unarmed).
   int64_t fires(const std::string& name) const;
   /// \brief Human-readable list of armed failpoints, one per line; empty
-  /// string when nothing is armed. Printed by disc_explain/trace_inspect
-  /// so a degraded run is diagnosable from its artifacts.
+  /// string when nothing is armed. Printed by every disc_explain mode so
+  /// a degraded run is diagnosable from its artifacts.
   std::string Summary() const;
 
  private:

@@ -68,7 +68,7 @@ class Histogram {
 
   /// \brief Estimated quantile (q in [0,1]) by linear interpolation inside
   /// the bucket where the cumulative count crosses q*count: consumers
-  /// (trace_inspect, bench reports) read p50/p90/p99 directly instead of
+  /// (disc_explain, bench reports) read p50/p90/p99 directly instead of
   /// re-deriving them from raw bucket counts. Sentinels instead of
   /// plausible-looking garbage: NaN when the histogram is empty, +inf when
   /// the quantile lands in the overflow bucket (no finite upper bound).

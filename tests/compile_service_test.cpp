@@ -879,6 +879,24 @@ TEST(CompileServiceTest, KernelRegretSubmitsRespecializationJob) {
   EXPECT_EQ(engine.swaps(), 2);
 }
 
+TEST(CompileServiceTest, InlineSwapReleasesTheDisplacedExecutable) {
+  // Inline mode never rolls back (a kDataLoss goes to the caller), so a
+  // respecialization keeps no rollback generation: the displaced
+  // executable, and its pooled Run buffer, die at the swap.
+  auto g = EwModel();
+  DynamicCompilerEngine engine(DynamicProfile::DiscWithSpeculation());
+  ASSERT_TRUE(engine.Prepare(*g, {{"B", "S"}}).ok());
+  std::weak_ptr<const Executable> first = engine.executable();
+  ASSERT_FALSE(first.expired());
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(engine.Query({{512, 1024}}, DeviceSpec::T4()).ok());
+  }
+  ASSERT_EQ(engine.respecializations(), 1);
+  EXPECT_EQ(engine.swaps(), 2);
+  EXPECT_FALSE(engine.slot().has_previous());
+  EXPECT_TRUE(first.expired());
+}
+
 TEST(CompileServiceTest, InlineAndServiceModesAgree) {
   auto g = EwModel();
   const std::vector<std::vector<std::string>> labels = {{"B", "S"}};

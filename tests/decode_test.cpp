@@ -11,6 +11,7 @@
 #include "models/models.h"
 #include "runtime/memory_plan.h"
 #include "support/json.h"
+#include "support/trace.h"
 
 namespace disc {
 namespace {
@@ -377,10 +378,7 @@ TEST(DecodeSchedulerTest, TimelineJsonIsParseableAndConsistent) {
   EXPECT_EQ(retires, stats->serving.decode_retires);
 }
 
-TEST(DecodeSchedulerTest, TimelineDumpRoundTripsThroughFormatter) {
-  // The CLI-facing reader renders the dump text, not the in-memory stats:
-  // whatever the scheduler serializes must come back out of the formatter
-  // with the headline numbers intact.
+TEST(DecodeSchedulerTest, TimelineTextRendersHeadlineNumbers) {
   StepCostEngine engine;
   DecodeOptions options;
   options.max_batch = 2;
@@ -388,28 +386,141 @@ TEST(DecodeSchedulerTest, TimelineDumpRoundTripsThroughFormatter) {
   auto stats = SimulateDecode(&engine, StepShapes, requests, options,
                               DeviceSpec::T4());
   ASSERT_TRUE(stats.ok());
-  auto rendered =
-      FormatDecodeTimelineJson(stats->TimelineJson().SerializePretty());
-  ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
-  EXPECT_NE(rendered->find("policy=continuous"), std::string::npos);
-  EXPECT_NE(rendered->find("submitted=3 completed=3"), std::string::npos);
-  EXPECT_NE(rendered->find("kv high-water"), std::string::npos);
+  const std::string rendered = stats->TimelineText();
+  EXPECT_NE(rendered.find("policy=continuous"), std::string::npos);
+  EXPECT_NE(rendered.find("submitted=3 completed=3"), std::string::npos);
+  EXPECT_NE(rendered.find("kv high-water"), std::string::npos);
   // One table row per step (none elided in a replay this small).
   int64_t join_rows = 0;
-  for (size_t pos = rendered->find("join"); pos != std::string::npos;
-       pos = rendered->find("join", pos + 1)) {
+  for (size_t pos = rendered.find("join"); pos != std::string::npos;
+       pos = rendered.find("join", pos + 1)) {
     ++join_rows;
   }
   EXPECT_GE(join_rows, 2);
+}
 
-  EXPECT_FALSE(FormatDecodeTimelineJson("not json").ok());
-  EXPECT_FALSE(FormatDecodeTimelineJson("{\"schema\": \"wrong.v0\"}").ok());
-  // A truncated dump (steps array stripped) must fail loudly, not render
-  // a half-empty report.
-  auto doc = ParseJson(stats->TimelineJson().SerializePretty());
-  ASSERT_TRUE(doc.ok());
-  doc->as_object().erase("steps");
-  EXPECT_FALSE(FormatDecodeTimelineJson(doc->SerializePretty()).ok());
+TEST(DecodeSchedulerTest, PreemptSpansNameTheVictimsFreedBlocks) {
+  // Every recycled block was freed by a preemption or by a sequence
+  // retiring with its full cache, so the preempt spans' kv_blocks_freed
+  // must add up to exactly the recycles retirement does not explain.
+  StepCostEngine engine;
+  DecodeOptions options;
+  options.max_batch = 4;
+  options.kv.capacity_blocks = 6;
+  options.kv.block_tokens = 8;
+  auto requests =
+      FixedStream({{0, 8, 24}, {0, 8, 24}, {0, 8, 24}, {0, 8, 24}});
+  TraceSession& trace = TraceSession::Global();
+  trace.Clear();
+  trace.Enable();
+  auto stats = SimulateDecode(&engine, StepShapes, requests, options,
+                              DeviceSpec::T4());
+  trace.Disable();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const ServingStats& sv = stats->serving;
+  ASSERT_GE(sv.preemptions, 2);
+
+  int64_t preempt_spans = 0;
+  int64_t freed_by_preemption = 0;
+  for (const TraceEvent& event : trace.Snapshot("decode.step")) {
+    if (event.name != "preempt") continue;
+    ++preempt_spans;
+    for (const TraceArg& arg : event.args) {
+      if (arg.first != "kv_blocks_freed") continue;
+      const int64_t freed = std::stoll(arg.second);
+      EXPECT_GE(freed, 1);
+      freed_by_preemption += freed;
+    }
+  }
+  trace.Clear();
+  EXPECT_EQ(preempt_spans, sv.preemptions);
+  KvCachePool probe(options.kv);
+  int64_t freed_by_retirement = 0;
+  for (const DecodeRequest& r : requests) {
+    freed_by_retirement += probe.BlocksFor(r.prompt_len + r.decode_len);
+  }
+  EXPECT_EQ(freed_by_preemption + freed_by_retirement, sv.kv_block_recycles);
+}
+
+// Fails queries [fail_from, fail_from + fail_count) with Unavailable, a
+// transient fault for the retry ladder, and serves the rest like
+// StepCostEngine.
+class FlakyStepEngine : public StepCostEngine {
+ public:
+  FlakyStepEngine(int64_t fail_from, int64_t fail_count)
+      : fail_from_(fail_from), fail_count_(fail_count) {}
+
+  Result<EngineTiming> Query(
+      const std::vector<std::vector<int64_t>>& input_dims,
+      const DeviceSpec& device) override {
+    const int64_t attempt = attempts_++;
+    if (attempt >= fail_from_ && attempt < fail_from_ + fail_count_) {
+      return Status::Unavailable("scripted transient fault");
+    }
+    return StepCostEngine::Query(input_dims, device);
+  }
+  int64_t attempts() const { return attempts_; }
+
+ private:
+  int64_t fail_from_;
+  int64_t fail_count_;
+  int64_t attempts_ = 0;
+};
+
+TEST(DecodeSchedulerTest, RetryableErrorsAreRetriedWithBackoff) {
+  FlakyStepEngine engine(/*fail_from=*/0, /*fail_count=*/2);
+  DecodeOptions options;
+  options.max_batch = 4;
+  options.max_retries = 2;
+  options.retry_backoff_us = 500.0;
+  auto requests = FixedStream({{0, 8, 3}, {0, 8, 3}});
+  auto stats = SimulateDecode(&engine, StepShapes, requests, options,
+                              DeviceSpec::T4());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const ServingStats& sv = stats->serving;
+  EXPECT_EQ(sv.completed, 2);
+  EXPECT_EQ(sv.failed, 0);
+  EXPECT_EQ(sv.retries, 2);
+  EXPECT_EQ(engine.attempts(), 2 + sv.decode_steps);
+  // Both members were live in the first step, so each sat through its two
+  // backoffs (500 + 1000us).
+  ASSERT_EQ(sv.completed_requests.size(), 2u);
+  for (const CompletedRequest& r : sv.completed_requests) {
+    EXPECT_DOUBLE_EQ(r.ledger.backoff_us, 500.0 + 1000.0);
+    EXPECT_EQ(r.retries, 2);
+  }
+}
+
+TEST(DecodeSchedulerTest, RetriesExhaustedFailsEveryLiveMember) {
+  // A whole-request batch of three: the short member completes on the
+  // first step and freezes in its padded row, and every later query fails.
+  // Both live members fail; the frozen row's blocks still come back.
+  FlakyStepEngine engine(/*fail_from=*/1, /*fail_count=*/1000);
+  DecodeOptions options;
+  options.policy = DecodePolicy::kWholeRequest;
+  options.max_batch = 4;
+  options.max_retries = 2;
+  options.kv.block_tokens = 4;
+  auto requests = FixedStream({{0, 8, 1}, {0, 8, 4}, {0, 8, 4}});
+  auto stats = SimulateDecode(&engine, StepShapes, requests, options,
+                              DeviceSpec::T4());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const ServingStats& sv = stats->serving;
+  EXPECT_EQ(sv.completed, 1);
+  EXPECT_EQ(sv.failed, 2);
+  EXPECT_EQ(sv.error_counts.at("Unavailable"), 2);
+  EXPECT_EQ(sv.retries, 2);
+  EXPECT_EQ(engine.attempts(), 1 + 3);
+  EXPECT_EQ(sv.submitted,
+            sv.completed + sv.shed + sv.deadline_missed + sv.failed);
+  // Whole-request batching reserves each member's full footprint at join;
+  // all of it is recycled, the frozen member's included.
+  KvCachePool probe(options.kv);
+  int64_t reserved = 0;
+  for (const DecodeRequest& r : requests) {
+    reserved += probe.BlocksFor(r.prompt_len + r.decode_len);
+  }
+  EXPECT_EQ(sv.kv_block_recycles, reserved);
 }
 
 TEST(DecodeSchedulerTest, ReplayIsDeterministic) {

@@ -24,7 +24,7 @@ std::vector<Request> FixedRequests(std::vector<std::pair<double, int64_t>>
 
 TEST(BatcherTest, NoBatchingIsOnePerRequest) {
   BatcherOptions options;
-  options.pad = PadPolicy::kNone;
+  options.max_batch = 1;
   auto batches = FormBatches(FixedRequests({{0, 10}, {5, 20}, {9, 30}}),
                              options);
   ASSERT_EQ(batches.size(), 3u);
@@ -76,8 +76,7 @@ TEST(BatcherTest, ReadyTimeIsLastArrival) {
 }
 
 TEST(BatcherTest, EmptyStreamFormsNoBatches) {
-  for (PadPolicy policy :
-       {PadPolicy::kNone, PadPolicy::kBatchMax, PadPolicy::kBucketPow2}) {
+  for (PadPolicy policy : {PadPolicy::kBatchMax, PadPolicy::kBucketPow2}) {
     BatcherOptions options;
     options.pad = policy;
     EXPECT_TRUE(FormBatches({}, options).empty());
@@ -174,23 +173,6 @@ TEST(BatcherTest, DeadlineBreaksArrivalTiesTighterFirst) {
   EXPECT_EQ(batches[0].requests[1].id, 0);
   EXPECT_EQ(batches[1].requests[0].id, 1);
   EXPECT_EQ(batches[1].requests[1].id, 3);
-}
-
-TEST(BatcherTest, MaxBatchOneEqualsNoBatching) {
-  auto requests = FixedRequests({{0, 10}, {5, 20}, {9, 30}});
-  BatcherOptions one;
-  one.max_batch = 1;
-  one.pad = PadPolicy::kBatchMax;
-  BatcherOptions none;
-  none.pad = PadPolicy::kNone;
-  auto a = FormBatches(requests, one);
-  auto b = FormBatches(requests, none);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].padded_batch, b[i].padded_batch);
-    EXPECT_EQ(a[i].padded_seq, b[i].padded_seq);
-    EXPECT_DOUBLE_EQ(a[i].ready_us, b[i].ready_us);
-  }
 }
 
 TEST(ServingTest, SyntheticStreamIsSortedAndDeterministic) {
@@ -308,19 +290,19 @@ TEST(ServingTest, BatchingBeatsNoBatchingUnderLoad) {
   // the queue grows without bound.
   auto requests = SyntheticRequestStream(64, 1.0, 11);
 
-  auto run = [&](PadPolicy policy) {
+  auto run = [&](int64_t max_batch) {
     auto engine = MakeBaseline("DISC");
     DISC_CHECK_OK(engine.status());
     DISC_CHECK_OK((*engine)->Prepare(g, {{"B", "S", ""}}));
     BatcherOptions options;
-    options.pad = policy;
+    options.max_batch = max_batch;
     auto stats = SimulateServing(engine->get(), shape_fn, requests, options,
                                  DeviceSpec::T4());
     DISC_CHECK_OK(stats.status());
     return *stats;
   };
-  ServingStats batched = run(PadPolicy::kBatchMax);
-  ServingStats solo = run(PadPolicy::kNone);
+  ServingStats batched = run(8);
+  ServingStats solo = run(1);
   EXPECT_GT(batched.throughput_qps, solo.throughput_qps);
   EXPECT_LT(batched.p99_us, solo.p99_us);
 }
