@@ -37,7 +37,9 @@
 // shape trace; serves a synthetic request stream through the
 // DISC->interpreter fallback chain; then serves it twice through a
 // service-mode engine, whose artifact cache (disc_explain.serve.cache,
-// wiped at start) is its own. --blame adds the p99 tail-blame report
+// wiped at start) is its own and which adopts its compile at a fixed
+// point of the simulated clock, so two runs print the same serving lines.
+// --blame adds the p99 tail-blame report
 // (blame_report.json, re-parsed: "blame_report=ok") and joins each
 // retained outlier to the kernels of the Run that served it.
 //
@@ -614,6 +616,10 @@ int RunIntrospection(const Flags& flags, const Workload& workload,
   return 0;
 }
 
+// The simulated compile latency of --serve's service-mode engine: about a
+// quarter of its request stream's arrivals go by before the job lands.
+constexpr double kServeCompileLatencyUs = 400.0;
+
 // --serve. Every step lands in the trace: compile-phase spans, per-Run
 // plan=miss/plan=hit spans, and per-request spans (batch formation, queue
 // wait, execution) on the simulated clock.
@@ -709,11 +715,17 @@ int RunServe(const Flags& flags, const Workload& workload,
   // submits a prefetch job and returns at once, early requests degrade to
   // the interpreter leg, and the compiled executable is hot-swapped in
   // when its job lands; the second wave is served compiled (degraded=0).
+  // The job lands a fixed simulated latency after its submission (the
+  // engine waits for a slower worker), so which requests degrade does not
+  // depend on whether the worker beat the first query.
   // A worker fault (compile_service.worker) fails the job while the
   // fallback leg keeps serving; a store fault loses only persistence.
+  AsyncEngineOptions async_options;
+  async_options.simulated_compile_latency_us = kServeCompileLatencyUs;
   DynamicCompilerEngine async_engine(
       service,
-      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()));
+      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()),
+      async_options);
   if (Failed(async_engine.Prepare(*workload.graph, workload.labels),
              "service engine setup")) {
     return 1;

@@ -131,8 +131,15 @@ Result<EngineTiming> EngineFallbackChain::Query(
   if (state_ != BreakerState::kOpen) {
     Status prepared = EnsurePrimaryPrepared(&stall_us);
     if (prepared.ok()) {
+      const EngineStats& primary = primary_->stats();
+      const int64_t hits_before = primary.launch_plan_hits;
+      const int64_t misses_before = primary.launch_plan_misses;
       Result<EngineTiming> result = primary_->Query(input_dims, device);
       if (result.ok()) {
+        // The chain reports the plan lookups of the queries its primary
+        // serves, so serving stats read the same hit rate through it.
+        stats_.launch_plan_hits += primary.launch_plan_hits - hits_before;
+        stats_.launch_plan_misses += primary.launch_plan_misses - misses_before;
         OnPrimarySuccess();
         EngineTiming timing = *result;
         timing.compile_us += stall_us;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 
@@ -34,6 +35,13 @@ namespace {
 // Per-node cost of replaying a captured CUDA graph (vs a full driver
 // launch): the GPU still schedules each kernel, the host does not.
 constexpr double kGraphReplayPerNodeUs = 0.4;
+
+// Adds one priced step to a Run's device totals.
+void AddStepCost(const KernelCost& cost, DeviceTotals* totals) {
+  totals->direct_us += cost.time_us;
+  totals->graph_us += cost.body_us + kGraphReplayPerNodeUs;
+  if (cost.memory_bound) totals->memory_bound += 1;
+}
 
 // Run buffers are aligned to a cache line; arena offsets are multiples of
 // kArenaAlignment and the regions past the arena multiples of this.
@@ -452,14 +460,34 @@ Status Executable::BindData(const InputDims& input_dims,
   return Status::OK();
 }
 
+KernelCost Executable::PriceStep(size_t s, const PlannedStep& ps,
+                                 const DeviceModel& model,
+                                 double library_efficiency) const {
+  const Step& step = steps_[s];
+  if (step.kind == Step::Kind::kLibrary) {
+    return model.EstimateLibrary(ps.library_stats, library_efficiency);
+  }
+  return model.EstimateGenerated(ps.kernel_stats,
+                                 step.kernel->variants()[ps.variant_index]);
+}
+
 Result<LaunchPlan> Executable::BuildLaunchPlan(
-    const std::vector<std::vector<int64_t>>& input_dims, bool bind) const {
+    const std::vector<std::vector<int64_t>>& input_dims,
+    const RunOptions& options, bool bind) const {
   DISC_TRACE_SCOPE("plan-build", "runtime");
   LaunchPlan plan;
   // Host-side shape computation: solve every symbolic dim once per
   // signature.
   DISC_ASSIGN_OR_RETURN(plan.bindings, analysis_->BindInputs(input_dims));
   plan.steps.resize(steps_.size());
+  const DeviceModel model(options.device);
+  plan.priced_device = options.device;
+  plan.priced_library_efficiency = options.library_efficiency;
+  auto price = [&](size_t s) {
+    PlannedStep& ps = plan.steps[s];
+    ps.cost = PriceStep(s, ps, model, options.library_efficiency);
+    AddStepCost(ps.cost, &plan.device_totals);
+  };
   auto variant_counts = std::make_shared<VariantCounts>();
   // Every value the Run allocates with its byte size, in Run order;
   // values_end[s] is one past step s's last.
@@ -487,6 +515,7 @@ Result<LaunchPlan> Executable::BuildLaunchPlan(
         DISC_ASSIGN_OR_RETURN(
             ps.library_stats,
             ComputeLibraryStats(*step.node, *analysis_, plan.bindings));
+        price(s);
         plan.library_calls += 1;
         plan.bytes_read += ps.library_stats.bytes_read;
         plan.bytes_written += ps.library_stats.bytes_written;
@@ -516,6 +545,8 @@ Result<LaunchPlan> Executable::BuildLaunchPlan(
         }
         DISC_ASSIGN_OR_RETURN(ps.kernel_stats,
                               kernel.ComputeStats(plan.bindings, variant));
+        price(s);
+        plan.kernel_utilizations.push_back(ps.cost.utilization);
         plan.kernel_launches += 1;
         plan.bytes_read += ps.kernel_stats.bytes_read;
         plan.bytes_written += ps.kernel_stats.bytes_written;
@@ -600,7 +631,8 @@ Result<RunResult> Executable::RunInternal(const InputDims* input_dims,
   const LaunchPlan* plan = cached.get();
   LaunchPlan* record = nullptr;
   if (!hit) {
-    DISC_ASSIGN_OR_RETURN(fresh, BuildLaunchPlan(dims(), execute_data));
+    DISC_ASSIGN_OR_RETURN(fresh,
+                          BuildLaunchPlan(dims(), options, execute_data));
     plan = &fresh;
     if (execute_data) record = &fresh;
   } else if (execute_data && !cached->bound) {
@@ -813,8 +845,6 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
                                           RunBuffer* buffer) const {
   DISC_TRACE_SCOPE("plan-execute", "runtime");
   const RunMetrics& metrics = RunMetrics::Get();
-  const SymbolBindings& bindings = plan.bindings;
-  DeviceModel model(options.device);
   RunResult result;
   RunProfile& profile = result.profile;
   // One relaxed atomic load decides whether this Run feeds the kernel
@@ -833,11 +863,10 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
   // step executes, so its limit check (and any armed runtime.alloc
   // failpoint) fires there, never mid-Run.
   const AllocationTape& tape = use_arena ? plan.arena_tape : plan.caching_tape;
+  const bool check_tape = FailpointRegistry::AnyArmed() ||
+                          options.memory_limit_bytes > 0 || tape.has_negative;
   auto check_allocs = [&](uint32_t begin, uint32_t end) -> Status {
-    if (!FailpointRegistry::AnyArmed() && options.memory_limit_bytes <= 0 &&
-        !tape.has_negative) {
-      return Status::OK();
-    }
+    if (!check_tape) return Status::OK();
     for (uint32_t i = begin; i < end; ++i) {
       DISC_RETURN_IF_ERROR(CachingAllocator::CheckAllocation(
           tape.allocs[i].bytes, tape.allocs[i].in_use_before,
@@ -845,11 +874,39 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
     }
     return Status::OK();
   };
-  DISC_RETURN_IF_ERROR(check_allocs(0, tape.step_begin[0]));
   if (use_arena) profile.arena_bytes = plan.arena_bytes;
-  if (execute_data) StartData(plan, *inputs, buffer, &result.outputs);
 
-  for (size_t s = 0; s < steps_.size(); ++s) {
+  // Under the plan's pricing key the Run's device time is the plan's, and
+  // each step's cost is read from it. Under another key each step is
+  // priced here, by the same function, and summed in the same order.
+  const bool priced = options.device == plan.priced_device &&
+                      options.library_efficiency ==
+                          plan.priced_library_efficiency;
+  std::optional<DeviceModel> model;
+  if (!priced) model.emplace(options.device);
+  DeviceTotals repriced;
+  auto step_cost = [&](size_t s, const PlannedStep& ps) {
+    if (priced) return ps.cost;
+    const KernelCost cost =
+        PriceStep(s, ps, *model, options.library_efficiency);
+    AddStepCost(cost, &repriced);
+    return cost;
+  };
+
+  // A Run with nothing to observe step by step walks no step: timing-only,
+  // priced by the plan, with no failpoint site that can fire, no
+  // allocation check that can fail, and no trace span or ledger
+  // observation to record. Its profile is the plan's.
+  const bool walk_steps = execute_data || !priced || check_tape ||
+                          TraceSession::Global().enabled() || profile_kernels;
+  if (!walk_steps) {
+    metrics.kernel_utilization->ObserveAll(plan.kernel_utilizations);
+  } else {
+    DISC_RETURN_IF_ERROR(check_allocs(0, tape.step_begin[0]));
+    if (execute_data) StartData(plan, *inputs, buffer, &result.outputs);
+  }
+
+  for (size_t s = 0; walk_steps && s < steps_.size(); ++s) {
     const Step& step = steps_[s];
     const PlannedStep& ps = plan.steps[s];
     switch (step.kind) {
@@ -881,12 +938,7 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
       case Step::Kind::kLibrary: {
         TraceScope step_scope(OpName(step.node->kind()), "runtime.step");
         if (step_scope.active()) step_scope.AddArg("kind", "library-call");
-        KernelCost cost =
-            model.EstimateLibrary(ps.library_stats, options.library_efficiency);
-        profile.device_time_us += options.batch_launches
-                                      ? cost.body_us + kGraphReplayPerNodeUs
-                                      : cost.time_us;
-        if (cost.memory_bound) profile.memory_bound_launches += 1;
+        step_cost(s, ps);
         DISC_RETURN_IF_ERROR(
             check_allocs(tape.step_begin[s], tape.step_begin[s + 1]));
         if (execute_data) {
@@ -913,11 +965,7 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
           step_scope.AddArg("isa",
                             ContractionIsaName(kernel.RowIsa(ps.binding)));
         }
-        KernelCost cost = model.EstimateGenerated(stats, variant);
-        profile.device_time_us += options.batch_launches
-                                      ? cost.body_us + kGraphReplayPerNodeUs
-                                      : cost.time_us;
-        if (cost.memory_bound) profile.memory_bound_launches += 1;
+        const KernelCost cost = step_cost(s, ps);
         if (profile_kernels) {
           KernelLaunchObservation obs;
           obs.kernel = &kernel;
@@ -946,10 +994,13 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
 
   if (record != nullptr) record->bound = true;
 
-  if (options.batch_launches) {
-    // One driver submission for the whole captured graph.
-    profile.device_time_us += model.launch_overhead_us();
-  }
+  const DeviceTotals& totals = priced ? plan.device_totals : repriced;
+  // With graph replay, one driver submission for the whole captured graph.
+  profile.device_time_us =
+      options.batch_launches
+          ? totals.graph_us + options.device.kernel_launch_us
+          : totals.direct_us;
+  profile.memory_bound_launches = totals.memory_bound;
   // Everything else in the profile is a pure function of the signature:
   // the plan's totals and its tape's final allocator stats.
   profile.kernel_launches = plan.kernel_launches;
@@ -972,7 +1023,7 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
   metrics.launches->Increment(profile.kernel_launches);
 
   if (profile_kernels && !kernel_observations.empty()) {
-    kernel_ledger.ObserveRun(this, signature, bindings,
+    kernel_ledger.ObserveRun(this, signature, plan.bindings,
                              RequestContext::CurrentTraceId(),
                              profile.device_time_us, kernel_observations);
   }

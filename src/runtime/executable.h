@@ -11,12 +11,19 @@
 //   * plan build  — all host-side work that depends only on the input-
 //     shape signature: symbol solve, guard evaluation, launch geometry,
 //     library footprints, buffer sizes and the arena size, the Run's
-//     totals (launches, bytes, variant counts) and each memory mode's
-//     allocation tape (the allocator's whole traffic, recorded once); for
-//     plans that serve data-mode Runs also the data layout (kernel
-//     bindings, resolved library calls, every value's offset);
-//   * plan execute — cost-model charging, the allocator checks against
-//     the tape and (in data mode) numeric execution from a finished plan.
+//     totals (launches, bytes, variant counts), each step's simulated cost
+//     and the Run's device time under the building Run's device and
+//     library efficiency, and each memory mode's allocation tape (the
+//     allocator's whole traffic, recorded once); for plans that serve
+//     data-mode Runs also the data layout (kernel bindings, resolved
+//     library calls, every value's offset);
+//   * plan execute — the allocator checks against the tape, trace spans
+//     and kernel-ledger observations per step, and (in data mode) numeric
+//     execution from a finished plan. A Run under the plan's pricing key
+//     reads its device time from the plan; one under another key prices
+//     each step. A timing-only Run under the plan's key that nothing
+//     observes step by step (no failpoint armed, no memory limit, no
+//     negative size, tracing and the kernel ledger off) walks no step.
 // Plans are memoized per signature in a bounded thread-safe LRU keyed by
 // the input dims, so repeated-shape Runs (decode loops, hot serving
 // signatures) skip the symbolic phase entirely. A timing-only hit
@@ -286,10 +293,19 @@ class Executable {
   /// Checks a data-mode Run's input count and dtypes against the graph's.
   Status CheckInputs(const std::vector<Tensor>& inputs) const;
 
-  /// Phase 1: all host-side symbolic work for one signature. `bind` also
-  /// lays out the data path (plans that serve data-mode runs).
+  /// Phase 1: all host-side symbolic work for one signature, priced under
+  /// `options`' device and library efficiency. `bind` also lays out the
+  /// data path (plans that serve data-mode runs).
   Result<LaunchPlan> BuildLaunchPlan(const InputDims& input_dims,
+                                     const RunOptions& options,
                                      bool bind) const;
+
+  /// The one pricing function: the simulated cost of kernel or library
+  /// step `s` from its recorded stats in `ps`, on `model` at
+  /// `library_efficiency`.
+  KernelCost PriceStep(size_t s, const PlannedStep& ps,
+                       const DeviceModel& model,
+                       double library_efficiency) const;
 
   /// Lays out `plan`'s data path (see LaunchPlan): binds every kernel step,
   /// resolves every library call and places every value, checking that
@@ -297,7 +313,8 @@ class Executable {
   /// analysis.
   Status BindData(const InputDims& input_dims, LaunchPlan* plan) const;
 
-  /// Phase 2: charge the cost model, check the plan's allocations and
+  /// Phase 2: charge the plan's device time (pricing each step when the
+  /// Run's key is not the plan's), check the plan's allocations and
   /// (optionally) execute numerics from a finished plan. Hits and misses
   /// both run through here. `buffer` is the Run's buffer in data mode and
   /// null in timing-only mode. `record` (data mode; null when the plan is

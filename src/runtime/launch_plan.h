@@ -12,6 +12,8 @@
 //   * the solved SymbolBindings,
 //   * per step: the selected KernelVariant index and the KernelStats /
 //     LibraryCallStats (launch dims live inside KernelStats),
+//   * per step: its simulated cost (KernelCost), and the Run's device
+//     totals, priced once under the plan's pricing key (see below),
 //   * the Run's totals: launch and library-call counts, bytes moved and
 //     the per-variant launch counts,
 //   * per memory mode, the allocation tape: every allocator call a Run
@@ -30,16 +32,22 @@
 // A plan built by a timing-only Run carries no data layout; the first
 // data-mode Run that hits it binds it once and republishes it.
 //
-// The plan deliberately does NOT bake in device time: costs are
-// re-estimated from the recorded stats through the DeviceModel on every
-// Run, so a cached Run sees identical simulated device timing under any
-// RunOptions (device, library efficiency, graph replay) — only the host
-// overhead shrinks. Likewise a Run still makes every allocation's checks
-// (the `runtime.alloc` failpoint, the memory limit) against the tape, so
-// fault schedules and limit failures do not depend on hit or miss. This
-// mirrors real BladeDISC's runtime shape-signature dispatch; CUDA-graph
-// replay is the degenerate form of the same idea and shares the signature
-// (see ShapeSignature).
+// The plan stores device time under one pricing key: the DeviceSpec and
+// library efficiency of the Run that built it. Plan build prices every
+// kernel and library step once (Executable's one pricing function turns
+// the step's KernelStats or LibraryCallStats into a KernelCost through the
+// DeviceModel) and sums the Run's device time for direct launches and for
+// graph replay, in step order from 0.0, as a Run would. A Run under that
+// key reads the costs and totals; a Run under any other key (another
+// device or library efficiency) prices each step through the same
+// function, so every key sees identical simulated device timing, hit or
+// miss, and only the host overhead shrinks. Graph replay is not part of
+// the key: both totals are stored. Likewise a Run still makes every
+// allocation's checks (the `runtime.alloc` failpoint, the memory limit)
+// against the tape, so fault schedules and limit failures do not depend on
+// hit or miss. This mirrors real BladeDISC's runtime shape-signature
+// dispatch; CUDA-graph replay is the degenerate form of the same idea and
+// shares the signature (see ShapeSignature).
 //
 // LaunchPlanCache is a bounded, thread-safe LRU keyed by the input dims
 // themselves: a rank-aware hash picks the bucket and an exact compare
@@ -65,6 +73,7 @@
 #include "kernel/library.h"
 #include "runtime/allocator.h"
 #include "shape/shape_analysis.h"
+#include "sim/device.h"
 
 namespace disc {
 
@@ -90,6 +99,9 @@ struct PlannedStep {
   KernelStats kernel_stats;
   /// Footprint of the vendor call (kLibrary steps).
   LibraryCallStats library_stats;
+  /// The step's simulated cost under the plan's pricing key (kKernel and
+  /// kLibrary steps).
+  KernelCost cost;
   /// The kernel's executor bound to this signature (kKernel steps of a
   /// bound plan). Immutable and shared by concurrent Runs.
   KernelBinding binding;
@@ -137,6 +149,18 @@ struct AllocationTape {
 /// Launch counts per "kernel/variant" name.
 using VariantCounts = std::map<std::string, int64_t>;
 
+/// A Run's simulated device totals: its kernel and library steps' costs,
+/// summed in step order from 0.0.
+struct DeviceTotals {
+  /// Device time with one driver launch per step (KernelCost::time_us).
+  double direct_us = 0.0;
+  /// Device time replaying a captured graph: each step's body plus the
+  /// per-node replay cost, before the graph's one launch.
+  double graph_us = 0.0;
+  /// Steps the model finds memory-bound.
+  int64_t memory_bound = 0;
+};
+
 /// Everything the host derives from one shape signature.
 struct LaunchPlan {
   SymbolBindings bindings;
@@ -146,8 +170,15 @@ struct LaunchPlan {
   /// here so admission control can read a hot signature's footprint off
   /// the cache.
   int64_t arena_bytes = 0;
-  /// A Run's totals, which depend only on the signature (device time and
-  /// the memory-bound verdicts depend on RunOptions and stay per Run).
+  /// The pricing key (a Run's RunOptions::device and
+  /// RunOptions::library_efficiency) that every step's cost and the fields
+  /// below were priced under, at plan build.
+  DeviceSpec priced_device;
+  double priced_library_efficiency = 0.0;
+  DeviceTotals device_totals;
+  /// Each kernel launch's KernelCost::utilization, in step order.
+  std::vector<double> kernel_utilizations;
+  /// A Run's totals, which depend only on the signature.
   int64_t kernel_launches = 0;
   int64_t library_calls = 0;
   int64_t bytes_read = 0;

@@ -32,6 +32,9 @@ struct DeviceSpec {
   /// Threads needed in flight to saturate DRAM.
   int64_t saturation_threads = 32 * 1024;
 
+  /// Same name and parameters: the model prices every kernel alike.
+  bool operator==(const DeviceSpec&) const = default;
+
   /// NVIDIA A10 (GA102): 72 SMs, 31.2 TF FP32, 600 GB/s GDDR6.
   static DeviceSpec A10();
   /// NVIDIA T4 (TU104): 40 SMs, 8.1 TF FP32, 320 GB/s GDDR6.

@@ -20,21 +20,52 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   }
 }
 
+size_t Histogram::BucketOf(double value) const {
+  return std::lower_bound(bounds_.begin(), bounds_.end(), value) -
+         bounds_.begin();
+}
+
 void Histogram::Observe(double value) {
-  // First bucket whose inclusive upper bound admits the value (the first
-  // bound >= value); past the last bound it lands in the overflow bucket.
-  size_t idx = std::lower_bound(bounds_.begin(), bounds_.end(), value) -
-               bounds_.begin();
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
+  buckets_[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   // fetch_add on atomic<double> is C++20; keep it.
   sum_.fetch_add(value, std::memory_order_relaxed);
 }
 
+void Histogram::ObserveAll(const std::vector<double>& values) {
+  if (values.empty()) return;
+  // Buckets are counted locally, a window of them per pass over the values
+  // (one pass for every histogram of up to kWindow buckets).
+  constexpr size_t kWindow = 32;
+  const size_t num_buckets = bounds_.size() + 1;
+  for (size_t first = 0; first < num_buckets; first += kWindow) {
+    int64_t counts[kWindow] = {};
+    for (double value : values) {
+      const size_t i = BucketOf(value) - first;  // wraps below the window
+      if (i < kWindow) ++counts[i];
+    }
+    for (size_t i = 0; i < kWindow && first + i < num_buckets; ++i) {
+      if (counts[i] != 0) {
+        buckets_[first + i].fetch_add(counts[i], std::memory_order_relaxed);
+      }
+    }
+  }
+  count_.fetch_add(static_cast<int64_t>(values.size()),
+                   std::memory_order_relaxed);
+  // The values join the sum one by one, as successive fetch_adds would
+  // add them.
+  double sum = sum_.load(std::memory_order_relaxed);
+  double folded;
+  do {
+    folded = sum;
+    for (double value : values) folded += value;
+  } while (!sum_.compare_exchange_weak(sum, folded,
+                                       std::memory_order_relaxed));
+}
+
 void Histogram::Observe(double value, uint64_t exemplar_id) {
   if (exemplar_id != 0) {
-    size_t idx = std::lower_bound(bounds_.begin(), bounds_.end(), value) -
-                 bounds_.begin();
+    const size_t idx = BucketOf(value);
     exemplar_values_[idx].store(value, std::memory_order_relaxed);
     exemplar_ids_[idx].store(exemplar_id, std::memory_order_relaxed);
   }

@@ -56,6 +56,11 @@ class Histogram {
   /// \brief Observe + stamp the landing bucket's exemplar with `id` (a
   /// trace id; id 0 records no exemplar).
   void Observe(double value, uint64_t exemplar_id);
+  /// \brief Observes every value, in order: one atomic add per bucket the
+  /// values touch, one for the count, and one compare-exchange that folds
+  /// them into the sum in order. On one thread the histogram ends
+  /// bit-identical to one Observe call per value.
+  void ObserveAll(const std::vector<double>& values);
 
   /// Per-bucket counts, size bounds().size() + 1 (last = overflow).
   std::vector<int64_t> bucket_counts() const;
@@ -82,6 +87,10 @@ class Histogram {
                                                int count);
 
  private:
+  /// The first bucket whose inclusive upper bound admits `value`; past the
+  /// last bound, the overflow bucket.
+  size_t BucketOf(double value) const;
+
   std::vector<double> bounds_;
   std::unique_ptr<std::atomic<int64_t>[]> buckets_;  // bounds_.size() + 1
   /// Parallel to buckets_: packed exemplar id + value per bucket. Written

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <limits>
+#include <set>
 #include <thread>
 
 #include "compiler/compiler.h"
@@ -14,7 +15,9 @@
 #include "models/models.h"
 #include "runtime/launch_plan.h"
 #include "support/failpoint.h"
+#include "support/metrics.h"
 #include "support/rng.h"
+#include "support/trace.h"
 
 namespace disc {
 namespace {
@@ -341,35 +344,167 @@ TEST(LaunchPlanTest, ConcurrentRunsAreSafe) {
 }
 
 TEST(LaunchPlanTest, HitMissAndCacheOffProfilesAgreeOnEveryTraceShape) {
-  // A plan holds the Run's totals, variant counts and allocation tapes, so
-  // a hit reports them without recomputing anything: every profile field
-  // must still equal a miss's and a cache-off Run's, in both memory modes.
+  // A plan holds the Run's totals, variant counts, allocation tapes and its
+  // device time priced under the building Run's device and library
+  // efficiency, so a hit reports them without recomputing anything: every
+  // profile field must still equal a miss's and a cache-off Run's, for
+  // every device, library efficiency, graph replay and memory mode. A hit
+  // under another key (device or efficiency) prices its steps itself and
+  // must equal a cache-off Run under that key; a hit under the building
+  // key afterwards still reads the plan.
   std::vector<Model> models = BuildModelSuite();
   models.push_back(BuildGptStepBatch());
+  const std::vector<DeviceSpec> devices = {
+      DeviceSpec::A10(), DeviceSpec::T4(), DeviceSpec::XeonCpu()};
   for (const Model& model : models) {
     auto exe = DiscCompiler::Compile(*model.graph, model.input_dim_labels);
     ASSERT_TRUE(exe.ok()) << model.name << ": " << exe.status().ToString();
-    for (MemoryMode mode : {MemoryMode::kCachingAllocator, MemoryMode::kArena}) {
-      RunOptions cached;
-      cached.memory_mode = mode;
-      RunOptions off = cached;
-      off.use_launch_plan_cache = false;
-      for (const ShapeSet& shapes : model.trace) {
-        const std::string where =
-            model.name + " " + ShapeSignature(shapes) +
-            (mode == MemoryMode::kArena ? " arena" : " caching");
-        (*exe)->ClearPlanCache();
-        auto miss = (*exe)->RunWithShapes(shapes, cached);
-        auto hit = (*exe)->RunWithShapes(shapes, cached);
-        auto cold = (*exe)->RunWithShapes(shapes, off);
-        ASSERT_TRUE(miss.ok() && hit.ok() && cold.ok()) << where;
-        ASSERT_FALSE(miss->profile.launch_plan_hit) << where;
-        ASSERT_TRUE(hit->profile.launch_plan_hit) << where;
-        ExpectSameProfile(miss->profile, hit->profile, where);
-        ExpectSameProfile(cold->profile, hit->profile, where);
+    const std::set<ShapeSet> signatures(model.trace.begin(),
+                                        model.trace.end());
+    for (size_t d = 0; d < devices.size(); ++d) {
+      for (bool graph : {false, true}) {
+        for (double efficiency : {0.5, 0.85}) {
+          for (MemoryMode mode :
+               {MemoryMode::kCachingAllocator, MemoryMode::kArena}) {
+            RunOptions cached;
+            cached.device = devices[d];
+            cached.batch_launches = graph;
+            cached.library_efficiency = efficiency;
+            cached.memory_mode = mode;
+            RunOptions other_device = cached;
+            other_device.device = devices[(d + 1) % devices.size()];
+            RunOptions other_efficiency = cached;
+            other_efficiency.library_efficiency =
+                efficiency == 0.5 ? 0.85 : 0.5;
+            auto off = [](RunOptions options) {
+              options.use_launch_plan_cache = false;
+              return options;
+            };
+            const std::string key =
+                devices[d].name + (graph ? " graph" : " direct") +
+                " efficiency " + std::to_string(efficiency) +
+                (mode == MemoryMode::kArena ? " arena" : " caching");
+            for (const ShapeSet& shapes : signatures) {
+              const std::string where =
+                  model.name + " " + ShapeSignature(shapes) + " " + key;
+              (*exe)->ClearPlanCache();
+              auto miss = (*exe)->RunWithShapes(shapes, cached);
+              auto hit = (*exe)->RunWithShapes(shapes, cached);
+              auto cold = (*exe)->RunWithShapes(shapes, off(cached));
+              ASSERT_TRUE(miss.ok() && hit.ok() && cold.ok()) << where;
+              ASSERT_FALSE(miss->profile.launch_plan_hit) << where;
+              ASSERT_TRUE(hit->profile.launch_plan_hit) << where;
+              ExpectSameProfile(miss->profile, hit->profile, where);
+              ExpectSameProfile(cold->profile, hit->profile, where);
+              for (const RunOptions& other : {other_device, other_efficiency}) {
+                auto other_hit = (*exe)->RunWithShapes(shapes, other);
+                auto other_cold = (*exe)->RunWithShapes(shapes, off(other));
+                ASSERT_TRUE(other_hit.ok() && other_cold.ok()) << where;
+                ASSERT_TRUE(other_hit->profile.launch_plan_hit) << where;
+                ExpectSameProfile(other_cold->profile, other_hit->profile,
+                                  where + " under " + other.device.name +
+                                      " efficiency " +
+                                      std::to_string(
+                                          other.library_efficiency));
+              }
+              auto again = (*exe)->RunWithShapes(shapes, cached);
+              ASSERT_TRUE(again.ok()) << where;
+              ASSERT_TRUE(again->profile.launch_plan_hit) << where;
+              ExpectSameProfile(hit->profile, again->profile, where);
+            }
+          }
+        }
       }
     }
   }
+}
+
+TEST(LaunchPlanTest, KernelFaultsFailAtTheSameLaunchOnHitMissAndCacheOff) {
+  // An armed failpoint makes a priced hit walk its steps: with
+  // runtime.kernel set to fire on the k-th launch, a hit fails at the same
+  // launch as a miss and a cache-off Run, having evaluated the site k
+  // times and observed the k - 1 launches before it.
+  Model model = BuildBert();
+  auto exe = DiscCompiler::Compile(*model.graph, model.input_dim_labels);
+  ASSERT_TRUE(exe.ok()) << exe.status().ToString();
+  const ShapeSet shapes = {{8, 64, 64}};
+  auto warm = (*exe)->RunWithShapes(shapes);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  const int64_t launches = warm->profile.kernel_launches;
+  ASSERT_GT(launches, 2);
+  FailpointRegistry& registry = FailpointRegistry::Global();
+  // The bounds the runtime registers it with (the first registration's
+  // bounds win).
+  Histogram* utilization = MetricsRegistry::Global().GetHistogram(
+      "runtime.kernel.utilization",
+      {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0});
+  RunOptions off;
+  off.use_launch_plan_cache = false;
+
+  // One Run with the k-th launch armed to fail: its status, the site's
+  // evaluations and the launches it observed.
+  auto trial = [&](int64_t k, const RunOptions& options, bool miss) {
+    if (miss) (*exe)->ClearPlanCache();
+    auto spec = FailpointSpec::Parse("every:" + std::to_string(k));
+    EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+    registry.Arm("runtime.kernel", *spec);
+    const int64_t observed_before = utilization->count();
+    const int64_t hits_before = (*exe)->plan_cache_stats().hits;
+    auto r = (*exe)->RunWithShapes(shapes, options);
+    EXPECT_EQ((*exe)->plan_cache_stats().hits - hits_before,
+              options.use_launch_plan_cache && !miss ? 1 : 0);
+    int64_t evaluations = -1;
+    for (const FailpointRegistry::Info& info : registry.Snapshot()) {
+      if (info.name == "runtime.kernel") evaluations = info.hits;
+    }
+    registry.DisarmAll();
+    return std::vector<std::string>{
+        r.status().ToString(), "evaluations=" + std::to_string(evaluations),
+        "observed=" + std::to_string(utilization->count() - observed_before)};
+  };
+  for (int64_t k : {int64_t{1}, int64_t{2}, launches}) {
+    const std::string where = "k=" + std::to_string(k);
+    const std::vector<std::string> hit = trial(k, RunOptions{}, false);
+    EXPECT_EQ(trial(k, RunOptions{}, true), hit) << where;
+    EXPECT_EQ(trial(k, off, false), hit) << where;
+    EXPECT_NE(hit[0], "OK") << where;
+    EXPECT_EQ(hit[1], "evaluations=" + std::to_string(k)) << where;
+    EXPECT_EQ(hit[2], "observed=" + std::to_string(k - 1)) << where;
+    // The failed miss published nothing; warm the plan for the next hit.
+    ASSERT_TRUE((*exe)->RunWithShapes(shapes).ok()) << where;
+  }
+}
+
+TEST(LaunchPlanTest, TracedHitsSpanEveryStepLikeMisses) {
+  // A traced Run walks its steps even when its plan prices them: a hit
+  // emits one runtime.step span per kernel launch and library call, with
+  // the same names in the same order as a miss.
+  Model model = BuildBert();
+  auto exe = DiscCompiler::Compile(*model.graph, model.input_dim_labels);
+  ASSERT_TRUE(exe.ok()) << exe.status().ToString();
+  const ShapeSet shapes = model.trace.front();
+  TraceSession& trace = TraceSession::Global();
+  auto traced_steps = [&](bool want_hit) {
+    trace.Clear();
+    trace.Enable();
+    auto r = (*exe)->RunWithShapes(shapes);
+    trace.Disable();
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->profile.launch_plan_hit, want_hit);
+    std::vector<std::string> names;
+    for (const TraceEvent& e : trace.Snapshot("runtime.step")) {
+      names.push_back(e.name);
+    }
+    EXPECT_EQ(static_cast<int64_t>(names.size()),
+              r->profile.kernel_launches + r->profile.library_calls);
+    return names;
+  };
+  (*exe)->ClearPlanCache();
+  const std::vector<std::string> miss = traced_steps(false);
+  const std::vector<std::string> hit = traced_steps(true);
+  trace.Clear();
+  EXPECT_FALSE(miss.empty());
+  EXPECT_EQ(hit, miss);
 }
 
 TEST(LaunchPlanTest, AllocationFaultsAndLimitsFailAlikeOnHitMissAndCacheOff) {

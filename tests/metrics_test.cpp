@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "compiler/compiler.h"
 #include "models/models.h"
 #include "sim/device.h"
+#include "support/rng.h"
 
 namespace disc {
 namespace {
@@ -75,6 +77,52 @@ TEST(HistogramTest, ConcurrentObserves) {
   EXPECT_EQ(h.count(), kThreads * kPerThread);
   EXPECT_EQ(h.bucket_counts()[0], kThreads * kPerThread);
   EXPECT_DOUBLE_EQ(h.sum(), 5.0 * kThreads * kPerThread);
+}
+
+TEST(HistogramTest, ObserveAllMatchesObserveBitForBit) {
+  // Bounds on both sides of the 32-bucket window ObserveAll counts in.
+  for (const std::vector<double>& bounds :
+       {std::vector<double>{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0},
+        Histogram::ExponentialBounds(1e-3, 1.5, 40), std::vector<double>{}}) {
+    Rng rng(static_cast<uint64_t>(bounds.size()) + 3);
+    std::vector<double> values;
+    for (int i = 0; i < 300; ++i) {
+      // Draws at exact bounds land in their own bucket, others anywhere.
+      values.push_back(!bounds.empty() && i % 7 == 0
+                           ? bounds[static_cast<size_t>(i) % bounds.size()]
+                           : std::exp(rng.Normal() * 4.0) * 0.01);
+    }
+    Histogram one_by_one(bounds), batched(bounds);
+    one_by_one.Observe(0.25);
+    batched.Observe(0.25);
+    for (double v : values) one_by_one.Observe(v);
+    batched.ObserveAll(values);
+    batched.ObserveAll({});
+    EXPECT_EQ(batched.bucket_counts(), one_by_one.bucket_counts())
+        << bounds.size() << " bounds";
+    EXPECT_EQ(batched.count(), one_by_one.count()) << bounds.size();
+    EXPECT_EQ(std::bit_cast<uint64_t>(batched.sum()),
+              std::bit_cast<uint64_t>(one_by_one.sum()))
+        << bounds.size() << " bounds: " << batched.sum() << " vs "
+        << one_by_one.sum();
+  }
+}
+
+TEST(HistogramTest, ConcurrentObserveAll) {
+  Histogram h({10.0, 100.0});
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 1000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&h] {
+      for (int i = 0; i < kPerThread; ++i) h.ObserveAll({5.0, 50.0, 500.0});
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(h.count(), 3 * kThreads * kPerThread);
+  EXPECT_EQ(h.bucket_counts(),
+            std::vector<int64_t>(3, kThreads * kPerThread));
+  EXPECT_DOUBLE_EQ(h.sum(), 555.0 * kThreads * kPerThread);
 }
 
 TEST(MetricsRegistryTest, CountersAreStableAndNamed) {
@@ -203,6 +251,30 @@ TEST(MetricsAgreementTest, KernelMemoryBoundCounterMatchesRunProfile) {
   // Utilization is a fraction of peak: first registration fixed bounds
   // at <= 1.0, so nothing can land in the overflow bucket.
   EXPECT_EQ(utilization->bucket_counts().back(), 0);
+}
+
+TEST(MetricsAgreementTest, PricedHitsObserveEveryLaunchUtilization) {
+  // A timing-only hit that reads its costs from the plan observes the
+  // plan's utilizations in one batch: N hits still add N observations per
+  // generated kernel launch.
+  Histogram* utilization = MetricsRegistry::Global().GetHistogram(
+      "runtime.kernel.utilization",
+      {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0});
+  Model model = BuildBert(ModelConfig{});
+  auto exe = DiscCompiler::Compile(*model.graph, model.input_dim_labels);
+  ASSERT_TRUE(exe.ok());
+  auto warm = (*exe)->RunWithShapes(model.trace[0]);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_GT(warm->profile.kernel_launches, 0);
+  constexpr int kHits = 5;
+  const int64_t count0 = utilization->count();
+  for (int i = 0; i < kHits; ++i) {
+    auto r = (*exe)->RunWithShapes(model.trace[0]);
+    ASSERT_TRUE(r.ok());
+    ASSERT_TRUE(r->profile.launch_plan_hit);
+  }
+  EXPECT_EQ(utilization->count() - count0,
+            kHits * warm->profile.kernel_launches);
 }
 
 TEST(MetricsAgreementTest, PlanCacheStatsMatchRegistry) {

@@ -1,11 +1,14 @@
 // A timing-only launch-plan hit must not touch the heap: the plan holds
 // every piece of per-Run bookkeeping that depends only on the signature
-// (totals, variant counts, the allocation tape), the cache keys on the
-// dims themselves, and the metric handles are resolved once. A data-mode
-// hit allocates only what it returns: the plan also holds the data layout,
-// and the Run's buffer comes from the executable's pool. The operator-new
-// hook (alloc_hook.h, shared with trace_alloc_test) counts the bytes each
-// call allocates.
+// (totals, variant counts, the allocation tape, the priced step costs),
+// the cache keys on the dims themselves, and the metric handles are
+// resolved once. A data-mode hit allocates only what it returns: the plan
+// also holds the data layout, and the Run's buffer comes from the
+// executable's pool. Both hold for a Run under another device or library
+// efficiency than the plan was priced under, which prices each step
+// instead of reading the plan's costs. The operator-new hook (alloc_hook.h,
+// shared with trace_alloc_test and runtime_test) counts the bytes each call
+// allocates.
 #include <gtest/gtest.h>
 
 #include "alloc_hook.h"
@@ -39,6 +42,11 @@ TEST_P(PlanHitAllocTest, TimingOnlyHitsAllocateNothing) {
     RunOptions options;
     options.memory_mode =
         arena ? MemoryMode::kArena : MemoryMode::kCachingAllocator;
+    // The engine's Queries build every plan under A10 at the default
+    // library efficiency; a Run under another key prices each step itself.
+    RunOptions other_key = options;
+    other_key.device = DeviceSpec::T4();
+    other_key.library_efficiency = 0.5;
     // Warm every signature of the trace once; each later call hits.
     for (const ShapeSet& shapes : model.trace) {
       ASSERT_TRUE(engine.Query(shapes, device).ok()) << model.name;
@@ -54,6 +62,15 @@ TEST_P(PlanHitAllocTest, TimingOnlyHitsAllocateNothing) {
                     &ok),
                 0)
           << "RunWithShapes " << where;
+      EXPECT_TRUE(ok) << where;
+      EXPECT_EQ(AllocatedBytes(
+                    [&] {
+                      auto r = exe.RunWithShapes(shapes, other_key);
+                      return r.ok() && r->profile.launch_plan_hit;
+                    },
+                    &ok),
+                0)
+          << "RunWithShapes under another key " << where;
       EXPECT_TRUE(ok) << where;
       EXPECT_EQ(AllocatedBytes(
                     [&] {
@@ -105,6 +122,11 @@ TEST_P(PlanHitAllocTest, DataModeHitsAllocateOnlyTheirOutputs) {
   RunOptions options;
   options.memory_mode =
       GetParam() ? MemoryMode::kArena : MemoryMode::kCachingAllocator;
+  // Hits under the key that priced the plan read its costs; hits under
+  // another key price each step. Neither may collect anything per Run.
+  RunOptions other_key = options;
+  other_key.device = DeviceSpec::XeonCpu();
+  other_key.library_efficiency = 0.5;
   std::vector<Model> models = BuildModelSuite();
   models.push_back(BuildGptStepBatch());
   for (const Model& model : models) {
@@ -117,18 +139,21 @@ TEST_P(PlanHitAllocTest, DataModeHitsAllocateOnlyTheirOutputs) {
       ASSERT_TRUE(warm.ok()) << model.name << ": " << warm.status().ToString();
     }
     for (size_t i = 0; i < inputs.size(); ++i) {
-      const std::string where =
-          model.name + " " + ShapeSignature(model.trace[i]);
-      Result<RunResult> r = Status::Internal("not run");
-      bool ok = false;
-      const int64_t bytes = AllocatedBytes(
-          [&] {
-            r = (*exe)->Run(inputs[i], options);
-            return r.ok() && r->profile.launch_plan_hit;
-          },
-          &ok);
-      ASSERT_TRUE(ok) << where << ": " << r.status().ToString();
-      EXPECT_LE(bytes, OutputBytes(r->outputs)) << where;
+      for (const RunOptions& key : {options, other_key}) {
+        const std::string where =
+            model.name + " " + ShapeSignature(model.trace[i]) + " on " +
+            key.device.name;
+        Result<RunResult> r = Status::Internal("not run");
+        bool ok = false;
+        const int64_t bytes = AllocatedBytes(
+            [&] {
+              r = (*exe)->Run(inputs[i], key);
+              return r.ok() && r->profile.launch_plan_hit;
+            },
+            &ok);
+        ASSERT_TRUE(ok) << where << ": " << r.status().ToString();
+        EXPECT_LE(bytes, OutputBytes(r->outputs)) << where;
+      }
     }
     bool ok = false;
     EXPECT_EQ(AllocatedBytes(

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <string>
 
+#include "alloc_hook.h"
 #include "compiler/compiler.h"
 #include "ir/builder.h"
 #include "ir/eval.h"
@@ -219,10 +220,24 @@ TEST(RuntimeTest, SameExecutableIsReentrant) {
   EXPECT_EQ(r2->outputs[0].dims(), (std::vector<int64_t>{9}));
 }
 
+// Runs `input_dims` timing-only and returns the heap bytes the Run
+// allocated; `*profile` receives its profile.
+int64_t RunHeapBytes(const Executable& exe, const InputDims& input_dims,
+                     const RunOptions& options, RunProfile* profile) {
+  StartCountingAllocations();
+  Result<RunResult> r = exe.RunWithShapes(input_dims, options);
+  const int64_t bytes = StopCountingAllocations();
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (r.ok()) *profile = r->profile;
+  return bytes;
+}
+
 TEST(RuntimeTest, PlanCacheHitsCutHostOverhead) {
-  // Repeat-heavy trace: plan hits must skip the symbolic phase. Compare
-  // mean measured host planning time on hits vs misses — the ISSUE target
-  // is >=2x; real ratios are >10x, so 2x keeps CI noise-proof.
+  // Repeat-heavy trace: plan hits skip the symbolic phase. Asserted on
+  // counts that repeat from run to run, not on wall-clock time (the
+  // measured hit and miss costs are F7's to show): the cache serves every
+  // repeat, and a hit makes no heap allocation while every miss builds its
+  // plan on the heap.
   Graph g;
   GraphBuilder b(&g);
   Value* x = b.Input("x", DType::kF32, {kDynamicDim, 64});
@@ -232,34 +247,38 @@ TEST(RuntimeTest, PlanCacheHitsCutHostOverhead) {
   auto exe = DiscCompiler::Compile(g, {{"B", ""}});
   ASSERT_TRUE(exe.ok());
 
-  double miss_us = 0.0, hit_us = 0.0;
-  int64_t misses = 0, hits = 0;
+  int64_t misses = 0, hits = 0, hit_bytes = 0;
   for (int round = 0; round < 200; ++round) {
     int64_t batch = 1 + round % 4;  // 4 signatures, 50 repeats each
-    auto r = (*exe)->RunWithShapes({{batch, 64}});
-    ASSERT_TRUE(r.ok());
-    if (r->profile.launch_plan_hit) {
-      hit_us += r->profile.host_plan_us;
+    RunProfile profile;
+    const int64_t bytes =
+        RunHeapBytes(**exe, {{batch, 64}}, RunOptions{}, &profile);
+    if (profile.launch_plan_hit) {
+      hit_bytes += bytes;
       ++hits;
     } else {
-      miss_us += r->profile.host_plan_us;
+      EXPECT_GT(bytes, 0) << "miss at round " << round;
       ++misses;
     }
   }
-  ASSERT_EQ(misses, 4);
-  ASSERT_EQ(hits, 196);
-  EXPECT_GE(static_cast<double>(hits) / 200.0, 0.8);  // repeat-heavy trace
-  double mean_miss = miss_us / static_cast<double>(misses);
-  double mean_hit = hit_us / static_cast<double>(hits);
-  EXPECT_GE(mean_miss, 2.0 * mean_hit)
-      << "mean miss " << mean_miss << "us vs mean hit " << mean_hit << "us";
+  EXPECT_EQ(misses, 4);
+  EXPECT_EQ(hits, 196);
+  EXPECT_EQ(hit_bytes, 0);
+  LaunchPlanCache::Stats stats = (*exe)->plan_cache_stats();
+  EXPECT_EQ(stats.hits, 196);
+  EXPECT_EQ(stats.misses, 4);
+  EXPECT_EQ(stats.entries, 4);
+  EXPECT_EQ(stats.evictions, 0);
 }
 
 TEST(RuntimeTest, FullyDynamicTraceDegradesGracefully) {
   // Every query a fresh signature: the cache never hits and every plan is
   // built from scratch. The only extra work vs the uncached path is one
-  // hash lookup + one LRU insert, so per-query planning time must stay
-  // within a small factor of the cache-off baseline.
+  // lookup and one LRU insert (with an eviction once the LRU is full), so
+  // a miss allocates what a cache-off Run of the same signature does plus
+  // the published plan's own heap blocks: its shared block, its LRU node
+  // with a copy of the dims and its index node (and, while the index
+  // grows, a bucket array).
   Graph g;
   GraphBuilder b(&g);
   Value* x = b.Input("x", DType::kF32, {kDynamicDim, 64});
@@ -270,27 +289,27 @@ TEST(RuntimeTest, FullyDynamicTraceDegradesGracefully) {
 
   RunOptions off;
   off.use_launch_plan_cache = false;
-  auto timed = [&](const RunOptions& options) {
-    // Warm-up pass so allocator/lazy state doesn't skew either arm.
-    for (int64_t batch = 1; batch <= 50; ++batch) {
-      EXPECT_TRUE((*exe)->RunWithShapes({{batch, 64}}, options).ok());
-    }
-    double total = 0.0;
-    for (int64_t batch = 51; batch <= 450; ++batch) {
-      auto r = (*exe)->RunWithShapes({{batch, 64}}, options);
-      EXPECT_TRUE(r.ok());
-      EXPECT_FALSE(r->profile.launch_plan_hit);
-      total += r->profile.host_plan_us;
-    }
-    return total / 400.0;
-  };
-  double uncached_us = timed(off);
-  double all_miss_us = timed(RunOptions{});
-  // Generous bound: wall-clock micro-timings jitter under CI load, and the
-  // point is only that misses are not pathologically slower.
-  EXPECT_LE(all_miss_us, 3.0 * uncached_us + 20.0)
-      << "all-miss " << all_miss_us << "us vs uncached " << uncached_us
-      << "us";
+  const int64_t publish_bytes =
+      static_cast<int64_t>(sizeof(LaunchPlan)) + 1024;
+  for (int64_t batch = 1; batch <= 450; ++batch) {
+    RunProfile uncached, cached;
+    const int64_t uncached_bytes =
+        RunHeapBytes(**exe, {{batch, 64}}, off, &uncached);
+    const int64_t cached_bytes =
+        RunHeapBytes(**exe, {{batch, 64}}, RunOptions{}, &cached);
+    ASSERT_FALSE(cached.launch_plan_hit) << "batch " << batch;
+    EXPECT_GT(uncached_bytes, 0) << "batch " << batch;
+    EXPECT_LE(cached_bytes, uncached_bytes + publish_bytes)
+        << "batch " << batch;
+    EXPECT_EQ(cached.device_time_us, uncached.device_time_us)
+        << "batch " << batch;
+  }
+  LaunchPlanCache::Stats stats = (*exe)->plan_cache_stats();
+  EXPECT_EQ(stats.hits, 0);
+  EXPECT_EQ(stats.misses, 450);
+  EXPECT_EQ(stats.insertions, 450);
+  EXPECT_EQ(stats.evictions, 450 - 32);
+  EXPECT_EQ(stats.entries, 32);
 }
 
 TEST(RuntimeTest, LibraryEfficiencyOptionChangesGemmTime) {

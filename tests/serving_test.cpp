@@ -6,6 +6,8 @@
 
 #include "baselines/baselines.h"
 #include "baselines/dynamic_engine.h"
+#include "baselines/fallback_chain.h"
+#include "baselines/interpreter_engine.h"
 #include "ir/builder.h"
 #include "support/metrics.h"
 
@@ -276,6 +278,46 @@ TEST(ServingTest, PlanCacheSpeedsUpBatchMaxServing) {
   EXPECT_DOUBLE_EQ(off.plan_hit_rate, 0.0);
   EXPECT_LT(on.mean_us, off.mean_us);
   EXPECT_NE(on.ToString().find("plan_hits="), std::string::npos);
+}
+
+TEST(ServingTest, FallbackChainReportsItsPrimarysPlanHits) {
+  // While its DISC primary is healthy the chain serves every query from
+  // it, so a stream served through the chain reports the plan-hit rate the
+  // bare engine reports for it: first sight of each signature, then a
+  // repeat of the stream that hits on every batch.
+  Graph g("serve_chain");
+  GraphBuilder b(&g);
+  Value* x = b.Input("x", DType::kF32, {kDynamicDim, kDynamicDim, 32});
+  b.Output({b.Softmax(b.Relu(x))});
+  auto shape_fn = [](int64_t batch, int64_t seq) {
+    return std::vector<std::vector<int64_t>>{{batch, seq, 32}};
+  };
+  const std::vector<Request> requests = SyntheticRequestStream(96, 5.0, 17);
+  BatcherOptions options;
+  options.pad = PadPolicy::kBatchMax;
+  auto serve = [&](Engine* engine) {
+    DISC_CHECK_OK(engine->Prepare(g, {{"B", "S", ""}}));
+    std::vector<double> rates;
+    for (int wave = 0; wave < 2; ++wave) {
+      auto stats = SimulateServing(engine, shape_fn, requests, options,
+                                   DeviceSpec::A10());
+      DISC_CHECK_OK(stats.status());
+      rates.push_back(stats->plan_hit_rate);
+    }
+    return rates;
+  };
+  DynamicCompilerEngine bare(DynamicProfile::Disc());
+  EngineFallbackChain chain(
+      std::make_unique<DynamicCompilerEngine>(DynamicProfile::Disc()),
+      std::make_unique<InterpreterEngine>(InterpreterProfile::PyTorch()));
+  const std::vector<double> bare_rates = serve(&bare);
+  EXPECT_GT(bare_rates[0], 0.0);
+  EXPECT_EQ(bare_rates[1], 1.0);
+  EXPECT_EQ(serve(&chain), bare_rates);
+  EXPECT_EQ(chain.stats().launch_plan_hits, bare.stats().launch_plan_hits);
+  EXPECT_EQ(chain.stats().launch_plan_misses,
+            bare.stats().launch_plan_misses);
+  EXPECT_EQ(chain.stats().fallback_queries, 0);
 }
 
 TEST(ServingTest, BatchingBeatsNoBatchingUnderLoad) {
