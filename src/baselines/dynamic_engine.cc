@@ -160,6 +160,11 @@ Status DynamicCompilerEngine::Compile(JobPriority priority,
 
 Status DynamicCompilerEngine::Respecialize(
     const std::vector<std::vector<int64_t>>& input_dims) {
+  feedback_.Observe(labels_, input_dims);
+  return RespecializeIfConfident();
+}
+
+Status DynamicCompilerEngine::RespecializeIfConfident() {
   // Profile feedback: watch the traffic; when the hot-value profile is
   // confident (or has shifted), compile with the hot values as hints. The
   // profile keeps watching afterwards, so a shifted distribution
@@ -167,7 +172,6 @@ Status DynamicCompilerEngine::Respecialize(
   // aggregating meanwhile (a pending shadow validation counts as pending
   // work: its candidate must resolve before the next respecialization
   // makes sense).
-  feedback_.Observe(labels_, input_dims);
   if (pending_job_.valid() || pending_validation_.valid() ||
       !slot_.has_executable()) {
     return Status::OK();
@@ -182,12 +186,14 @@ Status DynamicCompilerEngine::NoteKernelRegret(
   if (options_.profile.feedback_after <= 0 || regret_us <= 0.0) {
     return Status::OK();
   }
+  // The sighting counts regret_observation_weight observations, and no
+  // more: the query that saw it was observed on its own path.
   feedback_.NoteRegret(labels_, input_dims, regret_us);
   // The per-query path: adopt any finished job first, then re-evaluate the
   // armed profile (regret bypasses the recheck cadence inside the
   // feedback).
   MaybeAdopt(false, nullptr);
-  return Respecialize(input_dims);
+  return RespecializeIfConfident();
 }
 
 void DynamicCompilerEngine::MaybeAdopt(bool sync_wait,

@@ -178,6 +178,9 @@ class DynamicCompilerEngine : public Engine {
   /// Hint sets acted on so far; at least 1 after the first feedback
   /// application, more after profile shifts.
   int64_t respecializations() const { return feedback_.respecializations(); }
+  /// Observations in the shape profile: one per query, and
+  /// regret_observation_weight per NoteKernelRegret sighting.
+  int64_t profile_observations() const { return feedback_.observations(); }
 
   /// \brief Kernel-observatory back-channel: the regret audit proved the
   /// compiled variant choice at `input_dims` is leaving device time on the
@@ -221,10 +224,13 @@ class DynamicCompilerEngine : public Engine {
   /// (counting poisoned_skips_) when its CacheKey is quarantined — a warm
   /// restart must never recompile a poisoned key.
   Status Compile(JobPriority priority, LikelyDimValues hints);
-  /// Observes `input_dims` in the shape profile (feedback on) and, when no
-  /// job or validation is pending and an executable is installed, compiles
-  /// with the hot values once the profile is confident or has shifted.
+  /// Observes `input_dims` in the shape profile (feedback on), then
+  /// RespecializeIfConfident.
   Status Respecialize(const std::vector<std::vector<int64_t>>& input_dims);
+  /// When no job or validation is pending and an executable is installed,
+  /// compiles with the hot values once the profile is confident or has
+  /// shifted.
+  Status RespecializeIfConfident();
   /// Adopts a finished job if its simulated-clock gate has passed.
   /// `waited_gate_us` (nullable) receives the stall charged when called on
   /// the sync path. With validate_adoptions the finished job is handed to

@@ -7,8 +7,8 @@ namespace disc {
 
 namespace {
 // The registry metrics behind the counter choke points, resolved once. The
-// registry keeps every metric for the process lifetime (ResetCountersForTest
-// only zeroes counters), so the pointers stay valid.
+// registry never removes a metric, so the pointers stay valid for the
+// process lifetime.
 struct EngineMetrics {
   Counter* queries;
   Counter* compilations;

@@ -51,12 +51,6 @@ const char* JobPriorityName(JobPriority priority) {
   return "unknown";
 }
 
-bool CompileJobHandle::done() const {
-  if (state_ == nullptr) return false;
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->done;
-}
-
 const CompileJobOutcome* CompileJobHandle::TryGet() const {
   if (state_ == nullptr) return nullptr;
   std::lock_guard<std::mutex> lock(state_->mu);

@@ -96,7 +96,6 @@ class CompileJobHandle {
   CompileJobHandle() = default;
 
   bool valid() const { return state_ != nullptr; }
-  bool done() const;
   /// \brief Non-blocking: the outcome once done, nullptr before.
   const CompileJobOutcome* TryGet() const;
   /// \brief Blocks until the job completes (ok or not). The outcome lives

@@ -23,10 +23,6 @@ const char* FusionKindName(FusionKind kind) {
   return "?";
 }
 
-bool FusionGroup::Contains(const Node* node) const {
-  return std::find(nodes.begin(), nodes.end(), node) != nodes.end();
-}
-
 std::string FusionGroup::ToString() const {
   std::ostringstream out;
   out << "group#" << id << " " << FusionKindName(kind) << " root=%"
@@ -171,16 +167,6 @@ int FusionPlanner::GroupOf(const Node* node) {
   auto it = node_index_.find(node);
   if (it == node_index_.end()) return -1;
   return Find(it->second);
-}
-
-bool FusionPlanner::ShapeEqual(const Value* a, const Value* b) const {
-  if (options_.use_symbolic_shapes) {
-    return analysis_->manager().IsShapeEqual(analysis_->GetShape(a),
-                                             analysis_->GetShape(b));
-  }
-  // Shape-value-based fallback: both must be fully static and equal.
-  return a->type().IsFullyStatic() && b->type().IsFullyStatic() &&
-         a->type() == b->type();
 }
 
 std::string FusionPlanner::NumElementsText(const Value* v) const {

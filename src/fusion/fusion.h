@@ -50,7 +50,6 @@ struct FusionGroup {
   std::vector<Value*> outputs;
 
   int64_t size() const { return static_cast<int64_t>(nodes.size()); }
-  bool Contains(const Node* node) const;
   std::string ToString() const;
 };
 
@@ -151,7 +150,6 @@ class FusionPlanner {
   bool ShapesAllowLoopFusion(const Value* producer_out, const Node* consumer,
                              std::string* reason = nullptr,
                              std::string* constraint = nullptr) const;
-  bool ShapeEqual(const Value* a, const Value* b) const;
 
   // Group bookkeeping over a mutable union-find.
   int GroupOf(const Node* node);

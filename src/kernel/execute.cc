@@ -7,20 +7,47 @@
 //   * elementwise ops apply the reference's scalar functions
 //     (ApplyUnaryScalar / ApplyBinaryScalar) on a double carrier and round
 //     to the node's dtype on store, as Tensor::SetElementFromDouble does, so
-//     an in-group cast really converts. An f32 member whose innermost rows
-//     are contiguous and hold at least one vector runs a vector row kernel
-//     of the host's ISA instead (kernel/elementwise.h), with the same
-//     outputs: exact rows (add, mul, relu, rsqrt, ...) run the same IEEE
-//     double operations, so each lane rounds as the scalar expression does;
-//     checked rows (tanh, exp, sigmoid) keep a vector approximation y only
-//     where (float)(y * (1 - 2^-44)) and (float)(y * (1 + 2^-44)) agree,
-//     which proves that libm's value, within 2^-44 |y| of y, narrows to the
-//     same f32 (rounding is monotone), and recompute every other lane,
-//     NaNs included, through ApplyUnaryScalar;
+//     an in-group cast really converts;
 //   * reductions accumulate in double, visiting each output cell's inputs
 //     in row-major input order;
 //   * data movement (transpose, reshape, broadcast_to, slice, pad, concat,
 //     gather) and iota store through the same conversion.
+// f32 members whose rows are contiguous and hold at least RowLanes(isa)
+// elements run the vector rows of the host's ISA instead
+// (kernel/elementwise.h), with the same outputs:
+//   * add, sub, mul, div, reciprocal and sqrt run natively on f32 lanes:
+//     for these, rounding to binary64 and then to binary32 equals rounding
+//     once to binary32, since 53 >= 2 * 24 + 2 (Figueroa, "When is double
+//     rounding innocuous?", ACM SIGNUM Newsletter, 1995). maximum, minimum,
+//     neg, abs, relu, floor and ceil are exact in f32 too. rsqrt keeps a
+//     double row, since the reference rounds it twice (sqrt, then divide);
+//   * checked rows (tanh, exp, sigmoid) keep a vector double approximation
+//     y only where (float)(y * (1 - 2^-44)) and (float)(y * (1 + 2^-44))
+//     agree, which proves that libm's value, within 2^-44 |y| of y, narrows
+//     to the same f32 (rounding is monotone), and recompute every other
+//     lane, NaNs included, through ApplyUnaryScalar;
+//   * data movement copies contiguous rows through the quieting copy row,
+//     which stores x + -0.0, that is (float)(double)x;
+//   * a reduction over the trailing dims of its input reduces RowLanes(isa)
+//     rows per block, one double lane per row, adding (or taking the max or
+//     min of) each row's elements in increasing order, from the reference's
+//     initial value: the same operations in the same order as the scalar
+//     loop. Blocks run in row order; the last may be partial, or, below 3
+//     (AVX2) or 4 (AVX-512) rows, one scalar accumulator per row.
+//
+// Quiet on read. Widening an f32 quiets a signalling NaN, so the reference
+// never sees one past a node's operand read. Every member here quiets what
+// it reads the same way: scalar loops widen, the native rows quiet in the
+// op or add -0.0, the copy row adds -0.0, and reductions widen. A member's
+// output is therefore the same whether an operand holds a signalling NaN or
+// the quiet NaN the reference would have stored in its place. That is why
+// a reshape that is not a group output aliases its operand's buffer: it
+// runs no loop and takes no scratch, and its consumers read the operand
+// (which may be a group input holding a signalling NaN) directly. A
+// reshape that is a group output still copies, so every stored output is
+// quieted. A new member kind must keep this invariant, or reshapes that
+// feed it must copy.
+//
 // Each group output is therefore bit-identical to the reference evaluator's
 // value for its node, whichever variant the runtime selected and whichever
 // row ISA Bind picked: variants shape the modeled GPU schedule, not these
@@ -36,13 +63,14 @@
 // strides, strided slices scale them) and merges the views of a member into
 // a Walk, which drops size-1 dims and merges dims that are contiguous in
 // every view, so a same-shape elementwise member is one flat loop. It lays
-// out one scratch block for the members that are not group outputs and for
-// reduction accumulators. Each member becomes a MemberLoop whose op kind
-// and dtypes were fixed at bind time; for an f32 elementwise member it also
-// captures the row kernel, picked from HostIsa() once per binding (strided
-// rows, rows shorter than one vector, other dtypes and reductions keep the
-// scalar loops). The resulting BoundKernel is immutable: the runtime keeps
-// it in the launch plan, and concurrent Executes share it.
+// out one scratch block for the members that are not group outputs (nor
+// aliased reshapes) and for the accumulators of scalar reductions. Each
+// member becomes a MemberLoop whose op kind and dtypes were fixed at bind
+// time; for an f32 member it also captures the row kernel, picked from
+// HostIsa() once per binding (strided rows, rows shorter than RowLanes,
+// other dtypes and reductions over leading dims keep the scalar loops).
+// The resulting BoundKernel is immutable: the runtime keeps it in the
+// launch plan, and concurrent Executes share it.
 //
 // Execute. The core takes raw buffers: a table of value buffers, the table
 // index of each group input and output, and ScratchBytes(binding) of
@@ -87,10 +115,11 @@ struct BoundKernel {
   using MemberLoop = std::function<Status(const Frame&)>;
 
   struct Member {
+    /// Null for a reshape that aliases its operand's buffer.
     MemberLoop loop;
     Dims dims;
     /// Byte offset of the member's buffer in the scratch block; -1 for a
-    /// group output, which Execute allocates as a Tensor.
+    /// group output, whose buffer the caller supplies, and for an alias.
     int64_t scratch_offset = -1;
   };
 
@@ -571,14 +600,19 @@ class Binder {
       const bool is_output = std::find(group_.outputs.begin(),
                                        group_.outputs.end(),
                                        v) != group_.outputs.end();
-      if (!is_output) {
-        member.scratch_offset =
-            Reserve(Product(member.dims) * StorageSize(v->dtype()));
-      }
       bound_.members.push_back(std::move(member));
-      const Operand out{MemberSlot(bound_.members.size() - 1), v->dtype(),
-                        &bound_.members.back().dims};
-      DISC_ASSIGN_OR_RETURN(bound_.members.back().loop, Bind(*node, out));
+      BoundKernel::Member& bound = bound_.members.back();
+      slots_.push_back(MemberSlot(bound_.members.size() - 1));
+      const Operand out{slots_.back(), v->dtype(), &bound.dims};
+      if (!is_output && node->kind() == OpKind::kReshape) {
+        DISC_ASSIGN_OR_RETURN(slots_.back(), Alias(*node, out));
+        continue;
+      }
+      if (!is_output) {
+        bound.scratch_offset =
+            Reserve(Product(bound.dims) * StorageSize(v->dtype()));
+      }
+      DISC_ASSIGN_OR_RETURN(bound.loop, Bind(*node, out));
     }
     bound_.outputs.reserve(group_.outputs.size());
     for (const Value* output : group_.outputs) {
@@ -626,19 +660,29 @@ class Binder {
   }
 
   /// Whether an f32 member over `walk` may run a vector row: its rows hold
-  /// at least one vector, and the output steps through them densely.
+  /// at least RowLanes elements, and the output steps through them densely.
   template <int K>
   bool VectorRows(const Walk<K>& walk) const {
     return isa_ != ContractionIsa::kGeneric &&
            walk.row_length() >= RowLanes(isa_) && walk.row_step(0) == 1;
   }
 
+  /// The copy row for contiguous rows of `length` elements of `dtype`, or
+  /// null where they keep the scalar copy.
+  UnaryRowFn CopyRow(DType dtype, int64_t length) {
+    if (dtype != DType::kF32 || isa_ == ContractionIsa::kGeneric ||
+        length < RowLanes(isa_)) {
+      return nullptr;
+    }
+    bound_.row_isa = isa_;
+    return SelectCopyRow(isa_);
+  }
+
   /// An operand: a member bound earlier, or a group input.
   Result<Operand> Lookup(const Value* v) const {
     const int member = MemberIndex(v);
     if (member >= 0) {
-      return Operand{MemberSlot(member), v->dtype(),
-                     &bound_.members[member].dims};
+      return Operand{slots_[member], v->dtype(), &bound_.members[member].dims};
     }
     for (size_t i = 0; i < group_.inputs.size(); ++i) {
       if (group_.inputs[i] == v) {
@@ -857,6 +901,31 @@ class Binder {
       return Mismatch(node, "result " + DimsString(dims) +
                                 " does not match input " + DimsString(in));
     }
+    const int64_t cells = Product(dims);
+
+    // Over the trailing dims (size-1 dims aside), output cell r reduces row
+    // r of the input seen as a dense [cells, count] matrix.
+    bool trailing = true, reducing = false;
+    for (size_t d = 0; d < in.size(); ++d) {
+      if (in[d] == 1) continue;
+      if (reduced[d]) {
+        reducing = true;
+      } else if (reducing) {
+        trailing = false;
+      }
+    }
+    if (x.dtype == DType::kF32 && isa_ != ContractionIsa::kGeneric &&
+        trailing && count > 0) {
+      if (RowReduceFn reduce = SelectRowReduce(isa_, node.kind())) {
+        bound_.row_isa = isa_;
+        return MemberLoop([reduce, cells, count, src = x.slot,
+                           dst = out.slot](const Frame& f) {
+          reduce(Slot<DType::kF32>(f, dst), Slot<DType::kF32>(f, src), cells,
+                 count);
+          return Status::OK();
+        });
+      }
+    }
 
     double init = 0.0;
     if (node.kind() == OpKind::kReduceMax) {
@@ -864,7 +933,6 @@ class Binder {
     } else if (node.kind() == OpKind::kReduceMin) {
       init = std::numeric_limits<double>::infinity();
     }
-    const int64_t cells = Product(dims);
     const int64_t acc_offset = Reserve(cells * sizeof(double));
     const bool mean = node.kind() == OpKind::kReduceMean && count > 0;
     const View iv = DenseView(in);
@@ -931,6 +999,15 @@ class Binder {
       return Mismatch(node, "operand dtype differs from the result's");
     }
     const Walk<2> walk(dims, {&dv, &sv});
+    if (walk.row_step(0) == 1 && walk.row_step(1) == 1) {
+      if (UnaryRowFn row = CopyRow(dst.dtype, walk.row_length())) {
+        return MemberLoop([walk, row, d = dst.slot, s = src.slot](
+                              const Frame& f) {
+          MapRows(walk, Slot<DType::kF32>(f, d), Slot<DType::kF32>(f, s), row);
+          return Status::OK();
+        });
+      }
+    }
     return WithDType(dst.dtype, [&](auto tag) -> Result<MemberLoop> {
       constexpr DType kD = decltype(tag)::value;
       return MemberLoop([walk, d = dst.slot, s = src.slot](const Frame& f) {
@@ -963,13 +1040,29 @@ class Binder {
     return CopyLoop(node, out, DenseView(dims), x, xv, dims);
   }
 
-  Result<MemberLoop> Reshape(const Node& node, const Operand& out) {
+  /// The operand of reshape `node`, checked against its result `out`.
+  Result<Operand> ReshapeOperand(const Node& node, const Operand& out) const {
     DISC_ASSIGN_OR_RETURN(Operand x, Lookup(node.operand(0)));
     if (Product(*x.dims) != Product(*out.dims)) {
       return Mismatch(node, "element count changes from " +
                                 DimsString(*x.dims) + " to " +
                                 DimsString(*out.dims));
     }
+    if (x.dtype != out.dtype) {
+      return Mismatch(node, "operand dtype differs from the result's");
+    }
+    return x;
+  }
+
+  /// A reshape that is not a group output: its consumers read the
+  /// operand's buffer, whose slot this returns (see the file comment).
+  Result<int> Alias(const Node& node, const Operand& out) const {
+    DISC_ASSIGN_OR_RETURN(Operand x, ReshapeOperand(node, out));
+    return x.slot;
+  }
+
+  Result<MemberLoop> Reshape(const Node& node, const Operand& out) {
+    DISC_ASSIGN_OR_RETURN(Operand x, ReshapeOperand(node, out));
     const Dims flat = {Product(*out.dims)};
     return CopyLoop(node, out, DenseView(flat), x, DenseView(flat), flat);
   }
@@ -1099,10 +1192,11 @@ class Binder {
     const int64_t rows = dd[axis];
     const int64_t suffix = ProductOf(dd, axis + 1, dd.size());
     const int64_t count = Product(*indices.dims);
+    const UnaryRowFn copy = CopyRow(out.dtype, suffix);
     return WithDType(out.dtype, [&](auto tag) -> Result<MemberLoop> {
       constexpr DType kD = decltype(tag)::value;
-      return MemberLoop([prefix, rows, suffix, count, src_slot = data.slot,
-                         ids_slot = indices.slot,
+      return MemberLoop([prefix, rows, suffix, count, copy,
+                         src_slot = data.slot, ids_slot = indices.slot,
                          dst_slot = out.slot](const Frame& f) -> Status {
         const Storage<kD>* src = Slot<kD>(f, src_slot);
         const int64_t* ids = Slot<DType::kI64>(f, ids_slot);
@@ -1114,6 +1208,13 @@ class Binder {
               return Status::InvalidArgument("gather: index out of bounds");
             }
             const Storage<kD>* from = src + (p * rows + row) * suffix;
+            if constexpr (kD == DType::kF32) {
+              if (copy != nullptr) {
+                copy(dst, from, suffix);
+                dst += suffix;
+                continue;
+              }
+            }
             for (int64_t s = 0; s < suffix; ++s) {
               *dst++ = FromDouble<kD>(static_cast<double>(from[s]));
             }
@@ -1129,6 +1230,7 @@ class Binder {
   const SymbolBindings& bindings_;
   BoundKernel& bound_;
   const ContractionIsa isa_;  // the row ISA every member may choose
+  std::vector<int> slots_;    // the Frame slot of each bound member's value
 };
 
 }  // namespace
@@ -1229,7 +1331,7 @@ Status FusedKernel::Execute(const KernelBinding& binding,
 
   const Frame frame{slots, scratch};
   for (const BoundKernel::Member& member : bound.members) {
-    DISC_RETURN_IF_ERROR(member.loop(frame));
+    if (member.loop) DISC_RETURN_IF_ERROR(member.loop(frame));
   }
   if (miscompiled_) {
     // Injected miscompile: perturb one element of the first non-empty group

@@ -28,17 +28,22 @@
 //     cached. The scalar functions are force-inlined so that each loop,
 //     instantiated for one op kind and dtype, runs the bare expression
 //     rather than an out-of-line call that switches on the op per element.
-//     f32 elementwise members with contiguous rows run AVX2 or AVX-512 row
-//     kernels instead (kernel/elementwise.h), picked at Bind from the host
-//     ISA, with the same outputs. Exact rows (add, sub, mul, div, max, min,
-//     neg, abs, relu, sqrt, rsqrt, reciprocal, floor, ceil) run the same
-//     IEEE double operations as the scalar functions, each rounded once.
-//     Checked rows (tanh, exp, sigmoid) compute a vector approximation y
-//     with a proven relative error far below 2^-44 and keep (float)y only
-//     when y * (1 - 2^-44) and y * (1 + 2^-44) narrow to the same f32: libm
-//     is within that interval, and narrowing is monotone, so it narrows to
-//     the same value. Other lanes (NaN, or near a rounding boundary) run the
-//     scalar function.
+//     f32 members with contiguous rows run AVX2 or AVX-512 row kernels
+//     instead (kernel/elementwise.h), picked at Bind from the host ISA,
+//     with the same outputs. Native rows (add, sub, mul, div, max, min,
+//     neg, abs, relu, sqrt, reciprocal, floor, ceil) compute in f32: for
+//     + - * / and sqrt, rounding through double and then to f32 equals one
+//     f32 rounding (53 >= 2 * 24 + 2), and max, min, neg and abs add -0.0
+//     to quiet a signalling NaN as widening does. rsqrt runs the scalar
+//     functions' double operations. Checked rows (tanh, exp, sigmoid)
+//     compute a vector approximation y with a proven relative error far
+//     below 2^-44 and keep (float)y only when y * (1 - 2^-44) and
+//     y * (1 + 2^-44) narrow to the same f32: libm is within that interval,
+//     and narrowing is monotone, so it narrows to the same value. Other
+//     lanes (NaN, or near a rounding boundary) run the scalar function.
+//     Data movement copies through a quieting copy row, an in-group reshape
+//     aliases its operand, and reductions over trailing dims reduce several
+//     rows at once, each in the reference's order.
 //
 // Modeled GPU performance comes from the device model (disc::sim) and the
 // KernelStats this class computes per (bindings, variant): global-memory

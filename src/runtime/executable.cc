@@ -92,9 +92,8 @@ double ElapsedUs(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// The registry metrics a Run reports, resolved once. The registry keeps
-// every metric for the process lifetime (ResetCountersForTest only zeroes
-// counters), so the pointers stay valid.
+// The registry metrics a Run reports, resolved once. The registry never
+// removes a metric, so the pointers stay valid for the process lifetime.
 struct RunMetrics {
   Counter* runs;
   Counter* plan_hits;

@@ -16,17 +16,6 @@ double PhaseLedger::TotalUs() const {
          compile_stall_us + host_plan_us + alloc_us + device_us;
 }
 
-void PhaseLedger::Add(const PhaseLedger& other) {
-  batch_form_us += other.batch_form_us;
-  queue_us += other.queue_us;
-  backoff_us += other.backoff_us;
-  decode_wait_us += other.decode_wait_us;
-  compile_stall_us += other.compile_stall_us;
-  host_plan_us += other.host_plan_us;
-  alloc_us += other.alloc_us;
-  device_us += other.device_us;
-}
-
 const std::vector<std::string>& PhaseLedger::PhaseNames() {
   static const std::vector<std::string>* names = new std::vector<std::string>{
       "batch_form", "queue",     "backoff", "decode_wait",

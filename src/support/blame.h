@@ -69,7 +69,6 @@ struct PhaseLedger {
   /// Sum of every phase — must equal the request's end-to-end latency
   /// (checked by the serving simulator for every completed request).
   double TotalUs() const;
-  void Add(const PhaseLedger& other);
   /// Name of the largest phase ("device", "queue", ...).
   const char* DominantPhase() const;
   /// Phase names in ledger order ("batch_form", "queue", "backoff",

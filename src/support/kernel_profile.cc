@@ -272,32 +272,6 @@ void KernelProfileLedger::Clear() {
   any_entries_.store(false, std::memory_order_relaxed);
 }
 
-std::string KernelProfileLedger::ToString() const {
-  Stats s = stats();
-  std::vector<KernelProfileEntry> entries = Snapshot();
-  std::sort(entries.begin(), entries.end(),
-            [](const KernelProfileEntry& a, const KernelProfileEntry& b) {
-              if (a.total_time_us != b.total_time_us) {
-                return a.total_time_us > b.total_time_us;
-              }
-              return a.kernel < b.kernel;
-            });
-  std::ostringstream out;
-  out << StrFormat(
-      "launches=%lld runs=%lld entries=%lld dropped=%lld "
-      "run_records=%lld\n",
-      static_cast<long long>(s.launches_observed),
-      static_cast<long long>(s.runs_observed),
-      static_cast<long long>(s.entries),
-      static_cast<long long>(s.entries_dropped),
-      static_cast<long long>(s.runs_retained));
-  const size_t top = std::min<size_t>(entries.size(), 8);
-  for (size_t i = 0; i < top; ++i) {
-    out << "  " << entries[i].ToString() << "\n";
-  }
-  return out.str();
-}
-
 JsonValue KernelProfileJson(const std::vector<KernelProfileEntry>& entries,
                             const std::vector<KernelRegret>& regrets,
                             const KernelProfileLedger::Stats& stats) {

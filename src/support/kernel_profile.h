@@ -237,9 +237,6 @@ class KernelProfileLedger {
   /// untouched). Test/bench isolation helper.
   void Clear();
 
-  /// \brief Hotspot digest: stats line + top entries by total time.
-  std::string ToString() const;
-
  private:
   struct EntryState {
     KernelProfileEntry entry;

@@ -234,11 +234,6 @@ std::string MetricsRegistry::ToString() const {
   return out.str();
 }
 
-void MetricsRegistry::ResetCountersForTest() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, counter] : counters_) counter->Reset();
-}
-
 void ObserveMetric(const std::string& name, double value) {
   MetricsRegistry::Global().GetHistogram(name)->Observe(value);
 }

@@ -121,10 +121,6 @@ class MetricsRegistry {
   /// \brief Human-readable dump of all counters and histograms.
   std::string ToString() const;
 
-  /// \brief Zeroes every counter (histograms keep their observations).
-  /// Test isolation helper; production code never resets.
-  void ResetCountersForTest();
-
  private:
   MetricsRegistry() = default;
 

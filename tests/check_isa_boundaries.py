@@ -3,20 +3,26 @@
 
     python3 tests/check_isa_boundaries.py <build dir>
 
-Reads `objdump -d -C` of contraction.cc.o and elementwise.cc.o under the
-build directory. A function whose name mentions Avx2 or Avx512 belongs to an
-AVX variant (an entry point, or a helper GCC emitted out of line); every
-other function, `.cold` clones included, is baseline x86-64 code. It checks
-that:
+Reads `objdump -d -C` of contraction.cc.o, elementwise.cc.o and
+execute.cc.o under the build directory. A function whose name mentions Avx2
+or Avx512 belongs to an AVX variant (an entry point, or a helper GCC emitted
+out of line); every other function, `.cold` clones included, is baseline
+x86-64 code. It checks that:
   * no baseline function uses a ymm or zmm register or an FMA instruction:
     the generic variant runs on hosts without AVX, and an FMA reaching the
     i64 contraction path would round products beyond 2^53 differently;
-  * every AVX entry point (MatMul/Conv2D Avx2/Avx512 and the Avx2Rows and
-    Avx512Rows row kernels) executes vzeroupper on every return: each `ret`
+  * every AVX entry point executes vzeroupper on every return: each `ret`
     follows a vzeroupper, with only the epilogue's stack restores between
-    them. Without it the legacy-SSE loops that run next are several times
-    slower, and no output changes, so no test can see it. (GCC emits
-    vzeroupper before calls, so "contains one" alone would not do.)
+    them. The entry points are MatMul/Conv2D Avx2/Avx512 and the Unary,
+    Binary, Copy and Reduce rows of Avx2Rows and Avx512Rows. Without it the
+    legacy-SSE loops that run next are several times slower, and no output
+    changes, so no test can see it. (GCC emits vzeroupper before calls, so
+    "contains one" alone would not do.)
+  * each object's expected entry points are all present, so a rename cannot
+    make the vzeroupper check pass vacuously;
+  * execute.cc.o, the fused-kernel executor that calls the rows through
+    pointers, holds no AVX function at all: every AVX function lives in
+    elementwise.cc.o.
 Exits 1 and names each offending function otherwise.
 """
 import os
@@ -24,17 +30,24 @@ import re
 import subprocess
 import sys
 
-OBJECTS = ("contraction.cc.o", "elementwise.cc.o")
 AVX_NAME = re.compile(r"Avx(2|512)")
-ENTRY_POINT = re.compile(r"\b(MatMul|Conv2D)Avx(2|512)\(|\bAvx(2|512)Rows::")
+ENTRY_POINT = re.compile(r"\b(MatMul|Conv2D)Avx(2|512)\(|"
+                         r"\bAvx(2|512)Rows::(Unary|Binary|Copy|Reduce)\b")
 WIDE_REGISTER = re.compile(r"%[yz]mm\d+")
 FMA = re.compile(r"\bvf(n)?m(add|sub)")
 # What may stand between a vzeroupper and the `ret` it guards.
 EPILOGUE = re.compile(r"\s(pop|leave)\b|\s(lea|add|mov)\s.*,%rsp$")
-# Each contraction entry point must be present, so a rename cannot make the
-# vzeroupper check pass vacuously.
+# The entry points each object must hold, so a rename cannot make the
+# vzeroupper check pass vacuously; an object with none must hold no AVX
+# function.
 CONTRACTION_ENTRIES = ("MatMulAvx2(", "MatMulAvx512(", "Conv2DAvx2(",
                        "Conv2DAvx512(")
+ROW_ENTRIES = tuple("Avx%sRows::%s" % (isa, entry)
+                    for isa in ("2", "512")
+                    for entry in ("Unary<", "Binary<", "Copy(", "Reduce<"))
+OBJECTS = {"contraction.cc.o": CONTRACTION_ENTRIES,
+           "elementwise.cc.o": ROW_ENTRIES,
+           "execute.cc.o": ()}
 
 
 def find_object(build_dir, name):
@@ -80,7 +93,7 @@ def main():
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     errors = []
-    for obj in OBJECTS:
+    for obj, expected in OBJECTS.items():
         path = find_object(sys.argv[1], obj)
         avx = baseline = entries = 0
         names = []
@@ -101,13 +114,13 @@ def main():
             if wide or fma:
                 errors.append("%s: baseline function uses %s: %s"
                               % (obj, (wide or fma).group(0), name))
-        if obj == "contraction.cc.o":
-            for entry in CONTRACTION_ENTRIES:
-                if not any(entry in n and "[clone" not in n for n in names):
-                    errors.append("%s: entry point %s not found" % (obj, entry))
-        if entries == 0 or baseline == 0:
-            errors.append("%s: found %d AVX entry points and %d baseline "
-                          "functions" % (obj, entries, baseline))
+        for entry in expected:
+            if not any(entry in n and "[clone" not in n for n in names):
+                errors.append("%s: entry point %s not found" % (obj, entry))
+        if bool(expected) != (avx > 0) or baseline == 0:
+            errors.append("%s: found %d AVX functions (%d entry points) and "
+                          "%d baseline functions" % (obj, avx, entries,
+                                                     baseline))
         print("%s: %d AVX functions (%d entry points), %d baseline functions"
               % (obj, avx, entries, baseline))
     for error in errors:

@@ -863,14 +863,17 @@ TEST(CompileServiceTest, KernelRegretSubmitsRespecializationJob) {
   service.Drain();
   // Four flat observations: below min_observations, nothing trips.
   for (int64_t b : {4, 5, 6, 7}) {
-    ASSERT_TRUE(engine.Query({{b, 8}}, DeviceSpec::T4()).ok());
+    ASSERT_TRUE(engine.Query({{b, 2 * b}}, DeviceSpec::T4()).ok());
   }
   ASSERT_EQ(engine.respecializations(), 0);
 
   // The regret-weighted sighting makes {512, 1024} the confident hot
-  // value: a respecialization job goes to the service, not the caller.
+  // value: a respecialization job goes to the service, not the caller. It
+  // counts regret_observation_weight (4) observations, no more.
+  ASSERT_EQ(engine.profile_observations(), 4);
   const int64_t submitted = service.stats().submitted;
   ASSERT_TRUE(engine.NoteKernelRegret({{512, 1024}}, 5.0).ok());
+  EXPECT_EQ(engine.profile_observations(), 8);
   EXPECT_EQ(engine.respecializations(), 1);
   EXPECT_EQ(service.stats().submitted, submitted + 1);
   EXPECT_EQ(engine.stats().compilations, 1);

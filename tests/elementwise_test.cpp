@@ -1,8 +1,11 @@
 // The vector row kernels of kernel/elementwise.h against the scalar
-// reference, bit for bit: every op and row form, every length 0-67 at element
-// offsets 0-3, in place, on edge values, and, for the checked ops, on every
-// 4099th f32 bit pattern. The disabled sweep checks every f32 input; run it
-// with --gtest_also_run_disabled_tests (CI does, on every Release runner).
+// reference, bit for bit: every op and row form and the copy row, every
+// length 0-67 at element offsets 0-3, in place, on edge values; the binary
+// rows on every pair of an edge grid and on random bit patterns; the checked
+// ops on every 4099th f32 bit pattern; and the row reductions against a
+// scalar double accumulation. The disabled sweeps check every f32 input of
+// each unary row; run them with --gtest_also_run_disabled_tests (CI does, on
+// every Release runner).
 #include "kernel/elementwise.h"
 
 #include <gtest/gtest.h>
@@ -36,10 +39,18 @@ constexpr ContractionIsa kRowIsas[] = {ContractionIsa::kAvx2,
                                        ContractionIsa::kAvx512};
 constexpr OpKind kCheckedOps[] = {OpKind::kTanh, OpKind::kExp,
                                   OpKind::kSigmoid};
+// The copy row stands in the unary op lists as cast, whose reference,
+// (float)(double)x, is what it computes.
+constexpr OpKind kCopy = OpKind::kCast;
+// The rows that run on f32 lanes, and the copy row.
+constexpr OpKind kNativeOps[] = {OpKind::kNeg,   OpKind::kAbs,
+                                 OpKind::kRelu,  OpKind::kSqrt,
+                                 OpKind::kFloor, OpKind::kCeil,
+                                 OpKind::kReciprocal, kCopy};
 constexpr OpKind kUnaryOps[] = {
     OpKind::kNeg,   OpKind::kAbs,        OpKind::kRelu,  OpKind::kSqrt,
     OpKind::kRsqrt, OpKind::kReciprocal, OpKind::kFloor, OpKind::kCeil,
-    OpKind::kTanh,  OpKind::kExp,        OpKind::kSigmoid};
+    OpKind::kTanh,  OpKind::kExp,        OpKind::kSigmoid, kCopy};
 constexpr OpKind kBinaryOps[] = {OpKind::kAdd,     OpKind::kSub,
                                  OpKind::kMul,     OpKind::kDiv,
                                  OpKind::kMaximum, OpKind::kMinimum};
@@ -165,16 +176,21 @@ class ElementwiseRowTest : public ::testing::TestWithParam<ContractionIsa> {
   }
   ContractionIsa isa() const { return GetParam(); }
 
+  // The row of unary `op`, or the copy row for kCopy.
   UnaryRowFn Unary(OpKind op) const {
-    UnaryRowFn row = SelectUnaryRow(isa(), op);
+    UnaryRowFn row =
+        op == kCopy ? SelectCopyRow(isa()) : SelectUnaryRow(isa(), op);
     EXPECT_NE(row, nullptr) << OpName(op);
     return row;
   }
 
+  // Elements per vector of the rows that run on f32 lanes.
+  int64_t F32Lanes() const { return 2 * RowLanes(isa()); }
+
   // Runs `op` on every f32 bit pattern i * stride (i >= 0, below 2^32), with
   // `threads` threads, and returns the count of outputs that differ from the
   // reference; prints the first few.
-  int64_t SweepCheckedOp(OpKind op, uint64_t stride, int threads) const {
+  int64_t SweepUnaryOp(OpKind op, uint64_t stride, int threads) const {
     const UnaryRowFn row = Unary(op);
     constexpr uint64_t kPatterns = uint64_t{1} << 32;
     constexpr int64_t kChunk = 1 << 16;
@@ -206,6 +222,18 @@ class ElementwiseRowTest : public ::testing::TestWithParam<ContractionIsa> {
     work();
     for (std::thread& t : pool) t.join();
     return mismatches.load();
+  }
+
+  // Sweeps every f32 input of `op` on all hardware threads and prints one
+  // line.
+  void SweepEveryF32(OpKind op) const {
+    const int threads = static_cast<int>(
+        std::clamp(std::thread::hardware_concurrency(), 1u, 64u));
+    const int64_t mismatches = SweepUnaryOp(op, 1, threads);
+    std::printf("%s on %s: 4294967296 inputs, %lld mismatches (%d threads)\n",
+                op == kCopy ? "copy" : OpName(op), ContractionIsaName(isa()),
+                static_cast<long long>(mismatches), threads);
+    EXPECT_EQ(mismatches, 0) << OpName(op);
   }
 };
 
@@ -337,21 +365,181 @@ TEST_P(ElementwiseRowTest, EdgeValuesMatchTheScalarReference) {
 
 TEST_P(ElementwiseRowTest, CheckedOpsMatchOnEvery4099thBitPattern) {
   for (OpKind op : kCheckedOps) {
-    EXPECT_EQ(SweepCheckedOp(op, 4099, 1), 0) << OpName(op);
+    EXPECT_EQ(SweepUnaryOp(op, 4099, 1), 0) << OpName(op);
   }
 }
 
-// Every f32 input of every checked op, on all hardware threads: about a
-// minute per ISA on four cores. CI runs it on each runner.
+// Every f32 input of every checked op: about a minute per ISA on four
+// cores. CI runs it on each Release runner.
 TEST_P(ElementwiseRowTest, DISABLED_CheckedOpsMatchOnEveryF32) {
-  const int threads = static_cast<int>(
-      std::clamp(std::thread::hardware_concurrency(), 1u, 64u));
-  for (OpKind op : kCheckedOps) {
-    const int64_t mismatches = SweepCheckedOp(op, 1, threads);
-    std::printf("%s on %s: 4294967296 inputs, %lld mismatches (%d threads)\n",
-                OpName(op), ContractionIsaName(isa()),
-                static_cast<long long>(mismatches), threads);
-    EXPECT_EQ(mismatches, 0) << OpName(op);
+  for (OpKind op : kCheckedOps) SweepEveryF32(op);
+}
+
+// Every f32 input of every native row and of the copy row: their exactness
+// rests on the double-rounding argument and on x + -0.0 quieting a NaN and
+// keeping every other value (elementwise.h), which this checks outright.
+// CI runs it on each Release runner.
+TEST_P(ElementwiseRowTest, DISABLED_NativeRowsAndCopyMatchOnEveryF32) {
+  for (OpKind op : kNativeOps) SweepEveryF32(op);
+}
+
+// About 300 values where f32 arithmetic is delicate: signed zeros, the
+// subnormal bounds, +-FLT_MIN, +-FLT_MAX, infinities, quiet and signalling
+// NaNs with payloads and both signs, powers of two across the range, and
+// operands whose sums, products or quotients fall halfway between two
+// floats or on the overflow threshold, each with its f32 neighbours.
+std::vector<float> EdgeGrid() {
+  std::vector<float> grid;
+  auto with_neighbours = [&grid](float v) {
+    for (float s : {v, -v}) {
+      grid.push_back(s);
+      grid.push_back(std::nextafter(s, std::numeric_limits<float>::infinity()));
+      grid.push_back(
+          std::nextafter(s, -std::numeric_limits<float>::infinity()));
+    }
+  };
+  for (float v : {0.0f, std::numeric_limits<float>::denorm_min(),
+                  FromBits(0x007fffff), std::numeric_limits<float>::min(),
+                  std::numeric_limits<float>::max()}) {
+    with_neighbours(v);
+  }
+  for (uint32_t bits :
+       {0x7f800000u, 0xff800000u,                           // infinities
+        0x7fc00000u, 0xffc00000u, 0x7fc12345u, 0xffe54321u,  // quiet NaNs
+        0x7fffffffu, 0xffffffffu, 0x7f800001u, 0xff800001u,  // signalling
+        0x7fa00000u, 0xffbfffffu, 0x7f812345u}) {
+    grid.push_back(FromBits(bits));
+  }
+  // Powers of two from 2^-149 to 2^127.
+  for (int e = -149; e <= 127; e += 12) with_neighbours(std::ldexp(1.0f, e));
+  // Ties: 1 + 2^-24 and (1 + 2^-12)^2 are halfway between floats, 2^103
+  // is half an ulp of FLT_MAX (so FLT_MAX + 2^103 ties to infinity), 1.5
+  // times the smallest subnormal halves to a tie, and 3, 1/3 and 0.1 give
+  // inexact quotients.
+  for (float v : {std::ldexp(1.0f, -24), 1.0f + std::ldexp(1.0f, -12),
+                  1.0f + std::ldexp(1.0f, -23), std::ldexp(1.0f, 103),
+                  std::ldexp(1.0f, 102), std::ldexp(1.5f, 127),
+                  std::ldexp(3.0f, -149), 1.5f, 0.5f, 3.0f, 1.0f / 3.0f,
+                  0.1f, 10.0f, 1e-20f, 1e20f, 16777216.0f, 8388608.5f}) {
+    with_neighbours(v);
+  }
+  return grid;
+}
+
+// Every pair of the edge grid, in every row form, through rows whose
+// lengths cycle through 1 .. 2 * lanes + 1 (full vectors and every tail),
+// then 10^6 pairs of random bit patterns.
+TEST_P(ElementwiseRowTest, BinaryRowsMatchOnTheEdgeGridAndRandomPairs) {
+  const std::vector<float> grid = EdgeGrid();
+  ASSERT_GE(grid.size(), 250u);
+  const int64_t g = static_cast<int64_t>(grid.size());
+  const int64_t max_length = 2 * F32Lanes() + 1;
+  std::vector<float> a, b;
+  for (float x : grid) {
+    for (float y : grid) {
+      a.push_back(x);
+      b.push_back(y);
+    }
+  }
+  constexpr int64_t kRandomPairs = 1000000;
+  std::vector<float> ra(kRandomPairs), rb(kRandomPairs);
+  std::mt19937 gen(26);
+  for (int64_t i = 0; i < kRandomPairs; ++i) {
+    ra[i] = FromBits(static_cast<uint32_t>(gen()));
+    rb[i] = FromBits(static_cast<uint32_t>(gen()));
+  }
+  // Runs `row` over [0, n) in rows of cycling length and checks each
+  // output; a step-0 operand stays at its one element.
+  auto check = [&](BinaryRowFn row, OpKind op, const float* x, int64_t sx,
+                   const float* y, int64_t sy, int64_t n,
+                   const std::string& where) {
+    std::vector<float> got(n);
+    int64_t length = 1;
+    for (int64_t i = 0; i < n; i += length, length = length % max_length + 1) {
+      row(got.data() + i, x + i * sx, y + i * sy, std::min(length, n - i));
+    }
+    for (int64_t i = 0; i < n; ++i) {
+      const float want = BinaryReference(op, x[i * sx], y[i * sy]);
+      ASSERT_EQ(BitsOf(got[i]), BitsOf(want))
+          << where << ": " << OpName(op) << "(" << x[i * sx] << " [bits "
+          << std::hex << BitsOf(x[i * sx]) << "], " << y[i * sy] << " [bits "
+          << BitsOf(y[i * sy]) << std::dec << "]) at " << i;
+    }
+  };
+  for (OpKind op : kBinaryOps) {
+    check(SelectBinaryRow(isa(), op, 1, 1), op, a.data(), 1, b.data(), 1,
+          g * g, "grid pairs");
+    for (int64_t s = 0; s < g; ++s) {
+      check(SelectBinaryRow(isa(), op, 1, 0), op, grid.data(), 1, &grid[s],
+            0, g, "grid, scalar b");
+      check(SelectBinaryRow(isa(), op, 0, 1), op, &grid[s], 0, grid.data(),
+            1, g, "scalar a, grid");
+    }
+    check(SelectBinaryRow(isa(), op, 1, 1), op, ra.data(), 1, rb.data(), 1,
+          kRandomPairs, "random pairs");
+  }
+}
+
+// The row reductions against a scalar double accumulation in row-major
+// order, on 1 .. 2 * RowLanes + 1 rows (whole blocks, every partial one and
+// the scalar rows) of lengths around the block width, from exactly sized
+// buffers. A cancelling pair of +-2^70 in each row makes the order of the
+// additions show.
+// Special values go in the first, a middle or the last column; each row
+// holds at most one NaN, whose payload the sum then carries.
+TEST_P(ElementwiseRowTest, RowReductionsMatchAScalarAccumulation) {
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            FromBits(0x7f800001),  // signalling
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            0.0f, -0.0f, FromBits(0xffc12345)};
+  const OpKind ops[] = {OpKind::kReduceSum, OpKind::kReduceMean,
+                        OpKind::kReduceMax, OpKind::kReduceMin};
+  const int64_t lanes = RowLanes(isa());
+  Rng rng(5);
+  for (OpKind op : ops) {
+    const RowReduceFn reduce = SelectRowReduce(isa(), op);
+    ASSERT_NE(reduce, nullptr) << OpName(op);
+    for (int64_t rows = 1; rows <= 2 * lanes + 1; ++rows) {
+      for (int64_t len : {1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 17, 64}) {
+        auto x = std::make_unique<float[]>(rows * len);
+        for (int64_t r = 0; r < rows; ++r) {
+          float* row = x.get() + r * len;
+          for (int64_t c = 0; c < len; ++c) row[c] = rng.Normal(0.0f, 3.0f);
+          if (len >= 6) {
+            // 2^70 absorbs what is added between it and its negation, so
+            // the sum keeps only the elements after both: any other order
+            // shows.
+            row[1 + r % 3] = 0x1p70f;
+            row[len - 2] = -0x1p70f;
+          }
+          if (r % 5 == 4) {
+            std::fill_n(row, len, -0.0f);  // a signed-zero sum
+          } else if (r % 5 != 3) {
+            const int64_t column[] = {0, len / 2, len - 1};
+            row[column[(r + len) % 3]] = specials[(r + len) % 7];
+          }
+        }
+        auto out = std::make_unique<float[]>(rows);
+        reduce(out.get(), x.get(), rows, len);
+        for (int64_t r = 0; r < rows; ++r) {
+          constexpr double kInf = std::numeric_limits<double>::infinity();
+          double acc = op == OpKind::kReduceMax   ? -kInf
+                       : op == OpKind::kReduceMin ? kInf
+                                                  : 0.0;
+          for (int64_t c = 0; c < len; ++c) {
+            const double v = Widen(x[r * len + c]);
+            acc = op == OpKind::kReduceMax   ? std::max(acc, v)
+                  : op == OpKind::kReduceMin ? std::min(acc, v)
+                                             : acc + v;
+          }
+          if (op == OpKind::kReduceMean) acc /= static_cast<double>(len);
+          ASSERT_EQ(BitsOf(out[r]), BitsOf(static_cast<float>(acc)))
+              << OpName(op) << " rows=" << rows << " len=" << len
+              << " row " << r;
+        }
+      }
+    }
   }
 }
 
@@ -360,9 +548,22 @@ TEST(ElementwiseRowSelectTest, OnlyTheVectorOpsAndFormsHaveRows) {
   EXPECT_EQ(SelectUnaryRow(ContractionIsa::kGeneric, OpKind::kTanh), nullptr);
   EXPECT_EQ(SelectBinaryRow(ContractionIsa::kGeneric, OpKind::kAdd, 1, 1),
             nullptr);
+  EXPECT_EQ(SelectCopyRow(ContractionIsa::kGeneric), nullptr);
+  EXPECT_EQ(SelectRowReduce(ContractionIsa::kGeneric, OpKind::kReduceSum),
+            nullptr);
   for (ContractionIsa isa : kRowIsas) {
     if (!HostSupports(isa)) continue;
     EXPECT_EQ(RowLanes(isa), isa == ContractionIsa::kAvx2 ? 4 : 8);
+    for (OpKind op : kUnaryOps) {
+      if (op == kCopy) continue;
+      EXPECT_NE(SelectUnaryRow(isa, op), nullptr) << OpName(op);
+    }
+    EXPECT_NE(SelectCopyRow(isa), nullptr);
+    for (OpKind op : {OpKind::kReduceSum, OpKind::kReduceMean,
+                      OpKind::kReduceMax, OpKind::kReduceMin}) {
+      EXPECT_NE(SelectRowReduce(isa, op), nullptr) << OpName(op);
+    }
+    EXPECT_EQ(SelectRowReduce(isa, OpKind::kAdd), nullptr);
     for (OpKind op : {OpKind::kLog, OpKind::kErf, OpKind::kSign,
                       OpKind::kCast, OpKind::kLogicalNot}) {
       EXPECT_EQ(SelectUnaryRow(isa, op), nullptr) << OpName(op);

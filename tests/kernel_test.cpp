@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
 #include "compiler/compiler.h"
 #include "ir/builder.h"
 #include "ir/eval.h"
+#include "kernel/elementwise.h"
 #include "kernel/library.h"
 #include "support/rng.h"
 
@@ -705,17 +707,15 @@ float F32FromBits(uint32_t bits) {
   return f;
 }
 
-// Compiles `g` with the input dim `labels` and checks its Run, on a plan
-// miss and then a hit, bit for bit against EvaluateGraph.
-void ExpectRunsMatchTheReference(
-    const Graph& g, const std::vector<std::vector<std::string>>& labels,
-    const std::vector<Tensor>& inputs, const std::string& where) {
-  auto exe = DiscCompiler::Compile(g, labels);
-  ASSERT_TRUE(exe.ok()) << where << ": " << exe.status().ToString();
+// Checks the Run of `exe`, compiled from `g`, on a plan miss and then a hit
+// (the first Run of its signature), bit for bit against EvaluateGraph.
+void ExpectRunsMatchTheReference(const Executable& exe, const Graph& g,
+                                 const std::vector<Tensor>& inputs,
+                                 const std::string& where) {
   auto want = EvaluateGraph(g, inputs);
   ASSERT_TRUE(want.ok()) << where;
   for (bool hit : {false, true}) {
-    auto got = (*exe)->Run(inputs);
+    auto got = exe.Run(inputs);
     ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
     EXPECT_EQ(got->profile.launch_plan_hit, hit) << where;
     EXPECT_TRUE(Tensor::BitEqual(got->outputs[0], (*want)[0]))
@@ -723,6 +723,16 @@ void ExpectRunsMatchTheReference(
         << got->outputs[0].ToString(512) << " vs "
         << (*want)[0].ToString(512);
   }
+}
+
+// Compiles `g` with the input dim `labels` and checks its Run, on a plan
+// miss and then a hit, bit for bit against EvaluateGraph.
+void ExpectRunsMatchTheReference(
+    const Graph& g, const std::vector<std::vector<std::string>>& labels,
+    const std::vector<Tensor>& inputs, const std::string& where) {
+  auto exe = DiscCompiler::Compile(g, labels);
+  ASSERT_TRUE(exe.ok()) << where << ": " << exe.status().ToString();
+  ExpectRunsMatchTheReference(**exe, g, inputs, where);
 }
 
 TEST(KernelExecuteTest, EdgeValuesThroughFusedCompositesMatchTheReference) {
@@ -855,6 +865,148 @@ TEST(KernelExecuteTest, TwoNaNOperandsGiveTheFirstOperandsNaN) {
           EXPECT_EQ(bits, swap ? 0x7fc00007u : 0xffc00000u) << where;
         }
       }
+    }
+  }
+}
+
+// A reshape that is not a group output aliases its operand: it runs no
+// loop, takes no scratch, and its consumers read the operand directly,
+// signalling NaNs and all, so each consumer must quiet what it reads as the
+// reference's widening does. A transpose that is the group output, row
+// reductions, arithmetic, maximum and neg read it here, and a reshape that
+// is itself the group output still copies; the input holds signalling and
+// quiet NaNs.
+TEST(KernelExecuteTest, AliasedReshapesReadLikeTheReference) {
+  constexpr int64_t kRows = 5;
+  Tensor x = RandomF32(81, {kRows, 32});
+  x.f32_data()[0] = F32FromBits(0x7f800001);
+  x.f32_data()[37] = F32FromBits(0xffa00005);
+  x.f32_data()[70] = F32FromBits(0x7fc00009);
+  x.f32_data()[kRows * 32 - 1] = F32FromBits(0x7f800001);
+  Tensor y = RandomF32(83, {16});
+  y.f32_data()[3] = F32FromBits(0x7f900000);
+  using Body = std::function<Value*(GraphBuilder*, Value*, Value*)>;
+  const std::vector<std::pair<std::string, Body>> consumers = {
+      {"transpose",
+       [](GraphBuilder* b, Value* r, Value*) {
+         return b->Transpose(r, {1, 0, 2});
+       }},
+      {"reduce_sum",
+       [](GraphBuilder* b, Value* r, Value*) { return b->ReduceSum(r, {2}); }},
+      {"reduce_max",
+       [](GraphBuilder* b, Value* r, Value*) { return b->ReduceMax(r, {2}); }},
+      {"add", [](GraphBuilder* b, Value* r, Value* v) { return b->Add(r, v); }},
+      {"maximum",
+       [](GraphBuilder* b, Value* r, Value* v) {
+         return b->Binary(OpKind::kMaximum, r, v);
+       }},
+      {"neg", [](GraphBuilder* b, Value* r, Value*) { return b->Neg(r); }},
+      {"output", [](GraphBuilder*, Value* r, Value*) { return r; }},
+  };
+  for (const auto& [name, body] : consumers) {
+    Graph g(name);
+    GraphBuilder b(&g);
+    Value* xv = b.Input("x", DType::kF32, {kDynamicDim, 32});
+    Value* yv = b.Input("y", DType::kF32, {16});
+    b.Output({body(&b, b.Reshape(xv, {-1, 2, 16}), yv)});
+    ExpectRunsMatchTheReference(g, {{"R", ""}, {""}}, {x, y}, name);
+  }
+}
+
+TEST(KernelExecuteTest, AnAliasedReshapeTakesNoScratch) {
+  // maximum(reshape(x), y) against maximum(neg(x), y): the same inputs and
+  // member count, and neg's buffer is as large as the reshape's.
+  constexpr int64_t kRows = 5;
+  int64_t scratch[2] = {};
+  for (bool reshape : {true, false}) {
+    auto c = CompileKernels(
+        [reshape](GraphBuilder* b) {
+          Value* x = b->Input("x", DType::kF32, {kDynamicDim, 32});
+          Value* y = b->Input("y", DType::kF32, {1});
+          Value* r = reshape ? b->Reshape(x, {-1, 2, 16}) : b->Neg(x);
+          b->Output({b->Binary(OpKind::kMaximum, r, y)});
+        },
+        {{"R", ""}, {""}});
+    ASSERT_EQ(c->kernels.size(), 1u);
+    ASSERT_EQ(c->kernels[0]->group().nodes.size(), 2u);
+    auto bindings = c->analysis->BindInputs({{kRows, 32}, {1}});
+    ASSERT_TRUE(bindings.ok());
+    auto binding = c->kernels[0]->Bind(*bindings);
+    ASSERT_TRUE(binding.ok()) << binding.status().ToString();
+    scratch[reshape ? 0 : 1] = c->kernels[0]->ScratchBytes(*binding);
+    Tensor x = RandomF32(85, {kRows, 32});
+    x.f32_data()[9] = F32FromBits(0xff800003);
+    ExpectMatchesReference(*c, {x, RandomF32(87, {1})});
+  }
+  // The slot table alone: two inputs and two members.
+  EXPECT_EQ(scratch[0], static_cast<int64_t>(4 * sizeof(void*)));
+  EXPECT_EQ(scratch[1] - scratch[0],
+            kRows * 32 * static_cast<int64_t>(sizeof(float)));
+}
+
+// Reductions over trailing dims run the row reduction (RowLanes rows per
+// block) where the host has vector rows. Every partial and whole block, 1
+// to 2 * RowLanes + 1 rows, on rows around the block width holding a
+// cancelling pair of +-2^70 (so the order of the additions shows), with NaN,
+// signalling NaN, +-inf and +-0 in the first, a middle or the last column
+// (one NaN per row at most, whose payload the sum carries) and rows of
+// -0.0, on a plan miss and a hit.
+TEST(KernelExecuteTest, RowReductionsMatchTheReference) {
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            F32FromBits(0x7f800001),
+                            F32FromBits(0xffc0beef),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            0.0f,
+                            -0.0f};
+  const int64_t lanes = std::max<int64_t>(RowLanes(HostIsa()), 4);
+  for (OpKind op : {OpKind::kReduceSum, OpKind::kReduceMean,
+                    OpKind::kReduceMax, OpKind::kReduceMin}) {
+    for (int64_t len : {1, 7, 8, 9, 13, 64}) {
+      Graph g(OpName(op));
+      GraphBuilder b(&g);
+      Value* x = b.Input("x", DType::kF32, {kDynamicDim, len});
+      b.Output({b.Reduce(op, x, {1})});
+      auto exe = DiscCompiler::Compile(g, {{"R", ""}});
+      ASSERT_TRUE(exe.ok()) << exe.status().ToString();
+      for (int64_t rows = 1; rows <= 2 * lanes + 1; ++rows) {
+        Tensor t = RandomF32(rows * 100 + len, {rows, len});
+        for (int64_t r = 0; r < rows; ++r) {
+          float* row = t.f32_data() + r * len;
+          if (len >= 6) {
+            // 2^70 absorbs what is added between it and its negation, so
+            // the sum keeps only the elements after both: any other order
+            // shows.
+            row[1 + r % 3] = 0x1p70f;
+            row[len - 2] = -0x1p70f;
+          }
+          if (r % 6 == 5) {
+            std::fill_n(row, len, -0.0f);
+          } else {
+            const int64_t column[] = {0, len / 2, len - 1};
+            row[column[(r + len) % 3]] = specials[(r + len) % 7];
+          }
+        }
+        ExpectRunsMatchTheReference(**exe, g, {t},
+                                    std::string(OpName(op)) + " rows=" +
+                                        std::to_string(rows) +
+                                        " len=" + std::to_string(len));
+      }
+    }
+  }
+  // Trailing dims with size-1 dims around them and keep_dims, where the
+  // output keeps the rows' order.
+  for (bool keep : {false, true}) {
+    Graph g("trailing");
+    GraphBuilder b(&g);
+    Value* x = b.Input("x", DType::kF32, {kDynamicDim, 1, 3, 5, 1});
+    b.Output({b.ReduceMean(x, {2, 3}, keep)});
+    auto exe = DiscCompiler::Compile(g, {{"R", "", "", "", ""}});
+    ASSERT_TRUE(exe.ok()) << exe.status().ToString();
+    for (int64_t rows : {2, 11}) {
+      ExpectRunsMatchTheReference(**exe, g,
+                                  {RandomF32(rows, {rows, 1, 3, 5, 1})},
+                                  "trailing keep=" + std::to_string(keep));
     }
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "baselines/baselines.h"
 #include "compiler/compiler.h"
 #include "ir/eval.h"
@@ -225,6 +227,38 @@ INSTANTIATE_TEST_SUITE_P(AllModels, ModelBitIdentityTest,
                            }
                            return name;
                          });
+
+// Every suite model's Run equals the reference evaluator bit for bit at
+// every distinct shape of its default serving trace (the shapes the
+// benchmark's suite runs), on the signature's plan miss and on the hit that
+// follows.
+TEST_P(ModelSuiteTest, EveryTraceShapeMatchesTheReferenceOnAMissAndAHit) {
+  Model model;
+  for (Model& m : BuildModelSuite()) {
+    if (m.name == GetParam()) model = std::move(m);
+  }
+  ASSERT_NE(model.graph, nullptr) << GetParam();
+  auto exe = DiscCompiler::Compile(*model.graph, model.input_dim_labels);
+  ASSERT_TRUE(exe.ok()) << exe.status().ToString();
+  std::set<ShapeSet> seen;
+  for (const ShapeSet& shapes : model.trace) {
+    if (!seen.insert(shapes).second) continue;
+    std::vector<Tensor> inputs = model.make_inputs(shapes, seen.size());
+    auto want = EvaluateGraph((*exe)->graph(), inputs);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    for (bool hit : {false, true}) {
+      auto got = (*exe)->Run(inputs);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->profile.launch_plan_hit, hit);
+      ASSERT_EQ(got->outputs.size(), want->size());
+      for (size_t i = 0; i < want->size(); ++i) {
+        EXPECT_TRUE(Tensor::BitEqual(got->outputs[i], (*want)[i]))
+            << model.name << " output " << i << " at trace shape "
+            << seen.size() << " hit " << hit;
+      }
+    }
+  }
+}
 
 TEST(ExtraModelTest2, MaskActuallyMasks) {
   // Fully-masked tail positions must not influence attended outputs:
