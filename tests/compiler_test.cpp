@@ -1,10 +1,19 @@
 #include "compiler/compiler.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <filesystem>
+#include <map>
 
 #include "ir/builder.h"
 #include "ir/eval.h"
+#include "models/models.h"
 #include "support/rng.h"
+#include "support/string_util.h"
 
 namespace disc {
 namespace {
@@ -311,6 +320,161 @@ TEST(CompilerTest, GraphOutputsThatAreConstantsOrInputs) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(Tensor::AllClose(r->outputs[0], Tensor::F32({2}, {1, 2})));
   EXPECT_TRUE(Tensor::AllClose(r->outputs[1], Tensor::F32({2}, {5, 6})));
+}
+
+// FNV-1a, 64 bits: a digest that is the same on every build and host.
+uint64_t Fnv1a(const std::string& bytes, uint64_t hash = 0xcbf29ce484222325ull) {
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+struct GoldenDigest {
+  const char* model;
+  const char* options;
+  const char* artifact;
+  uint64_t digest;
+};
+
+// Generated from the compiler's own output; see ArtifactsMatchGoldenDigests.
+constexpr GoldenDigest kGoldenDigests[] = {
+#include "compile_artifact_digests.inc"
+};
+
+// The likely values of every labelled dim in the first two signatures of
+// the model's trace, in first-seen order: the hints a respecialization
+// after two observed queries would carry.
+std::vector<std::pair<std::string, std::vector<int64_t>>> TraceHints(
+    const Model& model) {
+  std::vector<std::pair<std::string, std::vector<int64_t>>> hints;
+  for (size_t t = 0; t < 2 && t < model.trace.size(); ++t) {
+    const ShapeSet& shapes = model.trace[t];
+    for (size_t i = 0; i < model.input_dim_labels.size() && i < shapes.size();
+         ++i) {
+      const std::vector<std::string>& labels = model.input_dim_labels[i];
+      for (size_t d = 0; d < labels.size() && d < shapes[i].size(); ++d) {
+        if (labels[d].empty()) continue;
+        auto it = std::find_if(hints.begin(), hints.end(), [&](const auto& h) {
+          return h.first == labels[d];
+        });
+        if (it == hints.end()) {
+          hints.push_back({labels[d], {}});
+          it = hints.end() - 1;
+        }
+        if (std::find(it->second.begin(), it->second.end(), shapes[i][d]) ==
+            it->second.end()) {
+          it->second.push_back(shapes[i][d]);
+        }
+      }
+    }
+  }
+  return hints;
+}
+
+// Digests of everything one compile produces, by artifact name: each file
+// the dumper writes (the pass snapshots folded into one "passes" digest;
+// pipeline_summary.json holds wall-clock times and is left out), the
+// kernels' variants, the arena release schedule and the report's counts.
+std::map<std::string, uint64_t> CompileDigests(const Model& model,
+                                               CompileOptions options,
+                                               const std::string& dir) {
+  namespace fs = std::filesystem;
+  fs::remove_all(dir);
+  options.dump.dir = dir;
+  auto exe = DiscCompiler::Compile(*model.graph, model.input_dim_labels,
+                                   options);
+  EXPECT_TRUE(exe.ok()) << model.name << ": " << exe.status().ToString();
+  std::map<std::string, uint64_t> digests;
+  if (!exe.ok()) return digests;
+  std::vector<std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) {
+      files.push_back(fs::relative(entry.path(), dir).string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  uint64_t passes = Fnv1a("");
+  for (const std::string& name : files) {
+    if (name == "pipeline_summary.json") continue;
+    auto content = ReadFileToString((fs::path(dir) / name).string());
+    EXPECT_TRUE(content.ok()) << name;
+    if (!content.ok()) continue;
+    if (name.rfind("passes/", 0) == 0) {
+      passes = Fnv1a(*content, Fnv1a(name + '\0', passes));
+    } else {
+      digests[name] = Fnv1a(*content);
+    }
+  }
+  fs::remove_all(dir);
+  digests["passes"] = passes;
+  std::string kernels;
+  for (const auto& kernel : (*exe)->kernels()) kernels += kernel->ToString();
+  digests["kernels"] = Fnv1a(kernels);
+  std::string schedule;
+  for (const auto& released : (*exe)->memory_plan().release_after_step) {
+    for (const Value* v : released) schedule += std::to_string(v->id()) + ",";
+    schedule += ";";
+  }
+  digests["schedule"] = Fnv1a(schedule);
+  const CompileReport& r = (*exe)->report();
+  std::string counts;
+  for (int64_t n :
+       {r.num_nodes_before, r.num_nodes_after, r.fusion.num_groups,
+        r.fusion.num_fused_nodes, r.fusion.num_singleton_groups,
+        r.fusion.num_loop_groups, r.fusion.num_input_groups,
+        r.fusion.num_stitch_groups, r.fusion.num_internalized_values,
+        r.shapes.num_symbols, r.shapes.num_classes,
+        r.shapes.num_known_constants, r.shapes.num_product_facts,
+        r.num_kernels, r.num_variants, r.arena_slots,
+        r.arena_cross_size_reuses, r.arena_fallbacks}) {
+    counts += std::to_string(n) + ",";
+  }
+  digests["report"] = Fnv1a(counts);
+  return digests;
+}
+
+// Every compile artifact of the six suite models and the batched decode
+// step, under default, hinted, no-fusion and static-shape options, must
+// match the digests committed in compile_artifact_digests.inc: compile-time
+// work may get faster, but not different. A mismatch prints the line that
+// would replace the stale one.
+TEST(CompilerTest, ArtifactsMatchGoldenDigests) {
+  std::vector<Model> models = BuildModelSuite();
+  models.push_back(BuildGptStepBatch());
+  std::map<std::string, uint64_t> golden;
+  for (const GoldenDigest& g : kGoldenDigests) {
+    golden[std::string(g.model) + "/" + g.options + "/" + g.artifact] =
+        g.digest;
+  }
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("disc_golden_digests_" + std::to_string(::getpid())))
+          .string();
+  size_t checked = 0;
+  for (const Model& model : models) {
+    CompileOptions hinted;
+    hinted.likely_dim_values = TraceHints(model);
+    const std::pair<const char*, CompileOptions> configs[] = {
+        {"default", CompileOptions::Default()},
+        {"hinted", hinted},
+        {"nofusion", CompileOptions::NoFusion()},
+        {"nosymbolic", CompileOptions::NoSymbolicShapes()}};
+    for (const auto& [config, options] : configs) {
+      for (const auto& [artifact, digest] :
+           CompileDigests(model, options, dir)) {
+        const std::string key = model.name + "/" + config + "/" + artifact;
+        auto it = golden.find(key);
+        EXPECT_TRUE(it != golden.end() && it->second == digest)
+            << "new digest line:\n"
+            << StrFormat("{\"%s\", \"%s\", \"%s\", 0x%016" PRIx64 "ull},",
+                         model.name.c_str(), config, artifact.c_str(), digest);
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, golden.size());
 }
 
 }  // namespace
