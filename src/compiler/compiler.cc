@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "support/artifact_dump.h"
 #include "support/failpoint.h"
@@ -215,63 +214,82 @@ Result<std::unique_ptr<Executable>> DiscCompiler::Compile(
   {
     PhaseScope phase(&exe->report_, "step-schedule");
     std::vector<Node*> topo = exe->graph_->TopologicalOrder();
-    // Unit id: group ids stay as-is; ungrouped nodes get fresh ids.
-    int next_unit = static_cast<int>(exe->plan_.groups.size());
-    std::unordered_map<const Node*, int> unit_of;
-    std::unordered_map<int, std::vector<Node*>> unit_nodes;
-    std::vector<int> unit_order;  // discovery order (stable)
+    // Units are numbered in discovery order (the topological position of
+    // their first node); `group_unit` maps a group id to its unit, and an
+    // ungrouped node is a unit of its own. Unit arrays are dense.
+    const int num_groups = static_cast<int>(exe->plan_.groups.size());
+    std::vector<int> group_unit(num_groups, -1);
+    std::vector<int> unit_group;      // group id, or -1 for a single node
+    std::vector<Node*> unit_node;     // first node of the unit
+    int num_node_ids = 0;
+    for (const Node* node : topo) {
+      num_node_ids = std::max(num_node_ids, node->id() + 1);
+    }
+    std::vector<int> unit_of(num_node_ids, -1);  // by Node::id()
     for (Node* node : topo) {
       auto it = exe->plan_.group_of.find(node);
-      int unit = it != exe->plan_.group_of.end() ? it->second : next_unit++;
-      unit_of[node] = unit;
-      auto [nit, inserted] = unit_nodes.try_emplace(unit);
-      if (inserted) unit_order.push_back(unit);
-      nit->second.push_back(node);
+      int group = it != exe->plan_.group_of.end() ? it->second : -1;
+      int unit = group >= 0 ? group_unit[group] : -1;
+      if (unit < 0) {
+        unit = static_cast<int>(unit_group.size());
+        unit_group.push_back(group);
+        unit_node.push_back(node);
+        if (group >= 0) group_unit[group] = unit;
+      }
+      unit_of[node->id()] = unit;
     }
-    // Indegrees over distinct unit edges.
-    std::unordered_map<int, std::unordered_set<int>> producers_of;
+    // Distinct unit edges: each unit's consumers, and its pending count of
+    // distinct producers.
+    const int num_units = static_cast<int>(unit_group.size());
+    std::vector<std::vector<int>> consumers(num_units);
+    std::vector<int> pending(num_units, 0);
+    std::vector<int> last_consumer(num_units, -1);  // dedup per producer
+    std::vector<std::vector<int>> producers(num_units);
     for (Node* node : topo) {
-      int unit = unit_of.at(node);
+      int unit = unit_of[node->id()];
       for (Value* operand : node->operands()) {
         Node* producer = operand->producer();
         if (producer == nullptr) continue;
-        int producer_unit = unit_of.at(producer);
-        if (producer_unit != unit) producers_of[unit].insert(producer_unit);
+        int producer_unit = unit_of[producer->id()];
+        if (producer_unit != unit) producers[unit].push_back(producer_unit);
       }
     }
-    std::unordered_map<int, int> pending;
-    for (int unit : unit_order) {
-      pending[unit] = static_cast<int>(producers_of[unit].size());
+    for (int unit = 0; unit < num_units; ++unit) {
+      for (int producer_unit : producers[unit]) {
+        if (last_consumer[producer_unit] == unit) continue;
+        last_consumer[producer_unit] = unit;
+        consumers[producer_unit].push_back(unit);
+        ++pending[unit];
+      }
     }
-    // Kahn, preferring earliest-discovered ready unit for determinism.
+    // Kahn in sweeps over the discovery order: each sweep emits every
+    // ready unit in order, so a unit that becomes ready mid-sweep is
+    // emitted in the same sweep only when it comes later in that order.
     std::vector<int> emitted;
-    std::unordered_set<int> done;
-    while (emitted.size() < unit_order.size()) {
+    emitted.reserve(num_units);
+    std::vector<char> done(num_units, 0);
+    while (static_cast<int>(emitted.size()) < num_units) {
       bool progressed = false;
-      for (int unit : unit_order) {
-        if (done.count(unit) || pending.at(unit) != 0) continue;
+      for (int unit = 0; unit < num_units; ++unit) {
+        if (done[unit] || pending[unit] != 0) continue;
         emitted.push_back(unit);
-        done.insert(unit);
+        done[unit] = 1;
         progressed = true;
-        for (int other : unit_order) {
-          if (!done.count(other) && producers_of[other].count(unit)) {
-            --pending[other];
-          }
-        }
+        for (int consumer : consumers[unit]) --pending[consumer];
       }
       if (!progressed) {
         return Status::Internal("fused-group condensation has a cycle");
       }
     }
     for (int unit : emitted) {
-      if (unit < static_cast<int>(exe->plan_.groups.size())) {
+      if (unit_group[unit] >= 0) {
         Executable::Step step;
         step.kind = Executable::Step::Kind::kKernel;
-        step.kernel = kernel_of_group.at(unit);
+        step.kernel = kernel_of_group.at(unit_group[unit]);
         exe->steps_.push_back(step);
         continue;
       }
-      Node* node = unit_nodes.at(unit).front();
+      Node* node = unit_node[unit];
       Executable::Step step;
       step.node = node;
       if (node->kind() == OpKind::kConstant) {

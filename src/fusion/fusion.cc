@@ -1,9 +1,7 @@
 #include "fusion/fusion.h"
 
 #include <algorithm>
-#include <deque>
 #include <sstream>
-#include <unordered_set>
 
 #include "support/json.h"
 #include "support/logging.h"
@@ -164,46 +162,17 @@ int FusionPlanner::Find(int x) {
 }
 
 int FusionPlanner::GroupOf(const Node* node) {
-  auto it = node_index_.find(node);
-  if (it == node_index_.end()) return -1;
-  return Find(it->second);
-}
-
-std::string FusionPlanner::NumElementsText(const Value* v) const {
-  const SymbolicDimManager& m = analysis_->manager();
-  SymShape canon = m.Canonicalize(analysis_->GetShape(v));
-  return "numel" + SymShapeToString(canon) + " = " +
-         m.Canonicalize(SymShapeNumElements(canon)).ToString();
-}
-
-void FusionPlanner::RecordDecision(const Node* producer, const Node* consumer,
-                                   const char* phase, bool fused,
-                                   std::string reason,
-                                   std::string constraint) {
-  if (!options_.record_decisions) return;
-  FusionDecision decision;
-  decision.producer = producer->output(0)->id();
-  decision.consumer = consumer->output(0)->id();
-  decision.producer_op = OpName(producer->kind());
-  decision.consumer_op = OpName(consumer->kind());
-  decision.phase = phase;
-  decision.fused = fused;
-  decision.reason = std::move(reason);
-  decision.constraint = std::move(constraint);
-  int64_t key = (static_cast<int64_t>(decision.producer) << 32) |
-                static_cast<uint32_t>(decision.consumer);
-  auto [it, inserted] = decision_index_.try_emplace(key, decisions_.size());
-  if (inserted) {
-    decisions_.push_back(std::move(decision));
-  } else {
-    // Last verdict wins: a pair rejected in an early sweep/phase but merged
-    // later reads as fused (and vice versa never happens — merged pairs
-    // are not reconsidered).
-    decisions_[it->second] = std::move(decision);
-  }
+  int idx = IndexOf(node);
+  return idx < 0 ? -1 : Find(idx);
 }
 
 namespace {
+
+uint64_t PairKey(int a, int b) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
+         static_cast<uint32_t>(b);
+}
+
 bool SameNumElementsStatic(const Value* a, const Value* b) {
   return a->type().IsFullyStatic() && b->type().IsFullyStatic() &&
          a->type().NumElements() == b->type().NumElements();
@@ -212,46 +181,114 @@ bool SameNumElementsStatic(const Value* a, const Value* b) {
 void SetOut(std::string* out, std::string value) {
   if (out != nullptr) *out = std::move(value);
 }
+
+// Trailing reduce dims check: reduce dims are exactly the last k dims.
+bool ReducesTrailingDims(const Node* reduce) {
+  const auto& dims = reduce->GetIntListAttr("dims");
+  int64_t rank = reduce->operand(0)->rank();
+  std::vector<int64_t> sorted = dims;
+  std::sort(sorted.begin(), sorted.end());
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    if (sorted[i] != rank - static_cast<int64_t>(sorted.size()) +
+                         static_cast<int64_t>(i)) {
+      return false;
+    }
+  }
+  return !sorted.empty();
+}
+
 }  // namespace
 
-bool FusionPlanner::ShapesAllowLoopFusion(const Value* producer_out,
-                                          const Node* consumer,
-                                          std::string* reason,
-                                          std::string* constraint) const {
+const std::string& FusionPlanner::NumElementsText(const Value* v) {
+  auto [it, inserted] = num_elements_text_.try_emplace(v->id());
+  if (inserted) {
+    const SymbolicDimManager& m = analysis_->manager();
+    SymShape canon = m.Canonicalize(analysis_->GetShape(v));
+    it->second = "numel" + SymShapeToString(canon) + " = " +
+                 m.Canonicalize(SymShapeNumElements(canon)).ToString();
+  }
+  return it->second;
+}
+
+void FusionPlanner::RecordDecision(const Node* producer, const Node* consumer,
+                                   const char* phase, bool fused,
+                                   const std::string& reason,
+                                   const std::string& constraint) {
+  if (!options_.record_decisions) return;
+  const int p = producer->output(0)->id();
+  const int c = consumer->output(0)->id();
+  int64_t key = (static_cast<int64_t>(p) << 32) | static_cast<uint32_t>(c);
+  auto [it, inserted] = decision_index_.try_emplace(key, decisions_.size());
+  if (inserted) {
+    FusionDecision& decision = decisions_.emplace_back();
+    decision.producer = p;
+    decision.consumer = c;
+    decision.producer_op = OpName(producer->kind());
+    decision.consumer_op = OpName(consumer->kind());
+  }
+  // Last verdict wins: a pair rejected in an early sweep/phase but merged
+  // later reads as fused (and vice versa never happens — merged pairs
+  // are not reconsidered).
+  FusionDecision& decision = decisions_[it->second];
+  decision.phase = phase;
+  decision.fused = fused;
+  decision.reason = reason;
+  decision.constraint = constraint;
+}
+
+bool FusionPlanner::ProvenSameNumElements(const Value* a, const Value* b) {
+  auto [it, inserted] =
+      same_num_elements_.try_emplace(PairKey(a->id(), b->id()), false);
+  if (inserted) {
+    it->second = prover_->IsSameNumElements(analysis_->GetShape(a),
+                                            analysis_->GetShape(b));
+  }
+  return it->second;
+}
+
+bool FusionPlanner::SameNumElements(const Value* a, const Value* b) {
+  return options_.use_symbolic_shapes ? ProvenSameNumElements(a, b)
+                                      : SameNumElementsStatic(a, b);
+}
+
+const FusionPlanner::LoopVerdict& FusionPlanner::LoopShapeVerdict(
+    const Value* producer_out, const Node* consumer) {
+  const uint64_t key = PairKey(producer_out->id(), consumer->id());
+  auto it = loop_verdicts_.find(key);
+  if (it != loop_verdicts_.end()) return it->second;
+  LoopVerdict verdict = ComputeLoopShapeVerdict(producer_out, consumer);
+  return loop_verdicts_.emplace(key, std::move(verdict)).first->second;
+}
+
+FusionPlanner::LoopVerdict FusionPlanner::ComputeLoopShapeVerdict(
+    const Value* producer_out, const Node* consumer) {
   // Injective consumers absorb any producer through an index map.
   if (consumer->op_class() == OpClass::kInjective) {
-    SetOut(reason, "injective-consumer-absorbs-producer");
-    SetOut(constraint, std::string(OpName(consumer->kind())) +
-                           " reads the producer through an index map; no "
-                           "shape relation needed");
-    return true;
+    return {true, "injective-consumer-absorbs-producer",
+            std::string(OpName(consumer->kind())) +
+                " reads the producer through an index map; no shape "
+                "relation needed"};
   }
   const Value* consumer_out = consumer->output(0);
   if (options_.use_symbolic_shapes) {
     const SymbolicDimManager& m = analysis_->manager();
     const SymShape& ps = analysis_->GetShape(producer_out);
     const SymShape& cs = analysis_->GetShape(consumer_out);
-    if (m.IsSameNumElements(ps, cs)) {
-      SetOut(reason, "same-num-elements-proven");
-      SetOut(constraint,
-             NumElementsText(producer_out) + " == " +
-                 NumElementsText(consumer_out));
-      return true;
+    if (ProvenSameNumElements(producer_out, consumer_out)) {
+      return {true, "same-num-elements-proven",
+              NumElementsText(producer_out) + " == " +
+                  NumElementsText(consumer_out)};
     }
     // Scalar producer.
     DimExpr pn = m.Canonicalize(SymShapeNumElements(ps));
     if (pn.IsConstValue(1)) {
-      SetOut(reason, "scalar-producer");
-      SetOut(constraint, NumElementsText(producer_out) + " == 1");
-      return true;
+      return {true, "scalar-producer", NumElementsText(producer_out) + " == 1"};
     }
     // Broadcast-compatible: right-aligned, every producer dim equals the
     // consumer dim or is the constant 1.
     if (ps.size() <= cs.size()) {
       size_t offset = cs.size() - ps.size();
-      bool compatible = true;
       std::string relation;
-      std::string blocking;
       for (size_t i = 0; i < ps.size(); ++i) {
         DimExpr pd = m.Canonicalize(ps[i]);
         if (pd.IsConstValue(1)) {
@@ -261,76 +298,85 @@ bool FusionPlanner::ShapesAllowLoopFusion(const Value* producer_out,
         }
         DimExpr cd = m.Canonicalize(cs[offset + i]);
         if (!m.IsDimEqual(ps[i], cs[offset + i])) {
-          compatible = false;
-          blocking = "dim" + std::to_string(i) + ": " + pd.ToString() +
-                     " != " + cd.ToString() + " (no equality fact)";
-          break;
+          return {false, "blocked:no-proven-shape-relation",
+                  NumElementsText(producer_out) + " vs " +
+                      NumElementsText(consumer_out) + "; dim" +
+                      std::to_string(i) + ": " + pd.ToString() + " != " +
+                      cd.ToString() + " (no equality fact)"};
         }
         if (!relation.empty()) relation += ", ";
         relation += "dim" + std::to_string(i) + ": " + pd.ToString() +
                     " == " + cd.ToString();
       }
-      if (compatible) {
-        SetOut(reason, "broadcast-compatible-dims");
-        SetOut(constraint, relation.empty() ? "scalar into any space"
-                                            : relation);
-        return true;
-      }
-      SetOut(reason, "blocked:no-proven-shape-relation");
-      SetOut(constraint, NumElementsText(producer_out) + " vs " +
-                             NumElementsText(consumer_out) + "; " + blocking);
-      return false;
+      return {true, "broadcast-compatible-dims",
+              relation.empty() ? "scalar into any space" : relation};
     }
-    SetOut(reason, "blocked:no-proven-shape-relation");
-    SetOut(constraint,
-           NumElementsText(producer_out) + " vs " +
-               NumElementsText(consumer_out) +
-               "; producer rank exceeds consumer rank (not a broadcast)");
-    return false;
+    return {false, "blocked:no-proven-shape-relation",
+            NumElementsText(producer_out) + " vs " +
+                NumElementsText(consumer_out) +
+                "; producer rank exceeds consumer rank (not a broadcast)"};
   }
   // Without symbolic information only static equality is provable.
   if (SameNumElementsStatic(producer_out, consumer_out)) {
-    SetOut(reason, "static-num-elements-equal");
-    SetOut(constraint, producer_out->type().ToString() + " == " +
-                           consumer_out->type().ToString() +
-                           " (statically known)");
-    return true;
+    return {true, "static-num-elements-equal",
+            producer_out->type().ToString() + " == " +
+                consumer_out->type().ToString() + " (statically known)"};
   }
-  SetOut(reason, "blocked:static-shape-unknown");
-  SetOut(constraint,
-         producer_out->type().ToString() + " vs " +
-             consumer_out->type().ToString() +
-             "; dynamic dims carry no value, and without symbolic "
-             "relations equality cannot be proven");
+  return {false, "blocked:static-shape-unknown",
+          producer_out->type().ToString() + " vs " +
+              consumer_out->type().ToString() +
+              "; dynamic dims carry no value, and without symbolic "
+              "relations equality cannot be proven"};
+}
+
+bool FusionPlanner::UsedOutside(const Value* out, int g, int other) {
+  if (is_graph_output_[out->id()]) return true;
+  for (const Node* user : out->users()) {
+    int ug = GroupOf(user);
+    if (ug != g && ug != other) return true;
+  }
   return false;
 }
 
 bool FusionPlanner::MergeWouldCreateCycle(int ga, int gb) {
   // Illegal if a path leaves ga (or gb), passes through an outside node and
   // re-enters the other group. BFS forward from both groups' outputs
-  // through outside nodes only.
-  std::unordered_set<const Node*> inside;
-  for (Node* n : members_[ga]) inside.insert(n);
-  for (Node* n : members_[gb]) inside.insert(n);
-
-  std::deque<const Node*> frontier;
-  std::unordered_set<const Node*> visited;
-  for (const Node* n : inside) {
-    for (const Value* out : n->outputs()) {
-      for (const Node* user : out->users()) {
-        if (!inside.count(user) && visited.insert(user).second) {
+  // through outside nodes only. Such a path ends at a member, so every
+  // node on it comes before the union's last member in topological order:
+  // the search stops at later nodes.
+  const int inside = ++stamp_;
+  const int visited = ++stamp_;
+  int last = -1;
+  for (int g : {ga, gb}) {
+    for (const Node* n : members_[g]) {
+      mark_[n->id()] = inside;
+      last = std::max(last, topo_pos_[n->id()]);
+    }
+  }
+  std::vector<const Node*> frontier;
+  for (int g : {ga, gb}) {
+    for (const Node* n : members_[g]) {
+      for (const Value* out : n->outputs()) {
+        for (const Node* user : out->users()) {
+          int& mark = mark_[user->id()];
+          if (mark == inside || mark == visited ||
+              topo_pos_[user->id()] > last) {
+            continue;
+          }
+          mark = visited;
           frontier.push_back(user);
         }
       }
     }
   }
-  while (!frontier.empty()) {
-    const Node* node = frontier.front();
-    frontier.pop_front();
-    for (const Value* out : node->outputs()) {
+  for (size_t head = 0; head < frontier.size(); ++head) {
+    for (const Value* out : frontier[head]->outputs()) {
       for (const Node* user : out->users()) {
-        if (inside.count(user)) return true;  // re-entered -> cycle
-        if (visited.insert(user).second) frontier.push_back(user);
+        int& mark = mark_[user->id()];
+        if (mark == inside) return true;  // re-entered -> cycle
+        if (mark == visited || topo_pos_[user->id()] > last) continue;
+        mark = visited;
+        frontier.push_back(user);
       }
     }
   }
@@ -375,19 +421,18 @@ void FusionPlanner::RunLoopFusion() {
   while (changed) {
     changed = false;
     for (Node* consumer : topo_) {
-      if (!node_index_.count(consumer) || IsReduce(consumer)) continue;
+      if (!IsFusable(consumer) || IsReduce(consumer)) continue;
       for (Value* operand : consumer->operands()) {
         Node* producer = operand->producer();
-        if (producer == nullptr || !node_index_.count(producer) ||
+        if (producer == nullptr || !IsFusable(producer) ||
             IsReduce(producer)) {
           continue;
         }
         if (GroupOf(producer) == GroupOf(consumer)) continue;
-        std::string reason;
-        std::string constraint;
-        if (!ShapesAllowLoopFusion(operand, consumer, &reason, &constraint)) {
-          RecordDecision(producer, consumer, "loop", false, std::move(reason),
-                         std::move(constraint));
+        const LoopVerdict& verdict = LoopShapeVerdict(operand, consumer);
+        if (!verdict.allowed) {
+          RecordDecision(producer, consumer, "loop", false, verdict.reason,
+                         verdict.constraint);
           continue;
         }
         // Multi-output constraint: any value of the producer group still
@@ -399,49 +444,35 @@ void FusionPlanner::RunLoopFusion() {
         int cg = GroupOf(consumer);
         for (Node* member : members_[pg]) {
           for (Value* out : member->outputs()) {
-            bool external = false;
-            for (const Node* user : out->users()) {
-              int ug = node_index_.count(user)
-                           ? Find(node_index_.at(user))
-                           : -2;
-              if (ug != pg && ug != cg) external = true;
+            if (!UsedOutside(out, pg, cg) ||
+                SameNumElements(out, consumer->output(0))) {
+              continue;
             }
-            for (const Value* go : graph_->outputs()) {
-              if (go == out) external = true;
-            }
-            if (!external) continue;
-            bool writable =
-                options_.use_symbolic_shapes
-                    ? analysis_->IsSameNumElements(out, consumer->output(0))
-                    : SameNumElementsStatic(out, consumer->output(0));
-            if (!writable) {
-              outputs_ok = false;
-              outputs_blocking =
-                  "externally-used %" + std::to_string(out->id()) + ": " +
-                  (options_.use_symbolic_shapes
-                       ? NumElementsText(out) + " != " +
-                             NumElementsText(consumer->output(0))
-                       : out->type().ToString() + " vs " +
-                             consumer->output(0)->type().ToString() +
-                             " (static proof unavailable)");
-            }
+            outputs_ok = false;
+            outputs_blocking =
+                "externally-used %" + std::to_string(out->id()) + ": " +
+                (options_.use_symbolic_shapes
+                     ? NumElementsText(out) + " != " +
+                           NumElementsText(consumer->output(0))
+                     : out->type().ToString() + " vs " +
+                           consumer->output(0)->type().ToString() +
+                           " (static proof unavailable)");
           }
         }
         if (!outputs_ok) {
           RecordDecision(producer, consumer, "loop", false,
                          "blocked:secondary-output-not-writable",
-                         std::move(outputs_blocking));
+                         outputs_blocking);
           continue;
         }
         std::string merge_block;
         if (TryMergeGroups(pg, cg, &merge_block)) {
           changed = true;
-          RecordDecision(producer, consumer, "loop", true, std::move(reason),
-                         std::move(constraint));
+          RecordDecision(producer, consumer, "loop", true, verdict.reason,
+                         verdict.constraint);
         } else {
-          RecordDecision(producer, consumer, "loop", false,
-                         std::move(merge_block),
-                         "shapes allowed the fusion (" + constraint +
+          RecordDecision(producer, consumer, "loop", false, merge_block,
+                         "shapes allowed the fusion (" + verdict.constraint +
                              ") but the group merge was refused");
         }
       }
@@ -451,10 +482,9 @@ void FusionPlanner::RunLoopFusion() {
 
 void FusionPlanner::RunInputFusion() {
   for (Node* reduce : topo_) {
-    if (!node_index_.count(reduce) || !IsReduce(reduce)) continue;
+    if (!IsFusable(reduce) || !IsReduce(reduce)) continue;
     Node* producer = reduce->operand(0)->producer();
-    if (producer == nullptr || !node_index_.count(producer) ||
-        IsReduce(producer)) {
+    if (producer == nullptr || !IsFusable(producer) || IsReduce(producer)) {
       continue;
     }
     int pg = GroupOf(producer);
@@ -467,36 +497,24 @@ void FusionPlanner::RunInputFusion() {
     std::string blocking;
     for (Node* member : members_[pg]) {
       for (Value* out : member->outputs()) {
-        bool external = false;
-        for (const Node* user : out->users()) {
-          int ug = node_index_.count(user) ? Find(node_index_.at(user)) : -2;
-          if (ug != pg && ug != rg) external = true;
+        if (!UsedOutside(out, pg, rg) ||
+            SameNumElements(out, reduce->operand(0))) {
+          continue;
         }
-        for (const Value* go : graph_->outputs()) {
-          if (go == out) external = true;
-        }
-        if (!external) continue;
-        bool full_shaped =
-            options_.use_symbolic_shapes
-                ? analysis_->IsSameNumElements(out, reduce->operand(0))
-                : SameNumElementsStatic(out, reduce->operand(0));
-        if (!full_shaped) {
-          outputs_ok = false;
-          blocking = "externally-used %" + std::to_string(out->id()) +
-                     " is not full-shaped: " +
-                     (options_.use_symbolic_shapes
-                          ? NumElementsText(out) + " != " +
-                                NumElementsText(reduce->operand(0))
-                          : out->type().ToString() + " vs " +
-                                reduce->operand(0)->type().ToString() +
-                                " (static proof unavailable)");
-        }
+        outputs_ok = false;
+        blocking = "externally-used %" + std::to_string(out->id()) +
+                   " is not full-shaped: " +
+                   (options_.use_symbolic_shapes
+                        ? NumElementsText(out) + " != " +
+                              NumElementsText(reduce->operand(0))
+                        : out->type().ToString() + " vs " +
+                              reduce->operand(0)->type().ToString() +
+                              " (static proof unavailable)");
       }
     }
     if (!outputs_ok) {
       RecordDecision(producer, reduce, "input", false,
-                     "blocked:secondary-output-not-full-shaped",
-                     std::move(blocking));
+                     "blocked:secondary-output-not-full-shaped", blocking);
       continue;
     }
     std::string merge_block;
@@ -508,40 +526,53 @@ void FusionPlanner::RunInputFusion() {
                          " elements produced in-register by its operand "
                          "group");
     } else {
-      RecordDecision(producer, reduce, "input", false, std::move(merge_block),
-                     "");
+      RecordDecision(producer, reduce, "input", false, merge_block, "");
     }
   }
 }
 
-namespace {
-
-// Trailing reduce dims check: reduce dims are exactly the last k dims.
-bool ReducesTrailingDims(const Node* reduce) {
-  const auto& dims = reduce->GetIntListAttr("dims");
-  int64_t rank = reduce->operand(0)->rank();
-  std::vector<int64_t> sorted = dims;
-  std::sort(sorted.begin(), sorted.end());
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    if (sorted[i] != rank - static_cast<int64_t>(sorted.size()) +
-                         static_cast<int64_t>(i)) {
-      return false;
-    }
+const FusionPlanner::RowSpace& FusionPlanner::RowSpaceOf(const Node* reduce) {
+  auto [it, inserted] = row_spaces_.try_emplace(reduce->id());
+  RowSpace& space = it->second;
+  if (!inserted) return space;
+  space.trailing = ReducesTrailingDims(reduce);
+  space.full = reduce->operand(0);
+  if (!space.trailing) return space;
+  // Row extent = product of reduced trailing dims.
+  const SymbolicDimManager& m = analysis_->manager();
+  const SymShape& full = analysis_->GetShape(space.full);
+  std::vector<DimExpr> row_factors;
+  for (int64_t d : reduce->GetIntListAttr("dims")) {
+    row_factors.push_back(full[d]);
   }
-  return !sorted.empty();
+  space.row_extent = DimExpr::Mul(std::move(row_factors));
+  space.rows = DimExpr::FloorDiv(SymShapeNumElements(full), space.row_extent);
+  space.row_upper_bound = m.UpperBound(space.row_extent);
+  space.full_text = SymShapeToString(m.Canonicalize(full));
+  space.rows_text = m.Canonicalize(space.rows).ToString();
+  return space;
 }
 
-}  // namespace
+bool FusionPlanner::IsRowShaped(const Value* v, const Node* reduce) {
+  auto [it, inserted] =
+      row_shaped_.try_emplace(PairKey(v->id(), reduce->id()), false);
+  if (inserted) {
+    it->second = analysis_->manager().IsDimEqual(
+                     SymShapeNumElements(analysis_->GetShape(v)),
+                     RowSpaceOf(reduce).rows) ||
+                 ProvenSameNumElements(v, reduce->output(0));
+  }
+  return it->second;
+}
 
 bool FusionPlanner::StitchCompatible(int ga, int gb, std::string* reason,
                                      std::string* constraint) {
   // Gather all reduces across both groups.
   std::vector<const Node*> reduces;
-  std::vector<const Node*> all;
-  for (Node* n : members_[ga]) all.push_back(n);
-  for (Node* n : members_[gb]) all.push_back(n);
-  for (const Node* n : all) {
-    if (IsReduce(n)) reduces.push_back(n);
+  for (int g : {ga, gb}) {
+    for (const Node* n : members_[g]) {
+      if (IsReduce(n)) reduces.push_back(n);
+    }
   }
   if (reduces.empty()) {
     SetOut(reason, "blocked:no-reduce-to-stitch-around");
@@ -552,16 +583,17 @@ bool FusionPlanner::StitchCompatible(int ga, int gb, std::string* reason,
 
   // All reduces must be trailing-dim row reductions over the same row space.
   const Node* first = reduces[0];
-  if (!ReducesTrailingDims(first)) {
+  const RowSpace& space = RowSpaceOf(first);
+  if (!space.trailing) {
     SetOut(reason, "blocked:not-trailing-row-reduction");
     SetOut(constraint, "%" + std::to_string(first->output(0)->id()) +
                            " reduces non-trailing dims; rows cannot be "
                            "staged in shared memory");
     return false;
   }
-  const SymShape& full = analysis_->GetShape(first->operand(0));
+  const SymShape& full = analysis_->GetShape(space.full);
   for (const Node* r : reduces) {
-    if (!ReducesTrailingDims(r)) {
+    if (!RowSpaceOf(r).trailing) {
       SetOut(reason, "blocked:not-trailing-row-reduction");
       SetOut(constraint, "%" + std::to_string(r->output(0)->id()) +
                              " reduces non-trailing dims");
@@ -575,65 +607,53 @@ bool FusionPlanner::StitchCompatible(int ga, int gb, std::string* reason,
                    " streams " +
                    SymShapeToString(
                        m.Canonicalize(analysis_->GetShape(r->operand(0)))) +
-                   " but the stitch row space is " +
-                   SymShapeToString(m.Canonicalize(full)) +
+                   " but the stitch row space is " + space.full_text +
                    "; no shape-equality fact unifies them");
         return false;
       }
     } else if (!(r->operand(0)->type().IsFullyStatic() &&
-                 first->operand(0)->type().IsFullyStatic() &&
-                 r->operand(0)->type() == first->operand(0)->type())) {
+                 space.full->type().IsFullyStatic() &&
+                 r->operand(0)->type() == space.full->type())) {
       SetOut(reason, "blocked:static-shape-unknown");
       SetOut(constraint,
              "reduce inputs " + r->operand(0)->type().ToString() + " vs " +
-                 first->operand(0)->type().ToString() +
+                 space.full->type().ToString() +
                  "; dynamic dims cannot be proven row-compatible without "
                  "symbolic relations");
       return false;
     }
   }
-  // Row extent = product of reduced trailing dims.
-  const auto& rdims = first->GetIntListAttr("dims");
-  std::vector<DimExpr> row_factors;
-  for (int64_t d : rdims) row_factors.push_back(full[d]);
-  DimExpr row_extent = DimExpr::Mul(std::move(row_factors));
-  DimExpr rows = DimExpr::FloorDiv(SymShapeNumElements(full), row_extent);
 
   // Every member's output must live in the full space or the row space.
   int64_t full_shaped_intermediates = 0;
-  for (const Node* n : all) {
-    for (const Value* out : n->outputs()) {
-      const SymShape& s = analysis_->GetShape(out);
-      bool is_full = m.IsSameNumElements(s, full);
-      bool is_row =
-          m.IsDimEqual(SymShapeNumElements(s), rows) ||
-          m.IsSameNumElements(
-              s, analysis_->GetShape(reduces[0]->output(0)));
-      if (!is_full && !is_row) {
-        SetOut(reason, "blocked:intermediate-not-row-or-full-shaped");
-        SetOut(constraint,
-               "%" + std::to_string(out->id()) + " has " +
-                   NumElementsText(out) + "; stitch needs the full space " +
-                   SymShapeToString(m.Canonicalize(full)) +
-                   " or the row space (" + m.Canonicalize(rows).ToString() +
-                   " rows)");
-        return false;
+  for (int g : {ga, gb}) {
+    for (const Node* n : members_[g]) {
+      for (const Value* out : n->outputs()) {
+        bool is_full = ProvenSameNumElements(out, space.full);
+        if (!is_full && !IsRowShaped(out, first)) {
+          SetOut(reason, "blocked:intermediate-not-row-or-full-shaped");
+          SetOut(constraint,
+                 "%" + std::to_string(out->id()) + " has " +
+                     NumElementsText(out) + "; stitch needs the full space " +
+                     space.full_text + " or the row space (" +
+                     space.rows_text + " rows)");
+          return false;
+        }
+        if (is_full) ++full_shaped_intermediates;
       }
-      if (is_full) ++full_shaped_intermediates;
     }
   }
   // Shared-memory budget: each stitched stage stages one row of f32.
-  auto row_ub = m.UpperBound(row_extent);
-  if (row_ub.has_value()) {
-    int64_t bytes = *row_ub * 4 * std::max<int64_t>(
-                                      1, full_shaped_intermediates / 2);
+  if (space.row_upper_bound.has_value()) {
+    int64_t bytes = *space.row_upper_bound * 4 *
+                    std::max<int64_t>(1, full_shaped_intermediates / 2);
     if (bytes > options_.stitch_shared_memory_bytes) {
       SetOut(reason, "blocked:shared-memory-budget");
       SetOut(constraint,
              StrFormat("row extent %s has proven upper bound %lld -> %lld "
                        "bytes of staging > %lld budget",
-                       m.Canonicalize(row_extent).ToString().c_str(),
-                       static_cast<long long>(*row_ub),
+                       m.Canonicalize(space.row_extent).ToString().c_str(),
+                       static_cast<long long>(*space.row_upper_bound),
                        static_cast<long long>(bytes),
                        static_cast<long long>(
                            options_.stitch_shared_memory_bytes)));
@@ -643,10 +663,9 @@ bool FusionPlanner::StitchCompatible(int ga, int gb, std::string* reason,
   // Unknown upper bound: optimistically stitch; the generated kernel keeps
   // a block-reduce schedule variant that handles long rows.
   SetOut(reason, "stitch:row-synchronized-reduces");
-  SetOut(constraint,
-         "all reduces stream " + SymShapeToString(m.Canonicalize(full)) +
-             " row-wise (" + m.Canonicalize(rows).ToString() +
-             " rows); every intermediate is row- or full-shaped");
+  SetOut(constraint, "all reduces stream " + space.full_text + " row-wise (" +
+                         space.rows_text +
+                         " rows); every intermediate is row- or full-shaped");
   return true;
 }
 
@@ -655,10 +674,10 @@ void FusionPlanner::RunStitchFusion() {
   while (changed) {
     changed = false;
     for (Node* consumer : topo_) {
-      if (!node_index_.count(consumer)) continue;
+      if (!IsFusable(consumer)) continue;
       for (Value* operand : consumer->operands()) {
         Node* producer = operand->producer();
-        if (producer == nullptr || !node_index_.count(producer)) continue;
+        if (producer == nullptr || !IsFusable(producer)) continue;
         int pg = GroupOf(producer);
         int cg = GroupOf(consumer);
         if (pg == cg) continue;
@@ -671,18 +690,17 @@ void FusionPlanner::RunStitchFusion() {
         std::string reason;
         std::string constraint;
         if (!StitchCompatible(pg, cg, &reason, &constraint)) {
-          RecordDecision(producer, consumer, "stitch", false,
-                         std::move(reason), std::move(constraint));
+          RecordDecision(producer, consumer, "stitch", false, reason,
+                         constraint);
           continue;
         }
         std::string merge_block;
         if (TryMergeGroups(pg, cg, &merge_block)) {
           changed = true;
-          RecordDecision(producer, consumer, "stitch", true,
-                         std::move(reason), std::move(constraint));
+          RecordDecision(producer, consumer, "stitch", true, reason,
+                         constraint);
         } else {
-          RecordDecision(producer, consumer, "stitch", false,
-                         std::move(merge_block),
+          RecordDecision(producer, consumer, "stitch", false, merge_block,
                          "row spaces were compatible (" + constraint +
                              ") but the group merge was refused");
         }
@@ -693,15 +711,39 @@ void FusionPlanner::RunStitchFusion() {
 
 Result<FusionPlan> FusionPlanner::Plan() {
   topo_ = graph_->TopologicalOrder();
-  node_index_.clear();
+  int num_node_ids = 0;
+  int num_value_ids = 0;
+  for (const Value* input : graph_->inputs()) {
+    num_value_ids = std::max(num_value_ids, input->id() + 1);
+  }
+  for (const Node* node : topo_) {
+    num_node_ids = std::max(num_node_ids, node->id() + 1);
+    for (const Value* out : node->outputs()) {
+      num_value_ids = std::max(num_value_ids, out->id() + 1);
+    }
+  }
+  index_of_.assign(num_node_ids, -1);
+  topo_pos_.assign(num_node_ids, -1);
+  mark_.assign(num_node_ids, 0);
+  stamp_ = 0;
+  is_graph_output_.assign(num_value_ids, 0);
+  for (const Value* out : graph_->outputs()) is_graph_output_[out->id()] = 1;
   parent_.clear();
   members_.clear();
   decisions_.clear();
   decision_index_.clear();
-  for (Node* node : topo_) {
+  prover_.emplace(analysis_->manager());
+  loop_verdicts_.clear();
+  same_num_elements_.clear();
+  row_shaped_.clear();
+  row_spaces_.clear();
+  num_elements_text_.clear();
+  for (size_t i = 0; i < topo_.size(); ++i) {
+    Node* node = topo_[i];
+    topo_pos_[node->id()] = static_cast<int>(i);
     if (!IsFusableCompute(node)) continue;
     int idx = static_cast<int>(parent_.size());
-    node_index_[node] = idx;
+    index_of_[node->id()] = idx;
     parent_.push_back(idx);
     members_.push_back({node});
   }
@@ -711,7 +753,9 @@ Result<FusionPlan> FusionPlanner::Plan() {
     if (options_.enable_input_fusion) RunInputFusion();
     if (options_.enable_stitch) RunStitchFusion();
   }
-  return Finalize();
+  Result<FusionPlan> plan = Finalize();
+  prover_.reset();
+  return plan;
 }
 
 Result<FusionPlan> FusionPlanner::Finalize() {
@@ -721,8 +765,8 @@ Result<FusionPlan> FusionPlanner::Finalize() {
   // other edges), and merged pairs are never re-evaluated. Rewrite those
   // to fused, keeping the historical reason as provenance.
   std::unordered_map<int, const Node*> node_of_id;
-  for (const auto& [node, idx] : node_index_) {
-    node_of_id[node->output(0)->id()] = node;
+  for (const Node* node : topo_) {
+    if (IsFusable(node)) node_of_id[node->output(0)->id()] = node;
   }
   for (FusionDecision& d : decisions_) {
     if (d.fused) continue;
@@ -734,39 +778,42 @@ Result<FusionPlan> FusionPlanner::Finalize() {
     d.reason = "merged-transitively (direct attempt: " + d.reason + ")";
   }
   plan.decisions = std::move(decisions_);
-  std::unordered_map<const Node*, int> topo_pos;
-  for (size_t i = 0; i < topo_.size(); ++i) topo_pos[topo_[i]] = i;
 
-  std::unordered_map<int, int> root_to_group;
+  // Groups in topological order of their first member; `group_of_id` is
+  // plan.group_of by node id.
+  std::vector<int> group_of_root(parent_.size(), -1);
+  std::vector<int> group_of_id(index_of_.size(), -1);
   for (Node* node : topo_) {
-    auto it = node_index_.find(node);
-    if (it == node_index_.end()) continue;
-    int root = Find(it->second);
-    auto [git, inserted] =
-        root_to_group.try_emplace(root, static_cast<int>(plan.groups.size()));
-    if (inserted) {
+    if (!IsFusable(node)) continue;
+    int& gid = group_of_root[Find(IndexOf(node))];
+    if (gid < 0) {
+      gid = static_cast<int>(plan.groups.size());
       plan.groups.emplace_back();
-      plan.groups.back().id = git->second;
+      plan.groups.back().id = gid;
     }
-    plan.groups[git->second].nodes.push_back(node);
-    plan.group_of[node] = git->second;
+    plan.groups[gid].nodes.push_back(node);
+    plan.group_of[node] = gid;
+    group_of_id[node->id()] = gid;
   }
 
+  std::vector<int> seen_in(is_graph_output_.size(), -1);  // by value id
   for (FusionGroup& group : plan.groups) {
-    std::unordered_set<const Node*> inside(group.nodes.begin(),
-                                           group.nodes.end());
+    auto inside = [&](const Node* n) {
+      return group_of_id[n->id()] == group.id;
+    };
     // Inputs: external operands (deduplicated, excluding host-shape-only
     // operands of dynamic reshape/broadcast which codegen reads from the
     // runtime shape program instead — they are still listed as inputs so
     // dependency tracking stays conservative).
-    std::unordered_set<const Value*> seen_in;
     for (Node* node : group.nodes) {
       for (Value* operand : node->operands()) {
-        if (operand->producer() != nullptr &&
-            inside.count(operand->producer())) {
+        if (operand->producer() != nullptr && inside(operand->producer())) {
           continue;
         }
-        if (seen_in.insert(operand).second) group.inputs.push_back(operand);
+        if (seen_in[operand->id()] != group.id) {
+          seen_in[operand->id()] = group.id;
+          group.inputs.push_back(operand);
+        }
       }
     }
     // Outputs: values used outside or graph outputs.
@@ -774,12 +821,9 @@ Result<FusionPlan> FusionPlanner::Finalize() {
     for (Node* node : group.nodes) {
       if (IsReduce(node)) ++num_reduces;
       for (Value* out : node->outputs()) {
-        bool external = false;
+        bool external = is_graph_output_[out->id()] != 0;
         for (const Node* user : out->users()) {
-          if (!inside.count(user)) external = true;
-        }
-        for (const Value* go : graph_->outputs()) {
-          if (go == out) external = true;
+          if (!inside(user)) external = true;
         }
         if (external) group.outputs.push_back(out);
       }
@@ -792,7 +836,8 @@ Result<FusionPlan> FusionPlanner::Finalize() {
     Node* root = nullptr;
     for (Value* out : group.outputs) {
       Node* producer = out->producer();
-      if (root == nullptr || topo_pos[producer] > topo_pos[root]) {
+      if (root == nullptr ||
+          topo_pos_[producer->id()] > topo_pos_[root->id()]) {
         root = producer;
       }
     }

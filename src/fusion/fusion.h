@@ -19,6 +19,7 @@
 #ifndef DISC_FUSION_FUSION_H_
 #define DISC_FUSION_FUSION_H_
 
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -140,22 +141,59 @@ class FusionPlanner {
   Result<FusionPlan> Plan();
 
  private:
+  // Per-Plan() memos. Everything the sweeps ask of the shape analysis is a
+  // function of the analysis (not mutated while planning) and the options,
+  // so it is derived once and reused by later sweeps; the checks that
+  // depend on group membership (secondary outputs, merge refusals, stitch
+  // row spaces) are re-evaluated after every merge from these pieces.
+  struct LoopVerdict {
+    bool allowed = false;
+    std::string reason;
+    std::string constraint;
+  };
+  // A reduce's stitch row space: the streamed shape, the row extent and
+  // row count, and their renderings.
+  struct RowSpace {
+    bool trailing = false;
+    const Value* full = nullptr;  // the reduce's operand
+    DimExpr row_extent;
+    DimExpr rows;
+    std::optional<int64_t> row_upper_bound;
+    std::string full_text;  // canonical full shape
+    std::string rows_text;  // canonical row count
+  };
+
   // True for nodes that can live inside a loop nest.
   bool IsFusableCompute(const Node* node) const;
   bool IsReduce(const Node* node) const { return IsReduction(node->kind()); }
 
   // Legality of fusing across the producer->consumer edge, by shape
-  // relations (or static equality when use_symbolic_shapes is off).
-  // `reason`/`constraint` (optional) receive the verdict provenance.
-  bool ShapesAllowLoopFusion(const Value* producer_out, const Node* consumer,
-                             std::string* reason = nullptr,
-                             std::string* constraint = nullptr) const;
+  // relations (or static equality when use_symbolic_shapes is off), with
+  // the verdict's provenance. Memoized per (value, consumer).
+  const LoopVerdict& LoopShapeVerdict(const Value* producer_out,
+                                      const Node* consumer);
+  LoopVerdict ComputeLoopShapeVerdict(const Value* producer_out,
+                                      const Node* consumer);
+
+  // Memoized symbolic element-count equality of two values' shapes.
+  bool ProvenSameNumElements(const Value* a, const Value* b);
+  // Element-count equality under the options: symbolic proof, or static
+  // equality when use_symbolic_shapes is off.
+  bool SameNumElements(const Value* a, const Value* b);
+  const RowSpace& RowSpaceOf(const Node* reduce);
+  // Memoized: `v`'s element count is the row count of `reduce`'s space.
+  bool IsRowShaped(const Value* v, const Node* reduce);
 
   // Group bookkeeping over a mutable union-find.
+  bool IsFusable(const Node* node) const { return IndexOf(node) >= 0; }
+  int IndexOf(const Node* node) const { return index_of_[node->id()]; }
   int GroupOf(const Node* node);
   // `block_reason` (optional) receives why a merge was refused.
   bool TryMergeGroups(int ga, int gb, std::string* block_reason = nullptr);
   bool MergeWouldCreateCycle(int ga, int gb);
+  // True when a value of group `g` is read outside groups `g` and
+  // `other`, or is a graph output.
+  bool UsedOutside(const Value* out, int g, int other);
 
   // Phases.
   void RunLoopFusion();
@@ -164,13 +202,14 @@ class FusionPlanner {
   bool StitchCompatible(int ga, int gb, std::string* reason = nullptr,
                         std::string* constraint = nullptr);
 
-  // Renders "numel[shape] = (expr)" for constraint messages.
-  std::string NumElementsText(const Value* v) const;
+  // Renders "numel[shape] = (expr)" for constraint messages. Memoized.
+  const std::string& NumElementsText(const Value* v);
   // Records the latest verdict for a producer->consumer pair (last wins
   // across fixpoint sweeps and phases). No-op unless record_decisions.
   void RecordDecision(const Node* producer, const Node* consumer,
-                      const char* phase, bool fused, std::string reason,
-                      std::string constraint);
+                      const char* phase, bool fused,
+                      const std::string& reason,
+                      const std::string& constraint);
 
   Result<FusionPlan> Finalize();
 
@@ -179,11 +218,24 @@ class FusionPlanner {
   FusionOptions options_;
 
   std::vector<Node*> topo_;
-  std::unordered_map<const Node*, int> node_index_;
+  // Dense per-node tables, indexed by Node::id().
+  std::vector<int> index_of_;  // union-find index, -1 when not fusable
+  std::vector<int> topo_pos_;
+  std::vector<int> mark_;  // stamps for the cycle check
+  int stamp_ = 0;
+  // Dense per-value table, indexed by Value::id().
+  std::vector<char> is_graph_output_;
   // Union-find over node indices.
   std::vector<int> parent_;
   int Find(int x);
   std::vector<std::vector<Node*>> members_;  // root index -> nodes
+
+  std::optional<NumElementsProver> prover_;
+  std::unordered_map<uint64_t, LoopVerdict> loop_verdicts_;
+  std::unordered_map<uint64_t, bool> same_num_elements_;
+  std::unordered_map<uint64_t, bool> row_shaped_;
+  std::unordered_map<int, RowSpace> row_spaces_;
+  std::unordered_map<int, std::string> num_elements_text_;
 
   // Decision log: final verdict per (producer, consumer) node-id pair,
   // in first-consideration order.

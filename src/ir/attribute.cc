@@ -1,7 +1,12 @@
 #include "ir/attribute.h"
 
+#include <algorithm>
+#include <bit>
+#include <functional>
 #include <sstream>
+#include <string_view>
 
+#include "support/math_util.h"
 #include "support/string_util.h"
 
 namespace disc {
@@ -27,20 +32,37 @@ std::string Attribute::ToString() const {
 bool Attribute::operator==(const Attribute& other) const {
   if (value_.index() != other.value_.index()) return false;
   if (IsInt()) return AsInt() == other.AsInt();
-  if (IsFloat()) return AsFloat() == other.AsFloat();
+  if (IsFloat()) {
+    return std::bit_cast<uint64_t>(AsFloat()) ==
+           std::bit_cast<uint64_t>(other.AsFloat());
+  }
   if (IsString()) return AsString() == other.AsString();
   if (IsIntList()) return AsIntList() == other.AsIntList();
   if (IsDType()) return AsDType() == other.AsDType();
-  if (IsTensor()) {
-    const Tensor& a = AsTensor();
-    const Tensor& b = other.AsTensor();
-    if (a.dtype() != b.dtype() || a.dims() != b.dims()) return false;
-    for (int64_t i = 0; i < a.num_elements(); ++i) {
-      if (a.ElementAsDouble(i) != b.ElementAsDouble(i)) return false;
-    }
-    return true;
-  }
+  if (IsTensor()) return Tensor::BitEqual(AsTensor(), other.AsTensor());
   return false;
+}
+
+size_t Attribute::Hash() const {
+  uint64_t h = HashMix(0, value_.index());
+  if (IsInt()) return HashMix(h, static_cast<uint64_t>(AsInt()));
+  if (IsFloat()) return HashMix(h, std::bit_cast<uint64_t>(AsFloat()));
+  if (IsString()) return HashMix(h, std::hash<std::string>()(AsString()));
+  if (IsDType()) return HashMix(h, static_cast<uint64_t>(AsDType()));
+  if (IsIntList()) {
+    for (int64_t v : AsIntList()) h = HashMix(h, static_cast<uint64_t>(v));
+    return h;
+  }
+  const Tensor& t = AsTensor();
+  h = HashMix(h, static_cast<uint64_t>(t.dtype()));
+  for (int64_t d : t.dims()) h = HashMix(h, static_cast<uint64_t>(d));
+  const int64_t prefix = std::min<int64_t>(t.num_elements(), 64);
+  if (prefix == 0) return h;
+  const size_t bytes = static_cast<size_t>(prefix) *
+                       (t.dtype() == DType::kF32 ? sizeof(float)
+                                                 : sizeof(int64_t));
+  return HashMix(h, std::hash<std::string_view>()(std::string_view(
+                        static_cast<const char*>(t.raw_data()), bytes)));
 }
 
 }  // namespace disc

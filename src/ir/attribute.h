@@ -49,8 +49,15 @@ class Attribute {
   /// \brief Debug rendering, e.g. "[2, 3]" or "f32[2x2]{...}".
   std::string ToString() const;
 
-  /// \brief Structural equality (tensor attributes compare by contents).
+  /// \brief Structural equality. Floats and tensors compare by bits, so
+  /// -0.0 differs from +0.0 and a NaN equals a NaN with the same bits:
+  /// equal attributes are interchangeable wherever they are read.
   bool operator==(const Attribute& other) const;
+
+  /// \brief Hash consistent with operator==. A tensor contributes its
+  /// dtype, its dims and the bits of its first 64 elements, so hashing a
+  /// large constant costs no more than hashing a small one.
+  size_t Hash() const;
 
  private:
   std::variant<int64_t, double, std::string, std::vector<int64_t>, DType,

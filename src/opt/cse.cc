@@ -1,29 +1,25 @@
 #include <unordered_map>
 
 #include "opt/pass.h"
-#include "support/string_util.h"
+#include "support/math_util.h"
 
 namespace disc {
 namespace {
 
-// Structural signature of a node: kind + operand ids + attrs rendering.
-// Constants hash by value contents (via Attribute::ToString of the tensor,
-// which includes a truncated rendering — so large equal-prefix constants
-// are additionally compared field-by-field before merging).
-std::string Signature(const Node* node) {
-  std::string sig = OpName(node->kind());
-  sig += '(';
-  sig += JoinMapped(node->operands(), ",", [](const Value* v) {
-    return std::to_string(v->id());
-  });
-  sig += ')';
-  for (const auto& [key, value] : node->attrs()) {
-    sig += key;
-    sig += '=';
-    sig += value.ToString();
-    sig += ';';
+// Structural hash of a node: kind, operand ids and attributes (a constant
+// hashes its dtype, dims and a bounded prefix of its bytes; see
+// Attribute::Hash). Nodes that share a hash are compared exactly before
+// merging, so a collision costs a comparison, never a wrong merge.
+size_t StructuralHash(const Node* node) {
+  uint64_t h = HashMix(0, static_cast<uint64_t>(node->kind()));
+  for (const Value* v : node->operands()) {
+    h = HashMix(h, static_cast<uint64_t>(v->id()));
   }
-  return sig;
+  for (const auto& [key, value] : node->attrs()) {
+    h = HashMix(h, std::hash<std::string>()(key));
+    h = HashMix(h, value.Hash());
+  }
+  return h;
 }
 
 bool AttrsEqual(const Node* a, const Node* b) {
@@ -45,11 +41,10 @@ class CsePass : public Pass {
   Result<bool> Run(Graph* graph, const PassContext& ctx) override {
     (void)ctx;
     bool changed = false;
-    std::unordered_map<std::string, std::vector<Node*>> seen;
+    std::unordered_map<size_t, std::vector<Node*>> seen;
     for (Node* node : graph->TopologicalOrder()) {
       if (node->outputs().size() != 1) continue;
-      std::string sig = Signature(node);
-      auto& candidates = seen[sig];
+      auto& candidates = seen[StructuralHash(node)];
       Node* match = nullptr;
       for (Node* candidate : candidates) {
         if (candidate->kind() == node->kind() &&

@@ -2,6 +2,8 @@
 
 #include <charconv>
 
+#include "support/math_util.h"
+
 namespace disc {
 
 std::string ShapeSignature(
@@ -64,19 +66,13 @@ Result<std::vector<std::vector<int64_t>>> ParseShapeSignature(
 }
 
 size_t LaunchPlanCache::DimsHash::operator()(const DimsKey& key) const {
-  // splitmix64's finalizer over the input count, then each input's rank
-  // and dims: the rank prefixes make [2,3], [2],[3] and [6] hash apart.
-  auto mix = [](uint64_t h, uint64_t value) {
-    uint64_t x = h + 0x9e3779b97f4a7c15ULL + value;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  };
-  uint64_t h = mix(0, key.size());
+  // The input count, then each input's rank and dims: the rank prefixes
+  // make [2,3], [2],[3] and [6] hash apart.
+  uint64_t h = HashMix(0, key.size());
   for (size_t i = 0; i < key.size(); ++i) {
     const std::vector<int64_t>& input = key[i];
-    h = mix(h, input.size());
-    for (int64_t d : input) h = mix(h, static_cast<uint64_t>(d));
+    h = HashMix(h, input.size());
+    for (int64_t d : input) h = HashMix(h, static_cast<uint64_t>(d));
   }
   return static_cast<size_t>(h);
 }

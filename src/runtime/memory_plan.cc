@@ -24,6 +24,56 @@ DimExpr AlignedSize(const DimExpr& bytes, const SymbolicDimManager& manager) {
                    DimExpr::CeilDiv(e, DimExpr::Const(kArenaAlignment))));
 }
 
+// The distinct aligned sizes of one PlanArenaItems call, by dense id.
+// Each distinct byte-size expression is aligned once, and IsDimEqual and
+// ProvablyLe are memoized per pair of ids. Every slot size is one of these
+// sizes: a slot is created at, or widened to, an item's aligned size.
+class SizeTable {
+ public:
+  explicit SizeTable(const SymbolicDimManager& manager) : manager_(manager) {}
+
+  int Aligned(const DimExpr& bytes) {
+    auto [it, inserted] = aligned_of_.try_emplace(bytes.ToString(), -1);
+    if (inserted) {
+      DimExpr aligned = AlignedSize(bytes, manager_);
+      auto [id, added] = id_of_.try_emplace(aligned.ToString(),
+                                            static_cast<int>(sizes_.size()));
+      if (added) sizes_.push_back(std::move(aligned));
+      it->second = id->second;
+    }
+    return it->second;
+  }
+
+  const DimExpr& size(int id) const { return sizes_[id]; }
+
+  bool Equal(int a, int b) {
+    return Memo(&equal_, a, b, [this](const DimExpr& x, const DimExpr& y) {
+      return manager_.IsDimEqual(x, y);
+    });
+  }
+  bool Le(int a, int b) {
+    return Memo(&le_, a, b, [this](const DimExpr& x, const DimExpr& y) {
+      return manager_.ProvablyLe(x, y);
+    });
+  }
+
+ private:
+  template <typename Query>
+  bool Memo(std::unordered_map<uint64_t, bool>* memo, int a, int b,
+            const Query& query) {
+    uint64_t key = (static_cast<uint64_t>(a) << 32) | static_cast<uint32_t>(b);
+    auto [it, inserted] = memo->try_emplace(key, false);
+    if (inserted) it->second = query(sizes_[a], sizes_[b]);
+    return it->second;
+  }
+
+  const SymbolicDimManager& manager_;
+  std::vector<DimExpr> sizes_;
+  std::unordered_map<std::string, int> aligned_of_;  // bytes key -> id
+  std::unordered_map<std::string, int> id_of_;       // aligned key -> id
+  std::unordered_map<uint64_t, bool> equal_, le_;
+};
+
 }  // namespace
 
 ArenaLayout PlanArenaItems(const std::vector<ArenaItem>& items,
@@ -33,10 +83,11 @@ ArenaLayout PlanArenaItems(const std::vector<ArenaItem>& items,
   layout.peak_bytes = DimExpr::Const(0);
 
   struct SlotState {
-    DimExpr bytes;
+    int size = -1;  // SizeTable id
     bool busy = false;
   };
   std::vector<SlotState> slots;
+  SizeTable sizes(manager);
 
   // Place items in definition order; a slot frees up strictly after its
   // occupant's last use step, so expiries release before any def at a
@@ -56,7 +107,7 @@ ArenaLayout PlanArenaItems(const std::vector<ArenaItem>& items,
       slots[expiries.top().second].busy = false;
       expiries.pop();
     }
-    DimExpr need = AlignedSize(item.bytes, manager);
+    const int need = sizes.Aligned(item.bytes);
     // Candidate slots: exact size match beats the smallest provable fit,
     // which beats widening the largest provably-smaller slot.
     int exact = -1, fit = -1, widen = -1;
@@ -64,17 +115,14 @@ ArenaLayout PlanArenaItems(const std::vector<ArenaItem>& items,
     for (int i = 0; i < static_cast<int>(slots.size()); ++i) {
       if (slots[i].busy) continue;
       had_free = true;
-      if (manager.IsDimEqual(need, slots[i].bytes)) {
+      if (sizes.Equal(need, slots[i].size)) {
         exact = i;
         break;
       }
-      if (manager.ProvablyLe(need, slots[i].bytes)) {
-        if (fit < 0 || manager.ProvablyLe(slots[i].bytes, slots[fit].bytes)) {
-          fit = i;
-        }
-      } else if (manager.ProvablyLe(slots[i].bytes, need)) {
-        if (widen < 0 ||
-            manager.ProvablyLe(slots[widen].bytes, slots[i].bytes)) {
+      if (sizes.Le(need, slots[i].size)) {
+        if (fit < 0 || sizes.Le(slots[i].size, slots[fit].size)) fit = i;
+      } else if (sizes.Le(slots[i].size, need)) {
+        if (widen < 0 || sizes.Le(slots[widen].size, slots[i].size)) {
           widen = i;
         }
       }
@@ -85,7 +133,7 @@ ArenaLayout PlanArenaItems(const std::vector<ArenaItem>& items,
       if (exact < 0) ++layout.num_cross_size_reuses;
       // Widening is sound: every earlier occupant provably fit the old
       // (smaller) size, which fits the new one.
-      if (exact < 0 && fit < 0) slots[chosen].bytes = need;
+      if (exact < 0 && fit < 0) slots[chosen].size = need;
     } else {
       chosen = static_cast<int>(slots.size());
       slots.push_back({need, false});
@@ -97,11 +145,11 @@ ArenaLayout PlanArenaItems(const std::vector<ArenaItem>& items,
           if (slots[i].busy) continue;
           if (!first) reason << ", ";
           first = false;
-          reason << "#" << i << ": " << slots[i].bytes.ToString();
+          reason << "#" << i << ": " << sizes.size(slots[i].size).ToString();
         }
         reason << "]";
         layout.fallbacks.push_back(
-            {item.value_id, need.ToString(), reason.str()});
+            {item.value_id, sizes.size(need).ToString(), reason.str()});
       }
     }
     slots[chosen].busy = true;
@@ -117,8 +165,9 @@ ArenaLayout PlanArenaItems(const std::vector<ArenaItem>& items,
   DimExpr offset = DimExpr::Const(0);
   layout.slots.reserve(slots.size());
   for (const SlotState& s : slots) {
-    layout.slots.push_back({s.bytes, offset});
-    offset = manager.Canonicalize(DimExpr::Add(offset, s.bytes));
+    const DimExpr& bytes = sizes.size(s.size);
+    layout.slots.push_back({bytes, offset});
+    offset = manager.Canonicalize(DimExpr::Add(offset, bytes));
   }
   layout.peak_bytes = offset;
   return layout;

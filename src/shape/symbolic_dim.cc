@@ -131,7 +131,22 @@ void SymbolicDimManager::AddProductEqual(const SymShape& lhs,
   product_facts_.emplace_back(std::move(cl), std::move(cr));
 }
 
+bool SymbolicDimManager::NeedsCanonicalize(const DimExpr& expr) const {
+  if (expr.IsSymbol()) {
+    SymbolId root = Find(expr.symbol());
+    return root != expr.symbol() || info_[root].value.has_value();
+  }
+  if (!expr.valid()) return false;
+  for (const DimExpr& op : expr.operands()) {
+    if (NeedsCanonicalize(op)) return true;
+  }
+  return false;
+}
+
 DimExpr SymbolicDimManager::Canonicalize(const DimExpr& expr) const {
+  // Most queries see expressions that are already canonical; those are
+  // returned as they are without building a substitution.
+  if (!NeedsCanonicalize(expr)) return expr;
   std::unordered_map<SymbolId, DimExpr> subst;
   for (SymbolId s : expr.CollectSymbols()) {
     SymbolId root = Find(s);
@@ -140,11 +155,9 @@ DimExpr SymbolicDimManager::Canonicalize(const DimExpr& expr) const {
       subst[s] = DimExpr::Const(*info.value);
     } else if (root != s) {
       subst[s] = DimExpr::Symbol(root);
-    } else {
-      // Even the root may carry a value set later; handled above.
     }
   }
-  return subst.empty() ? expr : expr.Substitute(subst);
+  return expr.Substitute(subst);
 }
 
 SymShape SymbolicDimManager::Canonicalize(const SymShape& shape) const {
@@ -168,10 +181,15 @@ bool SymbolicDimManager::IsShapeEqual(const SymShape& a,
   return true;
 }
 
-SymbolicDimManager::ProductForm SymbolicDimManager::DecomposeProduct(
+bool SymbolicDimManager::IsSameNumElements(const SymShape& a,
+                                           const SymShape& b) const {
+  return NumElementsProver(*this).IsSameNumElements(a, b);
+}
+
+NumElementsProver::ProductForm NumElementsProver::Decompose(
     const SymShape& dims) const {
   ProductForm form;
-  DimExpr product = Canonicalize(SymShapeNumElements(dims));
+  DimExpr product = manager_.Canonicalize(SymShapeNumElements(dims));
   std::vector<DimExpr> worklist = {product};
   while (!worklist.empty()) {
     DimExpr e = worklist.back();
@@ -183,45 +201,37 @@ SymbolicDimManager::ProductForm SymbolicDimManager::DecomposeProduct(
     } else {
       // Symbols and opaque sub-expressions (sums, divisions) are factors.
       form.factors[e.ToString()] += 1;
-      if (!e.IsSymbol()) form.polynomial = false;
     }
   }
   return form;
 }
 
-bool SymbolicDimManager::IsSameNumElements(const SymShape& a,
-                                           const SymShape& b) const {
-  ProductForm fa = DecomposeProduct(a);
-  ProductForm fb = DecomposeProduct(b);
+NumElementsProver::Quotient NumElementsProver::QuotientOf(
+    const ProductForm& x, const ProductForm& y) {
+  Quotient q;
+  q.factors = x.factors;
+  for (const auto& [key, exp] : y.factors) q.factors[key] -= exp;
+  std::erase_if(q.factors, [](const auto& kv) { return kv.second == 0; });
+  DISC_CHECK(x.coeff != 0 && y.coeff != 0);
+  int64_t g = Gcd(std::abs(x.coeff), std::abs(y.coeff));
+  q.coeff = {x.coeff / g, y.coeff / g};
+  return q;
+}
 
-  // diff = fa / fb as (coeff ratio, exponent difference).
-  auto diff_of = [](const ProductForm& x, const ProductForm& y) {
-    std::map<std::string, int> d = x.factors;
-    for (const auto& [key, exp] : y.factors) d[key] -= exp;
-    std::erase_if(d, [](const auto& kv) { return kv.second == 0; });
-    return d;
-  };
-  auto ratio_of = [](int64_t num, int64_t den) {
-    DISC_CHECK(num != 0 && den != 0);
-    int64_t g = Gcd(std::abs(num), std::abs(den));
-    return std::pair<int64_t, int64_t>(num / g, den / g);
-  };
-
-  std::map<std::string, int> d_ab = diff_of(fa, fb);
-  auto r_ab = ratio_of(fa.coeff, fb.coeff);
-  if (d_ab.empty() && r_ab.first == r_ab.second) return true;
-
+bool NumElementsProver::IsSameNumElements(const SymShape& a,
+                                          const SymShape& b) {
+  Quotient q = QuotientOf(Decompose(a), Decompose(b));
+  if (q.factors.empty() && q.coeff.first == q.coeff.second) return true;
   // Try each recorded reshape fact (and its inverse) as a rewrite:
   // a/b == l/r  or  a/b == r/l  implies equality.
-  for (const auto& [lhs, rhs] : product_facts_) {
-    ProductForm fl = DecomposeProduct(lhs);
-    ProductForm fr = DecomposeProduct(rhs);
-    std::map<std::string, int> d_lr = diff_of(fl, fr);
-    auto r_lr = ratio_of(fl.coeff, fr.coeff);
-    if (d_ab == d_lr && r_ab == r_lr) return true;
-    std::map<std::string, int> d_rl = diff_of(fr, fl);
-    auto r_rl = ratio_of(fr.coeff, fl.coeff);
-    if (d_ab == d_rl && r_ab == r_rl) return true;
+  const auto& product_facts = manager_.product_facts_;
+  for (size_t i = 0; i < product_facts.size(); ++i) {
+    if (i == facts_.size()) {
+      ProductForm fl = Decompose(product_facts[i].first);
+      ProductForm fr = Decompose(product_facts[i].second);
+      facts_.emplace_back(QuotientOf(fl, fr), QuotientOf(fr, fl));
+    }
+    if (q == facts_[i].first || q == facts_[i].second) return true;
   }
   return false;
 }

@@ -91,7 +91,9 @@ class SymbolicDimManager {
   bool IsShapeEqual(const SymShape& a, const SymShape& b) const;
 
   /// \brief True when the two shapes provably cover the same number of
-  /// elements (uses product-equality facts with cancellation).
+  /// elements (uses product-equality facts with cancellation). Each call
+  /// decomposes the facts it tries; a caller with many queries keeps a
+  /// NumElementsProver instead.
   bool IsSameNumElements(const SymShape& a, const SymShape& b) const;
 
   /// \brief True when the dim is provably a multiple of `divisor`.
@@ -127,18 +129,51 @@ class SymbolicDimManager {
   std::string ToString() const;
 
  private:
-  // Decomposes a product expression into constant coefficient + symbol
-  // exponent map + opaque (non-polynomial) factor keys.
-  struct ProductForm {
-    int64_t coeff = 1;
-    std::map<std::string, int> factors;  // canonical factor key -> exponent
-    bool polynomial = true;              // false if Add/div terms inside
-  };
-  ProductForm DecomposeProduct(const SymShape& dims) const;
+  friend class NumElementsProver;
+
+  // True when some symbol of `expr` is not its class root or has a known
+  // value, i.e. when Canonicalize would rewrite it.
+  bool NeedsCanonicalize(const DimExpr& expr) const;
 
   mutable std::vector<SymbolId> parent_;  // union-find (path halving in Find)
   std::vector<SymbolInfo> info_;          // indexed by root at access time
   std::vector<std::pair<SymShape, SymShape>> product_facts_;
+};
+
+/// \brief The one implementation of SymbolicDimManager::IsSameNumElements,
+/// decomposing each recorded product fact at most once per prover. The
+/// manager's own query uses a throwaway prover; a caller that asks many
+/// questions of an unchanging manager (the fusion planner, within one
+/// Plan()) keeps one, so later queries reuse the decomposed facts. It must
+/// not outlive a mutation of the manager, and belongs to one thread.
+class NumElementsProver {
+ public:
+  explicit NumElementsProver(const SymbolicDimManager& manager)
+      : manager_(manager) {}
+
+  /// \brief Same answer as manager.IsSameNumElements(a, b).
+  bool IsSameNumElements(const SymShape& a, const SymShape& b);
+
+ private:
+  // x / y as a reduced coefficient ratio and the nonzero exponent
+  // differences of their factors (symbols and opaque sub-expressions, by
+  // canonical key).
+  struct Quotient {
+    std::pair<int64_t, int64_t> coeff;
+    std::map<std::string, int> factors;
+    bool operator==(const Quotient& other) const = default;
+  };
+  // Decomposes a product into constant coefficient and factor exponents.
+  struct ProductForm {
+    int64_t coeff = 1;
+    std::map<std::string, int> factors;
+  };
+  ProductForm Decompose(const SymShape& dims) const;
+  static Quotient QuotientOf(const ProductForm& x, const ProductForm& y);
+
+  const SymbolicDimManager& manager_;
+  // lhs/rhs and rhs/lhs of the facts decomposed so far, in fact order.
+  std::vector<std::pair<Quotient, Quotient>> facts_;
 };
 
 }  // namespace disc

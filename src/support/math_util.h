@@ -46,6 +46,15 @@ inline int64_t Product(const std::vector<int64_t>& dims) {
   return p;
 }
 
+/// \brief Folds `value` into the running hash `h` (splitmix64's
+/// finalizer), so sequences hash apart by order as well as by contents.
+inline uint64_t HashMix(uint64_t h, uint64_t value) {
+  uint64_t x = h + 0x9e3779b97f4a7c15ULL + value;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// \brief Greatest common divisor with gcd(0, x) == x.
 inline int64_t Gcd(int64_t a, int64_t b) { return std::gcd(a, b); }
 
