@@ -8,10 +8,12 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<int64_t> g_bytes{0};
+std::atomic<int64_t> g_calls{0};
 
 void* CountedAlloc(std::size_t size) noexcept {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_bytes.fetch_add(static_cast<int64_t>(size), std::memory_order_relaxed);
+    g_calls.fetch_add(1, std::memory_order_relaxed);
   }
   return std::malloc(size == 0 ? 1 : size);
 }
@@ -45,6 +47,7 @@ namespace disc {
 
 void StartCountingAllocations() {
   g_bytes.store(0);
+  g_calls.store(0);
   g_counting.store(true);
 }
 
@@ -52,5 +55,7 @@ int64_t StopCountingAllocations() {
   g_counting.store(false);
   return g_bytes.load();
 }
+
+int64_t CountedAllocationCalls() { return g_calls.load(); }
 
 }  // namespace disc

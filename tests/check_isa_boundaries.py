@@ -23,12 +23,22 @@ x86-64 code. It checks that:
   * execute.cc.o, the fused-kernel executor that calls the rows through
     pointers, holds no AVX function at all: every AVX function lives in
     elementwise.cc.o.
+GCC's own vzeroupper pass also ends every AVX function with a vzeroupper,
+so the objects of the build cannot show an explicit `_mm256_zeroupper()`
+missing from the source. The check therefore also recompiles contraction.cc
+and elementwise.cc with the build's compile commands (compile_commands.json,
+which the top-level CMakeLists.txt exports) plus -mno-vzeroupper into a
+temporary directory, and applies the vzeroupper and entry-point rules to
+those objects.
 Exits 1 and names each offending function otherwise.
 """
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+import tempfile
 
 AVX_NAME = re.compile(r"Avx(2|512)")
 ENTRY_POINT = re.compile(r"\b(MatMul|Conv2D)Avx(2|512)\(|"
@@ -48,6 +58,9 @@ ROW_ENTRIES = tuple("Avx%sRows::%s" % (isa, entry)
 OBJECTS = {"contraction.cc.o": CONTRACTION_ENTRIES,
            "elementwise.cc.o": ROW_ENTRIES,
            "execute.cc.o": ()}
+# The sources whose AVX entry points call _mm256_zeroupper() themselves.
+EXPLICIT_VZEROUPPER = {"contraction.cc": CONTRACTION_ENTRIES,
+                       "elementwise.cc": ROW_ENTRIES}
 
 
 def find_object(build_dir, name):
@@ -89,40 +102,88 @@ def returns_clean(body):
     return returns > 0
 
 
+def check_object(label, path, expected, baseline_rules):
+    """Returns the errors of one object: every AVX entry point returns
+    through vzeroupper, the expected entry points are present, and (with
+    `baseline_rules`) baseline functions use no ymm, zmm or FMA."""
+    errors = []
+    avx = baseline = entries = 0
+    names = []
+    for name, body in functions(path):
+        names.append(name)
+        text = "\n".join(body)
+        if AVX_NAME.search(name):
+            avx += 1
+            if ENTRY_POINT.search(name) and "[clone" not in name:
+                entries += 1
+                if not returns_clean(body):
+                    errors.append("%s: AVX entry point returns without "
+                                  "vzeroupper: %s" % (label, name))
+            continue
+        baseline += 1
+        if not baseline_rules:
+            continue
+        wide = WIDE_REGISTER.search(text)
+        fma = FMA.search(text)
+        if wide or fma:
+            errors.append("%s: baseline function uses %s: %s"
+                          % (label, (wide or fma).group(0), name))
+    for entry in expected:
+        if not any(entry in n and "[clone" not in n for n in names):
+            errors.append("%s: entry point %s not found" % (label, entry))
+    if bool(expected) != (avx > 0) or baseline == 0:
+        errors.append("%s: found %d AVX functions (%d entry points) and "
+                      "%d baseline functions" % (label, avx, entries,
+                                                 baseline))
+    print("%s: %d AVX functions (%d entry points), %d baseline functions"
+          % (label, avx, entries, baseline))
+    return errors
+
+
+def compile_without_vzeroupper(build_dir, source, out_dir):
+    """Compiles `source` with the build's own command plus -mno-vzeroupper
+    into `out_dir` and returns the object's path."""
+    path = os.path.join(build_dir, "compile_commands.json")
+    if not os.path.exists(path):
+        sys.exit("check_isa_boundaries: %s not found; reconfigure the build "
+                 "(CMakeLists.txt exports compile commands)" % path)
+    with open(path) as f:
+        entries = json.load(f)
+    for entry in entries:
+        if os.path.basename(entry["file"]) != source:
+            continue
+        args = entry.get("arguments") or shlex.split(entry["command"])
+        obj = os.path.join(out_dir, source + ".o")
+        command, skip = [], False
+        for arg in args:
+            if skip:
+                skip = False
+            elif arg == "-o":
+                command += ["-o", obj]
+                skip = True
+            elif arg in ("-MF", "-MT", "-MQ"):
+                skip = True  # the build's dependency file, not ours
+            elif arg not in ("-MD", "-MMD"):
+                command.append(arg)
+        command.append("-mno-vzeroupper")
+        subprocess.run(command, cwd=entry["directory"], check=True)
+        return obj
+    sys.exit("check_isa_boundaries: %s not in %s" % (source, path))
+
+
 def main():
     if len(sys.argv) != 2:
         sys.exit(__doc__)
+    build_dir = sys.argv[1]
     errors = []
     for obj, expected in OBJECTS.items():
-        path = find_object(sys.argv[1], obj)
-        avx = baseline = entries = 0
-        names = []
-        for name, body in functions(path):
-            names.append(name)
-            text = "\n".join(body)
-            if AVX_NAME.search(name):
-                avx += 1
-                if ENTRY_POINT.search(name) and "[clone" not in name:
-                    entries += 1
-                    if not returns_clean(body):
-                        errors.append("%s: AVX entry point returns without "
-                                      "vzeroupper: %s" % (obj, name))
-                continue
-            baseline += 1
-            wide = WIDE_REGISTER.search(text)
-            fma = FMA.search(text)
-            if wide or fma:
-                errors.append("%s: baseline function uses %s: %s"
-                              % (obj, (wide or fma).group(0), name))
-        for entry in expected:
-            if not any(entry in n and "[clone" not in n for n in names):
-                errors.append("%s: entry point %s not found" % (obj, entry))
-        if bool(expected) != (avx > 0) or baseline == 0:
-            errors.append("%s: found %d AVX functions (%d entry points) and "
-                          "%d baseline functions" % (obj, avx, entries,
-                                                     baseline))
-        print("%s: %d AVX functions (%d entry points), %d baseline functions"
-              % (obj, avx, entries, baseline))
+        errors += check_object(obj, find_object(build_dir, obj), expected,
+                               baseline_rules=True)
+    with tempfile.TemporaryDirectory() as out_dir:
+        for source, expected in EXPLICIT_VZEROUPPER.items():
+            obj = compile_without_vzeroupper(build_dir, source, out_dir)
+            errors += check_object(source + ".o (-mno-vzeroupper)", obj,
+                                   expected, baseline_rules=False)
     for error in errors:
         print(error, file=sys.stderr)
     sys.exit(1 if errors else 0)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -258,6 +259,54 @@ TEST(CseTest, MergesEqualConstants) {
   Value* x = b.Input("x", DType::kF32, {2});
   b.Output({b.Mul(b.Mul(x, c1), c2)});
   ASSERT_TRUE(*RunPass(CreateCsePass(), &g));
+  EXPECT_EQ(CountOps(g, OpKind::kConstant), 1);
+}
+
+// CSE hashes only a constant's first 64 elements, so two constants equal
+// there must still be told apart past them, by bits: +0 and -0 divide x
+// into +inf and -inf.
+TEST(CseTest, KeepsConstantsThatDifferOnlyInAZerosSign) {
+  Graph g;
+  GraphBuilder b(&g);
+  Value* x = b.Input("x", DType::kF32, {65});
+  std::vector<float> positive(65, 1.0f);
+  positive[64] = 0.0f;
+  std::vector<float> negative = positive;
+  negative[64] = -0.0f;
+  Value* c1 = b.Constant(Tensor::F32({65}, positive));
+  Value* c2 = b.Constant(Tensor::F32({65}, negative));
+  b.Output({b.Div(x, c1), b.Div(x, c2)});
+  const Tensor input = Tensor::F32({65}, std::vector<float>(65, 1.0f));
+  auto want = EvaluateGraph(g, {input});
+  ASSERT_TRUE(want.ok());
+
+  auto changed = RunPass(CreateCsePass(), &g);
+  ASSERT_TRUE(changed.ok());
+  EXPECT_FALSE(*changed);
+  EXPECT_EQ(g.num_nodes(), 4);
+  auto got = EvaluateGraph(g, {input});
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got->size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(Tensor::BitEqual((*got)[i], (*want)[i])) << "output " << i;
+  }
+  EXPECT_GT((*got)[0].f32_data()[64], 0.0f);
+  EXPECT_LT((*got)[1].f32_data()[64], 0.0f);
+}
+
+// Equal bits are equal values, NaNs included: a NaN constant is as
+// interchangeable with its bitwise copy as any other constant.
+TEST(CseTest, MergesBitIdenticalNaNConstants) {
+  Graph g;
+  GraphBuilder b(&g);
+  Value* x = b.Input("x", DType::kF32, {2});
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Value* c1 = b.Constant(Tensor::F32({2}, {nan, 1.0f}));
+  Value* c2 = b.Constant(Tensor::F32({2}, {nan, 1.0f}));
+  b.Output({b.Add(b.Mul(x, c1), c2)});
+  auto changed = RunPass(CreateCsePass(), &g);
+  ASSERT_TRUE(changed.ok());
+  EXPECT_TRUE(*changed);
   EXPECT_EQ(CountOps(g, OpKind::kConstant), 1);
 }
 
