@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <map>
 
+#include "golden_digest.h"
 #include "ir/builder.h"
 #include "ir/eval.h"
 #include "models/models.h"
@@ -322,15 +323,6 @@ TEST(CompilerTest, GraphOutputsThatAreConstantsOrInputs) {
   EXPECT_TRUE(Tensor::AllClose(r->outputs[1], Tensor::F32({2}, {5, 6})));
 }
 
-// FNV-1a, 64 bits: a digest that is the same on every build and host.
-uint64_t Fnv1a(const std::string& bytes, uint64_t hash = 0xcbf29ce484222325ull) {
-  for (unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
 struct GoldenDigest {
   const char* model;
   const char* options;
@@ -342,36 +334,6 @@ struct GoldenDigest {
 constexpr GoldenDigest kGoldenDigests[] = {
 #include "compile_artifact_digests.inc"
 };
-
-// The likely values of every labelled dim in the first two signatures of
-// the model's trace, in first-seen order: the hints a respecialization
-// after two observed queries would carry.
-std::vector<std::pair<std::string, std::vector<int64_t>>> TraceHints(
-    const Model& model) {
-  std::vector<std::pair<std::string, std::vector<int64_t>>> hints;
-  for (size_t t = 0; t < 2 && t < model.trace.size(); ++t) {
-    const ShapeSet& shapes = model.trace[t];
-    for (size_t i = 0; i < model.input_dim_labels.size() && i < shapes.size();
-         ++i) {
-      const std::vector<std::string>& labels = model.input_dim_labels[i];
-      for (size_t d = 0; d < labels.size() && d < shapes[i].size(); ++d) {
-        if (labels[d].empty()) continue;
-        auto it = std::find_if(hints.begin(), hints.end(), [&](const auto& h) {
-          return h.first == labels[d];
-        });
-        if (it == hints.end()) {
-          hints.push_back({labels[d], {}});
-          it = hints.end() - 1;
-        }
-        if (std::find(it->second.begin(), it->second.end(), shapes[i][d]) ==
-            it->second.end()) {
-          it->second.push_back(shapes[i][d]);
-        }
-      }
-    }
-  }
-  return hints;
-}
 
 // Digests of everything one compile produces, by artifact name: each file
 // the dumper writes (the pass snapshots folded into one "passes" digest;
