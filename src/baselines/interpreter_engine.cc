@@ -312,16 +312,13 @@ Result<EngineTiming> InterpreterEngine::Query(
   TraceScope query_scope(profile_.name, "engine.query");
   DISC_ASSIGN_OR_RETURN(SymbolBindings bindings,
                         analysis_->BindInputs(input_dims));
+  DISC_ASSIGN_OR_RETURN(ShapeTable shapes, analysis_->EvaluateShapes(bindings));
   DeviceModel model(device);
   EngineTiming timing;
   CachingAllocator allocator;
   CountQuery();
 
-  auto numel_of = [&](const Value* v) -> Result<int64_t> {
-    DISC_ASSIGN_OR_RETURN(std::vector<int64_t> dims,
-                          analysis_->EvaluateShape(v, bindings));
-    return Product(dims);
-  };
+  auto numel_of = [&](const Value* v) { return shapes.num_elements(v); };
 
   // Liveness for peak-memory accounting.
   std::unordered_map<const Value*, size_t> last_use;
@@ -337,9 +334,9 @@ Result<EngineTiming> InterpreterEngine::Query(
     switch (unit.kind) {
       case Unit::Kind::kConstant: {
         const Value* out = unit.nodes[0]->output(0);
-        DISC_ASSIGN_OR_RETURN(int64_t n, numel_of(out));
-        DISC_ASSIGN_OR_RETURN(block_of[out],
-                              allocator.Allocate(n * DTypeSize(out->dtype())));
+        DISC_ASSIGN_OR_RETURN(
+            block_of[out],
+            allocator.Allocate(numel_of(out) * DTypeSize(out->dtype())));
         break;
       }
       case Unit::Kind::kHost: {
@@ -349,7 +346,7 @@ Result<EngineTiming> InterpreterEngine::Query(
       case Unit::Kind::kLibrary: {
         DISC_ASSIGN_OR_RETURN(
             LibraryCallStats stats,
-            ComputeLibraryStats(*unit.nodes[0], *analysis_, bindings));
+            ComputeLibraryStats(*unit.nodes[0], shapes));
         KernelCost cost =
             model.EstimateLibrary(stats, profile_.gemm_efficiency);
         timing.device_us += cost.time_us;
@@ -362,25 +359,21 @@ Result<EngineTiming> InterpreterEngine::Query(
       case Unit::Kind::kComposite: {
         KernelStats stats;
         for (const Value* in : unit.inputs) {
-          DISC_ASSIGN_OR_RETURN(int64_t n, numel_of(in));
-          stats.bytes_read += n * DTypeSize(in->dtype());
+          stats.bytes_read += numel_of(in) * DTypeSize(in->dtype());
         }
         for (const Value* out : unit.outputs) {
-          DISC_ASSIGN_OR_RETURN(int64_t n, numel_of(out));
-          stats.bytes_written += n * DTypeSize(out->dtype());
+          stats.bytes_written += numel_of(out) * DTypeSize(out->dtype());
         }
         int64_t rows = 0;
         int64_t row = 0;
         for (const Node* node : unit.nodes) {
           int64_t domain;
           if (IsReduction(node->kind())) {
-            DISC_ASSIGN_OR_RETURN(domain, numel_of(node->operand(0)));
-            DISC_ASSIGN_OR_RETURN(int64_t out_n,
-                                  numel_of(node->output(0)));
-            rows = out_n;
-            row = out_n > 0 ? domain / out_n : 0;
+            domain = numel_of(node->operand(0));
+            rows = numel_of(node->output(0));
+            row = rows > 0 ? domain / rows : 0;
           } else {
-            DISC_ASSIGN_OR_RETURN(domain, numel_of(node->output(0)));
+            domain = numel_of(node->output(0));
           }
           stats.flops += domain * std::max<int64_t>(OpFlopCost(node->kind()),
                                                     1);
@@ -403,8 +396,7 @@ Result<EngineTiming> InterpreterEngine::Query(
             stats.num_blocks = std::max<int64_t>(1, rows);
           }
         } else {
-          DISC_ASSIGN_OR_RETURN(int64_t out_n,
-                                numel_of(unit.nodes.back()->output(0)));
+          const int64_t out_n = numel_of(unit.nodes.back()->output(0));
           stats.threads_per_block = 256;
           stats.num_blocks = std::max<int64_t>(1, CeilDiv(out_n / 4 + 1, 256));
         }
@@ -420,9 +412,9 @@ Result<EngineTiming> InterpreterEngine::Query(
     if (unit.kind != Unit::Kind::kConstant &&
         unit.kind != Unit::Kind::kHost) {
       for (const Value* out : unit.outputs) {
-        DISC_ASSIGN_OR_RETURN(int64_t n, numel_of(out));
-        DISC_ASSIGN_OR_RETURN(block_of[out],
-                              allocator.Allocate(n * DTypeSize(out->dtype())));
+        DISC_ASSIGN_OR_RETURN(
+            block_of[out],
+            allocator.Allocate(numel_of(out) * DTypeSize(out->dtype())));
       }
     }
     for (auto it = block_of.begin(); it != block_of.end();) {

@@ -568,35 +568,26 @@ MemberLoop NoOp() {
 // ---------------------------------------------------------------------------
 // Binding.
 
-/// Fills a BoundKernel from one set of symbol bindings.
+/// Fills a BoundKernel from one signature's shape table.
 class Binder {
  public:
-  Binder(const FusionGroup& group, const ShapeAnalysis& analysis,
-         const SymbolBindings& bindings, BoundKernel* bound)
-      : group_(group),
-        analysis_(analysis),
-        bindings_(bindings),
-        bound_(*bound),
-        isa_(HostIsa()) {}
+  Binder(const FusionGroup& group, const ShapeTable& shapes,
+         BoundKernel* bound)
+      : group_(group), shapes_(shapes), bound_(*bound), isa_(HostIsa()) {}
 
   Status Run() {
     bound_.input_dims.reserve(group_.inputs.size());
     for (const Value* input : group_.inputs) {
-      DISC_ASSIGN_OR_RETURN(Dims dims,
-                            analysis_.EvaluateShape(input, bindings_));
-      bound_.input_dims.push_back(std::move(dims));
+      const std::span<const int64_t> dims = shapes_.dims(input);
+      bound_.input_dims.emplace_back(dims.begin(), dims.end());
     }
     // Reserved up front: Operands point at earlier members' dims.
     bound_.members.reserve(group_.nodes.size());
     for (const Node* node : group_.nodes) {
       const Value* v = node->output(0);
       BoundKernel::Member member;
-      DISC_ASSIGN_OR_RETURN(member.dims, analysis_.EvaluateShape(v, bindings_));
-      for (int64_t d : member.dims) {
-        if (d < 0) {
-          return Mismatch(*node, "negative dim " + DimsString(member.dims));
-        }
-      }
+      const std::span<const int64_t> dims = shapes_.dims(v);
+      member.dims.assign(dims.begin(), dims.end());
       const bool is_output = std::find(group_.outputs.begin(),
                                        group_.outputs.end(),
                                        v) != group_.outputs.end();
@@ -1226,8 +1217,7 @@ class Binder {
   }
 
   const FusionGroup& group_;
-  const ShapeAnalysis& analysis_;
-  const SymbolBindings& bindings_;
+  const ShapeTable& shapes_;
   BoundKernel& bound_;
   const ContractionIsa isa_;  // the row ISA every member may choose
   std::vector<int> slots_;    // the Frame slot of each bound member's value
@@ -1235,11 +1225,10 @@ class Binder {
 
 }  // namespace
 
-Result<KernelBinding> FusedKernel::Bind(const SymbolBindings& bindings) const {
+Result<KernelBinding> FusedKernel::Bind(const ShapeTable& shapes) const {
   auto bound = std::make_shared<BoundKernel>();
   bound->kernel = this;
-  DISC_RETURN_IF_ERROR(
-      Binder(group_, *analysis_, bindings, bound.get()).Run());
+  DISC_RETURN_IF_ERROR(Binder(group_, shapes, bound.get()).Run());
   return KernelBinding(std::move(bound));
 }
 
@@ -1254,7 +1243,8 @@ int64_t FusedKernel::ScratchBytes(const KernelBinding& binding) const {
 Status FusedKernel::Execute(
     const SymbolBindings& bindings,
     std::unordered_map<const Value*, Tensor>* env) const {
-  DISC_ASSIGN_OR_RETURN(KernelBinding binding, Bind(bindings));
+  DISC_ASSIGN_OR_RETURN(ShapeTable shapes, analysis_->EvaluateShapes(bindings));
+  DISC_ASSIGN_OR_RETURN(KernelBinding binding, Bind(shapes));
   return Execute(binding, env);
 }
 

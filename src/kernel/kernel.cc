@@ -121,31 +121,24 @@ Result<int> FusedKernel::SelectVariantIndex(
   return Status::Internal("no variant admitted (missing generic fallback?)");
 }
 
-Result<KernelStats> FusedKernel::ComputeStats(
-    const SymbolBindings& bindings, const KernelVariant& variant) const {
+KernelStats FusedKernel::ComputeStats(const ShapeTable& shapes,
+                                      const KernelVariant& variant) const {
   KernelStats stats;
-  auto numel_of = [&](const Value* v) -> Result<int64_t> {
-    DISC_ASSIGN_OR_RETURN(std::vector<int64_t> dims,
-                          analysis_->EvaluateShape(v, bindings));
-    return Product(dims);
-  };
-
   for (const Value* input : group_.inputs) {
-    DISC_ASSIGN_OR_RETURN(int64_t n, numel_of(input));
-    stats.bytes_read += n * DTypeSize(input->dtype());
+    stats.bytes_read += shapes.num_elements(input) * DTypeSize(input->dtype());
   }
   for (const Value* output : group_.outputs) {
-    DISC_ASSIGN_OR_RETURN(int64_t n, numel_of(output));
-    stats.bytes_written += n * DTypeSize(output->dtype());
+    stats.bytes_written +=
+        shapes.num_elements(output) * DTypeSize(output->dtype());
   }
   for (const Node* node : group_.nodes) {
     int64_t cost = OpFlopCost(node->kind());
     int64_t domain;
     if (IsReduction(node->kind())) {
-      DISC_ASSIGN_OR_RETURN(domain, numel_of(node->operand(0)));
+      domain = shapes.num_elements(node->operand(0));
       cost = std::max<int64_t>(cost, 1);
     } else {
-      DISC_ASSIGN_OR_RETURN(domain, numel_of(node->output(0)));
+      domain = shapes.num_elements(node->output(0));
     }
     stats.flops += domain * cost;
     // Index arithmetic: eliminated by the broadcast-free specialization,
@@ -157,20 +150,19 @@ Result<KernelStats> FusedKernel::ComputeStats(
       stats.index_ops += domain;
     }
   }
-
-  DISC_ASSIGN_OR_RETURN(int64_t root_elems,
-                        root_elements_.Evaluate(bindings));
+  const int64_t root_elems = shapes.num_elements(group_.root->output(0));
+  // Rows are counted over the first reduction's input space, and a row is
+  // the product of its reduced dims (row_extent_).
   int64_t row = 0;
   int64_t rows = 0;
   if (row_extent_.valid()) {
-    DISC_ASSIGN_OR_RETURN(row, row_extent_.Evaluate(bindings));
-    // Rows are counted over the reduce input space.
     for (const Node* node : group_.nodes) {
-      if (IsReduction(node->kind())) {
-        DISC_ASSIGN_OR_RETURN(int64_t full, numel_of(node->operand(0)));
-        rows = row > 0 ? full / row : 0;
-        break;
-      }
+      if (!IsReduction(node->kind())) continue;
+      const std::span<const int64_t> in = shapes.dims(node->operand(0));
+      row = 1;
+      for (int64_t d : node->GetIntListAttr("dims")) row *= in[d];
+      rows = row > 0 ? shapes.num_elements(node->operand(0)) / row : 0;
+      break;
     }
   }
 

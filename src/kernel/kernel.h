@@ -6,12 +6,12 @@
 //   * several specialization variants with runtime guards
 //     (see specialize.cc), and
 //   * a typed CPU executor (execute.cc), split in two steps:
-//       - Bind, once per shape signature: solves every member's and input's
-//         dims, builds the operand views and merged loop walks, resolves the
-//         reduce/slice/pad/concat/gather/iota parameters, picks each
-//         member's loop instantiation (op kind and dtypes fixed) and lays
-//         out one scratch block. Every check on shapes and attributes
-//         happens here. The result, a KernelBinding, is immutable and
+//       - Bind, once per shape signature: reads every member's and input's
+//         dims from the signature's ShapeTable, builds the operand views
+//         and merged loop walks, resolves the reduce/slice/pad/concat/
+//         gather/iota parameters, picks each member's loop instantiation
+//         (op kind and dtypes fixed) and lays out one scratch block. Every
+//         check on shapes and attributes happens here. The result, a KernelBinding, is immutable and
 //         shared: the runtime keeps it in the launch plan, and concurrent
 //         Runs use it without locking.
 //       - Execute, per call: runs the bound loops on raw buffers the caller
@@ -46,7 +46,7 @@
 //     rows at once, each in the reference's order.
 //
 // Modeled GPU performance comes from the device model (disc::sim) and the
-// KernelStats this class computes per (bindings, variant): global-memory
+// KernelStats this class computes per (shape table, variant): global-memory
 // traffic touches only group inputs/outputs (fusion's raison d'être),
 // arithmetic is counted per member op, and the launch geometry follows the
 // variant's schedule.
@@ -174,10 +174,11 @@ class FusedKernel {
   /// the dispatch without re-evaluating any guard.
   Result<int> SelectVariantIndex(const SymbolBindings& bindings) const;
 
-  /// \brief Does all the executor work that depends only on `bindings`
-  /// (see the file comment). Member shapes or attributes that disagree
-  /// with each other are an error here, never at Execute.
-  Result<KernelBinding> Bind(const SymbolBindings& bindings) const;
+  /// \brief Does all the executor work that depends only on the signature
+  /// whose dims `shapes` holds (see the file comment). Member shapes or
+  /// attributes that disagree with each other are an error here, never at
+  /// Execute.
+  Result<KernelBinding> Bind(const ShapeTable& shapes) const;
 
   /// \brief Executes the kernel on the CPU from a binding of this kernel:
   /// reads the group inputs from `buffers` and writes the group outputs
@@ -200,7 +201,8 @@ class FusedKernel {
   Status Execute(const KernelBinding& binding,
                  std::unordered_map<const Value*, Tensor>* env) const;
 
-  /// \brief Bind(bindings) followed by Execute(binding, env).
+  /// \brief Bind on the ShapeTable of `bindings`, then Execute(binding,
+  /// env).
   Status Execute(const SymbolBindings& bindings,
                  std::unordered_map<const Value*, Tensor>* env) const;
 
@@ -209,9 +211,9 @@ class FusedKernel {
   /// `binding` is null (a timing-only plan binds nothing).
   ContractionIsa RowIsa(const KernelBinding& binding) const;
 
-  /// \brief Resource footprint under concrete bindings for one variant.
-  Result<KernelStats> ComputeStats(const SymbolBindings& bindings,
-                                   const KernelVariant& variant) const;
+  /// \brief Resource footprint of one variant at the dims `shapes` holds.
+  KernelStats ComputeStats(const ShapeTable& shapes,
+                           const KernelVariant& variant) const;
 
   /// \brief The variant list this kernel WOULD have been compiled with
   /// under `options` — the counterfactual the regret audit compares the
@@ -228,6 +230,8 @@ class FusedKernel {
   const DimExpr& row_count() const { return row_count_; }
   /// \brief Element count of the root output (the launch domain).
   const DimExpr& root_elements() const { return root_elements_; }
+  /// \brief The analysis whose shapes the kernel was compiled from.
+  const ShapeAnalysis& analysis() const { return *analysis_; }
 
   /// Compile-time taint flags, set by the `kernel.miscompile` /
   /// `kernel.guard.mispredict` failpoints when the compiler emits this

@@ -1,43 +1,32 @@
 #include "kernel/library.h"
 
-#include "support/math_util.h"
-
 namespace disc {
 
 Result<LibraryCallStats> ComputeLibraryStats(const Node& node,
-                                             const ShapeAnalysis& analysis,
-                                             const SymbolBindings& bindings) {
+                                             const ShapeTable& shapes) {
   LibraryCallStats stats;
-  auto dims_of = [&](const Value* v) {
-    return analysis.EvaluateShape(v, bindings);
-  };
   for (const Value* operand : node.operands()) {
-    DISC_ASSIGN_OR_RETURN(std::vector<int64_t> dims, dims_of(operand));
-    stats.bytes_read += Product(dims) * DTypeSize(operand->dtype());
+    stats.bytes_read +=
+        shapes.num_elements(operand) * DTypeSize(operand->dtype());
   }
   for (const Value* out : node.outputs()) {
-    DISC_ASSIGN_OR_RETURN(std::vector<int64_t> dims, dims_of(out));
-    stats.bytes_written += Product(dims) * DTypeSize(out->dtype());
+    stats.bytes_written += shapes.num_elements(out) * DTypeSize(out->dtype());
   }
 
   switch (node.kind()) {
     case OpKind::kMatMul: {
-      DISC_ASSIGN_OR_RETURN(std::vector<int64_t> a, dims_of(node.operand(0)));
-      DISC_ASSIGN_OR_RETURN(std::vector<int64_t> out,
-                            dims_of(node.output(0)));
+      const std::span<const int64_t> a = shapes.dims(node.operand(0));
       bool ta = node.GetIntAttr("transpose_a", 0) != 0;
       int64_t k = a[a.size() - (ta ? 2 : 1)];
       // out = [batch..., m, n]; flops = 2 * batch * m * n * k.
-      stats.flops = 2 * Product(out) * k;
+      stats.flops = 2 * shapes.num_elements(node.output(0)) * k;
       return stats;
     }
     case OpKind::kConv2D: {
-      DISC_ASSIGN_OR_RETURN(std::vector<int64_t> filter,
-                            dims_of(node.operand(1)));
-      DISC_ASSIGN_OR_RETURN(std::vector<int64_t> out,
-                            dims_of(node.output(0)));
+      const std::span<const int64_t> filter = shapes.dims(node.operand(1));
       // flops = 2 * (N*OH*OW*OC) * (KH*KW*C).
-      stats.flops = 2 * Product(out) * filter[0] * filter[1] * filter[2];
+      stats.flops = 2 * shapes.num_elements(node.output(0)) * filter[0] *
+                    filter[1] * filter[2];
       return stats;
     }
     default:

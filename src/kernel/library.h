@@ -28,10 +28,9 @@ inline bool IsLibraryOp(OpKind kind) {
   return GetOpInfo(kind).op_class == OpClass::kLibrary;
 }
 
-/// \brief Footprint of a library call under concrete bindings.
+/// \brief Footprint of a library call at the dims `shapes` holds.
 Result<LibraryCallStats> ComputeLibraryStats(const Node& node,
-                                             const ShapeAnalysis& analysis,
-                                             const SymbolBindings& bindings);
+                                             const ShapeTable& shapes);
 
 }  // namespace disc
 

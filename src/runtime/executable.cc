@@ -55,12 +55,16 @@ void* NonNull(const void* data) {
   return const_cast<void*>(data != nullptr ? data : kEmptyBuffer);
 }
 
-// Bytes of a `dtype` value with `dims` in host storage: float for f32,
+// Bytes of `v` in host storage at the dims `shapes` holds: float for f32,
 // int64_t for i64 and i1 (Tensor's layout, which the kernels read).
-int64_t HostBytes(DType dtype, const std::vector<int64_t>& dims) {
-  return Product(dims) * static_cast<int64_t>(dtype == DType::kF32
-                                                 ? sizeof(float)
-                                                 : sizeof(int64_t));
+int64_t HostBytes(const Value* v, const ShapeTable& shapes) {
+  return shapes.num_elements(v) *
+         static_cast<int64_t>(v->dtype() == DType::kF32 ? sizeof(float)
+                                                        : sizeof(int64_t));
+}
+
+std::vector<int64_t> DimsVector(std::span<const int64_t> dims) {
+  return {dims.begin(), dims.end()};
 }
 
 // Under AddressSanitizer a Run's buffer is unaddressable except for the
@@ -160,14 +164,6 @@ Result<AllocationTape> RecordAllocationTape(
       // arena; they never enter block_of, so the release loop skips them.
       if (arena && memory_plan.slot_of.count(value)) continue;
       tape.allocs.push_back({bytes, allocator.stats().bytes_in_use});
-      if (bytes < 0) {
-        // Every Run fails this call's check and makes no later one: end
-        // the tape here.
-        tape.has_negative = true;
-        tape.step_begin.resize(num_steps + 1,
-                               static_cast<uint32_t>(tape.allocs.size()));
-        return tape;
-      }
       DISC_ASSIGN_OR_RETURN(block_of[value], allocator.Reserve(bytes));
     }
     for (const Value* dead : memory_plan.release_after_step[s]) {
@@ -357,30 +353,23 @@ void Executable::ReturnRunBuffer(std::unique_ptr<RunBuffer> buffer) const {
 Status Executable::BindData(const InputDims& input_dims,
                             LaunchPlan* plan) const {
   const SymbolBindings& bindings = plan->bindings;
-  const size_t num_values = values_.size();
-  plan->value_dims.resize(num_values);
-  plan->value_offsets.assign(num_values, -1);
-  for (size_t v = 0; v < num_values; ++v) {
-    const ValueDef& def = values_[v];
-    DISC_ASSIGN_OR_RETURN(plan->value_dims[v],
-                          analysis_->EvaluateShape(def.value, bindings));
-    const std::vector<int64_t>& dims = plan->value_dims[v];
-    // Buffers read in place must be what the analysis predicts, since the
-    // steps reading them are laid out from its dims.
+  const ShapeTable& shapes = plan->shapes;
+  plan->value_offsets.assign(values_.size(), -1);
+  // Buffers read in place must be what the analysis predicts, since the
+  // steps reading them are laid out from its dims.
+  for (const ValueDef& def : values_) {
     const std::vector<int64_t>* actual = nullptr;
     if (def.step < 0) {
       actual = &input_dims[def.result];
     } else if (steps_[def.step].kind == Step::Kind::kConstant) {
       actual = &steps_[def.step].constant->dims();
     }
-    if ((actual != nullptr && *actual != dims) ||
-        std::any_of(dims.begin(), dims.end(),
-                    [](int64_t d) { return d < 0; })) {
+    if (actual != nullptr && !std::ranges::equal(*actual,
+                                                 shapes.dims(def.value))) {
       return Status::Internal(StrFormat(
           "value %%%d is [%s]; the shape analysis predicts [%s]",
-          def.value->id(),
-          actual != nullptr ? Join(*actual, "x").c_str() : "?",
-          Join(dims, "x").c_str()));
+          def.value->id(), Join(*actual, "x").c_str(),
+          Join(shapes.dims(def.value), "x").c_str()));
     }
   }
 
@@ -411,23 +400,24 @@ Status Executable::BindData(const InputDims& input_dims,
     PlannedStep& ps = plan->steps[s];
     DataStep& ds = plan->data_steps[s];
     if (step.kind == Step::Kind::kKernel) {
-      DISC_ASSIGN_OR_RETURN(ps.binding, step.kernel->Bind(bindings));
+      DISC_ASSIGN_OR_RETURN(ps.binding, step.kernel->Bind(shapes));
       ds.scratch_bytes = step.kernel->ScratchBytes(ps.binding);
     } else if (step.kind == Step::Kind::kLibrary) {
-      const int lhs = sv.reads[0], rhs = sv.reads[1], out = sv.writes[0];
+      const Value* lhs = values_[sv.reads[0]].value;
+      const Value* rhs = values_[sv.reads[1]].value;
+      const Value* out = values_[sv.writes[0]].value;
       DISC_ASSIGN_OR_RETURN(
-          ds.call, ResolveContraction(*step.node, values_[lhs].value->dtype(),
-                                      plan->value_dims[lhs],
-                                      values_[rhs].value->dtype(),
-                                      plan->value_dims[rhs]));
-      if (ds.call.dtype != values_[out].value->dtype() ||
-          ds.call.out_dims != plan->value_dims[out]) {
+          ds.call,
+          ResolveContraction(*step.node, lhs->dtype(),
+                             DimsVector(shapes.dims(lhs)), rhs->dtype(),
+                             DimsVector(shapes.dims(rhs))));
+      if (ds.call.dtype != out->dtype() ||
+          !std::ranges::equal(ds.call.out_dims, shapes.dims(out))) {
         return Status::Internal(StrFormat(
             "%s %%%d computes %s[%s]; the shape analysis predicts %s[%s]",
-            OpName(step.node->kind()), values_[out].value->id(),
-            DTypeName(ds.call.dtype), Join(ds.call.out_dims, "x").c_str(),
-            DTypeName(values_[out].value->dtype()),
-            Join(plan->value_dims[out], "x").c_str()));
+            OpName(step.node->kind()), out->id(), DTypeName(ds.call.dtype),
+            Join(ds.call.out_dims, "x").c_str(), DTypeName(out->dtype()),
+            Join(shapes.dims(out), "x").c_str()));
       }
       ds.scratch_bytes = ds.call.pack_bytes;
     } else {
@@ -437,7 +427,7 @@ Status Executable::BindData(const InputDims& input_dims,
     for (int w : sv.writes) {
       const ValueDef& def = values_[w];
       if (def.graph_output) continue;  // written into the returned tensor
-      const int64_t bytes = HostBytes(def.value->dtype(), plan->value_dims[w]);
+      const int64_t bytes = HostBytes(def.value, shapes);
       if (def.value->dtype() == DType::kI1) {
         // Stored as int64_t, 8x the byte its arena slot books.
         plan->value_offsets[w] = end;
@@ -478,6 +468,7 @@ Result<LaunchPlan> Executable::BuildLaunchPlan(
   // Host-side shape computation: solve every symbolic dim once per
   // signature.
   DISC_ASSIGN_OR_RETURN(plan.bindings, analysis_->BindInputs(input_dims));
+  DISC_ASSIGN_OR_RETURN(plan.shapes, analysis_->EvaluateShapes(plan.bindings));
   plan.steps.resize(steps_.size());
   const DeviceModel model(options.device);
   plan.priced_device = options.device;
@@ -498,29 +489,24 @@ Result<LaunchPlan> Executable::BuildLaunchPlan(
   for (size_t s = 0; s < steps_.size(); ++s) {
     const Step& step = steps_[s];
     PlannedStep& ps = plan.steps[s];
-    auto record_alloc = [&](const Value* v) -> Status {
-      DISC_ASSIGN_OR_RETURN(std::vector<int64_t> dims,
-                            analysis_->EvaluateShape(v, plan.bindings));
-      values.emplace_back(v, Product(dims) * DTypeSize(v->dtype()));
-      return Status::OK();
+    auto record_alloc = [&](const Value* v) {
+      values.emplace_back(
+          v, plan.shapes.num_elements(v) * DTypeSize(v->dtype()));
     };
     switch (step.kind) {
       case Step::Kind::kConstant:
-        DISC_RETURN_IF_ERROR(record_alloc(step.node->output(0)));
+        record_alloc(step.node->output(0));
         break;
       case Step::Kind::kHost:
         break;  // results are data, recorded by the first data-mode run
       case Step::Kind::kLibrary: {
-        DISC_ASSIGN_OR_RETURN(
-            ps.library_stats,
-            ComputeLibraryStats(*step.node, *analysis_, plan.bindings));
+        DISC_ASSIGN_OR_RETURN(ps.library_stats,
+                              ComputeLibraryStats(*step.node, plan.shapes));
         price(s);
         plan.library_calls += 1;
         plan.bytes_read += ps.library_stats.bytes_read;
         plan.bytes_written += ps.library_stats.bytes_written;
-        for (const Value* out : step.node->outputs()) {
-          DISC_RETURN_IF_ERROR(record_alloc(out));
-        }
+        for (const Value* out : step.node->outputs()) record_alloc(out);
         break;
       }
       case Step::Kind::kKernel: {
@@ -542,17 +528,14 @@ Result<LaunchPlan> Executable::BuildLaunchPlan(
               kernel.name().c_str(), ps.variant_index,
               variant.name.c_str()));
         }
-        DISC_ASSIGN_OR_RETURN(ps.kernel_stats,
-                              kernel.ComputeStats(plan.bindings, variant));
+        ps.kernel_stats = kernel.ComputeStats(plan.shapes, variant);
         price(s);
         plan.kernel_utilizations.push_back(ps.cost.utilization);
         plan.kernel_launches += 1;
         plan.bytes_read += ps.kernel_stats.bytes_read;
         plan.bytes_written += ps.kernel_stats.bytes_written;
         (*variant_counts)[kernel.name() + "/" + variant.name] += 1;
-        for (const Value* out : kernel.group().outputs) {
-          DISC_RETURN_IF_ERROR(record_alloc(out));
-        }
+        for (const Value* out : kernel.group().outputs) record_alloc(out);
         break;
       }
     }
@@ -588,8 +571,10 @@ Result<int64_t> Executable::PredictPeakBytes(
   if (std::shared_ptr<const LaunchPlan> plan = plan_cache_.Peek(input_dims)) {
     return plan->arena_bytes;
   }
+  // A signature whose shapes no Run accepts has no peak either.
   DISC_ASSIGN_OR_RETURN(SymbolBindings bindings,
                         analysis_->BindInputs(input_dims));
+  DISC_RETURN_IF_ERROR(analysis_->EvaluateShapes(bindings).status());
   return analysis_->EvaluateDim(memory_plan_.peak_bytes, bindings);
 }
 
@@ -705,8 +690,8 @@ Tensor Executable::HostOperand(int value, const LaunchPlan& plan,
   if (step.kind == Step::Kind::kHost) {
     return plan.steps[def.step].host_results[def.result];
   }
-  Tensor copy(def.value->dtype(), plan.value_dims[value]);
-  const int64_t bytes = HostBytes(copy.dtype(), copy.dims());
+  Tensor copy(def.value->dtype(), DimsVector(plan.shapes.dims(def.value)));
+  const int64_t bytes = HostBytes(def.value, plan.shapes);
   if (bytes > 0) std::memcpy(copy.raw_data(), buffer.values[value], bytes);
   return copy;
 }
@@ -730,7 +715,8 @@ void Executable::StartData(const LaunchPlan& plan,
       outputs->emplace_back();  // FinishData fills it in
       continue;
     }
-    outputs->emplace_back(def.value->dtype(), plan.value_dims[v]);
+    outputs->emplace_back(def.value->dtype(),
+                          DimsVector(plan.shapes.dims(def.value)));
     values[v] = NonNull(outputs->back().raw_data());
   }
 }
@@ -752,7 +738,7 @@ Status Executable::RunStepData(size_t s, const LaunchPlan& plan,
     values[w] = buffer->base + offset;
     if (kPoisonRunBuffers) {
       UnpoisonBytes(buffer->base + offset,
-                    HostBytes(values_[w].value->dtype(), plan.value_dims[w]));
+                    HostBytes(values_[w].value, plan.shapes));
     }
   }
   if (kPoisonRunBuffers) UnpoisonBytes(scratch, scratch_bytes);
@@ -772,15 +758,14 @@ Status Executable::RunStepData(size_t s, const LaunchPlan& plan,
         DISC_ASSIGN_OR_RETURN(std::vector<Tensor> results,
                               EvaluateNode(*step.node, operands));
         for (size_t i = 0; i < results.size(); ++i) {
-          const int w = sv.writes[i];
-          if (results[i].dtype() != values_[w].value->dtype() ||
-              results[i].dims() != plan.value_dims[w]) {
+          const Value* w = values_[sv.writes[i]].value;
+          if (results[i].dtype() != w->dtype() ||
+              !std::ranges::equal(results[i].dims(), plan.shapes.dims(w))) {
             return Status::Internal(StrFormat(
                 "host step result %%%d is %s; the shape analysis predicts "
                 "%s[%s]",
-                values_[w].value->id(), results[i].TypeString().c_str(),
-                DTypeName(values_[w].value->dtype()),
-                Join(plan.value_dims[w], "x").c_str()));
+                w->id(), results[i].TypeString().c_str(),
+                DTypeName(w->dtype()), Join(plan.shapes.dims(w), "x").c_str()));
           }
         }
         PlannedStep& recorded = record->steps[s];
@@ -809,7 +794,7 @@ Status Executable::RunStepData(size_t s, const LaunchPlan& plan,
       const int64_t offset = plan.value_offsets[r];
       if (offset < 0) continue;
       PoisonBytes(buffer->base + offset,
-                  HostBytes(values_[r].value->dtype(), plan.value_dims[r]));
+                  HostBytes(values_[r].value, plan.shapes));
     }
   }
   return Status::OK();
@@ -862,8 +847,8 @@ Result<RunResult> Executable::ExecutePlan(const LaunchPlan& plan,
   // step executes, so its limit check (and any armed runtime.alloc
   // failpoint) fires there, never mid-Run.
   const AllocationTape& tape = use_arena ? plan.arena_tape : plan.caching_tape;
-  const bool check_tape = FailpointRegistry::AnyArmed() ||
-                          options.memory_limit_bytes > 0 || tape.has_negative;
+  const bool check_tape =
+      FailpointRegistry::AnyArmed() || options.memory_limit_bytes > 0;
   auto check_allocs = [&](uint32_t begin, uint32_t end) -> Status {
     if (!check_tape) return Status::OK();
     for (uint32_t i = begin; i < end; ++i) {

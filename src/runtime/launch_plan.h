@@ -9,7 +9,9 @@
 // signature and replayed.
 //
 // A LaunchPlan records everything the host derives from one signature:
-//   * the solved SymbolBindings,
+//   * the solved SymbolBindings, and the ShapeTable: every value's dims,
+//     each distinct dim expression evaluated once and every dim checked
+//     once, which every later step of plan build reads,
 //   * per step: the selected KernelVariant index and the KernelStats /
 //     LibraryCallStats (launch dims live inside KernelStats),
 //   * per step: its simulated cost (KernelCost), and the Run's device
@@ -24,8 +26,8 @@
 //     KernelBinding (its executor bound to these shapes, so a hit runs
 //     pre-bound loops), each library step's resolved ContractionCall (dims
 //     and ISA), the host shape-step results (tiny integer tensors that are
-//     themselves pure functions of the signature), every value's dims, and
-//     each kernel and library result's byte offset in the Run's buffer:
+//     themselves pure functions of the signature), and each kernel and
+//     library result's byte offset in the Run's buffer:
 //     its arena slot's offset, evaluated once, with one scratch region past
 //     the arena that the steps share, sized to the largest kernel scratch
 //     or contraction pack.
@@ -132,7 +134,8 @@ struct TapedAlloc {
 /// running the caching allocator's size-class bookkeeping over the
 /// schedule: each step's outputs in definition order, then the step's
 /// release list (MemoryPlan::release_after_step). Arena mode first
-/// allocates the whole arena and skips its residents.
+/// allocates the whole arena and skips its residents. No call asks for a
+/// negative size: the plan's ShapeTable checked every value's dims.
 struct AllocationTape {
   /// Every allocator call, in Run order.
   std::vector<TapedAlloc> allocs;
@@ -141,9 +144,6 @@ struct AllocationTape {
   std::vector<uint32_t> step_begin;
   /// The allocator's stats after the whole Run.
   CachingAllocator::Stats stats;
-  /// The last call asks for a negative size, which every Run's check
-  /// rejects; the tape ends there.
-  bool has_negative = false;
 };
 
 /// Launch counts per "kernel/variant" name.
@@ -164,6 +164,8 @@ struct DeviceTotals {
 /// Everything the host derives from one shape signature.
 struct LaunchPlan {
   SymbolBindings bindings;
+  /// Every value's dims under this signature.
+  ShapeTable shapes;
   std::vector<PlannedStep> steps;  // parallel to Executable's step schedule
   /// Concrete arena size: the symbolic peak-bytes formula evaluated for
   /// this signature (0 when the module has no device values). Memoized
@@ -189,16 +191,14 @@ struct LaunchPlan {
   AllocationTape caching_tape;
   AllocationTape arena_tape;
   /// The data layout of a bound plan: data_steps, and over the
-  /// executable's dense value indices, value_dims (every value's dims) and
-  /// value_offsets (the byte offset in a Run's buffer of each kernel or
-  /// library result that lives there, -1 for the rest: graph inputs,
-  /// constants and host results are read in place, and graph outputs are
-  /// written into the returned tensors).
+  /// executable's dense value indices, value_offsets (the byte offset in a
+  /// Run's buffer of each kernel or library result that lives there, -1
+  /// for the rest: graph inputs, constants and host results are read in
+  /// place, and graph outputs are written into the returned tensors).
   /// The buffer holds the arena [0, arena_bytes), then a region for i1
   /// results (stored as int64_t, wider than their arena slots), then the
   /// scratch region at scratch_offset, buffer_bytes in all.
   std::vector<DataStep> data_steps;  // parallel to steps
-  std::vector<std::vector<int64_t>> value_dims;
   std::vector<int64_t> value_offsets;
   int64_t scratch_offset = 0;
   int64_t buffer_bytes = 0;

@@ -45,6 +45,10 @@ bool KeyLess(const DimExpr& a, const DimExpr& b) {
   return a.ToString() < b.ToString();
 }
 
+Status Overflow(const DimExpr& e) {
+  return Status::InvalidArgument(e.ToString() + " overflows int64");
+}
+
 }  // namespace
 
 DimExpr DimExpr::Make(internal::DimExprNode node) {
@@ -253,21 +257,18 @@ Result<int64_t> DimExpr::Evaluate(
       }
       return it->second;
     }
-    case DimExprKind::kAdd: {
-      int64_t sum = 0;
-      for (const DimExpr& op : node_->operands) {
-        DISC_ASSIGN_OR_RETURN(int64_t v, op.Evaluate(bindings));
-        sum += v;
-      }
-      return sum;
-    }
+    case DimExprKind::kAdd:
     case DimExprKind::kMul: {
-      int64_t product = 1;
+      const bool add = node_->kind == DimExprKind::kAdd;
+      int64_t result = add ? 0 : 1;
       for (const DimExpr& op : node_->operands) {
         DISC_ASSIGN_OR_RETURN(int64_t v, op.Evaluate(bindings));
-        product *= v;
+        if (add ? __builtin_add_overflow(result, v, &result)
+                : __builtin_mul_overflow(result, v, &result)) {
+          return Overflow(*this);
+        }
       }
-      return product;
+      return result;
     }
     case DimExprKind::kFloorDiv:
     case DimExprKind::kCeilDiv:
@@ -275,9 +276,17 @@ Result<int64_t> DimExpr::Evaluate(
       DISC_ASSIGN_OR_RETURN(int64_t a, node_->operands[0].Evaluate(bindings));
       DISC_ASSIGN_OR_RETURN(int64_t b, node_->operands[1].Evaluate(bindings));
       if (b == 0) return Status::InvalidArgument("division by zero");
-      if (node_->kind == DimExprKind::kFloorDiv) return a / b;
-      if (node_->kind == DimExprKind::kCeilDiv) return disc::CeilDiv(a, b);
-      return a % b;
+      if (node_->kind == DimExprKind::kCeilDiv) {
+        // disc::CeilDiv's (a + b - 1) / b, which asks for a positive b.
+        if (b < 0) return Status::InvalidArgument("negative ceildiv divisor");
+        int64_t numerator;
+        if (__builtin_add_overflow(a, b - 1, &numerator)) {
+          return Overflow(*this);
+        }
+        return numerator / b;
+      }
+      if (a == INT64_MIN && b == -1) return Overflow(*this);
+      return node_->kind == DimExprKind::kFloorDiv ? a / b : a % b;
     }
   }
   return Status::Internal("invalid DimExpr");

@@ -103,7 +103,8 @@ class DimExpr {
   std::vector<SymbolId> CollectSymbols() const;
 
   /// \brief Evaluates against concrete symbol values; error if a referenced
-  /// symbol has no binding or a divisor evaluates to zero.
+  /// symbol has no binding, a divisor evaluates to zero, or a sum, product
+  /// or quotient overflows int64 (InvalidArgument).
   Result<int64_t> Evaluate(
       const std::unordered_map<SymbolId, int64_t>& bindings) const;
 

@@ -11,13 +11,15 @@
 // elementwise ops unify operand dims, matmul unifies contraction dims,
 // reshape records product-equality facts, concat produces sum expressions.
 //
-// The same object doubles as the runtime's host-side shape program:
-// BindInputs() solves symbol values from concrete input shapes and
-// EvaluateShape() computes any value's concrete dims from them.
+// The same object doubles as the runtime's host-side shape program: Run()
+// records each distinct canonical dim expression once, BindInputs() solves
+// symbol values from concrete input shapes, and EvaluateShapes() evaluates
+// each expression once into the ShapeTable every runtime consumer reads.
 #ifndef DISC_SHAPE_SHAPE_ANALYSIS_H_
 #define DISC_SHAPE_SHAPE_ANALYSIS_H_
 
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "ir/graph.h"
 #include "shape/dim_expr.h"
 #include "shape/symbolic_dim.h"
+#include "support/logging.h"
 
 namespace disc {
 
@@ -47,6 +50,37 @@ struct ConstraintRecord {
   std::string source;
 
   std::string ToString() const;
+};
+
+/// \brief Every value's concrete dims under one signature
+/// (ShapeAnalysis::EvaluateShapes). Every dim is non-negative, and every
+/// value's element count and bytes fit in int64. Immutable once built, so
+/// concurrent readers may share it; valid while its analysis lives.
+class ShapeTable {
+ public:
+  /// Where a value's dims are in dims_ (by Value::id(); begin -1 for none).
+  struct Range {
+    int32_t begin = -1;
+    int32_t rank = 0;
+  };
+
+  /// \brief The dims of `v`, a value of the analysed graph.
+  std::span<const int64_t> dims(const Value* v) const {
+    const Range range = ranges_->at(v->id());
+    DISC_CHECK_GE(range.begin, 0) << "no shape for %" << v->id();
+    return {dims_.data() + range.begin, static_cast<size_t>(range.rank)};
+  }
+  /// \brief The product of dims(v).
+  int64_t num_elements(const Value* v) const {
+    int64_t n = 1;
+    for (int64_t d : dims(v)) n *= d;
+    return n;
+  }
+
+ private:
+  friend class ShapeAnalysis;
+  const std::vector<Range>* ranges_ = nullptr;
+  std::vector<int64_t> dims_;
 };
 
 /// \brief Runs and stores the symbolic shape analysis for one graph.
@@ -103,9 +137,10 @@ class ShapeAnalysis {
   Result<SymbolBindings> BindInputs(
       const std::vector<std::vector<int64_t>>& input_dims) const;
 
-  /// \brief Concrete dims of `v` under the given bindings.
-  Result<std::vector<int64_t>> EvaluateShape(const Value* v,
-                                             const SymbolBindings& bindings) const;
+  /// \brief Evaluates each distinct dim expression once under the given
+  /// bindings and gathers every value's dims. InvalidArgument when a dim
+  /// is negative or a value's element count or bytes overflow int64.
+  Result<ShapeTable> EvaluateShapes(const SymbolBindings& bindings) const;
 
   /// \brief Evaluates a single expression under bindings.
   Result<int64_t> EvaluateDim(const DimExpr& expr,
@@ -136,6 +171,12 @@ class ShapeAnalysis {
   std::vector<ConstraintRecord> constraint_log_;
   const Node* current_node_ = nullptr;  // provenance attribution cursor
   bool ran_ = false;
+  // The runtime shape program, recorded by Run(): the distinct canonical
+  // dim expressions, every value's dims as indices into them, and where
+  // each value's dims are.
+  std::vector<DimExpr> dim_exprs_;
+  std::vector<uint32_t> dim_expr_of_;
+  std::vector<ShapeTable::Range> dim_ranges_;
 };
 
 }  // namespace disc

@@ -183,9 +183,11 @@ std::vector<KernelRegret> KernelProfileLedger::AuditRegret(
     // function of (bindings, device) and byte-stable).
     const KernelVariant& selected =
         kernel.variants()[state.entry.variant_index];
-    auto selected_stats = kernel.ComputeStats(state.bindings, selected);
-    if (!selected_stats.ok()) continue;  // bindings went stale; skip
-    r.selected_us = model.EstimateGenerated(*selected_stats, selected).time_us;
+    Result<ShapeTable> shapes =
+        kernel.analysis().EvaluateShapes(state.bindings);
+    if (!shapes.ok()) continue;  // bindings went stale; skip
+    const KernelStats selected_stats = kernel.ComputeStats(*shapes, selected);
+    r.selected_us = model.EstimateGenerated(selected_stats, selected).time_us;
 
     // The counterfactual variant set: what this kernel WOULD have under
     // the reference options (full specialization by default).
@@ -203,16 +205,14 @@ std::vector<KernelRegret> KernelProfileLedger::AuditRegret(
       auto admitted = candidate.guard.Evaluate(state.bindings);
       a.admissible = admitted.ok() && *admitted;
       if (a.admissible) {
-        auto stats = kernel.ComputeStats(state.bindings, candidate);
-        if (stats.ok()) {
-          a.modeled_us = model.EstimateGenerated(*stats, candidate).time_us;
-          if (!have_best || a.modeled_us < r.best_us) {
-            have_best = true;
-            r.best_us = a.modeled_us;
-            r.best_variant = a.variant;
-            r.best_rank = a.rank;
-            r.best_compiled = a.compiled;
-          }
+        const KernelStats stats = kernel.ComputeStats(*shapes, candidate);
+        a.modeled_us = model.EstimateGenerated(stats, candidate).time_us;
+        if (!have_best || a.modeled_us < r.best_us) {
+          have_best = true;
+          r.best_us = a.modeled_us;
+          r.best_variant = a.variant;
+          r.best_rank = a.rank;
+          r.best_compiled = a.compiled;
         }
       }
       r.candidates.push_back(std::move(a));

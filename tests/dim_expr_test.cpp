@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace disc {
 namespace {
 
@@ -174,6 +176,32 @@ TEST(DimExprTest, SubstituteIntoDivision) {
 TEST(DimExprTest, EvaluateDivisionByZeroIsError) {
   DimExpr e = DimExpr::FloorDiv(S(0), S(1));
   EXPECT_FALSE(e.Evaluate({{0, 4}, {1, 0}}).ok());
+}
+
+TEST(DimExprTest, EvaluateOverflowIsInvalidArgument) {
+  const int64_t big = int64_t{1} << 31;
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  auto fails = [](const DimExpr& e,
+                  const std::unordered_map<SymbolId, int64_t>& bindings) {
+    Result<int64_t> r = e.Evaluate(bindings);
+    return !r.ok() && r.status().code() == StatusCode::kInvalidArgument;
+  };
+  // 2^31 * 2^31 fits; times 64 does not.
+  const DimExpr product = DimExpr::Mul({S(0), S(1), C(64)});
+  EXPECT_EQ(*DimExpr::Mul(S(0), S(1)).Evaluate({{0, big}, {1, big}}),
+            big * big);
+  EXPECT_TRUE(fails(product, {{0, big}, {1, big}}));
+  EXPECT_TRUE(fails(DimExpr::Add(S(0), C(1)), {{0, max}}));
+  EXPECT_TRUE(fails(DimExpr::Add(S(0), C(-1)), {{0, min}}));
+  EXPECT_TRUE(fails(DimExpr::CeilDiv(S(0), C(2)), {{0, max}}));
+  EXPECT_TRUE(fails(DimExpr::FloorDiv(S(0), S(1)), {{0, min}, {1, -1}}));
+  EXPECT_TRUE(fails(DimExpr::Mod(S(0), S(1)), {{0, min}, {1, -1}}));
+  EXPECT_TRUE(fails(DimExpr::CeilDiv(S(0), S(1)), {{0, 4}, {1, -2}}));
+  // In range, the checked arithmetic computes what plain arithmetic does.
+  EXPECT_EQ(*DimExpr::CeilDiv(S(0), C(2)).Evaluate({{0, max - 1}}),
+            (max - 1) / 2);
+  EXPECT_EQ(*DimExpr::Add(S(0), C(-1)).Evaluate({{0, min + 1}}), min);
 }
 
 TEST(DimExprTest, NegativeConstantsInSums) {

@@ -44,6 +44,14 @@ std::unique_ptr<Compiled> CompileKernels(
   return c;
 }
 
+// The dims of every value of `analysis` at `bindings`.
+ShapeTable ShapesAt(const ShapeAnalysis& analysis,
+                    const SymbolBindings& bindings) {
+  Result<ShapeTable> shapes = analysis.EvaluateShapes(bindings);
+  EXPECT_TRUE(shapes.ok()) << shapes.status().ToString();
+  return std::move(shapes).value();
+}
+
 // Runs the single kernel of `c` through FusedKernel::Execute, with graph
 // inputs and constants bound the way the runtime binds them, and returns
 // the graph outputs.
@@ -337,10 +345,11 @@ TEST(KernelTest, VariantsUnderBuildsCounterfactualWithoutMutating) {
   // thread means the vectorized variant launches a quarter of the blocks.
   auto bindings = c->analysis->BindInputs({{4096}});
   ASSERT_TRUE(bindings.ok());
-  auto vec_stats = kernel.ComputeStats(*bindings, reference[0]);
-  auto gen_stats = kernel.ComputeStats(*bindings, kernel.variants()[0]);
-  ASSERT_TRUE(vec_stats.ok() && gen_stats.ok());
-  EXPECT_LT(vec_stats->num_blocks, gen_stats->num_blocks);
+  const ShapeTable shapes = ShapesAt(*c->analysis, *bindings);
+  const KernelStats vec_stats = kernel.ComputeStats(shapes, reference[0]);
+  const KernelStats gen_stats =
+      kernel.ComputeStats(shapes, kernel.variants()[0]);
+  EXPECT_LT(vec_stats.num_blocks, gen_stats.num_blocks);
 }
 
 TEST(KernelTest, ReduceKernelSchedulesAndRowExprs) {
@@ -379,15 +388,16 @@ TEST(KernelTest, StatsScaleWithShape) {
   const FusedKernel& kernel = *c->kernels[0];
   auto small = c->analysis->BindInputs({{8, 8}});
   auto large = c->analysis->BindInputs({{64, 64}});
-  auto stats_small =
-      kernel.ComputeStats(*small, *kernel.SelectVariant(*small).value());
-  auto stats_large =
-      kernel.ComputeStats(*large, *kernel.SelectVariant(*large).value());
-  ASSERT_TRUE(stats_small.ok() && stats_large.ok());
-  EXPECT_EQ(stats_large->bytes_read, stats_small->bytes_read * 64);
-  EXPECT_EQ(stats_large->bytes_written, stats_small->bytes_written * 64);
-  EXPECT_EQ(stats_large->flops, stats_small->flops * 64);
-  EXPECT_GE(stats_large->num_blocks, stats_small->num_blocks);
+  const KernelStats stats_small =
+      kernel.ComputeStats(ShapesAt(*c->analysis, *small),
+                          *kernel.SelectVariant(*small).value());
+  const KernelStats stats_large =
+      kernel.ComputeStats(ShapesAt(*c->analysis, *large),
+                          *kernel.SelectVariant(*large).value());
+  EXPECT_EQ(stats_large.bytes_read, stats_small.bytes_read * 64);
+  EXPECT_EQ(stats_large.bytes_written, stats_small.bytes_written * 64);
+  EXPECT_EQ(stats_large.flops, stats_small.flops * 64);
+  EXPECT_GE(stats_large.num_blocks, stats_small.num_blocks);
 }
 
 TEST(KernelTest, StitchKernelChargesSharedMemory) {
@@ -400,13 +410,13 @@ TEST(KernelTest, StitchKernelChargesSharedMemory) {
   ASSERT_EQ(c->kernels.size(), 1u);
   EXPECT_EQ(c->kernels[0]->kind(), FusionKind::kStitch);
   auto bindings = c->analysis->BindInputs({{128, 256}});
-  auto stats = c->kernels[0]->ComputeStats(
-      *bindings, *c->kernels[0]->SelectVariant(*bindings).value());
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->shared_mem_bytes, 256 * 4 * 2);
+  const KernelStats stats = c->kernels[0]->ComputeStats(
+      ShapesAt(*c->analysis, *bindings),
+      *c->kernels[0]->SelectVariant(*bindings).value());
+  EXPECT_EQ(stats.shared_mem_bytes, 256 * 4 * 2);
   // Only input and output hit global memory.
-  EXPECT_EQ(stats->bytes_read, 128 * 256 * 4);
-  EXPECT_EQ(stats->bytes_written, 128 * 256 * 4);
+  EXPECT_EQ(stats.bytes_read, 128 * 256 * 4);
+  EXPECT_EQ(stats.bytes_written, 128 * 256 * 4);
 }
 
 TEST(KernelTest, MultiOutputKernelWritesBothOutputs) {
@@ -420,10 +430,10 @@ TEST(KernelTest, MultiOutputKernelWritesBothOutputs) {
       {{"N"}});
   ASSERT_EQ(c->kernels.size(), 1u);
   auto bindings = c->analysis->BindInputs({{100}});
-  auto stats = c->kernels[0]->ComputeStats(
-      *bindings, *c->kernels[0]->SelectVariant(*bindings).value());
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->bytes_written, 2 * 100 * 4);
+  const KernelStats stats = c->kernels[0]->ComputeStats(
+      ShapesAt(*c->analysis, *bindings),
+      *c->kernels[0]->SelectVariant(*bindings).value());
+  EXPECT_EQ(stats.bytes_written, 2 * 100 * 4);
   ExpectMatchesReference(*c, {RandomF32(1, {100})});
 }
 
@@ -632,7 +642,7 @@ TEST(KernelExecuteTest, InputDimsDisagreeingWithTheBindingAreAnError) {
   ASSERT_EQ(c->kernels.size(), 1u);
   auto bindings = c->analysis->BindInputs({{4, 8}});
   ASSERT_TRUE(bindings.ok());
-  auto binding = c->kernels[0]->Bind(*bindings);
+  auto binding = c->kernels[0]->Bind(ShapesAt(*c->analysis, *bindings));
   ASSERT_TRUE(binding.ok()) << binding.status().ToString();
   std::unordered_map<const Value*, Tensor> env;
   env.emplace(c->graph.inputs()[0], Tensor(DType::kF32, {4, 9}));
@@ -658,7 +668,7 @@ TEST(KernelExecuteTest, OneBindingServesEveryInputOfItsSignature) {
   const FusedKernel& kernel = *c->kernels[0];
   auto bindings = c->analysis->BindInputs({{4, 8}});
   ASSERT_TRUE(bindings.ok());
-  auto binding = kernel.Bind(*bindings);
+  auto binding = kernel.Bind(ShapesAt(*c->analysis, *bindings));
   ASSERT_TRUE(binding.ok()) << binding.status().ToString();
   const Value* x = c->graph.inputs()[0];
   const Value* out = c->graph.outputs()[0];
@@ -931,7 +941,7 @@ TEST(KernelExecuteTest, AnAliasedReshapeTakesNoScratch) {
     ASSERT_EQ(c->kernels[0]->group().nodes.size(), 2u);
     auto bindings = c->analysis->BindInputs({{kRows, 32}, {1}});
     ASSERT_TRUE(bindings.ok());
-    auto binding = c->kernels[0]->Bind(*bindings);
+    auto binding = c->kernels[0]->Bind(ShapesAt(*c->analysis, *bindings));
     ASSERT_TRUE(binding.ok()) << binding.status().ToString();
     scratch[reshape ? 0 : 1] = c->kernels[0]->ScratchBytes(*binding);
     Tensor x = RandomF32(85, {kRows, 32});
@@ -1030,7 +1040,8 @@ TEST(LibraryTest, MatMulStats) {
   ASSERT_TRUE(analysis.Run().ok());
   auto bindings = analysis.BindInputs({{16, 64}, {64, 32}});
   ASSERT_TRUE(bindings.ok());
-  auto stats = ComputeLibraryStats(*y->producer(), analysis, *bindings);
+  auto stats =
+      ComputeLibraryStats(*y->producer(), ShapesAt(analysis, *bindings));
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->flops, 2 * 16 * 32 * 64);
   EXPECT_EQ(stats->bytes_read, (16 * 64 + 64 * 32) * 4);
@@ -1048,7 +1059,8 @@ TEST(LibraryTest, Conv2DStats) {
   ASSERT_TRUE(analysis.Run().ok());
   auto bindings = analysis.BindInputs({{1, 8, 10, 3}, {3, 3, 3, 16}});
   ASSERT_TRUE(bindings.ok());
-  auto stats = ComputeLibraryStats(*y->producer(), analysis, *bindings);
+  auto stats =
+      ComputeLibraryStats(*y->producer(), ShapesAt(analysis, *bindings));
   ASSERT_TRUE(stats.ok());
   // out = [1, 8, 10, 16]; flops = 2 * out * 3*3*3.
   EXPECT_EQ(stats->flops, 2 * (8 * 10 * 16) * 27);
@@ -1064,7 +1076,8 @@ TEST(LibraryTest, NonLibraryOpRejected) {
   ASSERT_TRUE(analysis.Run().ok());
   auto bindings = analysis.BindInputs({{4}});
   EXPECT_FALSE(
-      ComputeLibraryStats(*y->producer(), analysis, *bindings).ok());
+      ComputeLibraryStats(*y->producer(), ShapesAt(analysis, *bindings))
+          .ok());
   EXPECT_TRUE(IsLibraryOp(OpKind::kMatMul));
   EXPECT_FALSE(IsLibraryOp(OpKind::kRelu));
 }

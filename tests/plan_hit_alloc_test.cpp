@@ -11,6 +11,10 @@
 // allocates.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+
 #include "alloc_hook.h"
 #include "baselines/dynamic_engine.h"
 #include "compiler/compiler.h"
@@ -218,6 +222,50 @@ INSTANTIATE_TEST_SUITE_P(MemoryModes, PlanHitAllocTest,
                            return std::string(info.param ? "Arena"
                                                           : "Caching");
                          });
+
+TEST(PlanMissAllocTest, MissesStayWithinBudget) {
+  // A plan miss evaluates each distinct dim expression once into the
+  // signature's shape table, which every later step of plan build reads;
+  // a consumer that evaluated dims itself again would show as a multiple
+  // of these counts. Timing-only and data-mode misses (the cache off) at
+  // each graph's mid-trace signature, after one warm-up Run; the budgets
+  // are 1.25x the allocation calls measured when they were set.
+  const std::map<std::string, std::pair<int64_t, int64_t>> measured = {
+      {"bert", {157, 2202}},       {"seq2seq-step", {75, 609}},
+      {"crnn", {60, 314}},         {"fastspeech2", {171, 2206}},
+      {"dlrm", {90, 672}},         {"mlp", {38, 174}},
+      {"gpt-step-batch", {83, 710}}};
+  std::vector<Model> models = BuildModelSuite();
+  models.push_back(BuildGptStepBatch());
+  RunOptions off;
+  off.use_launch_plan_cache = false;
+  for (const Model& model : models) {
+    auto exe = DiscCompiler::Compile(*model.graph, model.input_dim_labels);
+    ASSERT_TRUE(exe.ok()) << model.name << ": " << exe.status().ToString();
+    const ShapeSet& shapes = model.trace[model.trace.size() / 2];
+    const std::vector<Tensor> inputs = model.make_inputs(shapes, 5);
+    ASSERT_TRUE((*exe)->RunWithShapes(shapes, off).ok()) << model.name;
+    ASSERT_TRUE((*exe)->Run(inputs, off).ok()) << model.name;
+    StartCountingAllocations();
+    const bool timing_ok = (*exe)->RunWithShapes(shapes, off).ok();
+    StopCountingAllocations();
+    const int64_t timing_calls = CountedAllocationCalls();
+    StartCountingAllocations();
+    const bool data_ok = (*exe)->Run(inputs, off).ok();
+    StopCountingAllocations();
+    const int64_t data_calls = CountedAllocationCalls();
+    ASSERT_TRUE(timing_ok && data_ok) << model.name;
+    auto it = measured.find(model.name);
+    ASSERT_NE(it, measured.end()) << model.name;
+    const auto [timing, data] = it->second;
+    EXPECT_LE(timing_calls, timing + timing / 4)
+        << model.name << " timing-only miss: " << timing_calls
+        << " allocation calls; measured " << timing;
+    EXPECT_LE(data_calls, data + data / 4)
+        << model.name << " data-mode miss: " << data_calls
+        << " allocation calls; measured " << data;
+  }
+}
 
 }  // namespace
 }  // namespace disc

@@ -7,6 +7,11 @@
 namespace disc {
 namespace {
 
+std::vector<int64_t> DimsOf(const ShapeTable& shapes, const Value* v) {
+  const std::span<const int64_t> dims = shapes.dims(v);
+  return {dims.begin(), dims.end()};
+}
+
 TEST(ShapeAnalysisTest, SeedsInputsWithLabels) {
   Graph g;
   GraphBuilder b(&g);
@@ -238,9 +243,82 @@ TEST(ShapeAnalysisTest, BindInputsSolvesSymbols) {
 
   auto bindings = analysis.BindInputs({{4, 17, 64}});
   ASSERT_TRUE(bindings.ok());
-  auto dims = analysis.EvaluateShape(flat, *bindings);
-  ASSERT_TRUE(dims.ok());
-  EXPECT_EQ(*dims, (std::vector<int64_t>{4 * 17, 64}));
+  auto shapes = analysis.EvaluateShapes(*bindings);
+  ASSERT_TRUE(shapes.ok()) << shapes.status().ToString();
+  const std::vector<int64_t> dims = DimsOf(*shapes, flat);
+  EXPECT_EQ(dims, (std::vector<int64_t>{4 * 17, 64}));
+}
+
+TEST(ShapeAnalysisTest, ShapeTableEvaluatesEachDistinctDimOnce) {
+  // x [B, S, 64] -> reshape [B*S, 64] -> relu -> reduce over dim 1 [B*S]:
+  // five values, nine dims, four distinct canonical expressions.
+  Graph g;
+  GraphBuilder b(&g);
+  Value* x = b.Input("x", DType::kF32, {kDynamicDim, kDynamicDim, 64});
+  Value* flat = b.Reshape(x, {-1, 64});
+  Value* act = b.Relu(flat);
+  Value* sum = b.ReduceSum(act, {1});
+  b.Output({sum});
+  ShapeAnalysis analysis(&g, {{"B", "S", ""}});
+  ASSERT_TRUE(analysis.Run().ok());
+  auto bindings = analysis.BindInputs({{3, 5, 64}});
+  ASSERT_TRUE(bindings.ok());
+  auto shapes = analysis.EvaluateShapes(*bindings);
+  ASSERT_TRUE(shapes.ok()) << shapes.status().ToString();
+  EXPECT_EQ(DimsOf(*shapes, x), (std::vector<int64_t>{3, 5, 64}));
+  EXPECT_EQ(DimsOf(*shapes, flat), (std::vector<int64_t>{15, 64}));
+  EXPECT_EQ(DimsOf(*shapes, act), (std::vector<int64_t>{15, 64}));
+  EXPECT_EQ(DimsOf(*shapes, sum), (std::vector<int64_t>{15}));
+  EXPECT_EQ(shapes->num_elements(flat), 15 * 64);
+  // Every entry is the canonical expression of a value's dim.
+  for (const Value* v : {x, flat, act, sum}) {
+    const SymShape& shape = analysis.GetShape(v);
+    for (size_t d = 0; d < shape.size(); ++d) {
+      auto expected = analysis.EvaluateDim(shape[d], *bindings);
+      ASSERT_TRUE(expected.ok());
+      EXPECT_EQ(shapes->dims(v)[d], *expected) << "%" << v->id() << " " << d;
+    }
+  }
+}
+
+TEST(ShapeAnalysisTest, BindInputsRejectsNegativeDims) {
+  Graph g;
+  GraphBuilder b(&g);
+  Value* x = b.Input("x", DType::kF32, {kDynamicDim, 64});
+  b.Output({b.Relu(x)});
+  ShapeAnalysis analysis(&g);
+  ASSERT_TRUE(analysis.Run().ok());
+  auto bindings = analysis.BindInputs({{-2, 64}});
+  ASSERT_FALSE(bindings.ok());
+  EXPECT_EQ(bindings.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bindings.status().message().find("input 0 ('x') dim 0 is -2"),
+            std::string::npos)
+      << bindings.status().ToString();
+}
+
+TEST(ShapeAnalysisTest, ShapeTableRejectsSizesBeyondInt64) {
+  // Each dim fits, but [2^31, 2^31, 64] holds 2^68 elements, and
+  // [2^29, 2^26, 64] holds 2^61, whose bytes overflow.
+  Graph g;
+  GraphBuilder b(&g);
+  Value* x = b.Input("x", DType::kF32, {kDynamicDim, kDynamicDim, 64});
+  b.Output({b.Relu(x)});
+  ShapeAnalysis analysis(&g, {{"B", "S", ""}});
+  ASSERT_TRUE(analysis.Run().ok());
+  const int64_t big = int64_t{1} << 31;
+  for (const std::vector<int64_t>& dims :
+       {std::vector<int64_t>{big, big, 64},
+        std::vector<int64_t>{int64_t{1} << 29, int64_t{1} << 26, 64}}) {
+    auto bindings = analysis.BindInputs({dims});
+    ASSERT_TRUE(bindings.ok());
+    auto shapes = analysis.EvaluateShapes(*bindings);
+    ASSERT_FALSE(shapes.ok());
+    EXPECT_EQ(shapes.status().code(), StatusCode::kInvalidArgument);
+  }
+  // A zero dim leaves nothing to overflow.
+  auto bindings = analysis.BindInputs({{big, 0, 64}});
+  ASSERT_TRUE(bindings.ok());
+  EXPECT_TRUE(analysis.EvaluateShapes(*bindings).ok());
 }
 
 TEST(ShapeAnalysisTest, BindInputsRejectsStaticMismatch) {
@@ -278,10 +356,11 @@ TEST(ShapeAnalysisTest, EvaluateConvOutputDims) {
   ASSERT_TRUE(analysis.Run().ok());
   auto bindings = analysis.BindInputs({{1, 32, 100, 3}});
   ASSERT_TRUE(bindings.ok());
-  auto dims = analysis.EvaluateShape(y, *bindings);
-  ASSERT_TRUE(dims.ok());
+  auto shapes = analysis.EvaluateShapes(*bindings);
+  ASSERT_TRUE(shapes.ok()) << shapes.status().ToString();
+  const std::vector<int64_t> dims = DimsOf(*shapes, y);
   // (100 + 2 - 3) / 2 + 1 = 50; (32 + 2 - 3)/2 + 1 = 16.
-  EXPECT_EQ(*dims, (std::vector<int64_t>{1, 16, 50, 8}));
+  EXPECT_EQ(dims, (std::vector<int64_t>{1, 16, 50, 8}));
 }
 
 TEST(ShapeAnalysisTest, MatMulTransposeFlagsPickRightDims) {
@@ -318,9 +397,10 @@ TEST(ShapeAnalysisTest, ContentArithmeticDivAndNested) {
   // dim 0 = floordiv(B*S, 4), evaluable.
   auto bindings = analysis.BindInputs({{4, 6, 8}});
   ASSERT_TRUE(bindings.ok());
-  auto dims = analysis.EvaluateShape(y, *bindings);
-  ASSERT_TRUE(dims.ok());
-  EXPECT_EQ(*dims, (std::vector<int64_t>{6, 4, 8}));
+  auto shapes = analysis.EvaluateShapes(*bindings);
+  ASSERT_TRUE(shapes.ok()) << shapes.status().ToString();
+  const std::vector<int64_t> dims = DimsOf(*shapes, y);
+  EXPECT_EQ(dims, (std::vector<int64_t>{6, 4, 8}));
 }
 
 TEST(ShapeAnalysisTest, ConvChannelMismatchExcavated) {
