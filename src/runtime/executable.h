@@ -9,7 +9,8 @@
 //
 // Runs are split into two phases (see runtime/launch_plan.h):
 //   * plan build  — all host-side work that depends only on the input-
-//     shape signature: symbol solve, guard evaluation, launch geometry,
+//     shape signature: symbol solve, the shape table (every value's dims,
+//     evaluated and checked once), guard evaluation, launch geometry,
 //     library footprints, buffer sizes and the arena size, the Run's
 //     totals (launches, bytes, variant counts), each step's simulated cost
 //     and the Run's device time under the building Run's device and
@@ -22,8 +23,8 @@
 //     execution from a finished plan. A Run under the plan's pricing key
 //     reads its device time from the plan; one under another key prices
 //     each step. A timing-only Run under the plan's key that nothing
-//     observes step by step (no failpoint armed, no memory limit, no
-//     negative size, tracing and the kernel ledger off) walks no step.
+//     observes step by step (no failpoint armed, no memory limit, tracing
+//     and the kernel ledger off) walks no step.
 // Plans are memoized per signature in a bounded thread-safe LRU keyed by
 // the input dims, so repeated-shape Runs (decode loops, hot serving
 // signatures) skip the symbolic phase entirely. A timing-only hit
